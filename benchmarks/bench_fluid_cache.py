@@ -2,8 +2,8 @@
 
 Two acceptance bars, both recorded in ``BENCH_results.json``:
 
-* the NumPy fluid backend runs a real Figure 5 sweep at least 3x faster
-  than the pure-Python reference, with bit-identical traces;
+* the vectorized fluid path runs a real Figure 5 sweep at least 3x
+  faster than the pure-Python reference, with bit-identical traces;
 * a content-addressed cache hit makes an immediate re-run of a real sweep
   (netstack, both backends' cells) at least 10x faster, with identical
   rendered output.
@@ -13,11 +13,13 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_fluid_cache.py -q
 """
 
+import math
 import time
 
 from repro.cache import ResultCache
 from repro.experiments import fig5, netstack
-from repro.fluid.solver import BACKEND_ENV_VAR
+from repro.fluid import solver
+from repro.fluid.timeseries import FluidSimulator
 
 #: Acceptance floors (the measured ratios are far above both).
 MIN_BACKEND_SPEEDUP = 3.0
@@ -35,10 +37,16 @@ def _timed(fn, *args, **kwargs):
 
 
 def bench_fig5_vectorized_speedup(p9634, record_timing, monkeypatch):
-    """Figure 5 (9634 IF): reference backend vs NumPy fast path."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+    """Figure 5 (9634 IF): reference step loop vs NumPy fast path."""
+    fast_run = FluidSimulator.run
+    # The reference: every solve on the Python loops, every run on the
+    # step loop that re-solves each step.
+    monkeypatch.setattr(solver, "_AUTO_MIN_FLOWS", math.inf)
+    monkeypatch.setattr(FluidSimulator, "run", FluidSimulator._run_reference)
     reference_s, reference = _timed(fig5.run, p9634, "if")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+    # The fast path, with every solve vectorized.
+    monkeypatch.setattr(solver, "_AUTO_MIN_FLOWS", 0)
+    monkeypatch.setattr(FluidSimulator, "run", fast_run)
     fast_s, fast = _timed(fig5.run, p9634, "if")
 
     # Same sweep, bit-identical traces — the backends may only differ in
@@ -57,9 +65,8 @@ def bench_fig5_vectorized_speedup(p9634, record_timing, monkeypatch):
     assert speedup >= MIN_BACKEND_SPEEDUP, speedup
 
 
-def bench_netstack_cached_rerun(p7302, record_timing, tmp_path, monkeypatch):
+def bench_netstack_cached_rerun(p7302, record_timing, tmp_path):
     """The full netstack sweep: cold solve vs immediate cached re-run."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     cache = ResultCache(tmp_path / "store")
 
     def sweep():

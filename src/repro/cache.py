@@ -2,11 +2,10 @@
 
 A cell is a pure function of its arguments (the runner's determinism
 contract), so its result can be keyed by *content*: the cache key is a
-SHA-256 over a canonical encoding of ``(code fingerprint, engine variant,
-cell function, args, kwargs)``. The engine variant
-(:func:`engine_variant`) captures the :data:`DES_SHARDS_ENV_VAR` switch,
-so serial and sharded runs of the same cell — different documented
-approximations — never share an entry.
+SHA-256 over a canonical encoding of ``(code fingerprint, cell function,
+args, kwargs)``. Every choice that changes a result — the engine, the shard
+count, the recovery arm — is a cell argument, so serial and sharded runs of
+the same cell (different documented approximations) never share an entry.
 The code fingerprint hashes every ``repro`` source file,
 so any edit to the package invalidates the whole store — a hit can only
 ever return what re-running the cell would have produced.
@@ -47,8 +46,6 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 __all__ = [
     "CACHE_DIR_ENV_VAR",
     "CACHE_ENV_VAR",
-    "DES_SHARDS_ENV_VAR",
-    "RECOVERY_ENV_VAR",
     "CacheStats",
     "ResultCache",
     "Uncacheable",
@@ -56,8 +53,6 @@ __all__ = [
     "cell_key",
     "code_fingerprint",
     "default_cache",
-    "engine_variant",
-    "recovery_variant",
     "set_default_cache",
     "stable_bytes",
 ]
@@ -69,91 +64,22 @@ CACHE_ENV_VAR = "REPRO_CACHE"
 #: Overrides the on-disk store location (default ``.repro-cache/``).
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Sharded-engine switch (see :mod:`repro.sim.sharded`): when set, DES
-#: experiment cells run on the sharded engine with this many shards. Part
-#: of every cache key via :func:`engine_variant`.
-DES_SHARDS_ENV_VAR = "REPRO_DES_SHARDS"
-
-#: Recovery-layer switch (see :mod:`repro.net.recovery`): when truthy, fault
-#: experiments run with the fault-reactive recovery layer enabled. Part of
-#: every cache key via :func:`recovery_variant`, so recovery-on and
-#: recovery-off cells can never collide in the content-addressed store.
-RECOVERY_ENV_VAR = "REPRO_NET_RECOVERY"
-
 _DEFAULT_ROOT = ".repro-cache"
 
 _FALSY = {"0", "off", "false", "no"}
 
 
-def engine_variant(raw: Optional[str] = None) -> Tuple[str, Any]:
-    """The DES engine variant the environment selects, as a key component.
-
-    ``("serial", 1)`` when :data:`DES_SHARDS_ENV_VAR` is unset or empty,
-    ``("sharded", N)`` when it names a shard count. A cell computed on one
-    engine variant must never satisfy a lookup for another — the sharded
-    engine is a documented approximation of the serial one, and its shard
-    count changes the partition — so this tuple is folded into every
-    cache key. An unparsable value keys on the raw string (a deliberate
-    miss, never an exception: the experiment layer owns validation).
-
-    ``raw`` substitutes for the environment variable's value: the service
-    computes keys for a job's *requested* variant without mutating the
-    process environment a concurrently running batch depends on.
-    """
-    if raw is None:
-        raw = os.environ.get(DES_SHARDS_ENV_VAR, "")
-    raw = raw.strip()
-    if not raw:
-        return ("serial", 1)
-    try:
-        return ("sharded", int(raw))
-    except ValueError:
-        return ("sharded", raw)
-
-
-def recovery_variant(raw: Optional[str] = None) -> Tuple[str, Any]:
-    """The recovery-layer variant the environment selects, as a key component.
-
-    ``("recovery", "off")`` when :data:`RECOVERY_ENV_VAR` is unset or
-    falsy, ``("recovery", <raw value>)`` otherwise. Recovery changes what a
-    fault experiment measures (detection, reclamation, failover), so its
-    cells must never satisfy lookups from the fault-oblivious stack; the
-    raw value keys any future tuning knobs encoded in the variable.
-    ``raw`` substitutes for the environment value, exactly as in
-    :func:`engine_variant`.
-    """
-    if raw is None:
-        raw = os.environ.get(RECOVERY_ENV_VAR, "")
-    raw = raw.strip()
-    if not raw or raw.lower() in _FALSY:
-        return ("recovery", "off")
-    return ("recovery", raw)
-
-
 def cell_key(
-    fn: Any,
-    args: Tuple[Any, ...],
-    kwargs: Dict[str, Any],
-    *,
-    engine_raw: Optional[str] = None,
-    recovery_raw: Optional[str] = None,
+    fn: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]
 ) -> Optional[str]:
     """Content-address one cell: SHA-256 over its canonical encoding.
 
-    The key covers the code fingerprint, the engine and recovery variants
-    (from the environment unless ``engine_raw``/``recovery_raw`` override
-    them), and the cell itself. None when any input has no stable encoding
-    — such a cell is uncacheable *and* un-dedupable, never an error.
+    The key covers the code fingerprint and the cell itself. None when any
+    input has no stable encoding — such a cell is uncacheable *and*
+    un-dedupable, never an error.
     """
     try:
-        payload = stable_bytes(
-            (
-                code_fingerprint(),
-                engine_variant(engine_raw),
-                recovery_variant(recovery_raw),
-                fn, args, kwargs,
-            )
-        )
+        payload = stable_bytes((code_fingerprint(), fn, args, kwargs))
     except Uncacheable:
         return None
     return hashlib.sha256(payload).hexdigest()
@@ -344,18 +270,10 @@ class ResultCache:
         self._recorded = (0, 0, 0, 0)
 
     def key_for(
-        self,
-        fn: Any,
-        args: Tuple[Any, ...],
-        kwargs: Dict[str, Any],
-        *,
-        engine_raw: Optional[str] = None,
-        recovery_raw: Optional[str] = None,
+        self, fn: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]
     ) -> Optional[str]:
         """Cache key for one cell, or None when any input is uncacheable."""
-        return cell_key(
-            fn, args, kwargs, engine_raw=engine_raw, recovery_raw=recovery_raw
-        )
+        return cell_key(fn, args, kwargs)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"

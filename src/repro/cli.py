@@ -15,7 +15,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -141,14 +140,12 @@ def _platform_names_for(name: str) -> List[str]:
 
 
 def _validate_env(parser: argparse.ArgumentParser) -> None:
-    """Reject malformed env knobs up front, as usage errors not tracebacks.
+    """Reject a malformed ``REPRO_JOBS`` up front, as a usage error.
 
-    ``REPRO_JOBS`` and ``REPRO_DES_SHARDS`` are read deep inside the
-    runner and the engine selection; a typo there should fail like a bad
+    It is read deep inside the runner; a typo there should fail like a bad
     flag (clean one-line error, exit 2), not as a traceback halfway
     through a sweep.
     """
-    from repro.cache import DES_SHARDS_ENV_VAR
     from repro.errors import ConfigurationError
     from repro.runner import JOBS_ENV_VAR, resolve_jobs
 
@@ -156,17 +153,6 @@ def _validate_env(parser: argparse.ArgumentParser) -> None:
         resolve_jobs(None)
     except ConfigurationError as error:
         parser.error(f"${JOBS_ENV_VAR}: {error}")
-    raw = os.environ.get(DES_SHARDS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            shards_ok = int(raw) >= 1
-        except ValueError:
-            shards_ok = False
-        if not shards_ok:
-            parser.error(
-                f"${DES_SHARDS_ENV_VAR} must be a positive integer, "
-                f"got {raw!r}"
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sharded_cmd.add_argument(
         "--shards", type=_shards_arg, default=None, metavar="N",
         help=(
-            "event-loop shards for the sharded engine (default: "
-            "$REPRO_DES_SHARDS, else one per CCD). Unlike --jobs — which "
-            "fans whole cells over processes — shards split one cell's "
+            "event-loop shards for the sharded engine (default: one per "
+            "CCD). Unlike --jobs — which fans whole cells over "
+            "processes — shards split one cell's "
             "event loop and change its results within the documented "
             "tolerance; shards=1 is bit-identical to serial"
         ),
@@ -595,15 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kvstore: requests per serving arm (default 100,000)",
     )
     submit_cmd.add_argument(
-        "--shards", type=_shards_arg, default=None, metavar="N",
-        help="run the batch on the sharded DES engine with N shards "
-             "(cached separately per shard count)",
-    )
-    submit_cmd.add_argument(
-        "--recover", action="store_true",
-        help="run the batch with the fault-reactive recovery layer enabled",
-    )
-    submit_cmd.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell timeout for the local fallback (default: none)",
     )
@@ -658,10 +635,6 @@ def _submit_spec(args, platform_name: str) -> dict:
         "platform": platform_name,
         "seed": args.seed,
         "params": params,
-        "variants": {
-            "des_shards": args.shards,
-            "recovery": bool(args.recover),
-        },
     }
 
 
@@ -805,16 +778,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         set_default_cache(ResultCache())
 
-    # Validate the fluid-backend switch up front: on a warm cache no cell
-    # may ever reach the solver, and a typo'd backend must not pass
-    # silently just because every result was already cached.
     from repro.errors import ConfigurationError
-    from repro.fluid.solver import resolve_backend
-
-    try:
-        resolve_backend()
-    except ConfigurationError as error:
-        build_parser().error(str(error))
 
     jobs = getattr(args, "jobs", None)
     started = time.perf_counter()
@@ -929,9 +893,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fail_fast=args.fail_fast,
             )
             out.append(chaos.render(platform.name, results))
-            from repro.net.recovery import recovery_enabled_by_env
-
-            if args.recover or recovery_enabled_by_env():
+            if args.recover:
                 recovery_results = chaos.run_recovery(
                     platform,
                     seed=args.seed,
@@ -978,8 +940,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     jobs=jobs,
                 )
             except ConfigurationError as error:
-                # An out-of-range shard count (or a bad REPRO_DES_SHARDS
-                # value) is a usage error, not a traceback.
+                # An out-of-range shard count is a usage error, not a
+                # traceback.
                 build_parser().error(str(error))
             out.append(sharded_cell.render(platform.name, results))
 

@@ -396,20 +396,15 @@ class FabricModel:
         policy: Policy = Policy.DEMAND_PROPORTIONAL,
         umc_ids: Optional[Sequence[int]] = None,
         dev_ids: Optional[Sequence[int]] = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, float]:
-        """Solve all streams together; returns {stream name: achieved GB/s}.
-
-        ``backend`` forwards to :func:`repro.fluid.solver.solve` (default:
-        the ``REPRO_FLUID_BACKEND`` environment switch).
-        """
+        """Solve all streams together; returns {stream name: achieved GB/s}."""
         flows: List[FluidFlow] = []
         owners: List[Tuple[str, str]] = []
         for spec in specs:
             for flow in self.flows_for(spec, umc_ids=umc_ids, dev_ids=dev_ids):
                 flows.append(flow)
                 owners.append((flow.name, spec.name))
-        allocation = solve(flows, policy, backend=backend)
+        allocation = solve(flows, policy)
         result = {spec.name: 0.0 for spec in specs}
         for flow_name, spec_name in owners:
             result[spec_name] += allocation[flow_name]

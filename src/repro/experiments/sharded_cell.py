@@ -9,22 +9,17 @@ bandwidth, victim share, Jain fairness, loaded-latency percentiles, and
 the sharded engine's synchronization telemetry (windows, cross-shard
 messages, lookahead).
 
-The shard count resolves — explicit argument, else the
-``REPRO_DES_SHARDS`` environment switch, else one shard per CCD — *before*
-cells are submitted to the runner, so the resolved count is part of the
-cell's arguments. Together with :func:`repro.cache.engine_variant` (which
-folds the raw environment switch into every key) this keeps cache entries
-honest: a sharded result can never satisfy a serial lookup or one for a
-different shard count.
+The shard count resolves — explicit argument, else one shard per CCD —
+*before* cells are submitted to the runner, so the resolved count is part
+of the cell's arguments and therefore of its cache key: a sharded result
+can never satisfy a serial lookup or one for a different shard count.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
-from repro.cache import DES_SHARDS_ENV_VAR
 from repro.core.shardexec import ShardCellOutcome, run_cell
 from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
@@ -39,22 +34,13 @@ ENGINES: Tuple[str, ...] = ("serial", "sharded")
 def resolve_shards(platform: Platform, shards: Optional[int] = None) -> int:
     """The shard count a sharded run of ``platform`` will use.
 
-    Precedence: explicit argument, then :data:`~repro.cache.DES_SHARDS_ENV_VAR`,
-    then one shard per CCD. Resolution happens here — before any cell is
-    built — so the count rides in the cell arguments and therefore in the
-    cache key, never as hidden state a cached result could ignore.
+    The explicit argument, else one shard per CCD. Resolution happens
+    here — before any cell is built — so the count rides in the cell
+    arguments and therefore in the cache key, never as hidden state a
+    cached result could ignore.
     """
     if shards is None:
-        raw = os.environ.get(DES_SHARDS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                shards = int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{DES_SHARDS_ENV_VAR}={raw!r} is not a shard count"
-                ) from None
-        else:
-            shards = len(platform.ccds)
+        shards = len(platform.ccds)
     if not 1 <= shards <= len(platform.ccds):
         raise ConfigurationError(
             f"shard count must be in [1, {len(platform.ccds)}] for "

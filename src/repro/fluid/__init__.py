@@ -24,14 +24,7 @@ from repro.fluid.coupling import (
     effective_service_ns,
     stage_channel,
 )
-from repro.fluid.solver import (
-    BACKEND_ENV_VAR,
-    Channel,
-    FluidFlow,
-    Policy,
-    resolve_backend,
-    solve,
-)
+from repro.fluid.solver import Channel, FluidFlow, Policy, solve
 from repro.fluid.timeseries import DemandSchedule, FluidSimulator, FlowTrace
 from repro.fluid.vectorized import CompiledProblem, solve_vectorized
 
@@ -40,12 +33,10 @@ __all__ = [
     "FirstOrderAdaptation",
     "InstantAdaptation",
     "SecondOrderAdaptation",
-    "BACKEND_ENV_VAR",
     "Channel",
     "CompiledProblem",
     "FluidFlow",
     "Policy",
-    "resolve_backend",
     "solve",
     "solve_vectorized",
     "background_utilizations",

@@ -23,53 +23,25 @@ Two policies:
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ConvergenceError
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "Channel",
     "FluidFlow",
     "Policy",
-    "resolve_backend",
     "solve",
 ]
 
 _EPS = 1e-9
 
-#: Selects the solver backend: ``auto`` (default — vectorized for large
-#: flow sets, reference for small ones), ``numpy`` (always vectorized), or
-#: ``python`` (always the reference implementation in this module).
-BACKEND_ENV_VAR = "REPRO_FLUID_BACKEND"
-
-_BACKEND_ALIASES = {
-    "": "auto",
-    "auto": "auto",
-    "numpy": "numpy",
-    "vectorized": "numpy",
-    "python": "python",
-    "reference": "python",
-}
-
-#: ``auto`` switches to the vectorized backend at this many flows: below it
-#: the per-call NumPy overhead (array building, ufunc dispatch) costs more
-#: than the Python loops it replaces (measured crossover ~10 flows).
+#: :func:`solve` switches to the vectorized implementation at this many
+#: flows: below it the per-call NumPy overhead (array building, ufunc
+#: dispatch) costs more than the Python loops it replaces (measured
+#: crossover ~10 flows).
 _AUTO_MIN_FLOWS = 12
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend name (or the env default) to auto/numpy/python."""
-    raw = backend if backend is not None else os.environ.get(BACKEND_ENV_VAR, "")
-    resolved = _BACKEND_ALIASES.get(raw.strip().lower())
-    if resolved is None:
-        raise ConfigurationError(
-            f"unknown fluid backend {raw!r} "
-            f"(expected one of {sorted(set(_BACKEND_ALIASES.values()))})"
-        )
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -324,7 +296,6 @@ def solve(
     flows: Sequence[FluidFlow],
     policy: Policy = Policy.DEMAND_PROPORTIONAL,
     max_iterations: int = 10_000,
-    backend: Optional[str] = None,
 ) -> Dict[str, float]:
     """Allocate bandwidth to ``flows``; returns {flow name: achieved GB/s}.
 
@@ -332,17 +303,14 @@ def solve(
     channel exceeds its capacity; with no over-subscribed channel, every flow
     receives exactly its demand.
 
-    ``backend`` picks the implementation (``auto``/``numpy``/``python``,
-    default from :data:`BACKEND_ENV_VAR`); both backends agree within 1e-9
-    (see :mod:`repro.fluid.vectorized`).
+    Flow sets of at least :data:`_AUTO_MIN_FLOWS` flows go to the vectorized
+    implementation (:mod:`repro.fluid.vectorized`), smaller ones to the
+    reference loops in this module; the two agree within 1e-9.
     """
     names = [flow.name for flow in flows]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate flow names in {names}")
-    resolved = resolve_backend(backend)
-    if resolved == "numpy" or (
-        resolved == "auto" and len(names) >= _AUTO_MIN_FLOWS
-    ):
+    if len(names) >= _AUTO_MIN_FLOWS:
         from repro.fluid.vectorized import solve_vectorized
 
         return solve_vectorized(flows, policy, max_iterations)

@@ -18,13 +18,7 @@ import numpy as np
 from repro.analysis.timeseries import TimeSeries
 from repro.errors import ConfigurationError, SimulationError
 from repro.fluid.adaptation import AdaptationModel, InstantAdaptation
-from repro.fluid.solver import (
-    Channel,
-    FluidFlow,
-    Policy,
-    resolve_backend,
-    solve,
-)
+from repro.fluid.solver import Channel, FluidFlow, Policy, solve
 from repro.fluid.vectorized import CompiledProblem
 
 #: Tolerance for the strict-mode allocation invariants (GB/s).
@@ -201,23 +195,19 @@ class FluidSimulator:
     def run(self, duration_s: float) -> Dict[str, FlowTrace]:
         """Simulate ``duration_s`` seconds; returns a trace per flow.
 
-        Two equivalent implementations sit behind the
-        :data:`~repro.fluid.solver.BACKEND_ENV_VAR` switch: the reference
-        loop (backend ``python``) re-evaluates schedules and re-solves every
-        step, while the fast path (default) precomputes the demand and
-        capacity series as arrays and only calls the solver when the inputs
-        actually changed — piecewise-constant schedules like Figure 5's
-        collapse from thousands of solves to a handful. Memoized steps reuse
-        the solver's own earlier output, so the traces are identical.
+        Precomputes the demand and capacity series as arrays and only calls
+        the solver when the inputs actually changed — piecewise-constant
+        schedules like Figure 5's collapse from thousands of solves to a
+        handful. Memoized steps reuse the solver's own earlier output, so
+        the traces are identical to :meth:`_run_reference`, the step loop
+        the tests compare against.
         """
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        if resolve_backend() == "python":
-            return self._run_reference(duration_s)
         return self._run_fast(duration_s)
 
     def _run_reference(self, duration_s: float) -> Dict[str, FlowTrace]:
-        """The straightforward step loop (reference backend)."""
+        """The straightforward step loop: re-evaluate and re-solve every step."""
         traces = {flow.name: FlowTrace(flow.name) for flow in self.flows}
         # Start every flow at its t=0 allocation (steady state before the run).
         for flow in self.flows:
@@ -267,8 +257,7 @@ class FluidSimulator:
         """One cold solve: materialize the flow set and call :func:`solve`.
 
         Goes through the module-global ``solve`` exactly like the reference
-        loop, so backend selection — and test monkeypatching — see the same
-        seam on both paths.
+        loop, so test monkeypatching sees the same seam on both paths.
         """
         for j, flow in enumerate(self.flows):
             flow.demand_gbps = float(demand_column[j])

@@ -46,7 +46,6 @@ from repro.net.recovery import (
     RecoveryInstallation,
     RecoveryStats,
     fluid_health,
-    recovery_enabled_by_env,
 )
 from repro.net.recovery import install as install_recovery
 from repro.net.stack import NetStackConfig, fluid_allocation
@@ -85,5 +84,4 @@ __all__ = [
     "RecoveryStats",
     "fluid_health",
     "install_recovery",
-    "recovery_enabled_by_env",
 ]

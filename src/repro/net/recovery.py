@@ -47,7 +47,6 @@ module, the same null contract fault injection and tracing keep.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -65,7 +64,6 @@ from repro.transport.transaction import TransactionExecutor
 from repro.units import CACHELINE
 
 __all__ = [
-    "RECOVERY_ENV_VAR",
     "LinkHealth",
     "HealthTransition",
     "RecoveryConfig",
@@ -78,25 +76,12 @@ __all__ = [
     "RecoveryInstallation",
     "install",
     "fluid_health",
-    "recovery_enabled_by_env",
 ]
-
-#: Environment switch mirrored into every cache key (see
-#: :func:`repro.cache.recovery_variant`): when truthy, ``repro chaos``
-#: runs its recovery sweep without the ``--recover`` flag.
-RECOVERY_ENV_VAR = "REPRO_NET_RECOVERY"
-
-_FALSY = {"", "0", "off", "false", "no"}
 
 #: Residue factor a dead link keeps in a fluid capacity mask — the same
 #: floor :mod:`repro.faults.schedule` keeps so solver capacities stay
 #: positive.
 _MASK_RESIDUE = 1e-3
-
-
-def recovery_enabled_by_env() -> bool:
-    """Does :data:`RECOVERY_ENV_VAR` ask for the recovery sweep?"""
-    return os.environ.get(RECOVERY_ENV_VAR, "").strip().lower() not in _FALSY
 
 
 class LinkHealth(enum.Enum):

@@ -150,7 +150,6 @@ def fluid_allocation(
     specs: Sequence[StreamSpec],
     config: NetStackConfig,
     umc_ids: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, float]:
     """Steady-state grants under the stack; {stream name: achieved GB/s}.
 
@@ -159,14 +158,11 @@ def fluid_allocation(
     credits on, each stream is additionally capped at the aggregate
     window/RTT rate its credit shares sustain across its endpoints, and the
     channels are shared by (weighted) progressive filling — the fluid limit
-    of receiver-driven crediting. ``backend`` forwards to
-    :func:`repro.fluid.solver.solve` (default: the ``REPRO_FLUID_BACKEND``
-    environment switch).
+    of receiver-driven crediting.
     """
     if not config.enabled:
         return fabric.achieved_gbps(
-            specs, policy=Policy.DEMAND_PROPORTIONAL, umc_ids=umc_ids,
-            backend=backend,
+            specs, policy=Policy.DEMAND_PROPORTIONAL, umc_ids=umc_ids
         )
     platform = fabric.platform
     names = [spec.name for spec in specs]
@@ -209,7 +205,7 @@ def fluid_allocation(
             flow.weight = config.weight_of(spec.name) / len(spec_flows)
             flows.append(flow)
             owners.append((flow.name, spec.name))
-    allocation = solve(flows, config.fluid_policy(), backend=backend)
+    allocation = solve(flows, config.fluid_policy())
     result = {spec.name: 0.0 for spec in specs}
     for flow_name, spec_name in owners:
         result[spec_name] += allocation[flow_name]

@@ -17,9 +17,9 @@ Modules
     cell values exactly (floats by repr, dataclasses by field, anything
     else by pickle).
 :mod:`~repro.service.registry`
-    The submittable cell kinds (``netstack``, ``chaos``, ``trace``): spec
-    normalization, cell building, rendering, and per-job execution
-    variants (sharded engine, recovery layer).
+    The submittable cell kinds (``netstack``, ``chaos``, ``trace``,
+    ``kvstore``, ``explore``): spec normalization, cell building and
+    rendering.
 :mod:`~repro.service.scheduler`
     The admission queue: strict priority, round-robin fairness across
     clients within a priority, bounded depth with structured retry-after

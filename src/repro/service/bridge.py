@@ -34,8 +34,8 @@ async def run_cells_streamed(
 ) -> List[CellResult]:
     """Run arbitrary cells off-loop, streaming each final result.
 
-    The generic sibling of :func:`run_spec_streamed` (no spec, no
-    variants): ``runner_kwargs`` pass straight to
+    The generic sibling of :func:`run_spec_streamed` (no spec):
+    ``runner_kwargs`` pass straight to
     :func:`repro.runner.run_cells_detailed`, so tests can force pooling
     (``pool_threshold_s=0``), inject crash cells, or set ``cancel`` and
     observe exactly what the service's executor would see.
@@ -74,9 +74,7 @@ async def run_spec_streamed(
     :func:`repro.service.registry.run_local` would.
 
     ``executor`` defaults to the loop's default thread pool; the server
-    passes a single-thread executor so jobs serialize (one batch owns the
-    process environment at a time — see
-    :func:`repro.service.registry.apply_variants`).
+    passes a single-thread executor, so its jobs run one at a time.
     """
     from repro.service.registry import run_local
 

@@ -2,11 +2,10 @@
 
 A *job spec* is the JSON-friendly description of one batch a client
 submits: which experiment kind, on which platform preset, with which
-parameters and execution variants. :func:`normalize_spec` canonicalizes a
-raw spec (fills defaults, validates every field, sorts structure) so that
-two clients asking for the same work produce byte-identical specs — and
-therefore the same cells, the same cache keys, and the same dedup
-behaviour.
+parameters. :func:`normalize_spec` canonicalizes a raw spec (fills
+defaults, validates every field, sorts structure) so that two clients
+asking for the same work produce byte-identical specs — and therefore
+the same cells, the same cache keys, and the same dedup behaviour.
 
 Five kinds cover the service's surface, one per family of the repo's
 experiment layers:
@@ -15,8 +14,7 @@ experiment layers:
   (:func:`repro.experiments.netstack.run_point`), one cell per
   (backend, arm);
 * ``chaos`` — the graceful-degradation severity sweep
-  (:func:`repro.experiments.chaos.run_point`), one cell per severity,
-  optionally with the fault-reactive recovery layer enabled per job;
+  (:func:`repro.experiments.chaos.run_point`), one cell per severity;
 * ``trace`` — the span-traced cells
   (:mod:`repro.experiments.trace`), whose values carry
   :class:`~repro.trace.TraceRecording` artifacts the server exports as
@@ -30,25 +28,19 @@ experiment layers:
   carried (and validated) for spec uniformity but ignored: each cell's
   platform comes from its generated topology.
 
-Execution *variants* (sharded DES engine, recovery layer) are carried in
-the spec, not in the server's environment: :func:`variant_raws` exposes
-them as the raw strings :func:`repro.cache.cell_key` folds into content
-keys, and :func:`apply_variants` applies them to ``os.environ`` only for
-the duration of one (serialized) batch execution.
+Every choice that changes a result is a cell argument, so a spec's cells
+alone determine their cache keys.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE, run_cells_detailed
 
 __all__ = [
     "KINDS",
-    "apply_variants",
     "build_cells",
     "kind_names",
     "normalize_spec",
@@ -56,7 +48,6 @@ __all__ = [
     "resolve_platform",
     "run_local",
     "trace_recordings",
-    "variant_raws",
 ]
 
 #: The submittable experiment kinds, in presentation order.
@@ -119,27 +110,6 @@ def _as_int(value: Any, field: str, minimum: int) -> int:
     )
     _require(value >= minimum, f"{field} must be >= {minimum}, got {value}")
     return value
-
-
-def _normalize_variants(raw: Any) -> Dict[str, Any]:
-    if raw is None:
-        raw = {}
-    _require(isinstance(raw, dict), f"variants must be an object, got {raw!r}")
-    unknown = set(raw) - {"des_shards", "recovery"}
-    _require(
-        not unknown,
-        f"unknown variant field(s): {', '.join(sorted(unknown))} "
-        "(accepted: des_shards, recovery)",
-    )
-    shards = raw.get("des_shards")
-    if shards is not None:
-        shards = _as_int(shards, "variants.des_shards", 1)
-    recovery = raw.get("recovery", False)
-    _require(
-        isinstance(recovery, bool),
-        f"variants.recovery must be a boolean, got {recovery!r}",
-    )
-    return {"des_shards": shards, "recovery": recovery}
 
 
 def _normalize_netstack(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -281,12 +251,12 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
     """Canonicalize one raw job spec; invalid specs raise ConfigurationError.
 
     The returned dict always has exactly the keys ``kind``, ``platform``,
-    ``seed``, ``params``, ``variants``, with every default filled in, so
+    ``seed``, ``params``, with every default filled in, so
     equal requests normalize to equal specs regardless of which optional
     fields the client spelled out.
     """
     _require(isinstance(spec, dict), f"spec must be an object, got {spec!r}")
-    unknown = set(spec) - {"kind", "platform", "seed", "params", "variants"}
+    unknown = set(spec) - {"kind", "platform", "seed", "params"}
     _require(
         not unknown,
         f"unknown spec field(s): {', '.join(sorted(unknown))}",
@@ -318,56 +288,7 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
         "platform": platform,
         "seed": seed,
         "params": _NORMALIZERS[kind](params),
-        "variants": _normalize_variants(spec.get("variants")),
     }
-
-
-# --------------------------------------------------------------- variants
-
-
-def variant_raws(spec: Dict[str, Any]) -> Tuple[Optional[str], Optional[str]]:
-    """The spec's variants as ``(engine_raw, recovery_raw)`` cache-key raws.
-
-    Matches what :func:`apply_variants` will put in the environment — the
-    submit-time cache probe and the execution-time default cache must key
-    identically or warm hits would silently miss (or worse, collide).
-    """
-    variants = spec.get("variants") or {}
-    shards = variants.get("des_shards")
-    engine_raw = "" if shards is None else str(shards)
-    recovery_raw = "1" if variants.get("recovery") else ""
-    return engine_raw, recovery_raw
-
-
-@contextlib.contextmanager
-def apply_variants(spec: Dict[str, Any]) -> Iterator[None]:
-    """Apply the spec's execution variants to ``os.environ``, then restore.
-
-    Only safe while batches are serialized (the server runs one job at a
-    time for exactly this reason): the environment is process-global, and
-    the experiment layers read it at cell-execution time.
-    """
-    from repro.cache import DES_SHARDS_ENV_VAR, RECOVERY_ENV_VAR
-
-    engine_raw, recovery_raw = variant_raws(spec)
-    saved = {
-        name: os.environ.get(name)
-        for name in (DES_SHARDS_ENV_VAR, RECOVERY_ENV_VAR)
-    }
-    try:
-        for name, value in ((DES_SHARDS_ENV_VAR, engine_raw),
-                            (RECOVERY_ENV_VAR, recovery_raw)):
-            if value:
-                os.environ[name] = value
-            else:
-                os.environ.pop(name, None)
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 # ------------------------------------------------------------------ cells
@@ -518,19 +439,18 @@ def run_local(
     on_result: Optional[Callable[[CellResult], None]] = None,
     cancel: Any = None,
 ) -> List[CellResult]:
-    """Execute one normalized spec in this process, variants applied.
+    """Execute one normalized spec in this process.
 
     The single code path both the server's executor and the client's
     in-process fallback run — which is what makes the fallback
     byte-identical to the served path by construction.
     """
-    with apply_variants(spec):
-        return run_cells_detailed(
-            build_cells(spec),
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            cache=cache,
-            on_result=on_result,
-            cancel=cancel,
-        )
+    return run_cells_detailed(
+        build_cells(spec),
+        jobs=jobs,
+        timeout_s=timeout_s,
+        retries=retries,
+        cache=cache,
+        on_result=on_result,
+        cancel=cancel,
+    )

@@ -10,11 +10,8 @@ One :class:`ReproService` owns:
   priority + per-client fairness + bounded depth with structured
   ``queue-full`` rejection;
 * a single-thread executor the dispatcher feeds one job at a time.
-  Serialization is load-bearing, not a simplification: execution
-  variants (sharded engine, recovery layer) apply to the process-global
-  environment (:func:`repro.service.registry.apply_variants`), so two
-  batches with different variants must never overlap. Parallelism lives
-  *inside* a batch (the runner's ``--jobs`` fan-out), not across batches;
+  Parallelism lives *inside* a batch (the runner's ``--jobs`` fan-out),
+  not across batches;
 * a shared warm :class:`repro.cache.ResultCache`: submissions are probed
   against it (without charging hits) so clients learn up front how much
   of a job is already satisfied, per-job hit/miss deltas are persisted
@@ -292,7 +289,7 @@ class ReproService:
     def _handle_submit(
         self, connection: _Connection, frame: Dict[str, Any]
     ) -> None:
-        from repro.service.registry import build_cells, normalize_spec, variant_raws
+        from repro.service.registry import build_cells, normalize_spec
 
         if self._stopping.is_set():
             raise ServiceError("server is shutting down", code="shutting-down")
@@ -312,16 +309,12 @@ class ReproService:
         # Probe the warm cache (no hit/miss charged) so the client learns
         # immediately how much of the batch is already satisfied, and so
         # trace artifacts can be addressed by content key later.
-        engine_raw, recovery_raw = variant_raws(spec)
         cached: Dict[int, str] = {}
         keys: Dict[int, Optional[str]] = {}
         for index, cell in enumerate(cells):
             key = None
             if self.cache is not None:
-                key = self.cache.key_for(
-                    cell.fn, cell.args, cell.kwargs,
-                    engine_raw=engine_raw, recovery_raw=recovery_raw,
-                )
+                key = self.cache.key_for(cell.fn, cell.args, cell.kwargs)
                 if key is not None and self.cache.contains(key):
                     cached[index] = key
             keys[index] = key
@@ -370,6 +363,16 @@ class ReproService:
     def _handle_cancel(
         self, connection: _Connection, frame: Dict[str, Any]
     ) -> None:
+        """Cancel a queued or running job and acknowledge where it was.
+
+        A queued job never runs: its ``done`` event reports ``cancelled``
+        with no cell completed. A running job stops starting cells: the
+        cells in flight finish, every cell not yet started is reported
+        ``cancelled``, and the job ends ``cancelled``. A cancel
+        acknowledged as ``running`` after the last cell has started
+        cancels nothing: that job ends ``done``, with every cell reported
+        finished.
+        """
         job_id = frame.get("job")
         queued = self.scheduler.remove(job_id) if job_id else None
         if queued is not None:

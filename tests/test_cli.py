@@ -257,22 +257,6 @@ class TestCacheCLI:
         assert store.stats().entries == populated  # pure hits, no new work
 
 
-class TestBackendValidation:
-    def test_unknown_fluid_backend_rejected_even_with_warm_cache(self, monkeypatch):
-        # A warm cache can satisfy a whole run without touching the
-        # solver; the typo'd env var must still fail fast.
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "cuda")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table3"])
-        assert excinfo.value.code == 2
-
-    def test_backend_aliases_accepted(self, capsys, monkeypatch):
-        for raw in ("numpy", "vectorized", "python", "reference", "auto"):
-            monkeypatch.setenv("REPRO_FLUID_BACKEND", raw)
-            assert main(["table3"]) == 0
-            assert "Table 3" in capsys.readouterr().out
-
-
 class TestServiceCLI:
     @pytest.fixture(autouse=True)
     def _reset_default_cache(self, monkeypatch):
@@ -312,6 +296,15 @@ class TestServiceCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "fig3"])
 
+    def test_submit_has_no_variant_flags(self, capsys):
+        # The shard count and the recovery arm are cell arguments of their
+        # own subcommands; submit takes neither.
+        for flag in (["--shards", "2"], ["--recover"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["submit", "netstack", "--local"] + flag)
+            assert excinfo.value.code == 2
+            assert flag[0] in capsys.readouterr().err
+
     def test_submit_local_matches_direct_command(self, capsys):
         # `repro submit --local` runs the identical normalized spec through
         # the identical experiment code: stdout is byte-identical to the
@@ -345,16 +338,7 @@ class TestEnvValidation:
         assert excinfo.value.code == 2
         assert "$REPRO_JOBS" in capsys.readouterr().err
 
-    def test_bad_shards_env_is_a_usage_error(self, monkeypatch, capsys):
-        for raw in ("soup", "0", "-3"):
-            monkeypatch.setenv("REPRO_DES_SHARDS", raw)
-            with pytest.raises(SystemExit) as excinfo:
-                main(["table1"])
-            assert excinfo.value.code == 2
-            assert "$REPRO_DES_SHARDS" in capsys.readouterr().err
-
     def test_valid_env_values_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "auto")
-        monkeypatch.setenv("REPRO_DES_SHARDS", "2")
         assert main(["table1"]) == 0
         assert "Zen 2" in capsys.readouterr().out

@@ -131,13 +131,11 @@ _SCENARIOS = {
 class TestFluidBackendAgreement:
     @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
     @pytest.mark.parametrize("policy", list(Policy))
-    def test_python_and_numpy_agree(self, scenario, policy):
-        reference = solve(
-            _SCENARIOS[scenario](), policy=policy, backend="python"
-        )
-        vectorized = solve(
-            _SCENARIOS[scenario](), policy=policy, backend="numpy"
-        )
+    def test_python_and_numpy_agree(self, scenario, policy, pin_fluid):
+        pin_fluid("python")
+        reference = solve(_SCENARIOS[scenario](), policy=policy)
+        pin_fluid("numpy")
+        vectorized = solve(_SCENARIOS[scenario](), policy=policy)
         assert reference.keys() == vectorized.keys()
         for name, value in reference.items():
             assert vectorized[name] == pytest.approx(
@@ -145,9 +143,10 @@ class TestFluidBackendAgreement:
             ), f"{scenario}/{policy.value}: flow {name}"
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_invariants_hold_on_both_backends(self, backend):
+    def test_invariants_hold_on_both_backends(self, backend, pin_fluid):
+        pin_fluid(backend)
         flows = _scenario_fault_derated()
-        alloc = solve(flows, backend=backend)
+        alloc = solve(flows)
         loads: dict = {}
         for flow in flows:
             assert alloc[flow.name] <= flow.demand_gbps + 1e-9
@@ -157,12 +156,10 @@ class TestFluidBackendAgreement:
         for channel, load in loads.items():
             assert load <= channel.capacity_gbps + 1e-6
 
-    def test_netstack_fluid_arms_backend_independent(self, preset, monkeypatch):
-        from repro.fluid.solver import BACKEND_ENV_VAR
-
+    def test_netstack_fluid_arms_backend_independent(self, preset, pin_fluid):
         points = {}
         for backend in ("python", "numpy"):
-            monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+            pin_fluid(backend)
             points[backend] = {
                 arm: netstack.run_point(preset, arm, "fluid")
                 for arm in netstack.ARMS

@@ -12,13 +12,8 @@ reference, with the tolerances stated where they are asserted:
   contention: victim share must agree within ``0.10`` absolute and Jain
   fairness within ``0.05`` (measured worst cases: 0.041 and 0.012,
   across all three presets and shard counts);
-* **environment switch** — :func:`repro.experiments.sharded_cell.resolve_shards`
-  honors ``REPRO_DES_SHARDS`` (the CI job runs this file with it set),
-  and the resolved count lands in the outcome, not just the env.
-
-CI runs this file in the dedicated ``sharded-conformance`` job with
-``REPRO_DES_SHARDS=2`` exported, which also exercises the cache-key
-engine-variant split under a realistic environment.
+* **shard resolution** — :func:`repro.experiments.sharded_cell.resolve_shards`
+  takes an explicit count, else one shard per CCD.
 """
 
 import pytest
@@ -94,9 +89,6 @@ def test_multi_shard_within_documented_tolerance(
     assert multi.sync["cross_messages"] > 0
 
 
-def test_resolve_shards_honors_environment(preset, monkeypatch):
+def test_resolve_shards_explicit_else_one_per_ccd(preset):
     assert resolve_shards(preset, 2) == 2
-    monkeypatch.setenv("REPRO_DES_SHARDS", "2")
-    assert resolve_shards(preset) == 2
-    monkeypatch.delenv("REPRO_DES_SHARDS")
     assert resolve_shards(preset) == len(preset.ccds)

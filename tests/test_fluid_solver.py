@@ -51,40 +51,40 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_single_flow_single_channel(self, backend, policy):
+    def test_single_flow_single_channel(self, backend, policy, pin_fluid):
+        pin_fluid(backend)
         # Undersubscribed: the flow gets its demand.
         flow = FluidFlow("only", 6.0).add(Channel("link", 10.0))
-        assert solve([flow], policy, backend=backend)["only"] == (
-            pytest.approx(6.0)
-        )
+        assert solve([flow], policy)["only"] == pytest.approx(6.0)
         # Oversubscribed: the flow gets the capacity.
         flow = FluidFlow("only", 60.0).add(Channel("link", 10.0))
-        assert solve([flow], policy, backend=backend)["only"] == (
-            pytest.approx(10.0)
-        )
+        assert solve([flow], policy)["only"] == pytest.approx(10.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_zero_demand_flow(self, backend, policy):
+    def test_zero_demand_flow(self, backend, policy, pin_fluid):
+        pin_fluid(backend)
         channel = Channel("link", 10.0)
         flows = [
             FluidFlow("idle", 0.0).add(channel),
             FluidFlow("busy", 25.0).add(channel),
         ]
-        alloc = solve(flows, policy, backend=backend)
+        alloc = solve(flows, policy)
         assert alloc["idle"] == pytest.approx(0.0)
         assert alloc["busy"] == pytest.approx(10.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_weight_flow_rejected_under_weighted(self, backend):
+    def test_zero_weight_flow_rejected_under_weighted(self, backend, pin_fluid):
+        pin_fluid(backend)
         flow = FluidFlow("f", 5.0, weight=0.0).add(Channel("link", 10.0))
         with pytest.raises(ConfigurationError, match="weight must be positive"):
-            solve([flow], Policy.WEIGHTED, backend=backend)
+            solve([flow], Policy.WEIGHTED)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_empty_flow_list(self, backend, policy):
-        assert solve([], policy, backend=backend) == {}
+    def test_empty_flow_list(self, backend, policy, pin_fluid):
+        pin_fluid(backend)
+        assert solve([], policy) == {}
 
 
 class TestFigure4Cases:

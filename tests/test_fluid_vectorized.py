@@ -9,7 +9,7 @@ warm-start shortcuts a capacity sweep exercises.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fabric import FabricModel
@@ -17,14 +17,8 @@ from repro.core.flows import Scope, StreamSpec
 from repro.errors import ConfigurationError
 from repro.experiments import fig5
 from repro.experiments.contention import contention_streams, shared_umc_ids
-from repro.fluid.solver import (
-    BACKEND_ENV_VAR,
-    Channel,
-    FluidFlow,
-    Policy,
-    resolve_backend,
-    solve,
-)
+from repro.fluid import solver, vectorized
+from repro.fluid.solver import Channel, FluidFlow, Policy, solve
 from repro.fluid.vectorized import CompiledProblem, solve_vectorized
 from repro.net.qos import QosClass
 from repro.net.stack import NetStackConfig, fluid_allocation
@@ -37,33 +31,50 @@ POLICIES = (Policy.DEMAND_PROPORTIONAL, Policy.MAX_MIN, Policy.WEIGHTED)
 TOL = 1e-9
 
 
-def assert_backends_agree(flows_factory, policy):
-    """Both backends solve the same problem to within TOL."""
-    reference = solve(flows_factory(), policy, backend="python")
-    fast = solve(flows_factory(), policy, backend="numpy")
+def assert_backends_agree(pin_fluid, flows_factory, policy):
+    """Both implementations solve the same problem to within TOL."""
+    pin_fluid("python")
+    reference = solve(flows_factory(), policy)
+    pin_fluid("numpy")
+    fast = solve(flows_factory(), policy)
     assert set(reference) == set(fast)
     for name in reference:
         assert fast[name] == pytest.approx(reference[name], abs=TOL), name
 
 
-class TestBackendResolution:
-    def test_aliases(self, monkeypatch):
-        for raw, resolved in [
-            ("numpy", "numpy"), ("vectorized", "numpy"),
-            ("python", "python"), ("reference", "python"),
-            ("auto", "auto"), ("", "auto"),
-        ]:
-            monkeypatch.setenv(BACKEND_ENV_VAR, raw)
-            assert resolve_backend() == resolved
+class TestSizeSwitch:
+    """``solve`` picks its implementation from the flow count alone;
+    ``pin_fluid`` overrides that choice, which the agreement tests rely on."""
 
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend("numpy") == "numpy"
+    @staticmethod
+    def _flows(count):
+        channel = Channel("link", 20.0)
+        return [FluidFlow(f"f{j}", 1.0 + j).add(channel) for j in range(count)]
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ConfigurationError, match="unknown fluid backend"):
-            resolve_backend()
+    @pytest.mark.parametrize(
+        "pin, count, vectorized_calls",
+        [
+            (None, solver._AUTO_MIN_FLOWS - 1, 0),
+            (None, solver._AUTO_MIN_FLOWS, 1),
+            ("python", solver._AUTO_MIN_FLOWS, 0),
+            ("numpy", 1, 1),
+        ],
+    )
+    def test_vectorized_from_threshold(
+        self, monkeypatch, pin_fluid, pin, count, vectorized_calls
+    ):
+        if pin is not None:
+            pin_fluid(pin)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return solve_vectorized(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "solve_vectorized", spy)
+        alloc = solve(self._flows(count))
+        assert len(alloc) == count
+        assert calls == [count] * vectorized_calls
 
 
 class TestExperimentTopologies:
@@ -71,27 +82,29 @@ class TestExperimentTopologies:
 
     @pytest.mark.parametrize("preset", [epyc_7302, epyc_9634])
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_cpu_streaming_read(self, preset, policy):
+    def test_cpu_streaming_read(self, preset, policy, pin_fluid):
         platform = preset()
         fabric = FabricModel(platform)
         cores = StreamSpec.cores_for_scope(platform, Scope.CPU)
         spec = StreamSpec("scan", OpKind.READ, cores)
-        reference = fabric.achieved_gbps([spec], policy=policy, backend="python")
-        fast = fabric.achieved_gbps([spec], policy=policy, backend="numpy")
+        pin_fluid("python")
+        reference = fabric.achieved_gbps([spec], policy=policy)
+        pin_fluid("numpy")
+        fast = fabric.achieved_gbps([spec], policy=policy)
         assert fast["scan"] == pytest.approx(reference["scan"], abs=TOL)
 
     @pytest.mark.parametrize("preset", [epyc_7302, epyc_9634])
-    def test_contention_cell(self, preset):
+    def test_contention_cell(self, preset, pin_fluid):
         platform = preset()
         fabric = FabricModel(platform)
         for policy in POLICIES:
+            pin_fluid("python")
             reference = fabric.achieved_gbps(
-                list(contention_streams(platform)), policy=policy,
-                backend="python",
+                list(contention_streams(platform)), policy=policy
             )
+            pin_fluid("numpy")
             fast = fabric.achieved_gbps(
-                list(contention_streams(platform)), policy=policy,
-                backend="numpy",
+                list(contention_streams(platform)), policy=policy
             )
             for name in reference:
                 assert fast[name] == pytest.approx(
@@ -109,28 +122,26 @@ class TestExperimentTopologies:
         ],
         ids=lambda config: config.label,
     )
-    def test_netstack_arms(self, config):
+    def test_netstack_arms(self, config, pin_fluid):
         platform = epyc_9634()
         fabric = FabricModel(platform)
         streams = list(contention_streams(platform))
         shared = shared_umc_ids(platform)
-        reference = fluid_allocation(
-            fabric, streams, config, umc_ids=shared, backend="python"
-        )
-        fast = fluid_allocation(
-            fabric, streams, config, umc_ids=shared, backend="numpy"
-        )
+        pin_fluid("python")
+        reference = fluid_allocation(fabric, streams, config, umc_ids=shared)
+        pin_fluid("numpy")
+        fast = fluid_allocation(fabric, streams, config, umc_ids=shared)
         for name in reference:
             assert fast[name] == pytest.approx(reference[name], abs=TOL), name
 
-    def test_fig5_traces_identical(self, monkeypatch):
+    def test_fig5_traces_identical(self, pin_fluid):
         # The full Figure 5 panel — adaptation dynamics, fault-free capacity
         # schedule, thousands of solves. The fast path must reproduce the
         # reference traces bit-for-bit (same FP op order per element).
         platform = epyc_9634()
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        pin_fluid("python")
         reference = fig5.run(platform, "if", duration_s=1.0, dt_s=0.005)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        pin_fluid("numpy")
         fast = fig5.run(platform, "if", duration_s=1.0, dt_s=0.005)
         assert set(reference.traces) == set(fast.traces)
         for name, ref_trace in reference.traces.items():
@@ -140,9 +151,14 @@ class TestExperimentTopologies:
 
 
 class TestRandomTopologies:
+    # pin_fluid sets both sides explicitly on every example, so sharing
+    # the function-scoped fixture across examples leaks no state.
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_backends_agree(self, data):
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_backends_agree(self, pin_fluid, data):
         n_flows = data.draw(st.integers(1, 6), label="n_flows")
         n_channels = data.draw(st.integers(1, 5), label="n_channels")
         capacities = data.draw(
@@ -189,7 +205,7 @@ class TestRandomTopologies:
                 flows.append(flow)
             return flows
 
-        assert_backends_agree(build, policy)
+        assert_backends_agree(pin_fluid, build, policy)
 
 
 class TestWarmStarts:
@@ -274,12 +290,14 @@ class TestSolveVectorizedDirect:
         assert alloc["f0"] == pytest.approx(20.0 * 4 / 22)
         assert alloc["f1"] == pytest.approx(20.0 * 18 / 22)
 
-    def test_zero_weight_flow_rejected_by_both_backends(self):
+    def test_zero_weight_flow_rejected_by_both_backends(self, pin_fluid):
         def build():
             channel = Channel("link", 20.0)
             return [FluidFlow("f", 5.0, weight=0.0).add(channel)]
 
-        with pytest.raises(ConfigurationError, match="weight must be positive"):
-            solve(build(), Policy.WEIGHTED, backend="python")
-        with pytest.raises(ConfigurationError, match="weight must be positive"):
-            solve(build(), Policy.WEIGHTED, backend="numpy")
+        for implementation in ("python", "numpy"):
+            pin_fluid(implementation)
+            with pytest.raises(
+                ConfigurationError, match="weight must be positive"
+            ):
+                solve(build(), Policy.WEIGHTED)

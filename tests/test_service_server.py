@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import threading
 import time
 
 import pytest
@@ -160,6 +161,10 @@ class TestOps:
                     client._raise_on_error(client._recv())
         assert excinfo.value.code == "bad-request"
 
+    def test_variants_field_rejected(self):
+        with pytest.raises(ConfigurationError, match="variants"):
+            normalize_spec(_spec(variants={"des_shards": 2}))
+
     def test_bad_spec_rejected_client_side_too(self, service_dir):
         with _service(service_dir):
             with ServiceClient(_sock(service_dir)) as client:
@@ -304,22 +309,37 @@ class TestCancellation:
                 _cancel_quietly(client, slow_accepted["job"])
                 client.close()
 
-    def test_cancel_running_job_reports_cancelled_cells(self, service_dir):
-        slow = _spec(arms=("off", "credits", "credits+qos"), transactions=800)
-        with _service(service_dir, max_depth=4, cache=None):
+    def test_cancel_running_job_reports_cancelled_cells(
+        self, service_dir, monkeypatch
+    ):
+        # With jobs=1 the service runs the cells one at a time in this
+        # process, and the first one blocks until the test releases it —
+        # only after the cancel is acknowledged. So the cancel always lands
+        # while cell 0 runs and cells 1-5 have not started.
+        from repro.experiments import netstack
+
+        started = threading.Event()
+        release = threading.Event()
+        run_point = netstack.run_point
+
+        def gated_run_point(*args, **kwargs):
+            if not started.is_set():
+                started.set()
+                release.wait(timeout=60)
+            return run_point(*args, **kwargs)
+
+        monkeypatch.setattr(netstack, "run_point", gated_run_point)
+        spec = _spec(arms=("off", "credits", "credits+qos"))
+        with _service(service_dir, max_depth=4, cache=None, jobs=1):
             client = ServiceClient(_sock(service_dir)).connect()
             try:
-                client._send({"op": "submit", "spec": normalize_spec(slow),
+                client._send({"op": "submit", "spec": normalize_spec(spec),
                               "priority": 0})
                 accepted = client._raise_on_error(client._recv())
-                deadline = time.monotonic() + 10
-                with ServiceClient(_sock(service_dir)) as observer:
-                    while time.monotonic() < deadline:
-                        if observer.jobs()["running"] == accepted["job"]:
-                            break
-                        time.sleep(0.05)
+                assert started.wait(timeout=60)
                 cancelled = client.cancel(accepted["job"])
                 assert cancelled["where"] == "running"
+                release.set()
                 statuses = {}
                 while True:
                     frame = _next_event(client)
@@ -330,12 +350,16 @@ class TestCancellation:
                     elif frame.get("event") == "done":
                         done = frame
                         break
-                # Every cell is accounted for: finished or cancelled,
-                # never lost.
-                assert set(statuses) == set(range(6))
+                # Every cell is accounted for: the one in flight finished,
+                # the rest are reported cancelled, none is lost.
+                assert statuses == {
+                    0: "ok", 1: "cancelled", 2: "cancelled",
+                    3: "cancelled", 4: "cancelled", 5: "cancelled",
+                }
                 assert done["status"] == "cancelled"
-                assert "cancelled" in statuses.values()
+                assert done["completed"] == 6
             finally:
+                release.set()
                 client.close()
 
 

@@ -3,18 +3,19 @@
 Covers the engine's shard-stable sequence progression, the numpy event
 calendar, the conservative window loop (lookahead guard, deterministic
 boundary merge, telemetry), the batched closed-loop recurrences against
-brute force, the CCD shard map, trace merging, and the cache-key engine
-variant. The cross-engine agreement sweeps live in the conformance tier
+brute force, the CCD shard map, trace merging, and the cell cache keys.
+The cross-engine agreement sweeps live in the conformance tier
 (``tests/test_conformance_sharded.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.cache import ResultCache, engine_variant
+from repro.cache import ResultCache
 from repro.core.partition import ccd_shard_map
 from repro.core.shardexec import contention_flows, jain_index, run_cell
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.sharded_cell import run_engine_cell
 from repro.sim.batch import (
     BatchFlow,
     BatchLane,
@@ -337,24 +338,33 @@ class TestMergeRecordings:
 # ------------------------------------------------------------- cache keys
 
 
-class TestEngineVariantKeys:
-    def test_variant_tracks_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DES_SHARDS", raising=False)
-        assert engine_variant() == ("serial", 1)
-        monkeypatch.setenv("REPRO_DES_SHARDS", "4")
-        assert engine_variant() == ("sharded", 4)
-        monkeypatch.setenv("REPRO_DES_SHARDS", "bogus")
-        assert engine_variant() == ("sharded", "bogus")
-
-    def test_keys_split_on_engine_variant(self, tmp_path, monkeypatch):
+class TestCellKeys:
+    def test_keys_split_on_arguments_not_environment(
+        self, p7302, tmp_path, monkeypatch
+    ):
         cache = ResultCache(tmp_path)
+        cells = [
+            (p7302, "serial", 1),
+            (p7302, "sharded", 1),
+            (p7302, "sharded", 2),
+            (p7302, "sharded", 4),
+        ]
+
+        def keys():
+            return [
+                cache.key_for(run_engine_cell, args, {"seed": 0})
+                for args in cells
+            ]
+
         monkeypatch.delenv("REPRO_DES_SHARDS", raising=False)
-        serial_key = cache.key_for(jain_index, ((1.0, 2.0),), {})
-        monkeypatch.setenv("REPRO_DES_SHARDS", "2")
-        sharded_key = cache.key_for(jain_index, ((1.0, 2.0),), {})
+        monkeypatch.delenv("REPRO_NET_RECOVERY", raising=False)
+        plain = keys()
+        assert None not in plain
+        assert len(set(plain)) == len(cells)
+        # The retired process-global switches no longer reach any key.
         monkeypatch.setenv("REPRO_DES_SHARDS", "4")
-        four_key = cache.key_for(jain_index, ((1.0, 2.0),), {})
-        assert len({serial_key, sharded_key, four_key}) == 3
+        monkeypatch.setenv("REPRO_NET_RECOVERY", "1")
+        assert keys() == plain
 
 
 # ------------------------------------------------- open-loop recurrences
