@@ -40,6 +40,7 @@ import pickle
 import struct
 import tempfile
 import time
+import weakref
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -90,6 +91,46 @@ class Uncacheable(Exception):
 
 
 # ------------------------------------------------------------- stable keys
+
+#: id(obj) -> (weak reference to obj, obj's encoded chunk), for objects that
+#: opt in through ``__repro_cache_key__``. A warm service keys the same
+#: preset Platform and catalog TopologyGen for every cell it sees; this
+#: encodes each of them once (threads racing on one object at worst encode
+#: it twice). Keyed by identity, not equality: equal objects can still
+#: encode differently (``1 == 1.0``).
+_key_chunks: Dict[int, Tuple["weakref.ref[Any]", bytes]] = {}
+
+
+def _forget_chunk(ref: "weakref.ref[Any]", ident: int) -> None:
+    entry = _key_chunks.get(ident)
+    if entry is not None and entry[0] is ref:
+        _key_chunks.pop(ident, None)
+
+
+def _key_chunk(value: Any) -> bytes:
+    """The encoding of a ``__repro_cache_key__`` object, memoized per object.
+
+    Opting in promises a surrogate that never changes over the object's
+    life (``Platform`` and ``TopologyGen`` are immutable), so the memo
+    returns exactly the bytes a fresh encoding would. Objects that cannot
+    be weakly referenced are encoded afresh every time.
+    """
+    ident = id(value)
+    entry = _key_chunks.get(ident)
+    if entry is not None and entry[0]() is value:
+        return entry[1]
+    out: list = [b"k"]
+    _encode(type(value).__qualname__, out)
+    out.append(b"(")
+    _encode(value.__repro_cache_key__(), out)
+    out.append(b")")
+    chunk = b"".join(out)
+    try:
+        ref = weakref.ref(value, lambda ref, ident=ident: _forget_chunk(ref, ident))
+    except TypeError:
+        return chunk
+    _key_chunks[ident] = (ref, chunk)
+    return chunk
 
 
 def _encode(value: Any, out: list) -> None:
@@ -144,11 +185,7 @@ def _encode(value: Any, out: list) -> None:
     elif hasattr(value, "__repro_cache_key__"):
         # Non-dataclass domain objects (e.g. Platform) opt in by returning
         # a stable surrogate that rebuilds them deterministically.
-        out.append(b"k")
-        _encode(type(value).__qualname__, out)
-        out.append(b"(")
-        _encode(value.__repro_cache_key__(), out)
-        out.append(b")")
+        out.append(_key_chunk(value))
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         out.append(b"c")
         _encode(type(value).__qualname__, out)

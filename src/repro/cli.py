@@ -19,7 +19,6 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from repro.platform.presets import epyc_7302, epyc_9634, synthetic_ucie
 from repro.platform.topology import Platform
 
 __all__ = ["main", "build_parser"]
@@ -36,12 +35,6 @@ _EPILOG = (
     "in-process run, byte-identical, when no server is listening)."
 )
 
-_PLATFORMS = {
-    "7302": epyc_7302,
-    "9634": epyc_9634,
-    "synthetic": synthetic_ucie,
-}
-
 
 def _jobs_arg(text: str):
     """argparse type for --jobs: a positive integer or 'auto'."""
@@ -57,16 +50,6 @@ def _jobs_arg(text: str):
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
-
-
-#: Long-form spellings accepted anywhere a platform name is (e.g. scripts
-#: that pass the marketing name verbatim).
-_PLATFORM_ALIASES = {
-    "epyc7302": "7302",
-    "epyc-7302": "7302",
-    "epyc9634": "9634",
-    "epyc-9634": "9634",
-}
 
 
 def _severity_arg(text: str) -> float:
@@ -113,30 +96,31 @@ def _samples_arg(text: str) -> int:
     return value
 
 
-def _platforms_for(name: str) -> List[Platform]:
-    name = _PLATFORM_ALIASES.get(name.strip().lower(), name)
-    if name == "all":
-        return [epyc_7302(), epyc_9634()]
+def _platform_names_for(name: str) -> List[str]:
+    """The preset names ``--platform`` denotes ("all": both EPYC parts).
+
+    Spellings resolve through the service registry's alias table, so a
+    direct subcommand and ``submit`` accept exactly the same names.
+    """
+    from repro.errors import ConfigurationError
+    from repro.service.registry import PLATFORMS, canonical_platform
+
+    if name.strip().lower() == "all":
+        return ["7302", "9634"]
     try:
-        return [_PLATFORMS[name]()]
-    except KeyError:
+        return [canonical_platform(name)]
+    except ConfigurationError:
         raise SystemExit(
             f"unknown platform {name!r} (choose from "
-            f"{', '.join(sorted(_PLATFORMS))}, all)"
+            f"{', '.join(PLATFORMS)}, all)"
         ) from None
 
 
-def _platform_names_for(name: str) -> List[str]:
-    """Like :func:`_platforms_for`, but preset names (for job specs)."""
-    name = _PLATFORM_ALIASES.get(name.strip().lower(), name.strip().lower())
-    if name == "all":
-        return ["7302", "9634"]
-    if name not in _PLATFORMS:
-        raise SystemExit(
-            f"unknown platform {name!r} (choose from "
-            f"{', '.join(sorted(_PLATFORMS))}, all)"
-        )
-    return [name]
+def _platforms_for(name: str) -> List[Platform]:
+    """Like :func:`_platform_names_for`, but the built presets."""
+    from repro.service.registry import resolve_platform
+
+    return [resolve_platform(preset) for preset in _platform_names_for(name)]
 
 
 def _validate_env(parser: argparse.ArgumentParser) -> None:

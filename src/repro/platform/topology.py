@@ -4,16 +4,17 @@ A :class:`PlatformSpec` bundles everything Table 1 lists about a processor
 (counts, cache sizes, process nodes) together with the calibration constants
 (:class:`LatencyParams`, :class:`BandwidthParams`) that make the simulated
 machine reproduce the paper's measurements. :class:`Platform` materializes the
-spec into component registries, the I/O-die mesh, a link registry, and a
-networkx graph usable for routing and for the device-tree export (§4 #1).
+spec into component registries, the I/O-die mesh and a link registry.
+
+:meth:`Platform.graph` returns the components as a networkx graph, for
+inspection and tests. Routing does not use it, so the graph (and networkx)
+is built on the first :meth:`Platform.graph` call, not with the platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.platform.components import (
@@ -29,6 +30,9 @@ from repro.platform.components import (
 )
 from repro.platform.interconnect import LinkKind, LinkSpec
 from repro.platform.numa import Position, classify_position
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Coord = Tuple[int, int]
 
@@ -299,7 +303,7 @@ class Platform:
         self._links: Dict[str, LinkSpec] = {}
         self._build_components()
         self._build_links()
-        self._graph = self._build_graph()
+        self._graph: Optional[nx.Graph] = None
 
     # ------------------------------------------------------------------ build
 
@@ -443,6 +447,8 @@ class Platform:
         self._links[link.name] = link
 
     def _build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         for core in self.cores.values():
             graph.add_node(core.name, kind="core")
@@ -502,7 +508,12 @@ class Platform:
         return [link for link in self._links.values() if link.kind is kind]
 
     def graph(self) -> nx.Graph:
-        """Component connectivity graph (copy; safe to annotate)."""
+        """Component connectivity graph (copy; safe to annotate).
+
+        Built on the first call; every call returns a fresh copy.
+        """
+        if self._graph is None:
+            self._graph = self._build_graph()
         return self._graph.copy()
 
     def core(self, core_id: int) -> Core:

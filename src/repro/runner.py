@@ -32,7 +32,8 @@ count and duration) instead of raising mid-flight, and layers on
 
 * **per-cell timeouts** (``timeout_s``) — a cell whose result does not
   arrive in time is recorded as a timeout failure instead of hanging the
-  whole sweep (pool mode only: in-process execution cannot be preempted);
+  whole sweep, and the worker still running it is killed when the batch
+  ends (pool mode only: in-process execution cannot be preempted);
 * **bounded retry with backoff** (``retries``, ``backoff_s``) — failed
   cells are re-submitted to a fresh pool, with exponentially growing
   sleeps between attempts;
@@ -251,9 +252,10 @@ def _run_batch_pooled(
     The pool is created fresh per attempt, so a retry after a crash or a
     poisoned interpreter state starts clean. Results are collected in
     submission order; a ``BrokenProcessPool`` on any future switches the
-    remaining cells to in-process execution (the ISSUE's "re-run only the
-    failed cells, in-process"), which preserves every surviving cell's
-    value exactly as ``jobs=1`` would compute it.
+    remaining cells to in-process execution (only the unresolved cells are
+    re-run), which preserves every surviving cell's value exactly as
+    ``jobs=1`` would compute it. A worker still running a timed-out cell
+    once every result is collected is killed, not waited for.
     """
     try:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(indices)))
@@ -264,16 +266,23 @@ def _run_batch_pooled(
         return None
     outcomes: Dict[int, CellResult] = {}
     broken = False
+    timed_out: List[int] = []
+    futures: Dict[int, Any] = {}
     try:
-        futures = {
-            index: pool.submit(
-                cells[index].fn, *cells[index].args, **cells[index].kwargs
-            )
-            for index in indices
-        }
         for index in indices:
+            try:
+                futures[index] = pool.submit(
+                    cells[index].fn, *cells[index].args, **cells[index].kwargs
+                )
+            except BrokenProcessPool:
+                # A worker died while the batch was still being submitted;
+                # the cells not submitted run in-process below.
+                break
+        for index in indices:
+            if index not in futures:
+                broken = True
             cancelled = cancel is not None and cancel.is_set()
-            if cancelled and futures[index].cancel():
+            if cancelled and not broken and futures[index].cancel():
                 # Not yet started in a worker: report it cancelled instead
                 # of waiting for a result that will never be wanted.
                 outcomes[index] = _cancelled_result(index, attempt)
@@ -309,6 +318,7 @@ def _run_batch_pooled(
                 outcomes[index] = rerun
             except _FuturesTimeout:
                 futures[index].cancel()
+                timed_out.append(index)
                 error = CellExecutionError(
                     f"cell {index} produced no result within {timeout_s}s",
                     cell_index=index,
@@ -334,7 +344,20 @@ def _run_batch_pooled(
                     duration_s=time.perf_counter() - started,
                 )
     finally:
-        pool.shutdown(wait=not broken, cancel_futures=True)
+        if not broken and any(not futures[i].done() for i in timed_out):
+            # shutdown(wait=True) would block until the timed-out cell ends.
+            # Every other cell's result is in, so the only busy workers are
+            # running timed-out cells and the idle ones are about to exit:
+            # kill them all (the executor has no public call for this). Shut
+            # down first, so the executor drops cancelled work before it
+            # notices the dead workers.
+            workers = list((pool._processes or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.kill()
+                worker.join()
+        else:
+            pool.shutdown(wait=not broken, cancel_futures=True)
     return outcomes
 
 
@@ -353,7 +376,8 @@ def run_cells_detailed(
 ) -> List[CellResult]:
     """Run every cell; one :class:`CellResult` per cell, submission order.
 
-    ``timeout_s`` bounds the wait for each cell's result (pool mode only);
+    ``timeout_s`` bounds the wait for each cell's result (pool mode only;
+    the worker of a cell still running at the end of the batch is killed);
     ``retries`` re-runs failed cells up to that many extra attempts, sleeping
     ``backoff_s * 2**(attempt-1)`` seconds before each retry; ``fail_fast``
     raises :class:`~repro.errors.CellExecutionError` for the first cell whose

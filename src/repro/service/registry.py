@@ -41,7 +41,9 @@ from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE, run_cells_detailed
 
 __all__ = [
     "KINDS",
+    "PLATFORMS",
     "build_cells",
+    "canonical_platform",
     "kind_names",
     "normalize_spec",
     "render_results",
@@ -53,10 +55,19 @@ __all__ = [
 #: The submittable experiment kinds, in presentation order.
 KINDS: Tuple[str, ...] = ("netstack", "chaos", "trace", "kvstore", "explore")
 
-#: Platform presets the service accepts (the CLI's map raises SystemExit
-#: on bad names; the service needs a catchable ConfigurationError).
-_PLATFORM_NAMES: Tuple[str, ...] = ("7302", "9634", "synthetic")
+#: Platform presets by canonical name: the factory's name in
+#: :mod:`repro.platform.presets`. The CLI and the service share this table.
+_PRESETS: Dict[str, str] = {
+    "7302": "epyc_7302",
+    "9634": "epyc_9634",
+    "synthetic": "synthetic_ucie",
+}
 
+#: The accepted platform names, in presentation order.
+PLATFORMS: Tuple[str, ...] = tuple(_PRESETS)
+
+#: Long-form spellings accepted anywhere a platform name is (e.g. scripts
+#: that pass the marketing name verbatim).
 _PLATFORM_ALIASES = {
     "epyc7302": "7302",
     "epyc-7302": "7302",
@@ -64,35 +75,49 @@ _PLATFORM_ALIASES = {
     "epyc-9634": "9634",
 }
 
+#: Presets built so far in this process, by canonical name.
+_built: Dict[str, Any] = {}
+
 
 def kind_names() -> Tuple[str, ...]:
     """The accepted ``kind`` values, for help strings and validation."""
     return KINDS
 
 
-def resolve_platform(name: str):
-    """Build the platform preset ``name`` denotes.
+def canonical_platform(name: Any) -> str:
+    """The preset name ``name`` denotes, ignoring case and padding.
 
-    Accepts the CLI's short names and long aliases; raises
+    Accepts the short names and the long aliases; raises
     :class:`ConfigurationError` (not SystemExit) on unknown names so the
     server can turn it into a structured ``bad-request`` event.
     """
-    from repro.platform.presets import epyc_7302, epyc_9634, synthetic_ucie
+    text = str(name).strip().lower()
+    canonical = _PLATFORM_ALIASES.get(text, text)
+    _require(
+        canonical in _PRESETS,
+        f"unknown platform {name!r} (choose from {', '.join(PLATFORMS)})",
+    )
+    return canonical
 
-    presets = {
-        "7302": epyc_7302,
-        "9634": epyc_9634,
-        "synthetic": synthetic_ucie,
-    }
-    canonical = _PLATFORM_ALIASES.get(str(name).strip().lower(), str(name).strip().lower())
-    try:
-        factory = presets[canonical]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown platform {name!r} (choose from "
-            f"{', '.join(_PLATFORM_NAMES)})"
-        ) from None
-    return factory()
+
+def resolve_platform(name: Any):
+    """The platform preset ``name`` denotes, built once per process.
+
+    Sharing one instance is safe: a :class:`~repro.platform.topology.Platform`
+    has no mutators and :meth:`~repro.platform.topology.Platform.graph`
+    returns a copy. Two threads racing on the first call at worst build
+    equal presets twice. The factory is looked up in
+    :mod:`repro.platform.presets` when the preset is first built, so code
+    that wraps a factory there sees that build.
+    """
+    canonical = canonical_platform(name)
+    platform = _built.get(canonical)
+    if platform is None:
+        from repro.platform import presets
+
+        platform = getattr(presets, _PRESETS[canonical])()
+        _built[canonical] = platform
+    return platform
 
 
 # ------------------------------------------------------------- validation
@@ -266,13 +291,7 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
         kind in KINDS,
         f"unknown kind {kind!r} (choose from {', '.join(KINDS)})",
     )
-    platform = str(spec.get("platform", "7302")).strip().lower()
-    platform = _PLATFORM_ALIASES.get(platform, platform)
-    _require(
-        platform in _PLATFORM_NAMES,
-        f"unknown platform {spec.get('platform')!r} (choose from "
-        f"{', '.join(_PLATFORM_NAMES)})",
-    )
+    platform = canonical_platform(spec.get("platform", "7302"))
     seed = spec.get("seed", 0)
     _require(
         isinstance(seed, int) and not isinstance(seed, bool),
@@ -441,9 +460,10 @@ def run_local(
 ) -> List[CellResult]:
     """Execute one normalized spec in this process.
 
-    The single code path both the server's executor and the client's
-    in-process fallback run — which is what makes the fallback
-    byte-identical to the served path by construction.
+    The client's in-process fallback. The server runs the same
+    :func:`build_cells` output through the same
+    :func:`~repro.runner.run_cells_detailed` (built once, at submit), which
+    is what makes the fallback byte-identical to the served path.
     """
     return run_cells_detailed(
         build_cells(spec),

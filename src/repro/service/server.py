@@ -347,6 +347,7 @@ class ReproService:
             precached=len(cached),
         ))
         setattr(record, "_keys", keys)
+        setattr(record, "_cells", cells)
         setattr(record, "_subscriber", connection)
         connection.jobs.add(job_id)
         connection.send({
@@ -431,12 +432,15 @@ class ReproService:
             await self._execute(job)
 
     async def _execute(self, job: QueuedJob) -> None:
-        from repro.service.bridge import run_spec_streamed
+        from repro.service.bridge import run_cells_streamed
 
         record = self.store.get(job.job_id)
         assert record is not None
         subscriber: Optional[_Connection] = getattr(record, "_subscriber", None)
         keys: Dict[int, Optional[str]] = getattr(record, "_keys", {})
+        # The cells built (and probed) at submit; the record outlives them.
+        cells = getattr(record, "_cells")
+        delattr(record, "_cells")
         record.status = "running"
         cancel = threading.Event()
         self._running_job = job.job_id
@@ -462,8 +466,8 @@ class ReproService:
                 subscriber.send(event)
 
         try:
-            results = await run_spec_streamed(
-                job.spec,
+            results = await run_cells_streamed(
+                cells,
                 jobs=self.jobs,
                 timeout_s=self.timeout_s,
                 retries=self.retries,

@@ -13,6 +13,7 @@ from repro.cache import (
     ResultCache,
     Uncacheable,
     cache_enabled_by_env,
+    cell_key,
     code_fingerprint,
     default_cache,
     set_default_cache,
@@ -82,6 +83,68 @@ class TestStableBytes:
 
         assert stable_bytes(epyc_7302()) == stable_bytes(epyc_7302())
         assert stable_bytes(epyc_7302()) != stable_bytes(epyc_9634())
+
+
+class TestKeyChunkMemo:
+    """Objects keyed through ``__repro_cache_key__`` are encoded once each."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self, monkeypatch):
+        import repro.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_key_chunks", {})
+
+    @staticmethod
+    def _fresh(value):
+        return (
+            b"k" + stable_bytes(type(value).__qualname__) + b"("
+            + stable_bytes(value.__repro_cache_key__()) + b")"
+        )
+
+    def test_cold_and_warm_encodings_match_a_fresh_one(self, monkeypatch):
+        from repro.platform.generator import TopologyGen, from_catalog
+        from repro.platform.presets import epyc_7302
+
+        calls = []
+        surrogate = TopologyGen.__repro_cache_key__
+
+        def counted(self):
+            calls.append(self)
+            return surrogate(self)
+
+        monkeypatch.setattr(TopologyGen, "__repro_cache_key__", counted)
+        for value in (epyc_7302(), from_catalog("squeeze-3x2")):
+            fresh = self._fresh(value)
+            cold = stable_bytes(value)
+            warm = stable_bytes((value, value))
+            assert cold == fresh
+            assert warm == b"l(" + fresh + fresh + b")"
+        # _fresh and the cold encoding asked the TopologyGen for its
+        # surrogate; both warm encodings reused the memo.
+        assert len(calls) == 2
+
+    def test_generators_differing_in_one_field_split_once_warm(self):
+        from repro.platform.generator import from_catalog
+
+        base = from_catalog("squeeze-3x2")
+        wider = dataclasses.replace(base, width_factor=2.0)
+        for value in (base, wider, base, wider):
+            stable_bytes(value)
+        assert stable_bytes(base) != stable_bytes(wider)
+        assert cell_key(_square, (base,), {}) != cell_key(_square, (wider,), {})
+
+    def test_equal_objects_that_encode_differently_stay_apart(self):
+        # 1 == 1.0, so equal generators can still differ in their bytes; the
+        # memo is keyed by identity and never hands one the other's chunk.
+        from repro.platform.generator import from_catalog
+
+        base = from_catalog("squeeze-3x2")
+        as_float = dataclasses.replace(base, width_factor=1.0)
+        as_int = dataclasses.replace(base, width_factor=1)
+        assert as_float == as_int
+        stable_bytes(as_float)
+        assert stable_bytes(as_int) == self._fresh(as_int)
+        assert stable_bytes(as_int) != stable_bytes(as_float)
 
 
 class TestResultCache:

@@ -330,6 +330,35 @@ class TestServiceCLI:
         assert "no service listening" in err
 
 
+class TestPlatformSpellings:
+    @pytest.fixture(autouse=True)
+    def _no_default_cache(self, monkeypatch):
+        import repro.cache as cache_module
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        yield
+        cache_module._default = cache_module._UNSET
+
+    @pytest.mark.parametrize(
+        "command", [["netstack"], ["submit", "netstack", "--local"]],
+        ids=["direct", "submit-local"],
+    )
+    @pytest.mark.parametrize(
+        "spelling, canonical",
+        [("SYNTHETIC", "synthetic"), (" 7302", "7302"), ("EPYC-7302", "7302")],
+    )
+    def test_spellings_resolve_through_one_table(
+        self, capsys, command, spelling, canonical
+    ):
+        # A direct subcommand and `submit` share the registry's alias table:
+        # case, padding and long names resolve alike in both.
+        flags = ["--arm", "off", "--transactions", "20"]
+        assert main(command + ["--platform", canonical] + flags) == 0
+        expected = capsys.readouterr().out
+        assert main(command + ["--platform", spelling] + flags) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestEnvValidation:
     def test_bad_jobs_env_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "banana")

@@ -1,5 +1,10 @@
 """Tests for the platform model: components, links, latencies, geometry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
@@ -165,6 +170,29 @@ class TestGraph:
         graph = platform.graph()
         graph.add_node("scribble")
         assert "scribble" not in platform.graph()
+
+    def test_simulation_import_path_leaves_networkx_unloaded(self):
+        # Only Platform.graph() needs networkx, and it imports it on the
+        # first call; building and simulating platforms never does.
+        code = (
+            "import sys\n"
+            "import repro, repro.service.server, repro.core.shardexec\n"
+            "import repro.apps\n"
+            "from repro.experiments import chaos, explore, fig3, kvserve, "
+            "netstack\n"
+            "repro.epyc_7302(); repro.epyc_9634()\n"
+            "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestLatencies:

@@ -8,6 +8,7 @@ order. The Figure 3 / Table 2 tests below assert it on the real pipelines.
 
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -140,8 +141,16 @@ def _crash_worker_raise_main(x):
     raise RuntimeError("dies everywhere")
 
 
-def _sleep_then_return(x, duration_s=0.0):
+def _sleep_then_return(x, duration_s=0.0, pid_file=None):
+    # pid_file ends up holding "<pid>" while the sleep runs and
+    # "<pid> finished" once it has ended.
+    if pid_file is not None:
+        with open(pid_file, "w") as fh:
+            fh.write(str(os.getpid()))
     time.sleep(duration_s)
+    if pid_file is not None:
+        with open(pid_file, "a") as fh:
+            fh.write(" finished")
     return x
 
 
@@ -188,6 +197,30 @@ def test_worker_crash_with_failing_rerun_reports_crash():
     assert isinstance(detailed[0].failure.error, RuntimeError)
 
 
+def test_pool_broken_during_submission_loses_nothing(monkeypatch):
+    # A worker can die before the batch is fully submitted, and the next
+    # submit then raises BrokenProcessPool itself: the cells not yet
+    # submitted run in-process like the rest of a broken batch.
+    import repro.runner as runner_module
+
+    submit = runner_module.ProcessPoolExecutor.submit
+    submitted = []
+
+    def submit_then_break(self, fn, *args, **kwargs):
+        submitted.append(args)
+        if len(submitted) == 2:
+            raise BrokenProcessPool("a worker died during submission")
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(
+        runner_module.ProcessPoolExecutor, "submit", submit_then_break
+    )
+    cells = [Cell(_square, (x,)) for x in range(4)]
+    detailed = run_cells_detailed(cells, jobs=2, pool_threshold_s=0, cache=None)
+    assert [result.value for result in detailed] == [0, 1, 4, 9]
+    assert len(submitted) == 2
+
+
 class TestSerialRamp:
     """The adaptive serial ramp: cheap batches never pay pool startup."""
 
@@ -230,10 +263,11 @@ class TestSerialRamp:
             run_cells([Cell(_square, (1,))], pool_threshold_s=-0.1)
 
 
-def test_per_cell_timeout_isolates_slow_cell():
+def test_per_cell_timeout_isolates_slow_cell(tmp_path):
+    pid_file = str(tmp_path / "slow.pid")
     cells = [
         Cell(_sleep_then_return, (0,)),
-        Cell(_sleep_then_return, (1,), dict(duration_s=30.0)),
+        Cell(_sleep_then_return, (1,), dict(duration_s=30.0, pid_file=pid_file)),
         Cell(_sleep_then_return, (2,)),
     ]
     detailed = run_cells_detailed(cells, jobs=3, timeout_s=1.0)
@@ -242,6 +276,13 @@ def test_per_cell_timeout_isolates_slow_cell():
     assert not detailed[1].ok
     assert detailed[1].failure.kind == "timeout"
     assert isinstance(detailed[1].failure.error, CellExecutionError)
+    # The worker running the slow cell was stopped mid-sleep and reaped,
+    # not waited for until the cell finished.
+    with open(pid_file) as fh:
+        record = fh.read()
+    assert record.isdigit()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(record), 0)
 
 
 def test_retry_recovers_transient_failure(tmp_path):

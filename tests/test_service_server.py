@@ -96,6 +96,43 @@ class TestEndToEnd:
         assert all(result.cached for result in warm.results)
         assert warm.render() == cold.render()
 
+    def test_cells_built_once_and_warm_resubmit_builds_no_preset(
+        self, service_dir, monkeypatch
+    ):
+        # The server runs the cells it built and probed at submit, and every
+        # preset is built once per process: a warm resubmit, rendered on the
+        # client, builds no platform at all.
+        from repro.platform import presets
+        from repro.service import registry
+
+        built_cells = []
+        built_presets = []
+        build_cells = registry.build_cells
+        epyc_7302 = presets.epyc_7302
+
+        def spy_build_cells(spec):
+            built_cells.append(spec)
+            return build_cells(spec)
+
+        def spy_epyc_7302():
+            built_presets.append("7302")
+            return epyc_7302()
+
+        monkeypatch.setattr(registry, "_built", {})
+        monkeypatch.setattr(registry, "build_cells", spy_build_cells)
+        monkeypatch.setattr(presets, "epyc_7302", spy_epyc_7302)
+        spec = _spec(platform="7302")
+        with _service(service_dir):
+            with ServiceClient(_sock(service_dir)) as client:
+                cold = client.submit(spec).render()
+                assert len(built_cells) == 1
+                assert built_presets == ["7302"]
+                warm = client.submit(spec)
+                assert warm.render() == cold
+        assert len(built_cells) == 2
+        assert built_presets == ["7302"]
+        assert all(result.cached for result in warm.results)
+
     def test_warm_cache_survives_server_restart(self, service_dir):
         spec = _spec()
         with _service(service_dir):
