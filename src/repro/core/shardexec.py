@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -514,18 +515,16 @@ def _run_sharded_cell(
         for flow in flows
         for umc_id in flow.umc_ids
     }
-    received: List[Dict[str, float]] = [{} for _ in range(shards)]
-    sent_bytes = [0.0]
+    # Every message's byte share, as sent and as received: the same floats
+    # summed in different orders, so the totals are compared with fsum.
+    sent_shares: List[float] = []
+    received_shares: List[float] = []
+
+    def on_message(message):
+        received_shares.append(message.payload[2])
 
     for shard_id in range(shards):
-        env = sharded.shard(shard_id)
-
-        def on_message(message, tally=received[shard_id]):
-            flow_name, umc_id, byte_count = message.payload
-            key = f"{flow_name}->umc{umc_id}"
-            tally[key] = tally.get(key, 0.0) + byte_count
-
-        env.on_message(on_message)
+        sharded.shard(shard_id).on_message(on_message)
 
     for flow in flows:
         shard_id = flow_shard[flow.name]
@@ -561,7 +560,7 @@ def _run_sharded_cell(
                     continue
                 share = byte_count / len(flow.umc_ids)
                 for umc_id in remote:
-                    sent_bytes[0] += share
+                    sent_shares.append(share)
                     env.send(
                         homes[umc_id], (flow.name, umc_id, share)
                     )
@@ -570,12 +569,11 @@ def _run_sharded_cell(
 
     sharded.run()
 
-    received_total = sum(
-        byte_count for tally in received for byte_count in tally.values()
-    )
-    if abs(received_total - sent_bytes[0]) > 1e-6:
+    sent_total = math.fsum(sent_shares)
+    received_total = math.fsum(received_shares)
+    if received_total != sent_total:
         raise SimulationError(
-            f"cross-shard byte accounting leaked: sent {sent_bytes[0]}, "
+            f"cross-shard byte accounting leaked: sent {sent_total}, "
             f"received {received_total}"
         )
 

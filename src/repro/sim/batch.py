@@ -17,13 +17,15 @@ A ``c``-server FIFO splits into ``c`` independent interleaved chains
 the same lag recurrence on completions.
 
 :func:`simulate_closed_loops` generalizes this to the coupled case — many
-lanes, shared stages, shared token pools, a shared pacing gate — by
-processing transactions in lane-ready order and resolving each stage/pool
-constraint against a small heap of in-flight departure times. That is one
-arithmetic pass per transaction instead of the serial engine's ~15 heap
-events, generator frames, and callback sweeps per transaction, and it is
-where the sharded engine's throughput multiple comes from. The lane
-semantics deliberately mirror :class:`repro.core.loadgen.ClosedLoopIssuer`:
+lanes, shared stages, shared token pools, a shared pacing gate. Each call
+compiles its lanes into flat plans over per-call heaps of in-flight
+departure times (one per stage and pool; the descriptor objects hold no
+state), then processes transactions in lane-ready order, resolving each
+constraint against the earliest entry of its heap. That is one arithmetic
+pass per transaction instead of the serial engine's ~15 heap events,
+generator frames, and callback sweeps per transaction, and it is where the
+sharded engine's throughput multiple comes from. The lane semantics
+deliberately mirror :class:`repro.core.loadgen.ClosedLoopIssuer`:
 ``window`` lanes per worker, per-lane quota ``divmod(count, window)``, a
 group-wide pacing gate that never falls behind the clock, and the same
 warmup-skip rule.
@@ -31,8 +33,9 @@ warmup-skip rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
+from heapq import heappop, heapreplace
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,12 +146,11 @@ class BatchStage:
     """One queued stage (arbiter direction / UMC) shared by batched flows.
 
     ``servers`` parallel servers; each transaction occupies one for its
-    service time. Transactions are granted in processing order (the global
-    ready order of :func:`simulate_closed_loops`), each starting no earlier
-    than the earliest in-flight departure once all servers are busy.
+    service time. A descriptor only: :func:`simulate_closed_loops` keeps
+    the in-flight state, one heap per stage object per call.
     """
 
-    __slots__ = ("name", "servers", "_busy", "busy_ns", "bytes_served")
+    __slots__ = ("name", "servers")
 
     def __init__(self, name: str, servers: int) -> None:
         if servers < 1:
@@ -157,33 +159,17 @@ class BatchStage:
             )
         self.name = name
         self.servers = servers
-        self._busy: List[float] = []
-        self.busy_ns = 0.0
-        self.bytes_served = 0
-
-    def serve(self, ready_ns: float, service_ns: float) -> float:
-        """Grant one transaction arriving at ``ready_ns``; its departure."""
-        busy = self._busy
-        if len(busy) >= self.servers:
-            earliest = heappop(busy)
-            if earliest > ready_ns:
-                ready_ns = earliest
-        depart = ready_ns + service_ns
-        heappush(busy, depart)
-        self.busy_ns += service_ns
-        return depart
 
 
 class BatchPool:
     """A token pool (counted semaphore) shared by batched flows.
 
-    Tokens are granted in processing order and held until the holder's
-    completion time (the serial executor releases after the fixed
-    remainder), so the gate constraint is the earliest in-flight
-    completion once the pool is exhausted.
+    Tokens are held from issue until the holder's completion time (the
+    serial executor releases after the fixed remainder). A descriptor
+    only, like :class:`BatchStage`.
     """
 
-    __slots__ = ("name", "capacity", "_held")
+    __slots__ = ("name", "capacity")
 
     def __init__(self, name: str, capacity: int) -> None:
         if capacity < 1:
@@ -192,20 +178,6 @@ class BatchPool:
             )
         self.name = name
         self.capacity = capacity
-        self._held: List[float] = []
-
-    def gate(self, ready_ns: float) -> float:
-        """Earliest time a token is free for a request ready at ``ready_ns``."""
-        held = self._held
-        if len(held) >= self.capacity:
-            earliest = heappop(held)
-            if earliest > ready_ns:
-                ready_ns = earliest
-        return ready_ns
-
-    def commit(self, complete_ns: float) -> None:
-        """Record the granted token as held until ``complete_ns``."""
-        heappush(self._held, complete_ns)
 
 
 @dataclass(frozen=True)
@@ -232,7 +204,6 @@ class BatchFlow:
     interval_ns: Optional[float] = None
     #: Per-lane warmup samples to skip (loadgen's ``warmup // window``).
     warmup_skip: int = 0
-    _next_issue_ns: float = field(default=0.0, repr=False)
 
 
 @dataclass(frozen=True)
@@ -268,79 +239,107 @@ def simulate_closed_loops(flows: Sequence[BatchFlow]) -> Dict[str, FlowTiming]:
     Transactions are processed one at a time in lane-ready order (ties
     broken by ``(flow index, lane index)`` — the order the serial engine's
     process-creation sequence induces). Each transaction claims its pacing
-    slot, gates through its token pools, clears its stages, then commits
-    its completion back to the pools — the exact lifecycle of
+    slot, waits for a token from each of its pools, clears its stages,
+    then holds the tokens until its completion — the exact lifecycle of
     :meth:`repro.transport.transaction.TransactionExecutor.execute`, as
     arithmetic instead of events.
+
+    Each call first turns its lanes into flat plans, ``(flow index, stage
+    steps, pool heaps, fixed_ns)``, one per distinct lane route of a flow.
+    Stages and pools are told apart by identity, not equality (two
+    ``BatchStage("s", 1)`` objects are two stages), and each gets a heap
+    for this call only: ``servers`` (``capacity``) busy-until times that
+    start at ``-inf``, free, so a visit is a peek at the earliest entry
+    plus one ``heapreplace``. No state outlives the call, so two calls on
+    the same flows return the same timings. A lane may repeat a stage but
+    not a pool (:class:`ConfigurationError`): holding two of one pool's
+    tokens at once is not modelled.
     """
-    if not flows:
-        return {}
-    totals = [sum(lane.quota for lane in flow.lanes) for flow in flows]
-    issued = [np.empty(total) for total in totals]
-    completed = [np.empty(total) for total in totals]
-    lane_index = [np.empty(total, dtype=np.int64) for total in totals]
-    cursor = [0] * len(flows)
-    quotas = [[lane.quota for lane in flow.lanes] for flow in flows]
+    heaps: Dict[int, List[float]] = {}
+    plans: Dict[tuple, tuple] = {}
+    lane_plans: List[tuple] = []
+    left: List[int] = []
+    # A sample counts once its lane has at most this many left to issue.
+    last_counted: List[int] = []
+    for flow_idx, flow in enumerate(flows):
+        for lane in flow.lanes:
+            # Tuples of descriptors compare them by identity (no __eq__).
+            key = (flow_idx, lane.stages, lane.pools, lane.fixed_ns)
+            plan = plans.get(key)
+            if plan is None:
+                if len({id(pool) for pool in lane.pools}) < len(lane.pools):
+                    raise ConfigurationError(
+                        f"flow {flow.name}: a lane lists the same pool twice"
+                    )
+                plan = plans[key] = (
+                    flow_idx,
+                    tuple(
+                        (heaps.setdefault(id(stage), [-inf] * stage.servers),
+                         service)
+                        for stage, service in lane.stages
+                    ),
+                    tuple(
+                        heaps.setdefault(id(pool), [-inf] * pool.capacity)
+                        for pool in lane.pools
+                    ),
+                    lane.fixed_ns,
+                )
+            lane_plans.append(plan)
+            left.append(lane.quota)
+            last_counted.append(lane.quota - flow.warmup_skip)
 
-    # (ready_ns, flow_idx, lane_idx): all lanes start at t=0, in the same
-    # order the serial engine bootstraps its lane processes.
-    heap: List[Tuple[float, int, int]] = [
-        (0.0, flow_idx, lane_idx)
-        for flow_idx, flow in enumerate(flows)
-        for lane_idx in range(len(flow.lanes))
-        if flow.lanes[lane_idx].quota > 0
+    arrays = [
+        (np.empty(total), np.empty(total), np.empty(total, dtype=bool))
+        for total in (sum(lane.quota for lane in flow.lanes) for flow in flows)
     ]
-    # Already sorted by construction (all times 0.0, tie keys ascending).
+    issued, completed, counted = (
+        [memoryview(outputs[k]) for outputs in arrays] for k in range(3)
+    )
+    intervals = [flow.interval_ns for flow in flows]
+    next_issue = [0.0] * len(flows)
+    cursor = [0] * len(flows)
 
+    # (ready_ns, global lane index): all lanes start at t=0, in the order
+    # the serial engine bootstraps its lane processes.
+    heap = [(0.0, g) for g, quota in enumerate(left) if quota > 0]
     while heap:
-        ready, flow_idx, lane_idx = heappop(heap)
-        flow = flows[flow_idx]
-        lane = flow.lanes[lane_idx]
-        if flow.interval_ns is not None:
+        ready, g = heap[0]
+        flow_idx, steps, pools, fixed = lane_plans[g]
+        interval = intervals[flow_idx]
+        if interval is None:
+            t = ready
+        else:
             # Claim the group's next pacing slot; pacing never falls
             # behind the clock (matching ClosedLoopIssuer._lane).
-            slot = flow._next_issue_ns
-            if ready > slot:
-                slot = ready
-            flow._next_issue_ns = slot + flow.interval_ns
-            t = slot
-        else:
-            t = ready
+            t = next_issue[flow_idx]
+            if ready > t:
+                t = ready
+            next_issue[flow_idx] = t + interval
         issue = t
-        for pool in lane.pools:
-            t = pool.gate(t)
-        size = flow.size_bytes
-        for stage, service in lane.stages:
-            t = stage.serve(t, service)
-            stage.bytes_served += size
-        t += lane.fixed_ns
-        for pool in lane.pools:
-            pool.commit(t)
+        for held in pools:
+            if held[0] > t:
+                t = held[0]
+        for busy, service in steps:
+            if busy[0] > t:
+                t = busy[0]
+            t += service
+            heapreplace(busy, t)
+        t += fixed
+        for held in pools:
+            heapreplace(held, t)
         at = cursor[flow_idx]
+        cursor[flow_idx] = at + 1
         issued[flow_idx][at] = issue
         completed[flow_idx][at] = t
-        lane_index[flow_idx][at] = lane_idx
-        cursor[flow_idx] = at + 1
-        remaining = quotas[flow_idx][lane_idx] - 1
-        quotas[flow_idx][lane_idx] = remaining
-        if remaining > 0:
-            heappush(heap, (t, flow_idx, lane_idx))
+        remaining = left[g]
+        counted[flow_idx][at] = remaining <= last_counted[g]
+        if remaining > 1:
+            left[g] = remaining - 1
+            heapreplace(heap, (t, g))
+        else:
+            heappop(heap)
 
-    out: Dict[str, FlowTiming] = {}
-    for flow_idx, flow in enumerate(flows):
-        lanes = lane_index[flow_idx]
-        # Count a sample when its per-lane ordinal clears the warmup skip:
-        # occurrence number of each lane at each position.
-        counted = np.ones(totals[flow_idx], dtype=bool)
-        if flow.warmup_skip > 0:
-            seen = np.zeros(len(flow.lanes), dtype=np.int64)
-            for position, lane_idx in enumerate(lanes):
-                counted[position] = seen[lane_idx] >= flow.warmup_skip
-                seen[lane_idx] += 1
-        out[flow.name] = FlowTiming(
-            name=flow.name,
-            issued_ns=issued[flow_idx],
-            completed_ns=completed[flow_idx],
-            counted=counted,
-        )
-    return out
+    return {
+        flow.name: FlowTiming(flow.name, *outputs)
+        for flow, outputs in zip(flows, arrays)
+    }

@@ -1,11 +1,13 @@
-"""Property-based tests (hypothesis) on the conservative sync protocol.
+"""Property-based tests (hypothesis) on the sharded engine.
 
 The safety property of null-message PDES, checked mechanically: *no
 cross-shard delivery ever lands before its send time plus the lookahead,
 and never in a receiver's past*. The engine raises
 :class:`~repro.errors.SimulationError` on any violation (the
 ``_deliver`` guard), so the property is "random workloads never trip the
-guard, and every observed delivery respects the bound".
+guard, and every observed delivery respects the bound". The shards'
+batched closed-loop engine must match its reference loop bit for bit on
+random coupled configurations.
 
 Runs in the conformance tier alongside the agreement sweeps (hypothesis
 is a conformance-job install, not a tier-1 dependency).
@@ -18,8 +20,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.errors import SimulationError  # noqa: E402
+from repro.sim.batch import simulate_closed_loops  # noqa: E402
 from repro.sim.engine import Timeout  # noqa: E402
 from repro.sim.sharded import ShardedEnvironment  # noqa: E402
+from tests.test_sim_sharded import (  # noqa: E402
+    _assert_same_timings,
+    _random_batch_flows,
+    _reference_closed_loops,
+)
 
 pytestmark = pytest.mark.conformance
 
@@ -96,3 +104,13 @@ def test_window_bounds_strictly_increase(times, lookahead):
     sharded.run()
     assert sharded.events_processed == len(times)
     assert all(not shard._queue for shard in sharded.shards)
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_closed_loops_match_the_reference_loop(rng):
+    """Flat plans reproduce the stateful per-transaction loop exactly."""
+    flows = _random_batch_flows(rng)
+    _assert_same_timings(
+        simulate_closed_loops(flows), _reference_closed_loops(flows)
+    )

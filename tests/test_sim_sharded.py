@@ -2,11 +2,15 @@
 
 Covers the engine's shard-stable sequence progression, the numpy event
 calendar, the conservative window loop (lookahead guard, deterministic
-boundary merge, telemetry), the batched closed-loop recurrences against
-brute force, the CCD shard map, trace merging, and the cell cache keys.
+boundary merge, telemetry), the batched recurrences against brute force
+and the closed-loop engine against its reference loop, the CCD shard map,
+exact cross-shard byte accounting, trace merging, and the cell cache keys.
 The cross-engine agreement sweeps live in the conformance tier
 (``tests/test_conformance_sharded.py``).
 """
+
+import random
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from repro.sim.batch import (
     BatchLane,
     BatchPool,
     BatchStage,
+    FlowTiming,
     fifo_departures,
     open_loop_departures,
     simulate_closed_loops,
@@ -165,6 +170,205 @@ class TestBatchRecurrences:
         assert int(timing.counted.sum()) == 2 * (5 - 2)
 
 
+# ------------------------------------------- closed-loop reference loop
+
+
+def _reference_closed_loops(flows):
+    """The per-transaction loop the flat-plan engine replaced, kept as the
+    reference it must match bit for bit.
+
+    Stages and pools used to carry this state themselves (``serve``,
+    ``gate`` and ``commit``, inlined below): a heap per object that grows
+    to ``servers`` / ``capacity`` entries before its earliest is popped.
+    Here those heaps live in per-call dicts keyed by object identity.
+    """
+    if not flows:
+        return {}
+    busy_heaps = {}
+    held_heaps = {}
+    next_issue = [0.0] * len(flows)
+    totals = [sum(lane.quota for lane in flow.lanes) for flow in flows]
+    issued = [np.empty(total) for total in totals]
+    completed = [np.empty(total) for total in totals]
+    lane_index = [np.empty(total, dtype=np.int64) for total in totals]
+    cursor = [0] * len(flows)
+    quotas = [[lane.quota for lane in flow.lanes] for flow in flows]
+    heap = [
+        (0.0, flow_idx, lane_idx)
+        for flow_idx, flow in enumerate(flows)
+        for lane_idx in range(len(flow.lanes))
+        if flow.lanes[lane_idx].quota > 0
+    ]
+    while heap:
+        ready, flow_idx, lane_idx = heappop(heap)
+        flow = flows[flow_idx]
+        lane = flow.lanes[lane_idx]
+        if flow.interval_ns is not None:
+            slot = next_issue[flow_idx]
+            if ready > slot:
+                slot = ready
+            next_issue[flow_idx] = slot + flow.interval_ns
+            t = slot
+        else:
+            t = ready
+        issue = t
+        for pool in lane.pools:  # BatchPool.gate
+            held = held_heaps.setdefault(id(pool), [])
+            if len(held) >= pool.capacity:
+                earliest = heappop(held)
+                if earliest > t:
+                    t = earliest
+        for stage, service in lane.stages:  # BatchStage.serve
+            busy = busy_heaps.setdefault(id(stage), [])
+            if len(busy) >= stage.servers:
+                earliest = heappop(busy)
+                if earliest > t:
+                    t = earliest
+            t = t + service
+            heappush(busy, t)
+        t += lane.fixed_ns
+        for pool in lane.pools:  # BatchPool.commit
+            heappush(held_heaps[id(pool)], t)
+        at = cursor[flow_idx]
+        issued[flow_idx][at] = issue
+        completed[flow_idx][at] = t
+        lane_index[flow_idx][at] = lane_idx
+        cursor[flow_idx] = at + 1
+        remaining = quotas[flow_idx][lane_idx] - 1
+        quotas[flow_idx][lane_idx] = remaining
+        if remaining > 0:
+            heappush(heap, (t, flow_idx, lane_idx))
+
+    out = {}
+    for flow_idx, flow in enumerate(flows):
+        lanes = lane_index[flow_idx]
+        counted = np.ones(totals[flow_idx], dtype=bool)
+        if flow.warmup_skip > 0:
+            seen = np.zeros(len(flow.lanes), dtype=np.int64)
+            for position, lane_idx in enumerate(lanes):
+                counted[position] = seen[lane_idx] >= flow.warmup_skip
+                seen[lane_idx] += 1
+        out[flow.name] = FlowTiming(
+            flow.name, issued[flow_idx], completed[flow_idx], counted
+        )
+    return out
+
+
+def _random_batch_flows(rng):
+    """Random coupled closed loops drawn from ``rng`` (a ``random.Random``).
+
+    1-4 flows of 0-6 lanes (quotas 0-12); stages with 1-4 servers shared
+    across flows and repeated within lanes; 0-3 distinct pools per lane
+    (capacity 1-6); optional pacing; warmup 0-3; zero and tied times.
+    Descriptors are named by size alone, so equal-looking stages and pools
+    are distinct objects, and some lanes reuse their neighbour's route.
+    """
+
+    def duration():
+        return rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 4.0)])
+
+    stages = [
+        BatchStage(f"s{servers}", servers)
+        for servers in (rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+    ]
+    pools = [
+        BatchPool(f"p{capacity}", capacity)
+        for capacity in (rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
+    ]
+    flows = []
+    for index in range(rng.randint(1, 4)):
+        lanes = []
+        for _ in range(rng.randint(0, 6)):
+            if lanes and rng.random() < 0.3:
+                stage_plan = lanes[-1].stages
+                pool_plan = lanes[-1].pools
+                fixed_ns = lanes[-1].fixed_ns
+            else:
+                stage_plan = tuple(
+                    (rng.choice(stages), duration())
+                    for _ in range(rng.randint(0, 5))
+                )
+                pool_plan = tuple(
+                    rng.sample(pools, rng.randint(0, min(3, len(pools))))
+                )
+                fixed_ns = duration()
+            lanes.append(
+                BatchLane(stage_plan, pool_plan, fixed_ns, rng.randint(0, 12))
+            )
+        flows.append(
+            BatchFlow(
+                f"f{index}",
+                lanes,
+                size_bytes=64,
+                interval_ns=rng.choice([None, duration()]),
+                warmup_skip=rng.randint(0, 3),
+            )
+        )
+    return flows
+
+
+def _assert_same_timings(got, want):
+    assert list(got) == list(want)
+    for name, timing in want.items():
+        for field in ("issued_ns", "completed_ns", "counted"):
+            a = getattr(got[name], field)
+            b = getattr(timing, field)
+            assert a.dtype == b.dtype, (name, field)
+            assert a.tobytes() == b.tobytes(), (name, field)
+
+
+class TestClosedLoopsAgainstReference:
+    def test_random_configurations_are_bit_identical(self):
+        rng = random.Random(7)
+        for _ in range(600):
+            flows = _random_batch_flows(rng)
+            _assert_same_timings(
+                simulate_closed_loops(flows), _reference_closed_loops(flows)
+            )
+
+    def test_contention_cell_flows_are_bit_identical(self, p9634, monkeypatch):
+        calls = []
+
+        def compare(flows):
+            got = simulate_closed_loops(flows)
+            _assert_same_timings(got, _reference_closed_loops(flows))
+            calls.append(len(flows))
+            return got
+
+        monkeypatch.setattr(
+            "repro.core.shardexec.simulate_closed_loops", compare
+        )
+        run_cell(p9634, engine="sharded", shards=4, transactions_per_core=60)
+        assert sum(calls) == 12
+
+    def test_second_call_on_same_flows_is_identical(self):
+        stage = BatchStage("s", 1)
+        pool = BatchPool("p", 2)
+        lanes = [
+            BatchLane(
+                stages=((stage, 2.0),), pools=(pool,), fixed_ns=1.0, quota=5
+            )
+            for _ in range(3)
+        ]
+        flow = BatchFlow("f", lanes, size_bytes=64, interval_ns=1.5)
+        first = simulate_closed_loops([flow])
+        np.testing.assert_array_equal(
+            first["f"].completed_ns[:3], [3.0, 5.0, 7.0]
+        )
+        _assert_same_timings(simulate_closed_loops([flow]), first)
+
+    def test_lane_listing_a_pool_twice_is_rejected(self):
+        pool = BatchPool("p", 2)
+        lane = BatchLane(
+            stages=((BatchStage("s", 1), 1.0),),
+            pools=(pool, pool),
+            fixed_ns=0.0,
+            quota=1,
+        )
+        with pytest.raises(ConfigurationError, match="same pool twice"):
+            simulate_closed_loops([BatchFlow("f", [lane], 64)])
+
+
 # ------------------------------------------------------------ window loop
 
 
@@ -288,6 +492,34 @@ class TestRunCell:
         assert multi.sync["shards"] == 2
         assert multi.sync["cross_messages"] > 0
         assert multi.sync["lookahead_ns"] == default_lookahead_ns(p7302)
+
+    def test_large_cell_accounts_bytes_exactly(self, p9634):
+        # Thirds of 64-byte chunks, summed in different orders on the two
+        # sides: an absolute float tolerance tripped here.
+        outcome = run_cell(
+            p9634, engine="sharded", shards=12, transactions_per_core=2500
+        )
+        assert outcome.sync["accounting_bytes"] == 12320000.0
+
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_lost_or_duplicated_message_fails_the_cell(
+        self, p9634, monkeypatch, copies
+    ):
+        send = ShardedEnvironment.send
+        tampered = []
+
+        def tamper(self, *args):
+            # The first message is sent ``copies`` times, the rest once.
+            for _ in range(1 if tampered else copies):
+                send(self, *args)
+            tampered.append(args)
+
+        monkeypatch.setattr(ShardedEnvironment, "send", tamper)
+        with pytest.raises(SimulationError, match="accounting leaked"):
+            run_cell(
+                p9634, engine="sharded", shards=12, transactions_per_core=2500
+            )
+        assert tampered
 
     def test_contention_flows_cover_all_ccds(self, p9634):
         flows = contention_flows(p9634)
