@@ -135,8 +135,7 @@ def effective_service_ns(
         u = min(utilizations.get(channel, 0.0), MAX_UTILIZATION)
         if u <= 0.0:
             continue
-        arbiter = getattr(stage.server, "arbiter", stage.server)
-        direction = arbiter.write_dir if is_write else arbiter.read_dir
+        direction = stage.directions[is_write]
         lanes = direction.resource.capacity
         queued = u ** lanes * u / (1.0 - u)
         total += queued * CACHELINE / direction.gbps

@@ -7,12 +7,14 @@ carries one 64 B cacheline (~6 % overhead); the 256 B FLIT of CXL 3.x carries
 236 B of slots (~8 % overhead amortized over multiple lines).
 
 :class:`CxlDeviceModel` combines FLIT framing, the device's sustained-rate
-ceiling, and DRAM-style timing jitter of the media behind the controller.
+ceiling, and DRAM-style timing jitter of the media behind the controller;
+its link directions apply the framing and draw the jitter themselves.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -66,30 +68,24 @@ class CxlDeviceModel:
             read_gbps=read_gbps, write_gbps=write_gbps,
         )
         self.arbiter = LinkArbiter(env, spec, lanes=banks)
-        self.env = env
+        self.read_dir = self.arbiter.read_dir
+        self.write_dir = self.arbiter.write_dir
+        self.read_dir.frame = self.write_dir.frame = partial(
+            wire_bytes, flit_bytes=flit_bytes
+        )
+        if timing is not None and rng is not None:
+            self.read_dir.jitter = self.write_dir.jitter = (timing, rng)
         self.name = name
         self.flit_bytes = flit_bytes
-        self.timing = timing
-        self.rng = rng
-        self.accesses = 0
+
+    @property
+    def accesses(self) -> int:
+        """Accesses served so far, both directions."""
+        return self.read_dir.transfers + self.write_dir.transfers
 
     def access(self, size_bytes: int, is_write: bool) -> Generator[Event, None, None]:
-        """Serve one access; service time is charged on *wire* bytes.
-
-        Media timing jitter extends the service while the bank is held (as in
-        :class:`~repro.memory.umc.UmcServer`), so stalls compound under load.
-        """
-        self.accesses += 1
-        framed = wire_bytes(size_bytes, self.flit_bytes)
-        direction = self.arbiter.write_dir if is_write else self.arbiter.read_dir
-        with direction.resource.request() as grant:
-            yield grant
-            service = direction.service_ns(framed)
-            if self.timing is not None and self.rng is not None:
-                service += self.timing.sample_extra_ns(self.rng)
-            direction.busy_ns += service
-            direction.bytes_served += framed
-            yield self.env.timeout(service)
+        """Serve one access; service time is charged on *wire* bytes."""
+        return self.arbiter.transfer(size_bytes, is_write)
 
     def efficiency(self) -> float:
         """Payload/wire ratio of the configured FLIT framing."""

@@ -3,7 +3,8 @@
 A UMC is the last queued stage before DRAM: it serializes cacheline transfers
 at the per-channel rate (21.1/19.0 GB/s read/write on the 7302, 34.9/28.3 on
 the 9634 — §3.3) and each access additionally suffers the DRAM timing jitter
-of :class:`~repro.memory.dram.DramTimingModel`.
+of :class:`~repro.memory.dram.DramTimingModel`, which the channel's link
+directions draw themselves (:mod:`repro.noc.arbiter`).
 """
 
 from __future__ import annotations
@@ -40,29 +41,20 @@ class UmcServer:
         # A DRAM channel overlaps accesses across banks; `banks` parallel
         # servers sharing the channel rate capture that pipelining.
         self.arbiter = LinkArbiter(env, spec, lanes=banks)
-        self.env = env
+        self.read_dir = self.arbiter.read_dir
+        self.write_dir = self.arbiter.write_dir
+        if timing is not None and rng is not None:
+            self.read_dir.jitter = self.write_dir.jitter = (timing, rng)
         self.name = name
-        self.timing = timing
-        self.rng = rng
-        self.accesses = 0
+
+    @property
+    def accesses(self) -> int:
+        """Accesses served so far, both directions."""
+        return self.read_dir.transfers + self.write_dir.transfers
 
     def access(self, size_bytes: int, is_write: bool) -> Generator[Event, None, None]:
-        """DES process fragment: serve one access (queueing + jitter).
-
-        Timing jitter (refresh windows, bank conflicts) extends the *service*
-        while the bank is held, so a stall delays everything queued behind it
-        — the mechanism that amplifies P999 under load (Figure 3's tails).
-        """
-        self.accesses += 1
-        direction = self.arbiter.write_dir if is_write else self.arbiter.read_dir
-        with direction.resource.request() as grant:
-            yield grant
-            service = direction.service_ns(size_bytes)
-            if self.timing is not None and self.rng is not None:
-                service += self.timing.sample_extra_ns(self.rng)
-            direction.busy_ns += service
-            direction.bytes_served += size_bytes
-            yield self.env.timeout(service)
+        """DES process fragment: serve one access (queueing + jitter)."""
+        return self.arbiter.transfer(size_bytes, is_write)
 
     def achieved_gbps(self, is_write: bool, elapsed_ns: float) -> float:
         """Average delivered bandwidth on one direction."""

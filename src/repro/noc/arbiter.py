@@ -10,6 +10,10 @@ partitioning".
 :class:`LinkArbiter` is the DES element: per-direction serializers with
 deterministic per-transaction service time (``bytes / capacity``), FIFO
 queues, and utilization counters for telemetry.
+
+A direction is where every queued stage serves a transaction, the memory
+devices included: a UMC or CXL device gives its directions DRAM timing
+``jitter`` and (CXL) FLIT ``frame``-ing at construction.
 """
 
 from __future__ import annotations
@@ -17,42 +21,72 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.platform.interconnect import LinkSpec
-from repro.sim.engine import Environment, Event, Resource
+from repro.sim.engine import Environment, Event, Resource, Timeout
 
 __all__ = ["LinkArbiter"]
 
 
 class _DirectionServer:
-    """One direction of a link: a FIFO serializer at a fixed byte rate."""
+    """One direction of a link: a FIFO serializer at a fixed byte rate.
+
+    A transfer is :meth:`request`, then, once granted, :meth:`occupy`.
+    """
 
     def __init__(self, env: Environment, gbps: float, lanes: int = 1) -> None:
         self.env = env
+        #: Live service rate; fault reshaping rewrites it mid-run.
         self.gbps = gbps
         self.resource = Resource(env, capacity=lanes)
+        #: Payload → wire bytes (CXL FLIT framing); None carries payload as is.
+        self.frame = None
+        #: ``(DramTimingModel, rng)`` drawn per transfer; None: no jitter.
+        self.jitter = None
         self.busy_ns = 0.0
         self.bytes_served = 0
+        self.transfers = 0
         #: Deepest backlog observed (how much buffering this direction needs).
         self.max_queue_len = 0
 
     def service_ns(self, size_bytes: int) -> float:
+        """Jitter-free service time of one transfer at the current rate."""
+        if self.frame is not None:
+            size_bytes = self.frame(size_bytes)
         # lanes parallel sub-channels each carry gbps/lanes.
         return size_bytes / (self.gbps / self.resource.capacity)
 
+    def request(self) -> Event:
+        """Queue for a lane (release the grant to ``resource`` when done)."""
+        self.transfers += 1
+        grant = self.resource.request()
+        backlog = self.resource.queue_length
+        if backlog > self.max_queue_len:
+            self.max_queue_len = backlog
+        return grant
+
+    def occupy(self, size_bytes: int) -> float:
+        """Book one granted transfer; returns its lane hold time in ns.
+
+        Jitter (refresh windows, bank conflicts) extends the hold, so a
+        stall delays everything queued behind it — Figure 3's loaded tails.
+        """
+        if self.frame is not None:
+            size_bytes = self.frame(size_bytes)
+        service = size_bytes / (self.gbps / self.resource.capacity)
+        if self.jitter is not None:
+            timing, rng = self.jitter
+            service += timing.sample_extra_ns(rng)
+        self.busy_ns += service
+        self.bytes_served += size_bytes
+        return service
+
     def transfer(self, size_bytes: int) -> Generator[Event, None, None]:
         """DES process fragment: queue for the serializer, then occupy it."""
-        with self.resource.request() as grant:
-            backlog = self.resource.queue_length
-            if backlog > self.max_queue_len:
-                self.max_queue_len = backlog
+        grant = self.request()
+        try:
             yield grant
-            service = self.service_ns(size_bytes)
-            self.busy_ns += service
-            self.bytes_served += size_bytes
-            yield self.env.timeout(service)
-
-    @property
-    def queue_length(self) -> int:
-        return self.resource.queue_length
+            yield Timeout(self.env, self.occupy(size_bytes))
+        finally:
+            self.resource.release(grant)
 
 
 class LinkArbiter:
@@ -69,7 +103,7 @@ class LinkArbiter:
     ) -> Generator[Event, None, None]:
         """Serve one transaction's data movement on the appropriate direction."""
         direction = self.write_dir if is_write else self.read_dir
-        yield from direction.transfer(size_bytes)
+        return direction.transfer(size_bytes)
 
     def utilization(self, is_write: bool, elapsed_ns: float) -> float:
         """Fraction of ``elapsed_ns`` the chosen direction was busy."""

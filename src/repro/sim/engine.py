@@ -27,7 +27,10 @@ depend on heap internals beyond this contract.
 Every class on the hot path declares ``__slots__`` — a simulation allocates
 millions of short-lived events, and slotted instances are both smaller and
 faster to initialize than ``__dict__``-backed ones. The :meth:`Environment.run`
-loops additionally inline :meth:`Environment.step`'s pop-and-fire body; the
+loops additionally inline :meth:`Environment.step`'s pop-and-fire body, and
+timeouts, processes and resource requests are built in place and pushed onto
+the heap directly, each drawing the one sequence number ``_schedule`` would
+have drawn at that point (so no subclass may override ``_schedule``); the
 scheduling order (and therefore every simulation result) is unchanged.
 """
 
@@ -144,15 +147,16 @@ class Process(Event):
     __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
-        super().__init__(env)
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
+        # Fast path (as in Timeout): initialize inline; the bootstrap, a zero
+        # Timeout, resumes the generator at the current time.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self._generator = generator
-        # Bootstrap: resume the generator at the current time.
-        bootstrap = Event(env)
-        bootstrap._value = None
-        bootstrap.callbacks.append(self._resume)
-        env._schedule(bootstrap)
+        Timeout(env, 0.0).callbacks.append(self._resume)
 
     def _resume(self, event: Event) -> None:
         generator = self._generator
@@ -188,6 +192,10 @@ class AllOf(Event):
         super().__init__(env)
         self._children = list(events)
         self._remaining = 0
+        failed = [c for c in self._children if c.processed and not c._ok]
+        if failed:
+            self.fail(failed[0]._value)
+            return
         for child in self._children:
             if child.processed:
                 continue
@@ -216,7 +224,10 @@ class AnyOf(Event):
         self._children = list(events)
         fired = [child for child in self._children if child.processed]
         if fired:
-            self.succeed(fired[0].value)
+            if fired[0]._ok:
+                self.succeed(fired[0]._value)
+            else:
+                self.fail(fired[0]._value)
             return
         for child in self._children:
             child.callbacks.append(self._on_child)
@@ -401,7 +412,11 @@ class _ResourceRequest(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Fast path (as in Timeout): initialize inline, not via Event.__init__.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self.resource = resource
 
     def __enter__(self) -> "_ResourceRequest":
@@ -444,7 +459,11 @@ class Resource:
         req = _ResourceRequest(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            req.succeed()
+            # Grant inline: what succeed() does, with the same sequence draw.
+            req._value = None
+            env = self.env
+            env._sequence = sequence = env._sequence + env._seq_step
+            _heappush(env._queue, (env._now, sequence, req))
         else:
             self._waiting.append(req)
         return req

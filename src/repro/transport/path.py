@@ -17,17 +17,17 @@ load is genuine emergent queueing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.memory.cxl import CxlDeviceModel
 from repro.memory.dram import DramTimingModel
 from repro.memory.umc import UmcServer
-from repro.noc.arbiter import LinkArbiter
+from repro.noc.arbiter import LinkArbiter, _DirectionServer
 from repro.noc.flowcontrol import TokenPool, ccd_token_pool, ccx_token_pool
 from repro.platform.topology import Platform
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.rng import SplitRng
 from repro.transport.message import OpKind
 from repro.units import CACHELINE
@@ -37,42 +37,26 @@ __all__ = ["QueuedStage", "CompiledPath", "PathResolver"]
 
 @dataclass(frozen=True)
 class QueuedStage:
-    """One queued resource on a path (an arbiter, UMC, or device)."""
+    """One queued resource on a path (an arbiter, UMC, or device).
+
+    ``directions`` holds the server's ``(read_dir, write_dir)``, resolved
+    once: a transaction is served on ``directions[is_write]``.
+    """
 
     name: str
     server: object  # LinkArbiter | UmcServer | CxlDeviceModel
+    directions: Tuple[_DirectionServer, _DirectionServer] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def serve(
-        self, size_bytes: int, is_write: bool
-    ) -> Generator[Event, None, None]:
-        """DES fragment: pass one transaction through this stage."""
-        if isinstance(self.server, LinkArbiter):
-            yield from self.server.transfer(size_bytes, is_write)
-        elif isinstance(self.server, (UmcServer, CxlDeviceModel)):
-            yield from self.server.access(size_bytes, is_write)
-        else:
-            raise TopologyError(f"stage {self.name}: unsupported server type")
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "directions", (self.server.read_dir, self.server.write_dir)
+        )
 
     def unloaded_service_ns(self, size_bytes: int, is_write: bool) -> float:
         """Service time with empty queues (used for fixed-latency deduction)."""
-        if isinstance(self.server, LinkArbiter):
-            direction = self.server.write_dir if is_write else self.server.read_dir
-            return direction.service_ns(size_bytes)
-        if isinstance(self.server, UmcServer):
-            direction = (
-                self.server.arbiter.write_dir if is_write
-                else self.server.arbiter.read_dir
-            )
-            return direction.service_ns(size_bytes)
-        if isinstance(self.server, CxlDeviceModel):
-            from repro.memory.cxl import wire_bytes
-
-            direction = (
-                self.server.arbiter.write_dir if is_write
-                else self.server.arbiter.read_dir
-            )
-            return direction.service_ns(wire_bytes(size_bytes, self.server.flit_bytes))
-        raise TopologyError(f"stage {self.name}: unsupported server type")
+        return self.directions[is_write].service_ns(size_bytes)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 from repro.transport.message import Transaction
 from repro.transport.path import CompiledPath
 
@@ -21,6 +21,11 @@ class TransactionExecutor:
     propagation latency. Tokens are held until completion, which is what
     couples read and write streams sharing a chiplet (Figure 6).
 
+    :meth:`execute` is one flat loop over the path's link directions: per
+    stage it queues for a lane, holds it for the direction's service time
+    and releases it — the events and RNG draws of
+    :meth:`~repro.noc.arbiter.LinkArbiter.transfer`, in the same order.
+
     The executor keeps byte-conservation books — ``bytes_injected``,
     ``bytes_delivered``, ``bytes_in_flight`` — cheap enough to run always.
     ``strict=True`` additionally *checks* them after every completion (plus
@@ -29,14 +34,15 @@ class TransactionExecutor:
     non-strict callers can audit at quiescence via :meth:`assert_conserved`.
 
     When the environment carries a :class:`~repro.trace.Tracer`
-    (``env.tracer``), :meth:`execute` routes through a traced twin that
-    opens one span per transaction plus contiguous child spans per hop
-    (token waits, queued stages, the fixed remainder). The tracer only
-    reads the clock — traced and untraced runs are bit-identical — and
-    with tracing off the original loop runs unchanged after a single
-    ``is None`` check. ``flow`` optionally names the stream this executor
-    serves; spans (and profiler samples) carry it so telemetry and traces
-    share flow identities.
+    (``env.tracer``), the same loop, in per-hop ``tracer is not None``
+    branches, opens one span per transaction plus contiguous child spans
+    per hop (token waits, queued stages, the fixed remainder), each hop
+    beginning where the previous ended, so the hops tile the transaction
+    exactly (:func:`repro.trace.breakdown.assert_tiles`). The tracer only
+    reads the clock — traced and untraced runs are bit-identical.
+    ``flow`` optionally names the stream this executor serves; spans (and
+    profiler samples) carry it so telemetry and traces share flow
+    identities.
     """
 
     def __init__(
@@ -57,99 +63,62 @@ class TransactionExecutor:
         self, txn: Transaction, path: CompiledPath
     ) -> Generator[Event, None, Transaction]:
         """DES process: run one transaction end-to-end; returns it completed."""
-        tracer = self.env.tracer
-        if tracer is not None:
-            return (yield from self._execute_traced(txn, path, tracer))
-        if self.strict and txn.size_bytes <= 0:
+        env = self.env
+        tracer = env.tracer
+        size = txn.size_bytes
+        if self.strict and size <= 0:
             raise SimulationError(
                 f"transaction on {path.name}: non-positive size "
-                f"{txn.size_bytes} at t={self.env.now}"
+                f"{size} at t={env.now}"
             )
-        txn.issued_ns = self.env.now
-        self.bytes_injected += txn.size_bytes
-        self.bytes_in_flight += txn.size_bytes
-        for pool in path.tokens:
-            yield pool.acquire()
-        try:
-            for stage in path.stages:
-                yield from stage.serve(txn.size_bytes, txn.op.is_write)
-            yield self.env.timeout(path.fixed_ns)
-        finally:
-            for pool in reversed(path.tokens):
-                pool.release()
-        txn.completed_ns = self.env.now
-        self.bytes_in_flight -= txn.size_bytes
-        self.bytes_delivered += txn.size_bytes
-        self.completed.append(txn)
-        if self.strict:
-            if txn.completed_ns < txn.issued_ns:
-                raise SimulationError(
-                    f"transaction on {path.name}: completed at "
-                    f"t={txn.completed_ns} before its issue at "
-                    f"t={txn.issued_ns}"
-                )
-            self.assert_conserved(drained=False)
-        return txn
-
-    def _execute_traced(
-        self, txn: Transaction, path: CompiledPath, tracer
-    ) -> Generator[Event, None, Transaction]:
-        """Traced twin of :meth:`execute` — identical event sequence.
-
-        Span boundaries are reads of the same simulated clock the
-        untraced path advances, and the tracer schedules nothing, so the
-        simulation results are bit-identical with tracing on or off. The
-        hop spans are contiguous children of the transaction span: each
-        begins exactly where the previous ended, so their durations tile
-        the end-to-end latency exactly
-        (:func:`repro.trace.breakdown.assert_tiles`).
-        """
-        if self.strict and txn.size_bytes <= 0:
-            raise SimulationError(
-                f"transaction on {path.name}: non-positive size "
-                f"{txn.size_bytes} at t={self.env.now}"
-            )
-        track = (
-            f"{self.flow}/c{txn.src_core}"
-            if self.flow is not None
-            else f"core{txn.src_core}"
-        )
-        txn.issued_ns = self.env.now
-        self.bytes_injected += txn.size_bytes
-        self.bytes_in_flight += txn.size_bytes
         is_write = txn.op.is_write
-        span = tracer.begin(
-            path.name, "txn", track,
-            size=txn.size_bytes, write=is_write,
-            flow=self.flow if self.flow is not None else track,
-        )
+        txn.issued_ns = env.now
+        self.bytes_injected += size
+        self.bytes_in_flight += size
+        if tracer is not None:
+            track = flow = f"core{txn.src_core}"
+            if self.flow is not None:
+                flow = self.flow
+                track = f"{flow}/c{txn.src_core}"
+            span = tracer.begin(
+                path.name, "txn", track, size=size, write=is_write, flow=flow
+            )
         for pool in path.tokens:
-            hop = tracer.begin(f"tokens/{pool.name}", "wait", track, parent=span)
+            if tracer is not None:
+                hop = tracer.begin(f"tokens/{pool.name}", "wait", track, parent=span)
             yield pool.acquire()
-            tracer.end(hop)
+            if tracer is not None:
+                tracer.end(hop)
         try:
             for stage in path.stages:
-                hop = tracer.begin(stage.name, "hop", track, parent=span)
-                yield from stage.serve(txn.size_bytes, is_write)
-                tracer.end(
-                    hop,
-                    size=txn.size_bytes,
-                    write=is_write,
-                    service_ns=stage.unloaded_service_ns(txn.size_bytes, is_write),
-                )
-            hop = tracer.begin("fixed", "hop", track, parent=span)
-            yield self.env.timeout(path.fixed_ns)
-            tracer.end(hop, service_ns=path.fixed_ns)
+                if tracer is not None:
+                    hop = tracer.begin(stage.name, "hop", track, parent=span)
+                direction = stage.directions[is_write]
+                grant = direction.request()
+                try:
+                    yield grant
+                    yield Timeout(env, direction.occupy(size))
+                finally:
+                    direction.resource.release(grant)
+                if tracer is not None:
+                    tracer.end(
+                        hop, size=size, write=is_write,
+                        service_ns=stage.unloaded_service_ns(size, is_write),
+                    )
+            if tracer is not None:
+                hop = tracer.begin("fixed", "hop", track, parent=span)
+            yield Timeout(env, path.fixed_ns)
+            if tracer is not None:
+                tracer.end(hop, service_ns=path.fixed_ns)
         finally:
             for pool in reversed(path.tokens):
                 pool.release()
-        txn.completed_ns = self.env.now
-        tracer.end(span)
-        tracer.sample_flow(
-            self.flow if self.flow is not None else track, txn.size_bytes
-        )
-        self.bytes_in_flight -= txn.size_bytes
-        self.bytes_delivered += txn.size_bytes
+        txn.completed_ns = env.now
+        if tracer is not None:
+            tracer.end(span)
+            tracer.sample_flow(flow, size)
+        self.bytes_in_flight -= size
+        self.bytes_delivered += size
         self.completed.append(txn)
         if self.strict:
             if txn.completed_ns < txn.issued_ns:

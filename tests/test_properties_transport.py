@@ -9,6 +9,7 @@ from repro.sim.engine import Environment
 from repro.transport.message import OpKind, Transaction
 from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
+from tests.test_transport import build_cell, check_cell
 
 _P7302 = epyc_7302()
 _P9634 = epyc_9634()
@@ -84,3 +85,16 @@ class TestPathProperties:
         ordered = sorted(latencies)
         for small, large in zip(ordered, ordered[1:]):
             assert latencies[small] <= latencies[large] + 1e-9
+
+
+class TestFlatLoopProperty:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flat_loop_matches_nested_chain(self, data):
+        # Random DES cells (shared stages, token pools, UMC jitter, both
+        # FLIT sizes, pacing, faults): the flat executor loop, untraced
+        # and traced, leaves exactly what the nested chain left.
+        def pick(options):
+            return data.draw(st.sampled_from(options))
+
+        check_cell(build_cell(pick))

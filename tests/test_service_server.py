@@ -11,7 +11,6 @@ import os
 import shutil
 import tempfile
 import threading
-import time
 
 import pytest
 
@@ -66,6 +65,38 @@ def _service(service_dir, **kwargs):
         "artifacts_dir", os.path.join(service_dir, "artifacts")
     )
     return ServiceThread(_sock(service_dir), **kwargs)
+
+
+class _CellGate:
+    """Holds the first netstack cell a job runs until the test releases it.
+
+    A service started with ``jobs=1`` runs its cells one at a time in this
+    process, so the patched ``run_point`` applies there: from ``started``
+    until ``release`` the job is off the queue and running, however fast
+    its cells are.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.experiments import netstack
+
+        self.started = threading.Event()
+        self.release = threading.Event()
+        #: What the held cell's wait returned (True: released in time).
+        self.released = []
+        run_point = netstack.run_point
+
+        def gated_run_point(*args, **kwargs):
+            if not self.started.is_set():
+                self.started.set()
+                self.released.append(self.release.wait(timeout=60))
+            return run_point(*args, **kwargs)
+
+        monkeypatch.setattr(netstack, "run_point", gated_run_point)
+
+
+@pytest.fixture()
+def gate(monkeypatch):
+    return _CellGate(monkeypatch)
 
 
 class TestEndToEnd:
@@ -237,29 +268,23 @@ class TestOps:
 
 
 class TestBackpressure:
-    def test_queue_full_rejects_with_retry_after(self, service_dir):
-        # Depth 1: one slow job runs, one waits, the third is rejected at
+    def test_queue_full_rejects_with_retry_after(self, service_dir, gate):
+        # Depth 1: one held job runs, one waits, the third is rejected at
         # the door with a structured retry-after — and every *admitted*
         # job still completes (nothing is silently dropped).
-        slow = _spec(arms=("off", "credits", "credits+qos"), transactions=800)
+        held = _spec(arms=("off", "credits", "credits+qos"))
         quick = _spec()
-        with _service(service_dir, max_depth=1, cache=None):
+        with _service(service_dir, max_depth=1, cache=None, jobs=1):
             running = ServiceClient(_sock(service_dir), client="hog").connect()
             try:
-                running._send({"op": "submit", "spec": normalize_spec(slow),
+                running._send({"op": "submit", "spec": normalize_spec(held),
                                "priority": 0})
                 accepted = running._raise_on_error(running._recv())
                 assert accepted["event"] == "accepted"
-                # Give the dispatcher a moment to take the slow job off
-                # the queue; the next submission then occupies the depth.
-                deadline = time.monotonic() + 10
+                # Its first cell holds: the job is off the queue, so the
+                # next submission occupies the depth.
+                assert gate.started.wait(timeout=60)
                 with ServiceClient(_sock(service_dir), client="b") as other:
-                    while time.monotonic() < deadline:
-                        if other.jobs()["running"] == accepted["job"]:
-                            break
-                        time.sleep(0.05)
-                    else:
-                        pytest.fail("slow job never started running")
                     other._send({
                         "op": "submit", "spec": normalize_spec(quick),
                         "priority": 0,
@@ -274,6 +299,7 @@ class TestBackpressure:
                     assert excinfo.value.code == "queue-full"
                     assert excinfo.value.retry_after_s > 0
                     # The admitted queued job still completes in full.
+                    gate.release.set()
                     while True:
                         frame = _next_event(other)
                         if frame.get("event") == "done" and \
@@ -282,23 +308,21 @@ class TestBackpressure:
                             assert frame["completed"] == 2
                             break
             finally:
+                gate.release.set()
                 _cancel_quietly(running, accepted["job"])
                 running.close()
+        assert gate.released == [True]
 
-    def test_rejected_job_recorded(self, service_dir):
-        slow = _spec(arms=("off", "credits", "credits+qos"), transactions=800)
-        with _service(service_dir, max_depth=1, cache=None):
+    def test_rejected_job_recorded(self, service_dir, gate):
+        held = _spec(arms=("off", "credits", "credits+qos"))
+        with _service(service_dir, max_depth=1, cache=None, jobs=1):
             client = ServiceClient(_sock(service_dir)).connect()
             try:
-                client._send({"op": "submit", "spec": normalize_spec(slow),
+                client._send({"op": "submit", "spec": normalize_spec(held),
                               "priority": 0})
                 accepted = client._raise_on_error(client._recv())
-                deadline = time.monotonic() + 10
+                assert gate.started.wait(timeout=60)
                 with ServiceClient(_sock(service_dir)) as other:
-                    while time.monotonic() < deadline:
-                        if other.jobs()["running"] == accepted["job"]:
-                            break
-                        time.sleep(0.05)
                     other._send({"op": "submit",
                                  "spec": normalize_spec(_spec()),
                                  "priority": 0})
@@ -312,22 +336,24 @@ class TestBackpressure:
                     }
                 assert "rejected" in statuses.values()
             finally:
+                gate.release.set()
                 _cancel_quietly(client, accepted["job"])
                 client.close()
+        assert gate.released == [True]
 
 
 class TestCancellation:
-    def test_cancel_queued_job(self, service_dir):
-        slow = _spec(arms=("off", "credits", "credits+qos"), transactions=800)
-        with _service(service_dir, max_depth=4, cache=None):
+    def test_cancel_queued_job(self, service_dir, gate):
+        held = _spec(arms=("off", "credits", "credits+qos"))
+        with _service(service_dir, max_depth=4, cache=None, jobs=1):
             client = ServiceClient(_sock(service_dir)).connect()
             try:
-                # Same client, same priority: FIFO guarantees the slow
-                # job dispatches first, so cancelling the second job
-                # within milliseconds always catches it still queued.
-                client._send({"op": "submit", "spec": normalize_spec(slow),
+                # The held job runs until the gate opens, so the second
+                # job stays queued behind it until the cancel lands.
+                client._send({"op": "submit", "spec": normalize_spec(held),
                               "priority": 0})
-                slow_accepted = client._raise_on_error(client._recv())
+                held_accepted = client._raise_on_error(client._recv())
+                assert gate.started.wait(timeout=60)
                 client._send({"op": "submit", "spec": normalize_spec(_spec()),
                               "priority": 0})
                 queued = client._await_event("accepted")
@@ -343,29 +369,17 @@ class TestCancellation:
                         assert frame["completed"] == 0
                         break
             finally:
-                _cancel_quietly(client, slow_accepted["job"])
+                gate.release.set()
+                _cancel_quietly(client, held_accepted["job"])
                 client.close()
+        assert gate.released == [True]
 
     def test_cancel_running_job_reports_cancelled_cells(
-        self, service_dir, monkeypatch
+        self, service_dir, gate
     ):
-        # With jobs=1 the service runs the cells one at a time in this
-        # process, and the first one blocks until the test releases it —
-        # only after the cancel is acknowledged. So the cancel always lands
-        # while cell 0 runs and cells 1-5 have not started.
-        from repro.experiments import netstack
-
-        started = threading.Event()
-        release = threading.Event()
-        run_point = netstack.run_point
-
-        def gated_run_point(*args, **kwargs):
-            if not started.is_set():
-                started.set()
-                release.wait(timeout=60)
-            return run_point(*args, **kwargs)
-
-        monkeypatch.setattr(netstack, "run_point", gated_run_point)
+        # The first cell holds until the test releases it — only after the
+        # cancel is acknowledged. So the cancel always lands while cell 0
+        # runs and cells 1-5 have not started.
         spec = _spec(arms=("off", "credits", "credits+qos"))
         with _service(service_dir, max_depth=4, cache=None, jobs=1):
             client = ServiceClient(_sock(service_dir)).connect()
@@ -373,10 +387,10 @@ class TestCancellation:
                 client._send({"op": "submit", "spec": normalize_spec(spec),
                               "priority": 0})
                 accepted = client._raise_on_error(client._recv())
-                assert started.wait(timeout=60)
+                assert gate.started.wait(timeout=60)
                 cancelled = client.cancel(accepted["job"])
                 assert cancelled["where"] == "running"
-                release.set()
+                gate.release.set()
                 statuses = {}
                 while True:
                     frame = _next_event(client)
@@ -396,8 +410,9 @@ class TestCancellation:
                 assert done["status"] == "cancelled"
                 assert done["completed"] == 6
             finally:
-                release.set()
+                gate.release.set()
                 client.close()
+        assert gate.released == [True]
 
 
 class TestTraceArtifacts:

@@ -244,6 +244,124 @@ class TestCombinators:
         assert isinstance(env.any_of([env.timeout(1)]), AnyOf)
 
 
+def _failed_and_processed(env, message="boom"):
+    """An event that already failed and whose callbacks already ran."""
+    bad = env.event()
+    bad.fail(RuntimeError(message))
+    env.run()
+    assert bad.processed
+    return bad
+
+
+class TestCombinatorsOverFailedChildren:
+    def test_all_of_fails_with_processed_failure(self):
+        env = Environment()
+        bad = _failed_and_processed(env)
+        done = env.all_of([bad])
+        env.run()
+        assert done.processed and not done.ok
+        assert done.value is bad.value
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(done)
+
+    def test_all_of_takes_first_failed_child_in_list_order(self):
+        env = Environment()
+        good = env.event().succeed("fine")
+        first = env.event().fail(RuntimeError("first"))
+        second = env.event().fail(RuntimeError("second"))
+        env.run()
+        done = env.all_of([good, first, second])
+        env.run()
+        assert not done.ok
+        assert done.value is first.value
+
+    def test_all_of_fails_now_despite_pending_children(self):
+        env = Environment()
+        bad = _failed_and_processed(env)
+        pending = env.event()
+        done = env.all_of([pending, bad])
+        env.run()
+        assert done.processed and not done.ok
+        assert done.value is bad.value
+        pending.succeed("late")
+        env.run()
+        assert not done.ok and done.value is bad.value
+
+    def test_any_of_fails_with_processed_failure(self):
+        env = Environment()
+        bad = _failed_and_processed(env)
+        done = env.any_of([bad])
+        env.run()
+        assert done.processed and not done.ok
+        assert done.value is bad.value
+
+    def test_any_of_takes_first_processed_child(self):
+        env = Environment()
+        good = env.event().succeed("fine")
+        bad = env.event().fail(RuntimeError("boom"))
+        env.run()
+        assert env.run(env.any_of([good, bad])) == "fine"
+        failed = env.any_of([bad, good])
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(failed)
+        assert failed.value is bad.value
+
+    @pytest.mark.parametrize("combine", ["all_of", "any_of"])
+    def test_exception_thrown_into_waiting_process(self, combine):
+        env = Environment()
+        bad = _failed_and_processed(env)
+
+        def waiter():
+            try:
+                yield getattr(env, combine)([bad])
+            except RuntimeError as exc:
+                return f"caught {exc}"
+            return "not thrown"
+
+        assert env.run(env.process(waiter())) == "caught boom"
+
+
+class TestInlineScheduling:
+    """Requests and process bootstraps are scheduled inline; the sequence
+    numbers they draw must interleave exactly as ``succeed()`` would."""
+
+    def test_same_time_fire_order_is_creation_order(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        fired = []
+
+        def proc():
+            fired.append("process")
+            yield env.timeout(0.0)
+
+        plain = env.event()
+        plain.callbacks.append(lambda event: fired.append("first"))
+        plain.succeed()
+        granted = res.request()
+        granted.callbacks.append(lambda event: fired.append("request"))
+        env.process(proc())
+        late = env.event()
+        late.callbacks.append(lambda event: fired.append("last"))
+        late.succeed()
+        env.run()
+        assert fired == ["first", "request", "process", "last"]
+
+    def test_each_draws_one_step_of_the_progression(self):
+        env = Environment(seq_offset=1, seq_step=3)
+        res = Resource(env, capacity=1)
+
+        def proc():
+            yield env.timeout(0.0)
+
+        res.request()
+        assert env._sequence == 4
+        res.request()  # queued: draws nothing until granted
+        assert env._sequence == 4
+        env.process(proc())
+        assert env._sequence == 7
+        assert [seq for __, seq, __ in sorted(env._queue)] == [4, 7]
+
+
 class TestResource:
     def test_capacity_validation(self):
         env = Environment()

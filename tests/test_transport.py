@@ -1,14 +1,26 @@
 """Tests for the transaction layer: messages, paths, execution."""
 
+import random
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple
+
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
+from repro.faults.inject import install
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.memory.cxl import CxlDeviceModel, wire_bytes
+from repro.memory.umc import UmcServer
+from repro.noc.arbiter import LinkArbiter
+from repro.noc.flowcontrol import TokenPool
 from repro.platform.numa import Position
+from repro.platform.presets import epyc_7302, epyc_9634
 from repro.sim.engine import Environment
+from repro.trace import Tracer, assert_tiles
 from repro.transport.message import OpKind, Transaction
 from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
-from repro.units import CACHELINE
+from repro.units import CACHELINE, CXL_FLIT_LARGE, CXL_FLIT_SMALL
 
 
 class TestTransaction:
@@ -146,3 +158,334 @@ class TestExecution:
         # Later transactions queue behind earlier ones somewhere on the path.
         assert max(latencies) > min(latencies)
         assert min(latencies) == pytest.approx(path.unloaded_ns)
+
+
+# ----------------------------------------------------- reference executor
+#
+# The nested generator chain the flat executor loop replaced, kept as its
+# oracle: execute -> QueuedStage.serve -> LinkArbiter.transfer ->
+# _DirectionServer.transfer for links, or -> UmcServer.access /
+# CxlDeviceModel.access for the memory devices, each with its own copy of
+# the service body. It drives the same DES elements, so the two executors
+# must leave identical results, books, counters and RNG states behind.
+
+
+def _reference_direction_transfer(direction, size_bytes):
+    with direction.resource.request() as grant:
+        backlog = direction.resource.queue_length
+        if backlog > direction.max_queue_len:
+            direction.max_queue_len = backlog
+        yield grant
+        service = size_bytes / (direction.gbps / direction.resource.capacity)
+        direction.busy_ns += service
+        direction.bytes_served += size_bytes
+        yield direction.env.timeout(service)
+
+
+def _reference_link_transfer(arbiter, size_bytes, is_write):
+    direction = arbiter.write_dir if is_write else arbiter.read_dir
+    yield from _reference_direction_transfer(direction, size_bytes)
+
+
+def _reference_device_access(device, size_bytes, is_write, accesses):
+    accesses[device.name] = accesses.get(device.name, 0) + 1
+    if isinstance(device, CxlDeviceModel):
+        size_bytes = wire_bytes(size_bytes, device.flit_bytes)
+    direction = device.arbiter.write_dir if is_write else device.arbiter.read_dir
+    with direction.resource.request() as grant:
+        yield grant
+        service = size_bytes / (direction.gbps / direction.resource.capacity)
+        if direction.jitter is not None:
+            timing, rng = direction.jitter
+            service += timing.sample_extra_ns(rng)
+        direction.busy_ns += service
+        direction.bytes_served += size_bytes
+        yield direction.env.timeout(service)
+
+
+def _reference_serve(stage, size_bytes, is_write, accesses):
+    if isinstance(stage.server, LinkArbiter):
+        yield from _reference_link_transfer(stage.server, size_bytes, is_write)
+    elif isinstance(stage.server, (UmcServer, CxlDeviceModel)):
+        yield from _reference_device_access(
+            stage.server, size_bytes, is_write, accesses
+        )
+    else:
+        raise TopologyError(f"stage {stage.name}: unsupported server type")
+
+
+class ReferenceExecutor(TransactionExecutor):
+    """The untraced executor as the nested chain ran it."""
+
+    def __init__(self, env, accesses, **kwargs):
+        super().__init__(env, **kwargs)
+        #: Device name -> accesses served (the devices' old counters).
+        self.accesses = accesses
+
+    def execute(self, txn, path):
+        txn.issued_ns = self.env.now
+        self.bytes_injected += txn.size_bytes
+        self.bytes_in_flight += txn.size_bytes
+        for pool in path.tokens:
+            yield pool.acquire()
+        try:
+            for stage in path.stages:
+                yield from _reference_serve(
+                    stage, txn.size_bytes, txn.op.is_write, self.accesses
+                )
+            yield self.env.timeout(path.fixed_ns)
+        finally:
+            for pool in reversed(path.tokens):
+                pool.release()
+        txn.completed_ns = self.env.now
+        self.bytes_in_flight -= txn.size_bytes
+        self.bytes_delivered += txn.size_bytes
+        self.completed.append(txn)
+        return txn
+
+
+# ------------------------------------------------------ random DES cells
+
+
+def _mixed_flit_9634():
+    """A 9634 whose CXL device 0 speaks 68 B FLITs and device 1 256 B."""
+    platform = epyc_9634()
+    platform.cxl_devices[0] = replace(
+        platform.cxl_devices[0], flit_bytes=CXL_FLIT_SMALL
+    )
+    platform.cxl_devices[1] = replace(
+        platform.cxl_devices[1], flit_bytes=CXL_FLIT_LARGE
+    )
+    return platform
+
+
+_PLATFORMS = {"7302": epyc_7302(), "9634": _mixed_flit_9634()}
+
+#: ``pick(options)`` returns one element of the sequence ``options``.
+Pick = Callable[[Sequence], object]
+
+
+@dataclass(frozen=True)
+class IssuerSpec:
+    """One issuer: ``lanes`` closed loops of ``count`` transactions each."""
+
+    kind: str  # dram | cxl | dma | mmio
+    core: int
+    target: int
+    op: OpKind
+    size: int
+    lanes: int
+    count: int
+    #: Pacing: each lane waits this long before every issue (None: off).
+    interval_ns: Optional[float]
+    #: Indices of the cell's token pools this issuer's path claims.
+    pools: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    platform: str
+    jitter: bool
+    seed: int
+    #: Capacities of the token pools the issuers' paths claim, in order.
+    pools: Tuple[int, ...]
+    issuers: Tuple[IssuerSpec, ...]
+    #: (derate stage, start, end, factor, stall stage, start, end) or None.
+    fault: Optional[tuple]
+
+
+def build_cell(pick: Pick) -> CellSpec:
+    """Draw one DES cell whose issuers share stages, pools and devices."""
+    name = pick(["7302", "9634"])
+    platform = _PLATFORMS[name]
+    # Cores of the first two CCDs: issuers share IF/GMI ports and the NoC.
+    cores = [c for c in sorted(platform.cores) if platform.core(c).ccd_id < 2]
+    kinds = ["dram", "dma", "mmio"] + (["cxl"] if platform.cxl_devices else [])
+    pools = tuple(pick([1, 2, 4]) for __ in range(pick(range(3))))
+    issuers = []
+    for __ in range(pick(range(1, 5))):
+        kind = pick(kinds)
+        issuers.append(IssuerSpec(
+            kind=kind,
+            core=pick(cores),
+            target=pick([0, 1]) if kind != "mmio" else 0,
+            op=pick([OpKind.READ, OpKind.NT_WRITE]) if kind != "mmio"
+            else OpKind.READ,
+            size=pick(range(8, 4097)),
+            lanes=pick(range(1, 4)),
+            count=pick(range(1, 7)),
+            interval_ns=pick([None, 3.0, 25.0]),
+            pools=tuple(i for i in range(len(pools)) if pick([True, False])),
+        ))
+    fault = None
+    if pick([False, True]):
+        fault = (
+            pick(range(8)), pick([0.0, 40.0]), pick([60.0, 400.0]),
+            pick([0.1, 0.5]),
+            pick(range(8)), pick([0.0, 100.0]), pick([30.0, 300.0]),
+        )
+    return CellSpec(
+        platform=name,
+        jitter=pick([False, True]),
+        seed=pick(range(4)),
+        pools=pools,
+        issuers=tuple(issuers),
+        fault=fault,
+    )
+
+
+def _compile(resolver, spec: IssuerSpec):
+    if spec.kind == "dram":
+        return resolver.dram_path(
+            spec.core, spec.target, op=spec.op, size_bytes=spec.size,
+            use_token_pools=False,
+        )
+    if spec.kind == "cxl":
+        return resolver.cxl_path(
+            spec.core, spec.target, op=spec.op, size_bytes=spec.size,
+            use_token_pools=False,
+        )
+    if spec.kind == "dma":
+        return resolver.dma_path(
+            0, spec.target, op=spec.op, size_bytes=spec.size
+        )
+    return resolver.mmio_read_path(
+        spec.core, size_bytes=spec.size, use_token_pools=False
+    )
+
+
+def _channel(stage, is_write: bool) -> str:
+    """The fault-schedule channel name of a path stage."""
+    base = (
+        stage.name.replace("hubport/", "hub/")
+        .replace("/ccd", "").replace("/rc", "").replace("/", "")
+    )
+    return f"{base}:{'w' if is_write else 'r'}"
+
+
+def _fault_schedule(cell: CellSpec, paths) -> FaultSchedule:
+    """A derate plus a stall on stages the first issuer's path crosses."""
+    stages = paths[0].stages
+    is_write = cell.issuers[0].op.is_write
+    derate, d0, d1, factor, stall, s0, s1 = cell.fault
+    return FaultSchedule([
+        FaultEvent.derate(
+            _channel(stages[derate % len(stages)], is_write), d0, d0 + d1,
+            factor,
+        ),
+        FaultEvent.stall(
+            _channel(stages[stall % len(stages)], is_write), s0, s0 + s1
+        ),
+    ])
+
+
+def run_cell(cell: CellSpec, reference: bool = False, traced: bool = False):
+    """Run ``cell`` on a fresh environment; returns everything it left."""
+    env = Environment()
+    tracer = Tracer(env) if traced else None
+    resolver = PathResolver(
+        env, _PLATFORMS[cell.platform], seed=cell.seed,
+        with_dram_jitter=cell.jitter,
+    )
+    pools = [
+        TokenPool(env, capacity, name=f"pool{index}")
+        for index, capacity in enumerate(cell.pools)
+    ]
+    paths = [
+        replace(
+            _compile(resolver, spec), tokens=[pools[i] for i in spec.pools]
+        )
+        for spec in cell.issuers
+    ]
+    if cell.fault is not None:
+        install(resolver, _fault_schedule(cell, paths))
+    accesses = {}
+    executors = [
+        ReferenceExecutor(env, accesses, flow=f"i{index}") if reference
+        else TransactionExecutor(env, strict=True, flow=f"i{index}")
+        for index in range(len(cell.issuers))
+    ]
+
+    def lane(executor, path, spec, lane_id):
+        for __ in range(spec.count):
+            if spec.interval_ns is not None:
+                yield env.timeout(spec.interval_ns)
+            txn = Transaction(spec.op, spec.size, src_core=lane_id)
+            yield env.process(executor.execute(txn, path))
+
+    for executor, path, spec in zip(executors, paths, cell.issuers):
+        for lane_id in range(spec.lanes):
+            env.process(lane(executor, path, spec, lane_id))
+    env.run()
+
+    servers = {}
+    for path in paths:
+        for stage in path.stages:
+            servers.setdefault(stage.name, stage.server)
+    directions, devices = [], []
+    for name, server in servers.items():
+        for tag, direction in (("r", server.read_dir), ("w", server.write_dir)):
+            directions.append((
+                name, tag, direction.busy_ns, direction.bytes_served,
+                direction.max_queue_len if isinstance(server, LinkArbiter)
+                else None,
+            ))
+        if not isinstance(server, LinkArbiter):
+            jitter = server.read_dir.jitter
+            devices.append((
+                name,
+                accesses.get(name, 0) if reference else server.accesses,
+                jitter[1].bit_generator.state if jitter is not None else None,
+            ))
+    for executor in executors:
+        executor.assert_conserved()
+    outcome = {
+        "txns": [
+            [(t.src_core, t.issued_ns, t.completed_ns) for t in ex.completed]
+            for ex in executors
+        ],
+        "directions": directions,
+        "devices": devices,
+        "pools": [
+            (p.max_wait_ns, p.total_wait_ns, p.acquired_count) for p in pools
+        ],
+        "now": env.now,
+    }
+    return outcome, tracer
+
+
+def check_cell(cell: CellSpec) -> None:
+    """The flat loop (untraced and traced) reproduces the nested chain."""
+    expected, __ = run_cell(cell, reference=True)
+    flat, __ = run_cell(cell)
+    assert flat == expected
+    traced, tracer = run_cell(cell, traced=True)
+    assert traced == expected
+    recording = tracer.recording()
+    assert recording.dropped_open == 0
+    issued = sum(spec.lanes * spec.count for spec in cell.issuers)
+    assert assert_tiles(recording) == issued
+
+
+class TestFlatLoopMatchesNestedChain:
+    def test_seeded_sweep(self):
+        rng = random.Random(0)
+        kinds = set()
+        for __ in range(320):
+            cell = build_cell(rng.choice)
+            kinds.update(spec.kind for spec in cell.issuers)
+            check_cell(cell)
+        assert kinds == {"dram", "cxl", "dma", "mmio"}
+
+    def test_devices_own_their_framing_and_jitter(self, p9634):
+        env = Environment()
+        resolver = PathResolver(env, _PLATFORMS["9634"])
+        umc, cxl = resolver.umc_server(0), resolver.cxl_device(1)
+        assert umc.read_dir.jitter is umc.write_dir.jitter is not None
+        assert umc.read_dir.frame is None
+        assert cxl.write_dir.frame(64) == wire_bytes(64, CXL_FLIT_LARGE)
+        assert cxl.read_dir.jitter is not None
+        link = resolver.noc_arbiter()
+        assert link.read_dir.frame is None and link.read_dir.jitter is None
+        plain = PathResolver(env, p9634, with_dram_jitter=False)
+        assert plain.umc_server(0).read_dir.jitter is None
