@@ -145,7 +145,7 @@ class LatencyStats:
             raise MeasurementError("from_sorted needs a 1-D sample array")
         if data.size == 0:
             raise MeasurementError("cannot summarize an empty sample set")
-        if data.size > 1 and np.any(np.diff(data) < 0):
+        if data.size > 1 and (data[1:] < data[:-1]).any():
             raise MeasurementError("from_sorted needs non-decreasing samples")
         n = data.size
         values = []
@@ -182,7 +182,7 @@ class LatencyStats:
             data = np.asarray(part, dtype=float)
             if data.ndim != 1:
                 raise MeasurementError("merge needs 1-D sample arrays")
-            if data.size > 1 and np.any(np.diff(data) < 0):
+            if data.size > 1 and (data[1:] < data[:-1]).any():
                 raise MeasurementError(
                     "merge needs non-decreasing per-shard samples"
                 )
@@ -193,7 +193,12 @@ class LatencyStats:
             raise MeasurementError("cannot summarize an empty sample set")
         total = sum(float(a.sum()) for a in arrays)
         mean = total / count
-        sumsq = sum(float(np.square(a - mean).sum()) for a in arrays)
+        # Squared deviations, shard by shard, in one scratch buffer.
+        scratch = np.empty(max(a.size for a in arrays))
+        sumsq = 0
+        for a in arrays:
+            dev = np.subtract(a, mean, out=scratch[: a.size])
+            sumsq += float(np.square(dev, out=dev).sum())
         p50, p99, p999 = _percentiles_of_sorted(
             arrays, (50.0, 99.0, 99.9), count
         )

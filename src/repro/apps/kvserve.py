@@ -108,8 +108,11 @@ class ArrivalSpec:
             return poisson_arrivals(rng, qps, count)
         if self.kind == "onoff":
             on_qps = qps * self.burst_factor
-            off_qps = (qps - self.on_fraction * on_qps) / (
-                1.0 - self.on_fraction
+            # At burst_factor == 1 / on_fraction the off-rate is zero up to
+            # rounding, which can land a hair below it.
+            off_qps = max(
+                (qps - self.on_fraction * on_qps) / (1.0 - self.on_fraction),
+                0.0,
             )
             on_ns = self.on_fraction * self.period_ns
             return onoff_arrivals(
@@ -319,21 +322,24 @@ class HybridKvServer:
             departures = open_loop_departures(
                 arrivals, services, servers=services.size
             )
-            latencies = departures - arrivals
             span = float(departures.max() - arrivals[0])
             if span <= 0.0:
                 raise MeasurementError(
                     "degenerate serving span: all requests arrived and "
                     "completed at one instant — achieved QPS is undefined"
                 )
-            ordered = np.sort(latencies)
-            sorted_parts.append(ordered)
+            # Latencies overwrite the departures and sort in place; the
+            # arrivals go before the next tenant's are drawn.
+            latencies = np.subtract(departures, arrivals, out=departures)
+            del arrivals
+            latencies.sort()
+            sorted_parts.append(latencies)
             reports.append(
                 TenantReport(
                     tenant.name,
                     ServiceReport(
                         workload,
-                        LatencyStats.from_sorted(ordered),
+                        LatencyStats.from_sorted(latencies),
                         achieved_qps=float(latencies.size / span * 1e9),
                     ),
                 )

@@ -53,16 +53,24 @@ def poisson_arrivals(
 ) -> np.ndarray:
     """Sorted arrival times (ns) of a homogeneous Poisson stream.
 
-    The gaps are one batched ``rng.exponential(scale, count)`` draw —
-    bit-identical to ``count`` sequential scalar draws from the same
-    generator, which is how the DES arrival process consumes its stream.
+    The gaps are one batched ``rng.standard_exponential(count)`` draw
+    times ``scale = 1e9 / rate_qps``. numpy computes
+    ``rng.exponential(scale)`` as ``scale * standard_exponential()``, so
+    the gaps are bit-identical to ``count`` sequential scalar
+    ``rng.exponential(scale)`` draws from the same generator. That is how
+    the DES arrival process consumes its stream, and the identity is what
+    keeps hybrid and DES arrival times bit-identical. The gaps are scaled,
+    summed and offset in place, in one array.
     """
     if rate_qps <= 0:
         raise ConfigurationError(f"rate must be positive, got {rate_qps}")
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    gaps = rng.exponential(1e9 / rate_qps, size=count)
-    return start_ns + np.cumsum(gaps)
+    arrivals = rng.standard_exponential(count)
+    arrivals *= 1e9 / rate_qps
+    np.cumsum(arrivals, out=arrivals)
+    arrivals += start_ns
+    return arrivals
 
 
 def _inversion_arrivals(
@@ -73,25 +81,44 @@ def _inversion_arrivals(
     start_ns: float,
 ) -> np.ndarray:
     """Non-homogeneous Poisson arrivals over a cyclic piecewise-constant
-    rate profile, by exact inversion of the cumulative rate function."""
-    # Unit-rate Poisson points on the cumulative-rate axis.
-    targets = np.cumsum(rng.exponential(1.0, size=count))
+    rate profile, by exact inversion of the cumulative rate function.
+
+    Three float arrays and one index array of ``count`` elements, reused
+    in place; every element sees the same operations in the same order as
+    ``start + cycles * period + time_starts[seg] + within``.
+    """
+    # Unit-rate Poisson points on the cumulative-rate axis; ``frac`` turns
+    # into each point's offset within its cycle below.
+    frac = rng.standard_exponential(count)
+    np.cumsum(frac, out=frac)
     # Expected events contributed by each segment of one cycle.
     seg_mass = durations_ns * rates_qps / 1e9
     cycle_mass = float(seg_mass.sum())
     if cycle_mass <= 0:
         raise ConfigurationError("rate profile must have positive mean rate")
     period_ns = float(durations_ns.sum())
-    cycles = np.floor(targets / cycle_mass)
-    frac = targets - cycles * cycle_mass
+    # cycles = floor(points / cycle_mass); frac = points - cycles * cycle_mass
+    cycles = np.divide(frac, cycle_mass)
+    np.floor(cycles, out=cycles)
+    scratch = np.multiply(cycles, cycle_mass)
+    frac -= scratch
     mass_ends = np.cumsum(seg_mass)
     time_starts = np.concatenate(([0.0], np.cumsum(durations_ns)[:-1]))
     mass_starts = np.concatenate(([0.0], mass_ends[:-1]))
+    rate_per_ns = rates_qps / 1e9
     seg = np.searchsorted(mass_ends, frac, side="right")
-    seg = np.minimum(seg, seg_mass.size - 1)
-    rate_per_ns = rates_qps[seg] / 1e9
-    within = (frac - mass_starts[seg]) / rate_per_ns
-    return start_ns + cycles * period_ns + time_starts[seg] + within
+    np.minimum(seg, seg_mass.size - 1, out=seg)
+    # The gathers write into ``scratch``; seg is in range, so mode="clip"
+    # changes no index and only skips the copy mode="raise" makes of out.
+    # frac becomes within = (frac - mass_starts[seg]) / rate_per_ns[seg],
+    # and cycles the arrival time.
+    frac -= np.take(mass_starts, seg, out=scratch, mode="clip")
+    frac /= np.take(rate_per_ns, seg, out=scratch, mode="clip")
+    cycles *= period_ns
+    cycles += start_ns
+    cycles += np.take(time_starts, seg, out=scratch, mode="clip")
+    cycles += frac
+    return cycles
 
 
 def onoff_arrivals(

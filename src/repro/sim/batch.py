@@ -60,27 +60,9 @@ def fifo_departures(arrivals, service_ns: float, servers: int = 1) -> np.ndarray
     ``arrivals`` must be sorted non-decreasing; ``servers`` parallel
     servers each take ``service_ns`` per job (jobs are served in arrival
     order, each by the first free server — the lag-``servers`` recurrence).
+    The scalar form of :func:`open_loop_departures`.
     """
-    a = np.asarray(arrivals, dtype=float)
-    if a.ndim != 1:
-        raise ConfigurationError("arrivals must be a 1-D array")
-    if service_ns < 0:
-        raise ConfigurationError(f"negative service time: {service_ns}")
-    if servers < 1:
-        raise ConfigurationError(f"servers must be >= 1, got {servers}")
-    if a.size == 0:
-        return a.copy()
-    if np.any(np.diff(a) < 0):
-        raise ConfigurationError("arrivals must be sorted non-decreasing")
-    out = np.empty_like(a)
-    for lane in range(min(servers, a.size)):
-        chain = a[lane::servers]
-        idx = np.arange(chain.size, dtype=float)
-        out[lane::servers] = (
-            np.maximum.accumulate(chain - service_ns * idx)
-            + service_ns * (idx + 1.0)
-        )
-    return out
+    return open_loop_departures(arrivals, float(service_ns), servers)
 
 
 def open_loop_departures(arrivals, service_ns, servers: int = 1) -> np.ndarray:
@@ -89,7 +71,8 @@ def open_loop_departures(arrivals, service_ns, servers: int = 1) -> np.ndarray:
     ``arrivals`` is a sorted non-decreasing array of request arrival
     times. ``service_ns`` may be:
 
-    * a scalar — constant service; identical to :func:`fifo_departures`;
+    * a scalar — constant service; identical to :func:`fifo_departures`,
+      and run as the per-server form with that time on every server;
     * an array of length ``servers`` (with ``servers > 1`` or a 1-element
       array) — per-server constant service, where request ``i`` is bound
       to server ``i % servers`` (the worker-pool assignment the DES
@@ -101,33 +84,44 @@ def open_loop_departures(arrivals, service_ns, servers: int = 1) -> np.ndarray:
       ``d_i = S_i + max_{j <= i} (a_j - S_{j-1})`` with
       ``S_i = sum(service[:i+1])``.
 
-    All three forms are exact recurrences, not approximations.
+    All three forms are exact recurrences, not approximations. The
+    caller's arrays are only read.
     """
     a = np.asarray(arrivals, dtype=float)
     if a.ndim != 1:
         raise ConfigurationError("arrivals must be a 1-D array")
     if servers < 1:
         raise ConfigurationError(f"servers must be >= 1, got {servers}")
-    if a.size > 1 and np.any(np.diff(a) < 0):
+    if a.size > 1 and (a[1:] < a[:-1]).any():
         raise ConfigurationError("arrivals must be sorted non-decreasing")
     service = np.asarray(service_ns, dtype=float)
     if np.any(service < 0):
         raise ConfigurationError("negative service time")
     if service.ndim == 0:
-        return fifo_departures(a, float(service), servers)
+        service = np.broadcast_to(service, servers)
     if service.ndim != 1:
         raise ConfigurationError("service_ns must be a scalar or 1-D array")
     if a.size == 0:
         return a.copy()
     if service.size == servers:
+        # Chain ``lane`` is a[lane::servers]; with idx = 0, 1, ... along it,
+        # d = max.accumulate(a - s * idx) + s * (idx + 1.0). The integers
+        # in ``steps`` are exact, so one product s * steps[: k + 1] yields
+        # both s * idx and s * (idx + 1.0). Every lane reuses two buffers.
+        longest = -(-a.size // servers)
+        steps = np.arange(longest + 1, dtype=float)
+        scaled = np.empty(longest + 1)
+        lead = np.empty(longest)
         out = np.empty_like(a)
         for lane in range(min(servers, a.size)):
             chain = a[lane::servers]
-            s = float(service[lane])
-            idx = np.arange(chain.size, dtype=float)
-            out[lane::servers] = (
-                np.maximum.accumulate(chain - s * idx) + s * (idx + 1.0)
+            k = chain.size
+            np.multiply(
+                float(service[lane]), steps[: k + 1], out=scaled[: k + 1]
             )
+            np.subtract(chain, scaled[:k], out=lead[:k])
+            np.maximum.accumulate(lead[:k], out=lead[:k])
+            np.add(lead[:k], scaled[1 : k + 1], out=out[lane::servers])
         return out
     if servers == 1 and service.size == a.size:
         cum = np.cumsum(service)

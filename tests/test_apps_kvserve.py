@@ -49,6 +49,20 @@ class TestArrivalSpec:
         with pytest.raises(ConfigurationError):
             ArrivalSpec(kind="onoff", burst_factor=5.0, on_fraction=0.25)
 
+    @pytest.mark.parametrize("on_fraction, qps", [
+        (0.9, 1e6), (0.3, 7.3e6), (0.45, 2e6),
+    ])
+    def test_full_burst_is_silent_between_bursts(self, on_fraction, qps):
+        # At burst_factor == 1 / on_fraction the off-rate is zero, but it
+        # used to round to about -1e-9, which onoff_arrivals rejected.
+        spec = ArrivalSpec(
+            kind="onoff", on_fraction=on_fraction, burst_factor=1 / on_fraction
+        )
+        arrivals = spec.generate(SplitRng(7).stream("arrivals"), qps, 20_000)
+        assert arrivals.size == 20_000
+        phase = np.mod(arrivals, spec.period_ns)
+        assert np.all(phase <= on_fraction * spec.period_ns)
+
     def test_diurnal_needs_levels(self):
         with pytest.raises(ConfigurationError):
             ArrivalSpec(kind="diurnal", levels=())

@@ -1,4 +1,5 @@
-"""Property-based tests on the analytic models (collective, relay, histogram)."""
+"""Property-based tests on the analytic models (collective, relay, histogram)
+and on the open-loop serving path against its reference loops."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 from repro.analysis.histogram import LatencyHistogram
 from repro.collective.model import Algorithm, CollectiveCost
 from repro.io.relay import NicSpec, RelayDesign, SsdArraySpec, relay_throughput
+from repro.analysis.stats import LatencyStats
 from repro.platform.presets import epyc_7302, epyc_9634
+from tests.test_serving_identity import (
+    _reference_merge,
+    _assert_same_bits,
+    _check_departure_trial,
+    _check_serving_cell,
+    _random_cell,
+    _random_departure_trial,
+    _random_parts,
+)
 
 _P7302 = epyc_7302()
 _P9634 = epyc_9634()
@@ -130,3 +141,20 @@ class TestHistogramProperties:
         histogram.add_many(samples)
         quantiles = [histogram.percentile(q) for q in (10, 50, 90, 99)]
         assert quantiles == sorted(quantiles)
+
+
+class TestServingPathProperties:
+    """The in-place open-loop path matches its reference loops bit for bit
+    (the seeded sweeps are in ``tests/test_serving_identity.py``)."""
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_serve_tenants_matches_the_reference(self, rng):
+        _check_serving_cell(*_random_cell(rng, (_P7302, _P9634)))
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_departures_and_stats_match_the_reference(self, rng):
+        _check_departure_trial(*_random_departure_trial(rng))
+        parts = _random_parts(rng)
+        _assert_same_bits(LatencyStats.merge(parts), _reference_merge(parts))

@@ -619,18 +619,21 @@ class TestOpenLoopDepartures:
     @pytest.mark.parametrize("servers", [1, 2, 3, 5])
     def test_scalar_service_matches_brute_force(self, servers):
         rng = np.random.default_rng(11)
-        arrivals = np.sort(rng.uniform(0.0, 80.0, size=64))
-        got = open_loop_departures(arrivals, 3.5, servers=servers)
-        want = _brute_force_open_loop(arrivals, [3.5] * servers, servers)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        # 3 and 1 arrivals: fewer requests than servers, and a single one.
+        for size in (64, 3, 1):
+            arrivals = np.sort(rng.uniform(0.0, 80.0, size=size))
+            got = open_loop_departures(arrivals, 3.5, servers=servers)
+            want = _brute_force_open_loop(arrivals, [3.5] * servers, servers)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_per_server_service_matches_brute_force(self):
         rng = np.random.default_rng(12)
-        arrivals = np.sort(rng.uniform(0.0, 80.0, size=64))
         service = np.array([2.0, 5.0, 3.0])
-        got = open_loop_departures(arrivals, service, servers=3)
-        want = _brute_force_open_loop(arrivals, service, 3)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        for size in (64, 2, 1):
+            arrivals = np.sort(rng.uniform(0.0, 80.0, size=size))
+            got = open_loop_departures(arrivals, service, servers=3)
+            want = _brute_force_open_loop(arrivals, service, 3)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_per_job_service_matches_serial_queue(self):
         rng = np.random.default_rng(13)
