@@ -16,6 +16,7 @@ Run with::
 
 from repro.experiments import explore
 from repro.platform.generator import catalog_names, from_catalog
+from repro.runner import run_cells_detailed
 
 #: Generous hang-catching ceilings (seconds), not jitter-sensitive bars.
 POINT_CEILING_S = 10.0
@@ -52,8 +53,9 @@ def bench_explore_point_squeeze(benchmark, record_timing):
 def bench_explore_catalog_sweep(benchmark, record_timing):
     """The full catalog sweep, serial and uncached (worst-case CLI run)."""
     results = benchmark.pedantic(
-        explore.run,
-        kwargs=dict(packets_per_sender=_PACKETS, jobs=1, cache=None),
+        lambda: run_cells_detailed(
+            explore.cells(packets_per_sender=_PACKETS), jobs=1, cache=None
+        ),
         rounds=1, iterations=1,
     )
     best = benchmark.stats.stats.min

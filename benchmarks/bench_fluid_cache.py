@@ -20,6 +20,7 @@ from repro.cache import ResultCache
 from repro.experiments import fig5, netstack
 from repro.fluid import solver
 from repro.fluid.timeseries import FluidSimulator
+from repro.runner import run_cells_detailed
 
 #: Acceptance floors (the measured ratios are far above both).
 MIN_BACKEND_SPEEDUP = 3.0
@@ -70,8 +71,9 @@ def bench_netstack_cached_rerun(p7302, record_timing, tmp_path):
     cache = ResultCache(tmp_path / "store")
 
     def sweep():
-        return netstack.run(
-            p7302, jobs=1, transactions_per_core=_TRANSACTIONS, cache=cache,
+        return run_cells_detailed(
+            netstack.cells(p7302, transactions_per_core=_TRANSACTIONS),
+            jobs=1, cache=cache,
         )
 
     cold_s, cold = _timed(sweep)

@@ -64,11 +64,10 @@ def _plain_twin(platform):
         flows=["victim"], endpoints=endpoints,
     )
     executor = TransactionExecutor(env, flow="victim")
-    meter = chaos._DeliveryMeter(env, executor)
     window = platform.spec.bandwidth.mlp_read
     finished = []
     for index, core_id in enumerate(cores):
-        gate = installation.gate(meter, "victim")
+        gate = installation.gate(executor, "victim")
         umc_id = int(homes[index][len("umc"):])
         path = resolver.dram_path(core_id, umc_id)
         issuer = ClosedLoopIssuer(

@@ -6,7 +6,8 @@ Exercises the full daemon lifecycle the way CI and a developer would:
 2. submit a netstack batch, then submit the identical batch again,
 3. assert the resubmission is served almost entirely from the warm
    cache (>= 90% hits) and that both artifacts are byte-identical to
-   the in-process ``--local`` fallback,
+   the in-process ``--local`` fallback and to the direct
+   ``repro netstack`` subcommand's stdout,
 4. shut the daemon down through the protocol and assert a clean exit:
    exit code 0, socket unlinked, no orphaned worker processes.
 
@@ -33,6 +34,9 @@ SPEC = {
     "platform": "synthetic",
     "params": {"transactions_per_core": 60},
 }
+
+#: The direct subcommand that denotes the same spec.
+DIRECT = ["netstack", "--platform", "synthetic", "--transactions", "60"]
 
 START_DEADLINE_S = 30.0
 SHUTDOWN_DEADLINE_S = 30.0
@@ -102,6 +106,15 @@ def main():
         if not (cold.render() == warm.render() == local.render()):
             fail("served artifact differs from the local fallback")
         print("serve-smoke: served artifact byte-identical to --local")
+        direct = subprocess.run(
+            [sys.executable, "-m", "repro", *DIRECT, "--no-cache"],
+            env=env, stdout=subprocess.PIPE, text=True, check=False,
+        )
+        if direct.returncode != 0:
+            fail(f"repro {' '.join(DIRECT)} exited with {direct.returncode}")
+        if direct.stdout != local.render() + "\n":
+            fail("direct subcommand's artifact differs from the submit")
+        print("serve-smoke: direct subcommand byte-identical to submit")
 
         with ServiceClient(socket_path, client="smoke") as client:
             client.shutdown()

@@ -18,6 +18,7 @@ tail the paper's sub-microsecond motivation cares about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator, List, Optional
 
@@ -49,8 +50,10 @@ class KvWorkload:
     value_tier: str = "dram"        # "dram" or "cxl"
 
     def __post_init__(self) -> None:
-        if self.qps <= 0:
-            raise ConfigurationError("QPS must be positive")
+        if not 0.0 < self.qps < math.inf:
+            raise ConfigurationError(
+                f"QPS must be finite and positive, got {self.qps!r}"
+            )
         if self.requests < 10:
             raise ConfigurationError("need at least 10 requests")
         if self.index_depth < 1:

@@ -52,21 +52,6 @@ def _jobs_arg(text: str):
     return count
 
 
-def _severity_arg(text: str) -> float:
-    """argparse type for --severity: a float in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number in [0, 1], got {text!r}"
-        ) from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"severity must be in [0, 1], got {value}"
-        )
-    return value
-
-
 def _shards_arg(text: str) -> int:
     """argparse type for --shards: a positive integer (range-checked later
     against the platform's CCD count)."""
@@ -78,21 +63,6 @@ def _shards_arg(text: str) -> int:
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _samples_arg(text: str) -> int:
-    """argparse type for --samples: an integer >= 10."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 10, got {text!r}"
-        ) from None
-    if value < 10:
-        raise argparse.ArgumentTypeError(
-            f"need at least 10 samples, got {value}"
-        )
     return value
 
 
@@ -151,13 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, platform_default: str = "all"):
+    def add(
+        name: str, help_text: str, platform_default: Optional[str] = "all"
+    ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "--platform",
-            default=platform_default,
-            help=f"7302, 9634, synthetic, or all (default {platform_default})",
-        )
+        if platform_default is not None:
+            cmd.add_argument(
+                "--platform",
+                default=platform_default,
+                help=(
+                    f"7302, 9634, synthetic, or all (default "
+                    f"{platform_default})"
+                ),
+            )
         cmd.add_argument(
             "--seed", type=int, default=0, help="simulation seed (default 0)"
         )
@@ -216,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
         platform_default="7302",
     )
     chaos_cmd.add_argument(
-        "--severity", type=_severity_arg, default=None, metavar="S",
+        "--severity", type=float, default=None, metavar="S",
         help=(
             "single fault severity in [0,1] (0 = healthy baseline); "
             "default: sweep 0, 0.25, 0.5, 0.75, 1"
         ),
     )
     chaos_cmd.add_argument(
-        "--transactions", type=int, default=200,
+        "--transactions", type=int, default=None,
         help="DES transactions per core per severity (default 200)",
     )
     chaos_cmd.add_argument(
@@ -261,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single stack arm (default: compare all three)",
     )
     netstack_cmd.add_argument(
-        "--transactions", type=int, default=400,
+        "--transactions", type=int, default=None,
         help="DES transactions per core per arm (default 400)",
     )
     netstack_cmd.add_argument(
@@ -312,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     trace_cmd.add_argument(
-        "--samples", type=_samples_arg, default=None, metavar="N",
+        "--samples", type=int, default=None, metavar="N",
         help=(
             "transactions per core (netstack) or chase iterations (table2); "
             "defaults keep the trace a few MB"
@@ -331,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
         platform_default="9634",
     )
     kvstore_cmd.add_argument(
-        "--qps", type=float, default=2_000_000.0,
+        "--qps", type=float, default=None,
         help="offered open-loop arrival rate (default 2,000,000)",
     )
     kvstore_cmd.add_argument(
-        "--requests", type=int, default=100_000,
+        "--requests", type=int, default=None,
         help="requests served per (tier, background) arm (default 100,000)",
     )
     kvstore_cmd.add_argument(
@@ -346,53 +322,36 @@ def build_parser() -> argparse.ArgumentParser:
             "for small-cell validation"
         ),
     )
-    explore_cmd = sub.add_parser(
+    explore_cmd = add(
         "explore",
-        help="generated topology x routing x workload design-space sweep",
-        description=(
-            "Sweep generated topologies (repro.platform.generator catalog) "
-            "against routing policies and workloads through the hardened "
-            "runner, scoring each point on victim share, Jain fairness, "
-            "p99 DES latency, and bisection utilization."
-        ),
+        "generated topology x routing x workload design-space sweep",
+        platform_default=None,
+    )
+    explore_cmd.description = (
+        "Sweep generated topologies (repro.platform.generator catalog) "
+        "against routing policies and workloads through the hardened "
+        "runner, scoring each point on victim share, Jain fairness, "
+        "p99 DES latency, and bisection utilization."
     )
     explore_cmd.add_argument(
-        "--topology", default="all", metavar="NAME",
+        "--topology", default=None, metavar="NAME",
         help=(
             "one generated topology from the catalog, or 'all' for the "
             "full catalog (default all)"
         ),
     )
     explore_cmd.add_argument(
-        "--routing", default="both", choices=("xy", "adaptive", "both"),
+        "--routing", default=None, choices=("xy", "adaptive", "both"),
         help="routing policy arm(s) to sweep (default both)",
     )
     explore_cmd.add_argument(
-        "--workload", default="both",
+        "--workload", default=None,
         choices=("contention", "uniform", "both"),
         help="workload arm(s) to sweep (default both)",
     )
     explore_cmd.add_argument(
-        "--packets", type=int, default=60, metavar="N",
+        "--packets", type=int, default=None, metavar="N",
         help="DES packets injected per sender per cell (default 60)",
-    )
-    explore_cmd.add_argument(
-        "--seed", type=int, default=0, help="simulation seed (default 0)"
-    )
-    explore_cmd.add_argument(
-        "--jobs", default=None, type=_jobs_arg, metavar="N",
-        help=(
-            "worker processes for independent cells: a count or 'auto' "
-            "(default: $REPRO_JOBS, else auto); output is byte-identical "
-            "for any value"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help=(
-            "recompute every cell instead of reading/writing the "
-            "content-addressed result cache (.repro-cache/)"
-        ),
     )
     add("devtree", "chiplet-net device tree export (§4 #1)")
     add("io-relay", "NIC→DRAM→NVMe relay stack designs (§4 #3)")
@@ -523,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="netstack: single stack arm (default: all three)",
     )
     submit_cmd.add_argument(
-        "--severity", type=_severity_arg, default=None, metavar="S",
+        "--severity", type=float, default=None, metavar="S",
         help="chaos: single fault severity in [0,1] (default: full sweep)",
     )
     submit_cmd.add_argument(
@@ -531,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace: which cell to trace (default netstack)",
     )
     submit_cmd.add_argument(
-        "--samples", type=_samples_arg, default=None, metavar="N",
+        "--samples", type=int, default=None, metavar="N",
         help="trace: samples per traced cell (default: kind-specific)",
     )
     submit_cmd.add_argument(
@@ -545,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_cmd.add_argument(
         "--topology", default=None, metavar="NAME",
-        help="explore: one catalog topology (default: the full catalog)",
+        help="explore: one catalog topology, or 'all' (default all)",
     )
     submit_cmd.add_argument(
         "--routing", default=None, choices=("xy", "adaptive", "both"),
@@ -583,30 +542,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _submit_spec(args, platform_name: str) -> dict:
-    """One service job spec from ``repro submit`` flags."""
+def _submit_spec(kind: str, args, platform_name: str) -> dict:
+    """One service job spec from the flags of ``repro [submit] <kind>``.
+
+    Only the flags given go into ``params``; :func:`normalize_spec` fills
+    the defaults and range-checks every value for both doors.
+    """
     params: dict = {}
-    if args.kind == "netstack":
+    if kind == "netstack":
         if args.arm is not None:
             params["arms"] = [args.arm]
         if args.transactions is not None:
             params["transactions_per_core"] = args.transactions
-    elif args.kind == "chaos":
+    elif kind == "chaos":
         if args.severity is not None:
             params["severities"] = [args.severity]
         if args.transactions is not None:
             params["transactions_per_core"] = args.transactions
-    elif args.kind == "kvstore":
+    elif kind == "kvstore":
         if args.qps is not None:
             params["qps"] = args.qps
         if args.requests is not None:
             params["requests"] = args.requests
-    elif args.kind == "explore":
-        if args.topology is not None:
+    elif kind == "explore":
+        if args.topology not in (None, "all"):
             params["topologies"] = [args.topology]
-        if args.routing is not None and args.routing != "both":
+        if args.routing not in (None, "both"):
             params["routings"] = [args.routing]
-        if args.workload is not None and args.workload != "both":
+        if args.workload not in (None, "both"):
             params["workloads"] = [args.workload]
         if args.packets is not None:
             params["packets_per_sender"] = args.packets
@@ -615,7 +578,7 @@ def _submit_spec(args, platform_name: str) -> dict:
         if args.samples is not None:
             params["samples"] = args.samples
     return {
-        "kind": args.kind,
+        "kind": kind,
         "platform": platform_name,
         "seed": args.seed,
         "params": params,
@@ -763,6 +726,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_default_cache(ResultCache())
 
     from repro.errors import ConfigurationError
+    from repro.service.registry import KINDS
 
     jobs = getattr(args, "jobs", None)
     started = time.perf_counter()
@@ -859,54 +823,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             out.append(accel_dispatch.render(reports))
 
-    elif args.command == "chaos":
-        from repro.experiments import chaos
-
-        severities = (
-            chaos.SEVERITIES if args.severity is None else (args.severity,)
-        )
-        for platform in _platforms_for(args.platform):
-            results = chaos.run(
-                platform,
-                severities=severities,
-                seed=args.seed,
-                transactions_per_core=args.transactions,
-                jobs=jobs,
-                timeout_s=args.timeout,
-                retries=args.retries,
-                fail_fast=args.fail_fast,
-            )
-            out.append(chaos.render(platform.name, results))
-            if args.recover:
-                recovery_results = chaos.run_recovery(
-                    platform,
-                    seed=args.seed,
-                    jobs=jobs,
-                    timeout_s=args.timeout,
-                    retries=args.retries,
-                    fail_fast=args.fail_fast,
-                )
-                out.append(
-                    chaos.render_recovery(platform.name, recovery_results)
-                )
-
-    elif args.command == "netstack":
-        from repro.experiments import netstack
-
-        arms = netstack.ARMS if args.arm is None else (args.arm,)
-        for platform in _platforms_for(args.platform):
-            results = netstack.run(
-                platform,
-                arms=arms,
-                seed=args.seed,
-                transactions_per_core=args.transactions,
-                jobs=jobs,
-                timeout_s=args.timeout,
-                retries=args.retries,
-                fail_fast=args.fail_fast,
-            )
-            out.append(netstack.render(platform.name, results))
-
     elif args.command == "sharded":
         from repro.experiments import sharded_cell
 
@@ -929,69 +845,61 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 build_parser().error(str(error))
             out.append(sharded_cell.render(platform.name, results))
 
-    elif args.command == "kvstore":
-        from repro.experiments import kvserve
-
-        for platform in _platforms_for(args.platform):
-            try:
-                results = kvserve.run(
-                    platform,
-                    qps=args.qps,
-                    requests=args.requests,
-                    engine=args.engine,
-                    seed=args.seed,
-                    jobs=jobs,
-                )
-            except ConfigurationError as error:
-                build_parser().error(str(error))
-            out.append(kvserve.render(platform.name, results))
-
-    elif args.command == "explore":
-        from repro.experiments import explore
-        from repro.platform.generator import catalog_names
-
-        if args.topology == "all":
-            topologies = None
-        elif args.topology in catalog_names():
-            topologies = [args.topology]
-        else:
-            build_parser().error(
-                f"unknown topology {args.topology!r} (choose from "
-                f"{', '.join(catalog_names())}, all)"
-            )
-        routings = (
-            explore.ROUTINGS if args.routing == "both" else (args.routing,)
+    elif args.command in KINDS:
+        from repro.runner import run_cells_detailed
+        from repro.service.registry import (
+            normalize_spec,
+            render_results,
+            resolve_platform,
+            run_local,
         )
-        workloads = (
-            explore.WORKLOADS if args.workload == "both" else (args.workload,)
-        )
-        results = explore.run(
-            topologies=topologies,
-            routings=routings,
-            workloads=workloads,
-            seed=args.seed,
-            packets_per_sender=args.packets,
+
+        knobs = dict(
             jobs=jobs,
+            timeout_s=getattr(args, "timeout", None),
+            retries=getattr(args, "retries", 0),
+            fail_fast=getattr(args, "fail_fast", False),
         )
-        out.append(explore.render(results))
-
-    elif args.command == "trace":
-        from repro.experiments import trace as trace_exp
-
-        platforms = _platforms_for(args.platform)
-        if args.out not in (None, "-") and len(platforms) > 1:
+        # explore has no --platform: its cells bring their own platforms.
+        names = _platform_names_for(getattr(args, "platform", "7302"))
+        one_file = args.command == "trace" and args.out not in (None, "-")
+        if one_file and len(names) > 1:
             build_parser().error(
                 "--out names a single file; pick a single --platform"
             )
-        for platform in platforms:
-            results = trace_exp.run(
-                platform, args.cell,
-                seed=args.seed, samples=args.samples, jobs=jobs,
-            )
-            out.append(trace_exp.render(platform, args.cell, results))
-            if args.out != "-":
+        for name in names:
+            try:
+                spec = normalize_spec(_submit_spec(args.command, args, name))
+                if args.command == "kvstore" and args.engine != "hybrid":
+                    # --engine is a direct-door flag: a submitted spec
+                    # always runs the hybrid engine.
+                    from repro.experiments import kvserve
+
+                    results = run_cells_detailed(kvserve.cells(
+                        resolve_platform(name), engine=args.engine,
+                        seed=spec["seed"], **spec["params"],
+                    ), **knobs)
+                else:
+                    results = run_local(spec, **knobs)
+            except ConfigurationError as error:
+                build_parser().error(str(error))
+            out.append(render_results(spec, results))
+            if args.command == "chaos" and args.recover:
+                from repro.experiments import chaos
+
+                platform = resolve_platform(name)
+                out.append(chaos.render_recovery(
+                    platform.name,
+                    run_cells_detailed(
+                        chaos.recovery_cells(platform, seed=args.seed),
+                        **knobs,
+                    ),
+                ))
+            if args.command == "trace" and args.out != "-":
+                from repro.experiments import trace as trace_exp
+
                 path = args.out or trace_exp.default_out_path(
-                    args.cell, platform
+                    args.cell, resolve_platform(name)
                 )
                 text, events = trace_exp.export_json(results)
                 with open(path, "w", encoding="utf-8") as handle:
@@ -1060,12 +968,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out.append(patterns.render(results))
 
     elif args.command == "submit":
-        from repro.errors import ConfigurationError as _ConfigError
         from repro.errors import ServiceError
         from repro.service import submit_or_local
 
         for platform_name in _platform_names_for(args.platform):
-            spec = _submit_spec(args, platform_name)
+            spec = _submit_spec(args.kind, args, platform_name)
             try:
                 outcome = submit_or_local(
                     spec,
@@ -1077,7 +984,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     retries=args.retries,
                     prefer_local=args.local,
                 )
-            except _ConfigError as error:
+            except ConfigurationError as error:
                 build_parser().error(str(error))
             except ServiceError as error:
                 hint = (

@@ -42,8 +42,7 @@ from repro.core.flows import StreamSpec
 from repro.core.loadgen import ClosedLoopIssuer
 from repro.core.partition import ccd_shard_map
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.umc import UmcServer
-from repro.noc.arbiter import LinkArbiter
+from repro.fluid.coupling import stage_channel
 from repro.platform.topology import Platform
 from repro.sim.batch import (
     BatchFlow,
@@ -57,7 +56,7 @@ from repro.sim.calendar import EventCalendar
 from repro.sim.engine import Environment
 from repro.sim.sharded import ShardedEnvironment, default_lookahead_ns
 from repro.transport.message import OpKind
-from repro.transport.path import PathResolver, QueuedStage
+from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 from repro.units import CACHELINE
 
@@ -269,30 +268,6 @@ def _run_serial_cell(
 # --------------------------------------------------------------- sharded cell
 
 
-def _stage_servers(stage: QueuedStage, is_write: bool) -> int:
-    server = stage.server
-    if isinstance(server, UmcServer):
-        arbiter = server.arbiter
-    elif isinstance(server, LinkArbiter):
-        arbiter = server
-    else:
-        raise ConfigurationError(
-            f"stage {stage.name}: unsupported server for batched execution"
-        )
-    direction = arbiter.write_dir if is_write else arbiter.read_dir
-    return direction.resource.capacity
-
-
-def _stage_channel(stage_name: str, is_write: bool) -> Optional[str]:
-    """The fluid channel a stage maps to (None: no bandwidth partition)."""
-    direction = "w" if is_write else "r"
-    if stage_name == "noc":
-        return f"noc:{direction}"
-    if stage_name.startswith("umc"):
-        return f"{stage_name}:{direction}"
-    return None
-
-
 def _offered_loads(
     platform: Platform, flows: Sequence[ShardFlowSpec]
 ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float]]:
@@ -450,12 +425,13 @@ def _run_sharded_cell(
                 batch_stage = registry.get(stage.name)
                 if batch_stage is None:
                     batch_stage = BatchStage(
-                        stage.name, _stage_servers(stage, is_write)
+                        stage.name,
+                        stage.directions[is_write].resource.capacity,
                     )
                     registry[stage.name] = batch_stage
                 service = stage.unloaded_service_ns(CACHELINE, is_write)
                 fraction = shard_fraction(
-                    _stage_channel(stage.name, is_write), shard_id
+                    stage_channel(stage.name, is_write), shard_id
                 )
                 stage_plan.append((batch_stage, service / fraction))
             pool_plan = []

@@ -54,22 +54,17 @@ from repro.net.recovery import (
 )
 from repro.net.stack import NetStackConfig
 from repro.platform.topology import Platform
-from repro.runner import (
-    Cell,
-    CellResult,
-    USE_DEFAULT_CACHE,
-    run_cells_detailed,
-)
+from repro.runner import Cell, CellResult
 from repro.sim.engine import Environment, Event
 from repro.transport.message import OpKind
-from repro.transport.path import CompiledPath, PathResolver
+from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 
 __all__ = [
-    "ChaosPoint", "SEVERITIES", "default_schedule", "run_point", "run",
+    "ChaosPoint", "SEVERITIES", "default_schedule", "run_point", "cells",
     "render",
     "RecoveryPoint", "recovery_schedule", "run_recovery_point",
-    "run_recovery", "render_recovery",
+    "recovery_cells", "render_recovery",
 ]
 
 #: Default severity sweep: healthy first, then deepening degradation.
@@ -163,24 +158,18 @@ def run_point(
     )
 
 
-def run(
+def cells(
     platform: Platform,
     severities: Sequence[float] = SEVERITIES,
     seed: int = 0,
     transactions_per_core: int = 200,
-    jobs=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    fail_fast: bool = False,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """Sweep severities; one hardened-runner cell per severity.
+) -> List[Cell]:
+    """One cell per severity, for :func:`repro.runner.run_cells_detailed`.
 
-    Returns the structured :class:`~repro.runner.CellResult` list (submission
-    order = severity order): with ``fail_fast=False`` a failed severity is
-    reported in its row instead of aborting the sweep.
+    Submission order is severity order; run with ``fail_fast=False``, a
+    failed severity is reported in its row instead of aborting the sweep.
     """
-    cells = [
+    return [
         Cell(
             run_point,
             (platform, float(severity)),
@@ -188,10 +177,6 @@ def run(
         )
         for severity in severities
     ]
-    return run_cells_detailed(
-        cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
-        fail_fast=fail_fast, cache=cache,
-    )
 
 
 def render(platform_name: str, results: Sequence[CellResult]) -> str:
@@ -292,32 +277,6 @@ def _victim_cell(platform: Platform) -> Tuple[List[int], List[int], float]:
     cores = list(victim.core_ids)
     shared = sorted(shared_umc_ids(platform))
     return cores, shared, VICTIM_DEMAND_GBPS / len(cores)
-
-
-class _DeliveryMeter:
-    """A passive executor shim counting delivered bytes per endpoint.
-
-    Sits between the gate and the real executor so both recovery arms are
-    measured identically: bytes count at completion, against the endpoint
-    that actually served the transaction (failover retries count at their
-    failover endpoint).
-    """
-
-    def __init__(self, env: Environment, inner: TransactionExecutor) -> None:
-        self.env = env
-        self.inner = inner
-        self.delivered: Dict[str, int] = {}
-
-    def execute(self, txn, path: CompiledPath) -> Generator[Event, None, object]:
-        result = yield from self.inner.execute(txn, path)
-        endpoint = path.stages[-1].name
-        self.delivered[endpoint] = (
-            self.delivered.get(endpoint, 0) + txn.size_bytes
-        )
-        return result
-
-    def total(self) -> int:
-        return sum(self.delivered.values())
 
 
 def _sample_at(
@@ -446,7 +405,6 @@ def _des_recovery(
         flows=["victim"], endpoints=endpoints, seed=seed,
     )
     executor = TransactionExecutor(env, flow="victim")
-    meter = _DeliveryMeter(env, executor)
     if recover:
         homed_gbps: Dict[str, float] = {}
         for index, core_id in enumerate(cores):
@@ -474,9 +432,9 @@ def _des_recovery(
     finished = []
     for index, core_id in enumerate(cores):
         if recover:
-            gate = installation.gate(meter, "victim", worker=index)
+            gate = installation.gate(executor, "victim", worker=index)
         else:
-            gate = installation.gate(meter, "victim")
+            gate = installation.gate(executor, "victim")
         umc_id = int(homes[index][len("umc"):])
         path = resolver.dram_path(core_id, umc_id)
         issuer = ClosedLoopIssuer(
@@ -490,9 +448,13 @@ def _des_recovery(
             rate_gbps=rate_each,
         )
         finished.append(issuer.start())
+    # Throughput marks: bytes completed by each window boundary, whichever
+    # endpoint served them (failover retries count where they landed).
     marks: Dict[float, int] = {}
     boundaries = sorted(set(_REC_PRE_WINDOW) | set(_REC_POST_WINDOW))
-    env.process(_sample_at(env, boundaries, meter.total, marks))
+    env.process(_sample_at(
+        env, boundaries, lambda: executor.bytes_delivered, marks
+    ))
     env.run(env.all_of(finished))
     if recover:
         installation.stop()
@@ -548,18 +510,13 @@ def run_recovery_point(
     )
 
 
-def run_recovery(
+def recovery_cells(
     platform: Platform,
     seed: int = 0,
     transactions_per_core: int = 600,
-    jobs=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    fail_fast: bool = False,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """Both backends × both recovery arms through the hardened runner."""
-    cells = [
+) -> List[Cell]:
+    """Both backends × both recovery arms, one runner cell each."""
+    return [
         Cell(
             run_recovery_point,
             (platform, backend, recover),
@@ -568,10 +525,6 @@ def run_recovery(
         for backend in ("fluid", "des")
         for recover in (False, True)
     ]
-    return run_cells_detailed(
-        cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
-        fail_fast=fail_fast, cache=cache,
-    )
 
 
 def render_recovery(platform_name: str, results: Sequence[CellResult]) -> str:

@@ -49,18 +49,13 @@ from repro.noc.router import AdaptiveMeshNetwork
 from repro.noc.routing import RoutingPolicy
 from repro.platform.generator import TopologyGen, catalog_names, from_catalog
 from repro.platform.topology import Platform
-from repro.runner import (
-    Cell,
-    CellResult,
-    USE_DEFAULT_CACHE,
-    run_cells_detailed,
-)
+from repro.runner import Cell, CellResult
 from repro.sim.engine import Environment
 from repro.sim.rng import SplitRng
 from repro.transport.message import OpKind
 
 __all__ = [
-    "ROUTINGS", "WORKLOADS", "ExplorePoint", "run_point", "run", "render",
+    "ROUTINGS", "WORKLOADS", "ExplorePoint", "run_point", "cells", "render",
 ]
 
 #: Routing policies the sweep compares, in presentation order.
@@ -294,26 +289,21 @@ def run_point(
     )
 
 
-def run(
+def cells(
     topologies: Optional[Sequence[str]] = None,
     routings: Sequence[str] = ROUTINGS,
     workloads: Sequence[str] = WORKLOADS,
     seed: int = 0,
     packets_per_sender: int = 60,
-    jobs=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    fail_fast: bool = False,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """The full sweep through the hardened runner.
+) -> List[Cell]:
+    """The sweep's cells (default: the whole catalog), one per point.
 
     Submission order is topology-major (all of one topology's cells, then
     the next), matching the rendered table; output is byte-identical for
-    any ``--jobs`` and with or without a result ``cache``.
+    any ``--jobs`` and with or without a result cache.
     """
     names = list(topologies) if topologies is not None else list(catalog_names())
-    cells = [
+    return [
         Cell(
             run_point,
             (name, from_catalog(name), routing, workload),
@@ -323,10 +313,6 @@ def run(
         for workload in workloads
         for routing in routings
     ]
-    return run_cells_detailed(
-        cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
-        fail_fast=fail_fast, cache=cache,
-    )
 
 
 def render(results: Sequence[CellResult]) -> str:

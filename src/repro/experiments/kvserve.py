@@ -20,7 +20,7 @@ from repro.apps.kvserve import HybridKvServer
 from repro.apps.kvstore import KvServerModel, KvWorkload
 from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
-from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE, run_cells_detailed
+from repro.runner import Cell, CellResult
 
 __all__ = [
     "ARMS",
@@ -30,7 +30,7 @@ __all__ = [
     "default_workers",
     "hog_cores",
     "run_point",
-    "run",
+    "cells",
     "render",
 ]
 
@@ -154,17 +154,15 @@ def run_point(
     )
 
 
-def run(
+def cells(
     platform: Platform,
     qps: float = 2_000_000.0,
     requests: int = 100_000,
     engine: str = "hybrid",
     seed: int = 0,
-    jobs=None,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """Every (tier, background) arm as one hardened-runner cell each."""
-    cells = [
+) -> List[Cell]:
+    """Every (tier, background) arm, one runner cell each."""
+    return [
         Cell(
             run_point,
             (platform, tier, background),
@@ -172,7 +170,6 @@ def run(
         )
         for tier, background in arms_for(platform)
     ]
-    return run_cells_detailed(cells, jobs=jobs, cache=cache)
 
 
 def render(platform_name: str, results: Sequence[CellResult]) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.core.fabric import FabricModel
@@ -42,19 +42,14 @@ from repro.net.inject import install
 from repro.net.qos import QosClass
 from repro.net.stack import NetStackConfig, fluid_allocation
 from repro.platform.topology import Platform
-from repro.runner import (
-    Cell,
-    CellResult,
-    USE_DEFAULT_CACHE,
-    run_cells_detailed,
-)
+from repro.runner import Cell, CellResult
 from repro.sim.engine import Environment
 from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 
 __all__ = [
     "ARMS", "BACKENDS", "NetPoint", "config_for", "run_point",
-    "run_point_traced", "run", "render",
+    "run_point_traced", "cells", "render",
 ]
 
 #: The stack arms, in presentation order.
@@ -240,24 +235,19 @@ def run_point_traced(
     return point, tracer.recording(arm=arm), profiler.report()
 
 
-def run(
+def cells(
     platform: Platform,
     arms: Sequence[str] = ARMS,
     seed: int = 0,
     transactions_per_core: int = 400,
-    jobs=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    fail_fast: bool = False,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """All (arm, backend) cells through the hardened runner.
+) -> List[Cell]:
+    """All (arm, backend) cells, for :func:`repro.runner.run_cells_detailed`.
 
     Submission order is backends-major (all fluid arms, then all DES arms),
     matching the rendered table; output is byte-identical for any --jobs
-    and with or without a result ``cache``.
+    and with or without a result cache.
     """
-    cells = [
+    return [
         Cell(
             run_point,
             (platform, arm, backend),
@@ -266,10 +256,6 @@ def run(
         for backend in BACKENDS
         for arm in arms
     ]
-    return run_cells_detailed(
-        cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
-        fail_fast=fail_fast, cache=cache,
-    )
 
 
 def render(platform_name: str, results: Sequence[CellResult]) -> str:

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
-from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE, run_cells_detailed
+from repro.runner import Cell, CellResult
 from repro.telemetry.counters import CounterRegistry
 from repro.trace import (
     TraceRecording,
@@ -43,7 +43,7 @@ __all__ = [
     "TracedCell",
     "default_samples",
     "default_out_path",
-    "run",
+    "cells",
     "render",
     "export_json",
 ]
@@ -152,18 +152,13 @@ def _positions(platform: Platform) -> List[str]:
     return positions
 
 
-def run(
+def cells(
     platform: Platform,
     cell: str,
     seed: int = 0,
     samples: Optional[int] = None,
-    jobs=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    fail_fast: bool = False,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """All traced sub-cells of one cell kind, through the hardened runner."""
+) -> List[Cell]:
+    """All traced sub-cells of one cell kind, one runner cell each."""
     if samples is None:
         samples = default_samples(cell)
     elif cell not in CELLS:
@@ -175,19 +170,14 @@ def run(
     if cell == "netstack":
         from repro.experiments.netstack import ARMS
 
-        cells = [
+        return [
             Cell(_netstack_cell, (platform, arm, seed, samples))
             for arm in ARMS
         ]
-    else:
-        cells = [
-            Cell(_table2_cell, (platform, position, seed, samples))
-            for position in _positions(platform)
-        ]
-    return run_cells_detailed(
-        cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
-        fail_fast=fail_fast, cache=cache,
-    )
+    return [
+        Cell(_table2_cell, (platform, position, seed, samples))
+        for position in _positions(platform)
+    ]
 
 
 # ----------------------------------------------------------------- output

@@ -59,9 +59,10 @@ MAX_UTILIZATION = 0.95
 def stage_channel(stage_name: str, is_write: bool = False) -> Optional[str]:
     """The fluid channel a DES queued stage maps to (None: no channel).
 
-    Mirrors and extends the sharded engine's mapping: bandwidth-carrying
-    stages map to their fluid twin; pure arbitration points with no
-    capacity partition (``if/ccd*``, ``pciedev*``) map to None.
+    The one mapping the hybrid serving engine and the sharded engine's
+    replica partition share: bandwidth-carrying stages map to their fluid
+    twin; pure arbitration points with no capacity partition
+    (``if/ccd*``, ``pciedev*``) map to None.
     """
     direction = "w" if is_write else "r"
     if stage_name == "noc":

@@ -28,12 +28,17 @@ experiment layers:
   carried (and validated) for spec uniformity but ignored: each cell's
   platform comes from its generated topology.
 
-Every choice that changes a result is a cell argument, so a spec's cells
-alone determine their cache keys.
+Each kind's cells are its experiment module's ``cells()``, and its
+normalizer here is the only place its params get defaults and range
+checks: ``repro <kind>`` builds and normalizes the same spec as
+``repro submit <kind>``, so the two doors run the same cells and reject
+the same inputs. Every choice that changes a result is a cell argument,
+so a spec's cells alone determine their cache keys.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -203,8 +208,8 @@ def _normalize_kvserve(params: Dict[str, Any]) -> Dict[str, Any]:
     qps = params.get("qps", 2_000_000.0)
     _require(
         isinstance(qps, (int, float)) and not isinstance(qps, bool)
-        and float(qps) > 0.0,
-        f"params.qps must be a positive number, got {qps!r}",
+        and 0.0 < float(qps) < math.inf,
+        f"params.qps must be a finite positive number, got {qps!r}",
     )
     requests = _as_int(params.get("requests", 100_000), "params.requests", 10)
     return {"qps": float(qps), "requests": requests}
@@ -316,90 +321,47 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
 def build_cells(spec: Dict[str, Any]) -> List[Cell]:
     """The runner cells one normalized spec denotes, in submission order.
 
-    Deterministic: the same normalized spec always yields the same cells
-    in the same order, which is what makes per-cell events addressable by
-    index alone.
+    Each kind's cell list is its experiment module's ``cells()``, so
+    ``repro <kind>`` and a submitted spec run the same cells. Deterministic:
+    the same normalized spec always yields the same cells in the same
+    order, which is what makes per-cell events addressable by index alone.
     """
     platform = resolve_platform(spec["platform"])
-    params = spec["params"]
-    seed = spec["seed"]
-    if spec["kind"] == "netstack":
-        from repro.experiments.netstack import BACKENDS, run_point
+    kind, params, seed = spec["kind"], spec["params"], spec["seed"]
+    if kind == "netstack":
+        from repro.experiments import netstack
 
-        return [
-            Cell(
-                run_point,
-                (platform, arm, backend),
-                dict(
-                    seed=seed,
-                    transactions_per_core=params["transactions_per_core"],
-                ),
-            )
-            for backend in BACKENDS
-            for arm in params["arms"]
-        ]
-    if spec["kind"] == "chaos":
-        from repro.experiments.chaos import run_point
+        return netstack.cells(
+            platform, params["arms"], seed=seed,
+            transactions_per_core=params["transactions_per_core"],
+        )
+    if kind == "chaos":
+        from repro.experiments import chaos
 
-        return [
-            Cell(
-                run_point,
-                (platform, severity),
-                dict(
-                    seed=seed,
-                    transactions_per_core=params["transactions_per_core"],
-                ),
-            )
-            for severity in params["severities"]
-        ]
-    if spec["kind"] == "kvstore":
-        from repro.experiments.kvserve import arms_for, run_point
+        return chaos.cells(
+            platform, params["severities"], seed=seed,
+            transactions_per_core=params["transactions_per_core"],
+        )
+    if kind == "kvstore":
+        from repro.experiments import kvserve
 
-        return [
-            Cell(
-                run_point,
-                (platform, tier, background),
-                dict(
-                    qps=params["qps"],
-                    requests=params["requests"],
-                    engine="hybrid",
-                    seed=seed,
-                ),
-            )
-            for tier, background in arms_for(platform)
-        ]
-    if spec["kind"] == "explore":
-        from repro.experiments.explore import run_point
-        from repro.platform.generator import from_catalog
+        return kvserve.cells(
+            platform, qps=params["qps"], requests=params["requests"],
+            engine="hybrid", seed=seed,
+        )
+    if kind == "explore":
+        from repro.experiments import explore
 
-        # Topology-major, matching repro.experiments.explore.run — the
-        # generated platforms replace the spec's (ignored) preset.
-        return [
-            Cell(
-                run_point,
-                (name, from_catalog(name), routing, workload),
-                dict(
-                    seed=seed,
-                    packets_per_sender=params["packets_per_sender"],
-                ),
-            )
-            for name in params["topologies"]
-            for workload in params["workloads"]
-            for routing in params["routings"]
-        ]
-    from repro.experiments.trace import _netstack_cell, _positions, _table2_cell
+        # The generated topologies replace the spec's (ignored) preset.
+        return explore.cells(
+            params["topologies"], params["routings"], params["workloads"],
+            seed=seed, packets_per_sender=params["packets_per_sender"],
+        )
+    from repro.experiments import trace
 
-    if params["cell"] == "netstack":
-        from repro.experiments.netstack import ARMS
-
-        return [
-            Cell(_netstack_cell, (platform, arm, seed, params["samples"]))
-            for arm in ARMS
-        ]
-    return [
-        Cell(_table2_cell, (platform, position, seed, params["samples"]))
-        for position in _positions(platform)
-    ]
+    return trace.cells(
+        platform, params["cell"], seed=seed, samples=params["samples"]
+    )
 
 
 def render_results(spec: Dict[str, Any], results: Sequence[CellResult]) -> str:
@@ -454,14 +416,15 @@ def run_local(
     jobs: Any = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
+    fail_fast: bool = False,
     cache: Any = USE_DEFAULT_CACHE,
     on_result: Optional[Callable[[CellResult], None]] = None,
     cancel: Any = None,
 ) -> List[CellResult]:
     """Execute one normalized spec in this process.
 
-    The client's in-process fallback. The server runs the same
-    :func:`build_cells` output through the same
+    The client's in-process fallback and the ``repro <kind>`` path. The
+    server runs the same :func:`build_cells` output through the same
     :func:`~repro.runner.run_cells_detailed` (built once, at submit), which
     is what makes the fallback byte-identical to the served path.
     """
@@ -470,6 +433,7 @@ def run_local(
         jobs=jobs,
         timeout_s=timeout_s,
         retries=retries,
+        fail_fast=fail_fast,
         cache=cache,
         on_result=on_result,
         cancel=cancel,

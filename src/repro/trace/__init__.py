@@ -17,22 +17,12 @@ from repro.trace.breakdown import (
     txn_latency_stats,
 )
 from repro.trace.export import chrome_trace, dumps, event_count
-from repro.trace.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceRecording,
-    Tracer,
-    merge_recordings,
-)
+from repro.trace.tracer import Span, TraceRecording, Tracer
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "TraceRecording",
-    "merge_recordings",
     "chrome_trace",
     "dumps",
     "event_count",

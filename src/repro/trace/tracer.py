@@ -40,10 +40,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "TraceRecording",
-    "merge_recordings",
 ]
 
 
@@ -114,10 +111,6 @@ class Tracer:
     transaction span, keyed by the span's track label — spans and profiler
     telemetry therefore share flow identities.
     """
-
-    #: Instrumentation points may check this instead of ``is None`` when
-    #: they hold a tracer-typed object (NullTracer reports False).
-    enabled = True
 
     def __init__(self, env=None, profiler=None) -> None:
         self._env = env
@@ -203,78 +196,3 @@ class Tracer:
             sorted(self._closed, key=lambda span: (span["ts"], span["seq"]))
         )
         return TraceRecording(spans=spans, dropped_open=self._open, meta=meta)
-
-
-def merge_recordings(recordings) -> TraceRecording:
-    """Merge per-shard recordings into one deterministic recording.
-
-    Each shard of a sharded run (:mod:`repro.sim.sharded`) traces into its
-    own :class:`Tracer`, so every recording carries its own dense ``seq``
-    progression ``1, 2, 3, …``. The merge remaps recording ``i`` of ``n``
-    onto the shard-stable progression ``seq * n + i`` — the same disjoint
-    arithmetic-progression trick the engine's ordering contract uses — so
-    remapped sequence numbers never collide across shards, parent links
-    stay internally consistent, and the merged ``(ts, seq)`` sort is a
-    pure function of the input recordings (in order), independent of how
-    shard windows interleaved in wall time.
-
-    ``dropped_open`` counts add; per-recording ``meta`` dicts are kept
-    under ``meta["shards"]`` alongside ``meta["merged"]``.
-    """
-    recordings = list(recordings)
-    if not recordings:
-        return TraceRecording(spans=(), meta={"merged": 0, "shards": []})
-    count = len(recordings)
-    merged: List[Dict[str, Any]] = []
-    for index, recording in enumerate(recordings):
-        for span in recording.spans:
-            remapped = dict(span)
-            remapped["seq"] = span["seq"] * count + index
-            if span.get("parent") is not None:
-                remapped["parent"] = span["parent"] * count + index
-            merged.append(remapped)
-    merged.sort(key=lambda span: (span["ts"], span["seq"]))
-    return TraceRecording(
-        spans=tuple(merged),
-        dropped_open=sum(r.dropped_open for r in recordings),
-        meta={
-            "merged": count,
-            "shards": [dict(r.meta) for r in recordings],
-        },
-    )
-
-
-class NullTracer:
-    """A do-nothing tracer with the full :class:`Tracer` surface.
-
-    For callers that want to pass a tracer-typed object unconditionally;
-    the engine-level convention (``env.tracer is None``) is faster still
-    and is what the hot loops use.
-    """
-
-    enabled = False
-    profiler = None
-
-    def attach(self, env) -> "NullTracer":
-        """Leave ``env.tracer`` untouched; the null tracer stays detached."""
-        return self
-
-    def begin(self, name, cat, track, parent=None, **extra) -> None:
-        """Open no span; always returns ``None``."""
-        return None
-
-    def end(self, span, **extra) -> None:
-        """Accept (and discard) the ``None`` handle :meth:`begin` returned."""
-        return None
-
-    def sample_flow(self, flow, size_bytes) -> None:
-        """Drop the sample; no profiler is attached."""
-        return None
-
-    def recording(self, **meta) -> TraceRecording:
-        """Return an empty :class:`TraceRecording` carrying only ``meta``."""
-        return TraceRecording(spans=(), meta=meta)
-
-
-#: Shared instance of the no-op tracer.
-NULL_TRACER = NullTracer()

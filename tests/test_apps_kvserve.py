@@ -17,6 +17,8 @@ Three contracts:
   (measured worst ~6.5%; see docs/PERFORMANCE.md).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,11 @@ class TestServiceKind:
             normalize_spec(
                 {"kind": "kvstore", "params": {"qps": True}}
             )
+        # Python's json reads the Infinity token as float("inf").
+        with pytest.raises(ConfigurationError):
+            normalize_spec(json.loads(
+                '{"kind": "kvstore", "params": {"qps": Infinity}}'
+            ))
 
     def test_local_run_matches_cli_artifact(self, capsys, p9634):
         spec = normalize_spec({

@@ -1,5 +1,7 @@
 """Tests for the KV-server application study."""
 
+import math
+
 import pytest
 
 from repro.apps import KvServerModel, KvWorkload
@@ -19,8 +21,9 @@ def _workload(**kwargs):
 
 class TestValidation:
     def test_workload_validation(self):
-        with pytest.raises(ConfigurationError):
-            KvWorkload(qps=0)
+        for qps in (0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                KvWorkload(qps=qps)
         with pytest.raises(ConfigurationError):
             KvWorkload(qps=1e6, requests=5)
         with pytest.raises(ConfigurationError):

@@ -306,22 +306,57 @@ class TestServiceCLI:
             assert flag[0] in capsys.readouterr().err
 
     def test_submit_local_matches_direct_command(self, capsys):
-        # `repro submit --local` runs the identical normalized spec through
-        # the identical experiment code: stdout is byte-identical to the
-        # first-class subcommand.
-        direct = [
-            "netstack", "--platform", "7302", "--arm", "off",
-            "--transactions", "40",
-        ]
-        assert main(direct) == 0
-        direct_out = capsys.readouterr().out
-        assert main([
-            "submit", "netstack", "--platform", "7302", "--arm", "off",
-            "--transactions", "40", "--local",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == direct_out
-        assert "local" in captured.err
+        # `repro <kind>` and `repro submit <kind> --local` build the same
+        # normalized spec and run the same cells: stdout is byte-identical
+        # for every kind.
+        for direct in (
+            ["netstack", "--platform", "7302", "--arm", "off",
+             "--transactions", "40"],
+            ["chaos", "--severity", "0.5", "--transactions", "20"],
+            ["trace", "table2", "--samples", "10", "--out", "-"],
+            ["kvstore", "--platform", "9634", "--requests", "300"],
+            ["explore", "--topology", "squeeze-3x2", "--routing", "xy",
+             "--workload", "contention", "--packets", "5"],
+        ):
+            # trace's cell is a positional on the direct door; --out is
+            # direct-only (it writes the Perfetto file).
+            submitted = (
+                ["trace", "--cell", "table2", "--samples", "10"]
+                if direct[0] == "trace" else direct
+            )
+            assert main(direct) == 0
+            direct_out = capsys.readouterr().out
+            assert main(["submit"] + submitted + ["--local"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == direct_out, direct[0]
+            assert "local" in captured.err
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("netstack", ["--transactions", "0"]),
+        ("chaos", ["--transactions", "0"]),
+        ("kvstore", ["--requests", "5"]),
+        ("kvstore", ["--qps", "-5"]),
+        ("kvstore", ["--qps", "nan"]),
+        ("kvstore", ["--qps", "inf"]),
+        ("explore", ["--packets", "0"]),
+    ], ids=[
+        "netstack-transactions-0", "chaos-transactions-0",
+        "kvstore-requests-5", "kvstore-qps-negative", "kvstore-qps-nan",
+        "kvstore-qps-inf", "explore-packets-0",
+    ])
+    def test_both_doors_reject_the_same_input(self, capsys, kind, flags):
+        # One validator per kind: the registry normalizer range-checks
+        # the direct subcommand's flags exactly as it does a submit's.
+        errors = []
+        for argv in ([kind] + flags, ["submit", kind, "--local"] + flags):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "error: params." in errors[0]
 
     def test_jobs_without_server_fails_cleanly(self, capsys, tmp_path):
         missing = str(tmp_path / "no-service.sock")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import netstack
+from repro.runner import run_cells_detailed
 
 
 class TestConfigFor:
@@ -60,17 +61,15 @@ class TestFairnessRestoration:
 
 class TestRunner:
     def test_jobs_invariance(self, p7302):
-        serial = netstack.run(
-            p7302, arms=("off",), transactions_per_core=100, jobs=1
-        )
-        parallel = netstack.run(
-            p7302, arms=("off",), transactions_per_core=100, jobs=2
-        )
+        cells = netstack.cells(p7302, arms=("off",), transactions_per_core=100)
+        serial = run_cells_detailed(cells, jobs=1)
+        parallel = run_cells_detailed(cells, jobs=2)
         assert netstack.render("x", serial) == netstack.render("x", parallel)
 
     def test_render_table_shape(self, p7302):
-        results = netstack.run(
-            p7302, arms=("off",), transactions_per_core=100, jobs=1
+        results = run_cells_detailed(
+            netstack.cells(p7302, arms=("off",), transactions_per_core=100),
+            jobs=1,
         )
         table = netstack.render(p7302.name, results)
         assert "Netstack" in table
@@ -82,8 +81,9 @@ class TestRunner:
         assert "- " in fluid_row or fluid_row.rstrip().endswith("-")
 
     def test_failed_cell_renders_in_place(self, p7302):
-        results = netstack.run(
-            p7302, arms=("bogus",), transactions_per_core=100, jobs=1
+        results = run_cells_detailed(
+            netstack.cells(p7302, arms=("bogus",), transactions_per_core=100),
+            jobs=1,
         )
         assert all(not result.ok for result in results)
         table = netstack.render(p7302.name, results)

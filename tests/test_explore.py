@@ -14,6 +14,7 @@ import pytest
 from repro.cache import cell_key
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.runner import run_cells_detailed
 
 from tests.test_goldens import _check
 
@@ -129,8 +130,8 @@ class TestServiceSpec:
             "params": {"packets_per_sender": _PACKETS},
         })
         via_service = build_cells(spec)
-        results = explore.run(
-            packets_per_sender=_PACKETS, jobs=1, cache=None
+        results = run_cells_detailed(
+            explore.cells(packets_per_sender=_PACKETS), jobs=1, cache=None
         )
         assert len(via_service) == len(results)
         for cell, result in zip(via_service, results):
@@ -146,7 +147,9 @@ class TestGolden:
     def test_score_table_golden(self, update_goldens):
         from repro.experiments import explore
 
-        results = explore.run(packets_per_sender=_PACKETS, jobs=1, cache=None)
+        results = run_cells_detailed(
+            explore.cells(packets_per_sender=_PACKETS), jobs=1, cache=None
+        )
         payload = {
             f"{p.topology}/{p.workload}/{p.routing}": {
                 "victim_share": _nan_none(p.victim_share),

@@ -33,7 +33,6 @@ from repro.sim.batch import (
 from repro.sim.calendar import EventCalendar
 from repro.sim.engine import Environment, Timeout
 from repro.sim.sharded import ShardedEnvironment, default_lookahead_ns
-from repro.trace import Tracer, merge_recordings
 
 
 # ------------------------------------------------- shard-stable sequences
@@ -531,40 +530,6 @@ class TestRunCell:
         assert jain_index([5.0, 5.0, 5.0]) == pytest.approx(1.0)
         assert jain_index([1.0, 0.0]) == pytest.approx(0.5)
         assert jain_index([0.0, 0.0]) == 1.0
-
-
-# ------------------------------------------------------------ trace merge
-
-
-class TestMergeRecordings:
-    def _recording(self, offset):
-        env = Environment(initial_time=offset)
-        tracer = Tracer(env)
-        parent = tracer.begin("txn", "txn", f"track{offset}")
-        child = tracer.begin("hop", "hop", f"track{offset}", parent=parent)
-        env._now = offset + 1.0
-        tracer.end(child)
-        tracer.end(parent)
-        return tracer.recording(shard=offset)
-
-    def test_merge_is_deterministic_and_collision_free(self):
-        a, b = self._recording(0.0), self._recording(0.0)
-        merged = merge_recordings([a, b])
-        seqs = [span["seq"] for span in merged.spans]
-        assert len(set(seqs)) == len(seqs)
-        assert merged.meta["merged"] == 2
-        assert merge_recordings([a, b]).spans == merged.spans
-
-    def test_parent_links_survive_remapping(self):
-        merged = merge_recordings([self._recording(0.0), self._recording(5.0)])
-        seqs = {span["seq"] for span in merged.spans}
-        for span in merged.spans:
-            if span["parent"] is not None:
-                assert span["parent"] in seqs
-
-    def test_empty_merge(self):
-        merged = merge_recordings([])
-        assert merged.spans == () and merged.meta["merged"] == 0
 
 
 # ------------------------------------------------------------- cache keys

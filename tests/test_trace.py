@@ -6,12 +6,11 @@ import pytest
 
 from repro.errors import ConfigurationError, MeasurementError
 from repro.experiments import netstack
+from repro.runner import run_cells_detailed
 from repro.sim.engine import Environment
 from repro.telemetry.counters import CounterRegistry
 from repro.telemetry.profiler import FlowProfiler
 from repro.trace import (
-    NULL_TRACER,
-    NullTracer,
     TraceRecording,
     Tracer,
     assert_tiles,
@@ -83,16 +82,6 @@ class TestTracerCore:
 
     def test_environment_defaults_to_no_tracer(self):
         assert Environment().tracer is None
-
-    def test_null_tracer_is_inert(self):
-        null = NullTracer()
-        assert null.enabled is False and Tracer.enabled is True
-        span = null.begin("a", "txn", "t")
-        null.end(span)
-        null.sample_flow("f", 64)
-        recording = null.recording(tag=1)
-        assert recording.spans == () and recording.meta == {"tag": 1}
-        assert NULL_TRACER.enabled is False
 
     def test_recording_sorted_by_begin_time(self, traced):
         __, recording, __p = traced
@@ -300,7 +289,9 @@ class TestExperimentLayer:
     def test_run_and_render_netstack(self, p7302):
         from repro.experiments import trace as trace_exp
 
-        results = trace_exp.run(p7302, "netstack", samples=12, cache=None)
+        results = run_cells_detailed(
+            trace_exp.cells(p7302, "netstack", samples=12), cache=None
+        )
         assert len(results) == len(netstack.ARMS)
         assert all(result.ok for result in results)
         text = trace_exp.render(p7302, "netstack", results)
@@ -317,11 +308,11 @@ class TestExperimentLayer:
         from repro.experiments import trace as trace_exp
 
         with pytest.raises(ConfigurationError):
-            trace_exp.run(p7302, "fig9", samples=12, cache=None)
+            trace_exp.cells(p7302, "fig9", samples=12)
         with pytest.raises(ConfigurationError):
             trace_exp.default_samples("fig9")
         with pytest.raises(ConfigurationError):
-            trace_exp.run(p7302, "netstack", samples=1, cache=None)
+            trace_exp.cells(p7302, "netstack", samples=1)
 
     def test_default_out_path(self, p7302):
         from repro.experiments import trace as trace_exp

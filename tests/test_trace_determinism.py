@@ -96,8 +96,15 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("bad", ["5", "0", "-3", "bogus"])
     def test_bad_samples_is_a_clean_usage_error(self, capsys, bad):
-        """argparse rejects bad --samples (exit 2), no traceback leaks."""
+        """Bad --samples is a usage error (exit 2), no traceback leaks.
+
+        argparse rejects a non-integer; the registry normalizer, which
+        ``repro submit trace`` shares, rejects an integer below 10.
+        """
         with pytest.raises(SystemExit) as exc:
             main(["trace", "netstack", "--samples", bad])
         assert exc.value.code == 2
-        assert "--samples" in capsys.readouterr().err
+        expected = (
+            "--samples" if bad == "bogus" else "params.samples must be >= 10"
+        )
+        assert expected in capsys.readouterr().err
