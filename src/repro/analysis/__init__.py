@@ -3,12 +3,12 @@
 from repro.analysis.histogram import LatencyHistogram
 from repro.analysis.export import curves_to_csv, rows_to_csv, timeseries_to_csv
 from repro.analysis.report import format_pair, render_table
-from repro.analysis.stats import LatencyStats, SampleReservoir, percentile
+from repro.analysis.stats import LatencyStats, jain_index, percentile
 from repro.analysis.timeseries import TimeSeries
 
 __all__ = [
     "LatencyStats",
-    "SampleReservoir",
+    "jain_index",
     "percentile",
     "TimeSeries",
     "render_table",

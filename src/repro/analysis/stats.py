@@ -1,4 +1,4 @@
-"""Latency statistics.
+"""Latency statistics and the fairness index.
 
 The paper reports average and tail (P999) latency throughout (Figure 3);
 :class:`LatencyStats` bundles both plus the usual distribution summary.
@@ -8,10 +8,10 @@ need to hold every latency in one Python list: each shard keeps its own
 sorted numpy array and :meth:`LatencyStats.merge` computes exact
 percentiles across shards by multi-array order-statistic selection
 (``searchsorted`` window narrowing — O(shards · log n) per percentile,
-O(shards) extra memory). When even per-shard arrays are too much,
-:class:`SampleReservoir` keeps a deterministic fixed-size uniform sample
-(vectorized Algorithm R on a seeded generator) alongside *exact* streaming
-count/mean/min/max/std, trading only the percentiles for approximation.
+O(shards) extra memory).
+
+:func:`jain_index` scores how evenly a set of flows shares bandwidth; the
+contention experiments and the traffic manager all report it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import MeasurementError
 
-__all__ = ["percentile", "LatencyStats", "SampleReservoir"]
+__all__ = ["percentile", "jain_index", "LatencyStats"]
 
 #: Below this many remaining candidates the multi-array selection just
 #: concatenates the windows — cheaper than further narrowing passes.
@@ -100,6 +100,19 @@ def percentile(samples: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise MeasurementError(f"percentile must be in [0, 100], got {q}")
     return float(np.percentile(np.asarray(samples, dtype=float), q))
+
+
+def jain_index(values: Sequence[float]) -> float:
+    """Jain's fairness index ``(Σx)² / (n·Σx²)`` of a rate vector.
+
+    1.0 when every value is equal, ``1/n`` when one value holds
+    everything. An all-zero vector counts as perfectly fair (1.0).
+    """
+    total = sum(values)
+    squares = sum(value * value for value in values)
+    if squares == 0:
+        return 1.0
+    return total * total / (len(values) * squares)
 
 
 @dataclass(frozen=True)
@@ -223,97 +236,4 @@ class LatencyStats:
         return (
             f"n={self.count} mean={self.mean:.1f}ns p50={self.p50:.1f}ns "
             f"p99={self.p99:.1f}ns p999={self.p999:.1f}ns max={self.maximum:.1f}ns"
-        )
-
-
-class SampleReservoir:
-    """A deterministic fixed-size uniform sample of an unbounded stream.
-
-    Vectorized Algorithm R on a seeded PCG64 generator: item ``i``
-    (1-based) replaces a uniformly random reservoir slot with probability
-    ``capacity / i``. Count, mean, min, max, and std are tracked exactly
-    as streaming moments; only the percentiles are estimated from the
-    reservoir. The same seed and the same sequence of ``extend`` batches
-    reproduce the same reservoir bit-for-bit (batch draws consume the
-    generator in the same order as scalar draws would).
-    """
-
-    __slots__ = (
-        "capacity", "_rng", "_buffer", "_count",
-        "_sum", "_sumsq", "_min", "_max",
-    )
-
-    def __init__(self, capacity: int, seed: int = 0) -> None:
-        if capacity < 1:
-            raise MeasurementError(
-                f"reservoir capacity must be >= 1, got {capacity}"
-            )
-        from repro.sim.rng import SplitRng
-
-        self.capacity = int(capacity)
-        self._rng = SplitRng(seed).stream("sample-reservoir")
-        self._buffer = np.empty(self.capacity, dtype=float)
-        self._count = 0
-        self._sum = 0.0
-        self._sumsq = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-
-    @property
-    def count(self) -> int:
-        """Items seen so far (not the reservoir occupancy)."""
-        return self._count
-
-    def extend(self, samples: Sequence[float]) -> None:
-        """Fold a batch of samples into the reservoir and exact moments."""
-        data = np.asarray(samples, dtype=float).ravel()
-        if data.size == 0:
-            return
-        self._sum += float(data.sum())
-        self._sumsq += float(np.square(data).sum())
-        self._min = min(self._min, float(data.min()))
-        self._max = max(self._max, float(data.max()))
-        seen = self._count
-        self._count += int(data.size)
-        fill = min(max(self.capacity - seen, 0), data.size)
-        if fill:
-            self._buffer[seen:seen + fill] = data[:fill]
-            data = data[fill:]
-            seen += fill
-        if data.size == 0:
-            return
-        # Algorithm R, batched: item with 1-based global index i keeps a
-        # uniform draw in [0, i); draws below capacity replace that slot.
-        # Fancy assignment applies accepted items in order, so duplicate
-        # slots keep the latest item — exactly the scalar algorithm.
-        indices = np.arange(seen + 1, seen + data.size + 1)
-        slots = self._rng.integers(0, indices)
-        accept = slots < self.capacity
-        self._buffer[slots[accept]] = data[accept]
-
-    def stats(self) -> LatencyStats:
-        """Exact moments, reservoir-estimated percentiles."""
-        if self._count == 0:
-            raise MeasurementError("cannot summarize an empty sample set")
-        held = np.sort(self._buffer[: min(self._count, self.capacity)])
-        n = held.size
-        values = []
-        for q in (50.0, 99.0, 99.9):
-            rank = q / 100.0 * (n - 1)
-            j = int(rank)
-            gamma = rank - j
-            low = float(held[j])
-            high = float(held[min(j + 1, n - 1)])
-            values.append(low + gamma * (high - low))
-        mean = self._sum / self._count
-        variance = max(self._sumsq / self._count - mean * mean, 0.0)
-        return LatencyStats(
-            count=self._count,
-            mean=mean,
-            p50=values[0],
-            p99=values[1],
-            p999=values[2],
-            minimum=self._min,
-            maximum=self._max,
-            std=float(np.sqrt(variance)),
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -64,8 +65,12 @@ class StreamSpec:
             raise ConfigurationError(
                 f"stream {self.name}: target must be 'dram' or 'cxl'"
             )
-        if self.demand_gbps is not None and self.demand_gbps < 0:
-            raise ConfigurationError(f"stream {self.name}: negative demand")
+        if self.demand_gbps is not None and not (
+            math.isfinite(self.demand_gbps) and self.demand_gbps >= 0
+        ):
+            raise ConfigurationError(
+                f"stream {self.name}: demand must be finite and non-negative"
+            )
         if self.remote and self.target != "dram":
             raise ConfigurationError(
                 f"stream {self.name}: remote-socket access targets DRAM"

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
 from repro.core.loadgen import ClosedLoopIssuer
@@ -66,7 +67,6 @@ __all__ = [
     "ShardCellOutcome",
     "contention_flows",
     "run_cell",
-    "jain_index",
 ]
 
 #: Completions per cross-shard accounting message (calendar bucket stride).
@@ -144,15 +144,6 @@ class ShardCellOutcome:
     def victim_share(self) -> float:
         """First flow's share of its demand (the cell's victim metric)."""
         return self.flows[0].achieved_gbps / VICTIM_DEMAND_GBPS
-
-
-def jain_index(values: Sequence[float]) -> float:
-    """Jain's fairness index of a rate vector."""
-    total = sum(values)
-    squares = sum(value * value for value in values)
-    if squares == 0:
-        return 1.0
-    return total * total / (len(values) * squares)
 
 
 def contention_flows(platform: Platform) -> List[ShardFlowSpec]:

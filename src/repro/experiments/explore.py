@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
+from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
 from repro.errors import ConfigurationError
@@ -85,14 +86,6 @@ class ExplorePoint:
     p99_ns: float
     bisection_util: float
     score: float
-
-
-def _jain(values: Sequence[float]) -> float:
-    total = sum(values)
-    squares = sum(value * value for value in values)
-    if squares == 0:
-        return 1.0
-    return total * total / (len(values) * squares)
 
 
 def _workload_streams(
@@ -264,7 +257,7 @@ def run_point(
     specs, umc_ids = _workload_streams(platform, workload)
     achieved = fabric.achieved_gbps(specs, umc_ids=umc_ids)
     rates = [achieved[spec.name] for spec in specs]
-    jain = _jain(rates)
+    jain = jain_index(rates)
     if workload == "contention":
         victim_share = achieved["victim"] / VICTIM_DEMAND_GBPS
     else:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
+from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
 from repro.core.loadgen import ClosedLoopIssuer
 from repro.errors import ConfigurationError
@@ -106,14 +107,6 @@ def _cell_streams(platform: Platform):
     )
 
 
-def _jain(values: Sequence[float]) -> float:
-    total = sum(values)
-    squares = sum(value * value for value in values)
-    if squares == 0:
-        return 1.0
-    return total * total / (len(values) * squares)
-
-
 def _run_fluid(platform: Platform, config: NetStackConfig) -> NetPoint:
     fabric = FabricModel(platform)
     victim, hog = _cell_streams(platform)
@@ -125,7 +118,7 @@ def _run_fluid(platform: Platform, config: NetStackConfig) -> NetPoint:
         victim_gbps=grants["victim"],
         hog_gbps=grants["hog"],
         victim_share=grants["victim"] / VICTIM_DEMAND_GBPS,
-        jain=_jain([grants["victim"], grants["hog"]]),
+        jain=jain_index([grants["victim"], grants["hog"]]),
         p50_ns=math.nan,
         p99_ns=math.nan,
     )
@@ -184,7 +177,7 @@ def _run_des(
         victim_gbps=rates[0],
         hog_gbps=rates[1],
         victim_share=rates[0] / VICTIM_DEMAND_GBPS,
-        jain=_jain(rates),
+        jain=jain_index(rates),
         p50_ns=victim_result.stats.p50,
         p99_ns=victim_result.stats.p99,
     )

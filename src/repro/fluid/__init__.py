@@ -11,6 +11,11 @@ the mechanisms that matter at that scale:
   whichever domain saturates first binds (§3.3's bandwidth domains);
 * rate changes propagate with per-link adaptation dynamics, reproducing the
   ≈100 ms / ≈500 ms harvesting delays and the 7302's oscillation (Figure 5).
+
+There is one solver, :func:`solve`, written as plain loops: every flow set
+the simulator builds is small enough that array machinery costs more than
+it saves. Time series stay cheap because :meth:`FluidSimulator.run` calls
+it only on steps whose demands or capacities changed.
 """
 
 from repro.fluid.adaptation import (
@@ -26,7 +31,6 @@ from repro.fluid.coupling import (
 )
 from repro.fluid.solver import Channel, FluidFlow, Policy, solve
 from repro.fluid.timeseries import DemandSchedule, FluidSimulator, FlowTrace
-from repro.fluid.vectorized import CompiledProblem, solve_vectorized
 
 __all__ = [
     "AdaptationModel",
@@ -34,11 +38,9 @@ __all__ = [
     "InstantAdaptation",
     "SecondOrderAdaptation",
     "Channel",
-    "CompiledProblem",
     "FluidFlow",
     "Policy",
     "solve",
-    "solve_vectorized",
     "background_utilizations",
     "effective_service_ns",
     "stage_channel",

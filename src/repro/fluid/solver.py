@@ -23,6 +23,7 @@ Two policies:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -37,11 +38,8 @@ __all__ = [
 
 _EPS = 1e-9
 
-#: :func:`solve` switches to the vectorized implementation at this many
-#: flows: below it the per-call NumPy overhead (array building, ufunc
-#: dispatch) costs more than the Python loops it replaces (measured
-#: crossover ~10 flows).
-_AUTO_MIN_FLOWS = 12
+#: Iteration cap of the demand-proportional and max-min loops.
+_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,9 @@ class Channel:
     capacity_gbps: float
 
     def __post_init__(self) -> None:
-        if self.capacity_gbps <= 0:
+        if not (math.isfinite(self.capacity_gbps) and self.capacity_gbps > 0):
             raise ConfigurationError(
-                f"channel {self.name}: capacity must be positive"
+                f"channel {self.name}: capacity must be finite and positive"
             )
 
 
@@ -81,24 +79,32 @@ class FluidFlow:
     elastic: bool = False
     #: Share weight under :attr:`Policy.WEIGHTED` (ignored by the other
     #: policies): a flow with weight 2 receives twice the increment of a
-    #: weight-1 flow during progressive filling.
+    #: weight-1 flow during progressive filling. Zero is legal here and
+    #: rejected only by a weighted solve.
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.demand_gbps < 0:
-            raise ConfigurationError(f"flow {self.name}: negative demand")
+        if not (math.isfinite(self.demand_gbps) and self.demand_gbps >= 0):
+            raise ConfigurationError(
+                f"flow {self.name}: demand must be finite and non-negative"
+            )
+        if not math.isfinite(self.weight):
+            raise ConfigurationError(
+                f"flow {self.name}: weight must be finite"
+            )
         for channel, weight in self.path:
-            if weight <= 0:
-                raise ConfigurationError(
-                    f"flow {self.name}: non-positive weight on {channel.name}"
-                )
+            self._check_link_weight(channel, weight)
+
+    def _check_link_weight(self, channel: Channel, weight: float) -> None:
+        if not (math.isfinite(weight) and weight > 0):
+            raise ConfigurationError(
+                f"flow {self.name}: weight on {channel.name} must be finite "
+                "and positive"
+            )
 
     def add(self, channel: Channel, weight: float = 1.0) -> "FluidFlow":
         """Append a channel to the flow's path (chainable)."""
-        if weight <= 0:
-            raise ConfigurationError(
-                f"flow {self.name}: non-positive weight on {channel.name}"
-            )
+        self._check_link_weight(channel, weight)
         self.path.append((channel, weight))
         return self
 
@@ -138,13 +144,11 @@ def _channels_of(flows: Sequence[FluidFlow]) -> List[Channel]:
     return [seen[name] for name in sorted(seen, key=sort_key)]
 
 
-def _solve_proportional(
-    flows: Sequence[FluidFlow], max_iterations: int
-) -> Dict[str, float]:
+def _solve_proportional(flows: Sequence[FluidFlow]) -> Dict[str, float]:
     """Paced flows share proportionally; elastic flows fill the residual."""
     paced = [flow for flow in flows if not flow.elastic]
     elastic = [flow for flow in flows if flow.elastic]
-    alloc = _proportional_pass(paced, {}, max_iterations)
+    alloc = _proportional_pass(paced, {})
     if elastic:
         # Capacity already committed to paced traffic is unavailable to the
         # window-limited (backpressured) elastic senders.
@@ -154,14 +158,12 @@ def _solve_proportional(
                 committed[channel.name] = (
                     committed.get(channel.name, 0.0) + alloc[flow.name] * weight
                 )
-        alloc.update(_proportional_pass(elastic, committed, max_iterations))
+        alloc.update(_proportional_pass(elastic, committed))
     return alloc
 
 
 def _proportional_pass(
-    flows: Sequence[FluidFlow],
-    committed: Dict[str, float],
-    max_iterations: int,
+    flows: Sequence[FluidFlow], committed: Dict[str, float]
 ) -> Dict[str, float]:
     if not flows:
         return {}
@@ -178,7 +180,7 @@ def _proportional_pass(
         for channel, weight in flow.path:
             members[channel.name].append((flow, weight))
 
-    for __ in range(max_iterations):
+    for __ in range(_MAX_ITERATIONS):
         changed = False
         # Scale-down pass: enforce every capacity, splitting over-subscribed
         # channels in proportion to what each flow currently pushes (FIFO).
@@ -214,14 +216,13 @@ def _proportional_pass(
         if not changed:
             return alloc
     raise ConvergenceError(
-        f"demand-proportional solve did not converge in {max_iterations} iterations"
+        "demand-proportional solve did not converge in "
+        f"{_MAX_ITERATIONS} iterations"
     )
 
 
 def _solve_max_min(
-    flows: Sequence[FluidFlow],
-    max_iterations: int,
-    use_weights: bool = False,
+    flows: Sequence[FluidFlow], use_weights: bool = False
 ) -> Dict[str, float]:
     """(Weighted) max-min fairness by progressive filling."""
     alloc = {flow.name: 0.0 for flow in flows}
@@ -245,7 +246,7 @@ def _solve_max_min(
             alloc[flow.name] = flow.demand_gbps
             frozen[flow.name] = True
 
-    for __ in range(max_iterations):
+    for __ in range(_MAX_ITERATIONS):
         active = [flow for flow in flows if not frozen[flow.name]]
         if not active:
             return alloc
@@ -293,29 +294,17 @@ def _solve_max_min(
 
 
 def solve(
-    flows: Sequence[FluidFlow],
-    policy: Policy = Policy.DEMAND_PROPORTIONAL,
-    max_iterations: int = 10_000,
+    flows: Sequence[FluidFlow], policy: Policy = Policy.DEMAND_PROPORTIONAL
 ) -> Dict[str, float]:
     """Allocate bandwidth to ``flows``; returns {flow name: achieved GB/s}.
 
-    Invariants (tested property-based): no flow exceeds its demand; no
-    channel exceeds its capacity; with no over-subscribed channel, every flow
-    receives exactly its demand.
-
-    Flow sets of at least :data:`_AUTO_MIN_FLOWS` flows go to the vectorized
-    implementation (:mod:`repro.fluid.vectorized`), smaller ones to the
-    reference loops in this module; the two agree within 1e-9.
+    Invariants (tested property-based): no flow is allocated below zero or
+    above its demand; no channel exceeds its capacity; with no
+    over-subscribed channel, every flow receives exactly its demand.
     """
     names = [flow.name for flow in flows]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate flow names in {names}")
-    if len(names) >= _AUTO_MIN_FLOWS:
-        from repro.fluid.vectorized import solve_vectorized
-
-        return solve_vectorized(flows, policy, max_iterations)
     if policy is Policy.DEMAND_PROPORTIONAL:
-        return _solve_proportional(flows, max_iterations)
-    return _solve_max_min(
-        flows, max_iterations, use_weights=policy is Policy.WEIGHTED
-    )
+        return _solve_proportional(flows)
+    return _solve_max_min(flows, use_weights=policy is Policy.WEIGHTED)

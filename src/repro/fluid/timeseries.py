@@ -10,6 +10,7 @@ utilization timelines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +20,6 @@ from repro.analysis.timeseries import TimeSeries
 from repro.errors import ConfigurationError, SimulationError
 from repro.fluid.adaptation import AdaptationModel, InstantAdaptation
 from repro.fluid.solver import Channel, FluidFlow, Policy, solve
-from repro.fluid.vectorized import CompiledProblem
 
 #: Tolerance for the strict-mode allocation invariants (GB/s).
 _INVARIANT_EPS = 1e-6
@@ -36,11 +36,17 @@ class DemandSchedule:
     deltas: Tuple[Tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.base_gbps < 0:
-            raise ConfigurationError("base demand must be non-negative")
-        for start, end, __ in self.deltas:
+        if not (math.isfinite(self.base_gbps) and self.base_gbps >= 0):
+            raise ConfigurationError(
+                "base demand must be finite and non-negative"
+            )
+        for start, end, delta in self.deltas:
             if end <= start:
                 raise ConfigurationError(f"empty delta interval [{start}, {end})")
+            if not math.isfinite(delta):
+                raise ConfigurationError(
+                    f"delta over [{start}, {end}) must be finite"
+                )
 
     def at(self, t_s: float) -> float:
         """Offered demand (GB/s) at time t (seconds)."""
@@ -323,10 +329,7 @@ class FluidSimulator:
         """Array-driven run: precomputed schedules + solve memoization.
 
         Per step the solver is consulted only when (demands, capacities)
-        differ from the previous step; a max-min/weighted step whose
-        capacities changed may additionally reuse the previous allocation
-        when the bottleneck-verification warm start proves it still optimal
-        (see :class:`repro.fluid.vectorized.CompiledProblem`).
+        differ from the previous step.
         """
         flows = self.flows
         n_flows = len(flows)
@@ -374,17 +377,6 @@ class FluidSimulator:
                 )
             caps_matrix = base_caps[:, None] * factors
 
-        # Bottleneck-verification warm starts only apply to the max-min
-        # family with time-varying capacities.
-        problem: Optional[CompiledProblem] = None
-        perm: Optional[List[int]] = None
-        if caps_matrix is not None and self.policy in (
-            Policy.MAX_MIN,
-            Policy.WEIGHTED,
-        ):
-            problem = CompiledProblem(flows)
-            perm = [index_of[name] for name in problem.channel_names]
-
         def caps_at(step: int):
             if caps_matrix is None:
                 return None, base_caps
@@ -407,18 +399,7 @@ class FluidSimulator:
             demand_key = demand_column.tobytes()
             caps_key = caps_vec.tobytes()
             if demand_key != memo_demands or caps_key != memo_caps:
-                warm_ok = (
-                    problem is not None
-                    and demand_key == memo_demands
-                    and problem.verify_max_min(
-                        alloc,
-                        demand_column,
-                        caps_vec[perm],
-                        use_weights=self.policy is Policy.WEIGHTED,
-                    )
-                )
-                if not warm_ok:
-                    alloc = self._solve_step(demand_column, caps_list)
+                alloc = self._solve_step(demand_column, caps_list)
                 memo_demands, memo_caps = demand_key, caps_key
             if self.strict:
                 self._check_fast(

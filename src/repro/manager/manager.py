@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
 from repro.errors import ConfigurationError
@@ -24,14 +25,9 @@ class ManagedAllocation:
 
     def jain_fairness(self) -> float:
         """Jain's index over the grants (1.0 = perfectly equal)."""
-        values = list(self.grants_gbps.values())
-        if not values:
+        if not self.grants_gbps:
             raise ConfigurationError("no grants to score")
-        total = sum(values)
-        squares = sum(v * v for v in values)
-        if squares == 0:
-            return 1.0
-        return total * total / (len(values) * squares)
+        return jain_index(list(self.grants_gbps.values()))
 
 
 class TrafficManager:

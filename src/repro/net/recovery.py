@@ -271,8 +271,8 @@ class HealthMonitor:
 
         Merged into :class:`~repro.core.fabric.FabricModel` derates, a
         dead link's channels keep only :data:`_MASK_RESIDUE` of their
-        capacity — the health-aware capacity masking the vectorized
-        solver consumes.
+        capacity — the health-aware capacity masking the fluid solver
+        consumes.
         """
         return {
             f"{endpoint}:{direction}": _MASK_RESIDUE

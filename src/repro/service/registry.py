@@ -54,7 +54,6 @@ __all__ = [
     "render_results",
     "resolve_platform",
     "run_local",
-    "trace_recordings",
 ]
 
 #: The submittable experiment kinds, in presentation order.
@@ -391,23 +390,6 @@ def render_results(spec: Dict[str, Any], results: Sequence[CellResult]) -> str:
     from repro.experiments.trace import render
 
     return render(platform, spec["params"]["cell"], results)
-
-
-def trace_recordings(
-    spec: Dict[str, Any], results: Sequence[CellResult]
-) -> List[Tuple[int, str, Any]]:
-    """``(index, label, recording)`` for each traced cell value.
-
-    Empty for kinds whose values carry no recording — the server uses
-    this to decide which cells get trace-artifact handles.
-    """
-    if spec["kind"] != "trace":
-        return []
-    return [
-        (result.index, result.value.label, result.value.recording)
-        for result in results
-        if result.ok
-    ]
 
 
 def run_local(

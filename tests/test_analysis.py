@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import format_pair, render_table
-from repro.analysis.stats import LatencyStats, SampleReservoir, percentile
+from repro.analysis.stats import LatencyStats, percentile
 from repro.analysis.timeseries import TimeSeries
 from repro.errors import MeasurementError
 
@@ -131,7 +131,7 @@ class TestReport:
 
 
 class TestBoundedMemoryStats:
-    """The bounded-memory path: from_sorted, merge, SampleReservoir."""
+    """The bounded-memory path: from_sorted and merge."""
 
     def test_from_sorted_matches_from_samples(self):
         rng = np.random.default_rng(5)
@@ -175,46 +175,3 @@ class TestBoundedMemoryStats:
     def test_merge_rejects_empty(self):
         with pytest.raises(MeasurementError):
             LatencyStats.merge([])
-
-    def test_reservoir_exact_below_capacity(self):
-        rng = np.random.default_rng(7)
-        data = rng.exponential(50.0, size=900)
-        reservoir = SampleReservoir(capacity=1024)
-        reservoir.extend(data)
-        stats = reservoir.stats()
-        whole = LatencyStats.from_samples(data)
-        assert stats.count == whole.count
-        assert stats.mean == pytest.approx(whole.mean)
-        assert stats.p99 == pytest.approx(whole.p99)
-
-    def test_reservoir_moments_exact_beyond_capacity(self):
-        rng = np.random.default_rng(8)
-        data = rng.exponential(50.0, size=100_000)
-        reservoir = SampleReservoir(capacity=4096)
-        for chunk in np.split(data, 10):
-            reservoir.extend(chunk)
-        stats = reservoir.stats()
-        whole = LatencyStats.from_samples(data)
-        # Count/mean/std/min/max are streamed exactly; percentiles come
-        # from the fixed-size reservoir and are only approximate.
-        assert stats.count == whole.count
-        assert stats.mean == pytest.approx(whole.mean)
-        assert stats.std == pytest.approx(whole.std)
-        assert stats.minimum == whole.minimum
-        assert stats.maximum == whole.maximum
-        assert stats.p50 == pytest.approx(whole.p50, rel=0.05)
-        assert stats.p99 == pytest.approx(whole.p99, rel=0.10)
-
-    def test_reservoir_is_deterministic(self):
-        rng = np.random.default_rng(9)
-        data = rng.exponential(50.0, size=20_000)
-        def run():
-            reservoir = SampleReservoir(capacity=512, seed=3)
-            for chunk in np.split(data, 4):
-                reservoir.extend(chunk)
-            return reservoir.stats()
-        assert run() == run()
-
-    def test_reservoir_rejects_bad_capacity(self):
-        with pytest.raises(MeasurementError):
-            SampleReservoir(capacity=0)

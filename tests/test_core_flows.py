@@ -1,5 +1,7 @@
 """Tests for stream specifications and scopes."""
 
+import math
+
 import pytest
 
 from repro.core.flows import Scope, StreamSpec
@@ -23,6 +25,11 @@ class TestStreamSpec:
     def test_negative_demand_rejected(self):
         with pytest.raises(ConfigurationError):
             StreamSpec("s", OpKind.READ, (0,), demand_gbps=-1.0)
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_demand_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            StreamSpec("s", OpKind.READ, (0,), demand_gbps=value)
 
     def test_none_demand_means_unthrottled(self):
         assert StreamSpec("s", OpKind.READ, (0,)).demand_gbps is None

@@ -1,11 +1,17 @@
 """Tests for the time-stepped fluid simulator."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fluid.adaptation import FirstOrderAdaptation
-from repro.fluid.solver import Channel, FluidFlow
+from repro.experiments import fig5
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.fluid.adaptation import FirstOrderAdaptation, SecondOrderAdaptation
+from repro.fluid.solver import Channel, FluidFlow, Policy
 from repro.fluid.timeseries import DemandSchedule, FluidSimulator
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestDemandSchedule:
@@ -36,6 +42,16 @@ class TestDemandSchedule:
     def test_negative_base_rejected(self):
         with pytest.raises(ConfigurationError):
             DemandSchedule(-1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_base_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DemandSchedule(value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_delta_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DemandSchedule(1.0, ((0.0, 1.0, value),))
 
 
 class TestFluidSimulator:
@@ -110,3 +126,70 @@ class TestFluidSimulator:
         times = traces["paced"].achieved_series().times_s
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(3.0 - 0.01)
+
+
+class TestRunMatchesReference:
+    """``run`` (precomputed schedules + memoized solves) must reproduce
+    ``_run_reference`` (re-solve every step) bit for bit."""
+
+    @staticmethod
+    def _simulator(policy):
+        shared = Channel("shared", 30.0)
+        left = Channel("left", 18.0)
+        right = Channel("right", 25.0)
+        flows = [
+            FluidFlow("paced", 12.0, weight=2.0).add(left).add(shared),
+            FluidFlow("greedy", 60.0, elastic=True).add(shared),
+            FluidFlow("side", 20.0, weight=0.5).add(right).add(shared, 1.0625),
+        ]
+        schedules = {
+            "paced": DemandSchedule(12.0, ((0.3, 0.6, -7.0),)),
+            "greedy": DemandSchedule(60.0),
+            "side": DemandSchedule(
+                20.0, ((0.1, 0.8, 15.0), (0.5, 0.9, -30.0))
+            ),
+        }
+        adaptations = {
+            "paced": FirstOrderAdaptation.from_settling_time(0.1),
+            "greedy": SecondOrderAdaptation(omega_rad_s=40.0, zeta=0.3),
+        }
+        flapping = FaultSchedule(
+            [FaultEvent.flapping("right", 0.2, 0.9, period=0.08, factor=0.3)]
+        )
+        return FluidSimulator(
+            flows,
+            schedules,
+            adaptations,
+            policy=policy,
+            dt_s=0.01,
+            capacity_schedules={
+                # A step: the shared channel loses 40% in [0.4, 0.7).
+                "shared": DemandSchedule(1.0, ((0.4, 0.7, -0.4),)),
+                "right": flapping.capacity_factors()["right"],
+            },
+            strict=True,
+        )
+
+    @pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+    def test_every_policy_with_capacity_schedules(self, policy):
+        fast = self._simulator(policy).run(1.0)
+        reference = self._simulator(policy)._run_reference(1.0)
+        assert list(fast) == list(reference)
+        for name, ref_trace in reference.items():
+            assert fast[name].times_s == ref_trace.times_s
+            assert fast[name].achieved_gbps == ref_trace.achieved_gbps
+            assert fast[name].demand_gbps == ref_trace.demand_gbps
+
+    def test_fig5_traces_identical(self, p9634, monkeypatch):
+        # The full Figure 5 panel: adaptation dynamics, fault-free capacity
+        # schedule, thousands of steps.
+        fast = fig5.run(p9634, "if", duration_s=1.0, dt_s=0.005)
+        monkeypatch.setattr(
+            FluidSimulator, "run", FluidSimulator._run_reference
+        )
+        reference = fig5.run(p9634, "if", duration_s=1.0, dt_s=0.005)
+        assert set(reference.traces) == set(fast.traces)
+        for name, ref_trace in reference.traces.items():
+            fast_trace = fast.traces[name]
+            assert fast_trace.times_s == ref_trace.times_s
+            assert fast_trace.achieved_gbps == ref_trace.achieved_gbps

@@ -15,9 +15,10 @@ from heapq import heappop, heappush
 import numpy as np
 import pytest
 
+from repro.analysis.stats import jain_index
 from repro.cache import ResultCache
 from repro.core.partition import ccd_shard_map
-from repro.core.shardexec import contention_flows, jain_index, run_cell
+from repro.core.shardexec import contention_flows, run_cell
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.sharded_cell import run_engine_cell
 from repro.sim.batch import (
