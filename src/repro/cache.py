@@ -39,6 +39,7 @@ import os
 import pickle
 import struct
 import tempfile
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -293,18 +294,24 @@ class ResultCache:
 
     ``get``/``put`` never raise for storage problems (a cache must degrade
     to "miss", not break the sweep); corrupt or unreadable entries count as
-    misses and are left for :meth:`clear`.
+    misses and are left for :meth:`clear`. The hit/miss/byte counters move
+    under one lock: a service reads the store on its event loop while its
+    job thread reads and writes it.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         if root is None:
             root = os.environ.get(CACHE_DIR_ENV_VAR) or _DEFAULT_ROOT
         self.root = Path(root)
+        # Entry paths are joined as strings: a warm service builds two per
+        # cached cell (probe, read), and pathlib's joins cost more.
+        self._root = os.fspath(self.root)
         self.hits = 0
         self.misses = 0
         self.bytes_read = 0
         self.bytes_written = 0
         self._recorded = (0, 0, 0, 0)
+        self._lock = threading.Lock()
 
     def key_for(
         self, fn: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]
@@ -312,20 +319,18 @@ class ResultCache:
         """Cache key for one cell, or None when any input is uncacheable."""
         return cell_key(fn, args, kwargs)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    def _path(self, key: str) -> str:
+        return os.path.join(self._root, key[:2], key + ".pkl")
 
     def contains(self, key: str) -> bool:
         """Is there a stored entry for ``key``? Never touches counters.
 
-        A probe, not a lookup: the service uses this at submit time to
-        report how many of a job's cells the warm cache already covers,
-        without charging a hit (the hit lands when execution reads it).
+        A probe, not a lookup: the service probes every cell at admission
+        and reads only the probed hits, each once, with :meth:`get` (which
+        charges the hit). A probe miss goes to the runner, whose own
+        :meth:`get` charges the miss, so each cell is charged once.
         """
-        try:
-            return self._path(key).is_file()
-        except OSError:
-            return False
+        return os.path.isfile(self._path(key))
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """(hit, value) for ``key``; misses return ``(False, None)``."""
@@ -334,20 +339,23 @@ class ResultCache:
                 payload = handle.read()
             value = pickle.loads(payload)
         except Exception:
-            self.misses += 1
+            with self._lock:
+                self.misses += 1
             return False, None
-        self.hits += 1
-        self.bytes_read += len(payload)
+        with self._lock:
+            self.hits += 1
+            self.bytes_read += len(payload)
         return True, value
 
     def put(self, key: str, value: Any) -> bool:
         """Store ``value`` under ``key`` atomically; False if not storable."""
         path = self._path(key)
+        directory = os.path.dirname(path)
         try:
             payload = pickle.dumps(value)
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl"
+                dir=directory, prefix=".tmp-", suffix=".pkl"
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
@@ -361,7 +369,8 @@ class ResultCache:
                 raise
         except Exception:
             return False
-        self.bytes_written += len(payload)
+        with self._lock:
+            self.bytes_written += len(payload)
         return True
 
     def _entries(self) -> Iterator[Path]:
@@ -383,12 +392,13 @@ class ResultCache:
 
         Writes an atomic JSON record under ``<root>/_stats/`` with the
         hit/miss/byte deltas accumulated since the previous
-        :meth:`record_run` (so a long-lived service can record once per
-        job without double counting). All-zero deltas are skipped. Never
-        raises — stats are accounting, not correctness.
+        :meth:`record_run` (so a long-lived service can record when a job
+        that ran ends, and at shutdown, without double counting).
+        All-zero deltas are skipped. Never raises — stats are accounting,
+        not correctness.
         """
         previous = self._recorded
-        current = (self.hits, self.misses, self.bytes_read, self.bytes_written)
+        current = self._counters()
         delta = tuple(now - then for now, then in zip(current, previous))
         if not any(delta):
             return False
@@ -423,6 +433,11 @@ class ResultCache:
         self._recorded = current
         return True
 
+    def _counters(self) -> Tuple[int, int, int, int]:
+        """(hits, misses, bytes_read, bytes_written), read under the lock."""
+        with self._lock:
+            return (self.hits, self.misses, self.bytes_read, self.bytes_written)
+
     def stats(self) -> CacheStats:
         """Entry count and on-disk size, plus live and persisted counters.
 
@@ -449,14 +464,15 @@ class ResultCache:
             except (OSError, ValueError):
                 continue
             runs += 1
+        hits, misses, bytes_read, bytes_written = self._counters()
         return CacheStats(
             root=str(self.root),
             entries=entries,
             bytes=size,
-            hits=self.hits,
-            misses=self.misses,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
+            hits=hits,
+            misses=misses,
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
             recorded_runs=runs,
             recorded_hits=recorded_hits,
             recorded_misses=recorded_misses,

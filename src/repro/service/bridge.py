@@ -6,9 +6,12 @@ responsive (accepting submissions, answering ``jobs``, honouring
 cancellation) while a batch runs, so :func:`run_cells_streamed` executes
 the batch on a worker thread and every *final* per-cell result hops back
 onto the loop through ``loop.call_soon_threadsafe`` as it lands. The
-server hands it the cells it built from the job spec (and probed against
-the cache) at submit time. Cancellation crosses the other way as a plain
-:class:`threading.Event` the runner polls between cells and attempts.
+server hands it only the cells admission could not answer: it builds a
+job's cells once, at submit, reads the cached ones there on the loop, and
+runs the rest through here, where the runner keys, dedups and stores
+them. A fully cached job never gets here. Cancellation crosses the other
+way as a plain :class:`threading.Event` the runner polls between cells
+and attempts.
 
 Pool crashes need no special path here: the hardened runner recovers
 ``BrokenProcessPool`` in-process and surfaces the damage as per-cell
@@ -37,7 +40,8 @@ async def run_cells_streamed(
     ``on_result`` is invoked *on the event loop* (via
     ``call_soon_threadsafe``) once per cell, in completion order, with the
     cell's final :class:`CellResult` — cache hits first, then settled
-    executions. Returns the full submission-ordered result list.
+    executions. Result indices are positions in ``cells``. Returns the
+    full submission-ordered result list.
 
     ``runner_kwargs`` pass straight to
     :func:`repro.runner.run_cells_detailed` (``jobs``, ``cache``,

@@ -25,7 +25,7 @@ server's determinism contract starts here.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import ServiceError
@@ -60,10 +60,11 @@ class QueuedJob:
     spec: Dict[str, Any]
     #: Admission sequence number: total order on submissions, ties FIFO.
     seq: int = 0
-    #: Cells already satisfied by the cache at submit time (index → key).
-    cached: Dict[int, str] = field(default_factory=dict)
     #: Total cell count (known at admission: specs build deterministically).
     cells: int = 0
+    #: The server's in-flight state for the job; the scheduler never reads
+    #: it. It lives exactly as long as this object: queued, then running.
+    work: Any = None
 
 
 class JobScheduler:
@@ -111,9 +112,13 @@ class JobScheduler:
         """Number of queued (not yet dispatched) jobs."""
         return len(self._by_id)
 
-    def submit(self, job: QueuedJob) -> QueuedJob:
-        """Admit one job, or raise :class:`QueueFull` (nothing dropped)."""
-        if len(self._by_id) >= self.max_depth:
+    def submit(self, job: QueuedJob, *, bounded: bool = True) -> QueuedJob:
+        """Admit one job, or raise :class:`QueueFull` (nothing dropped).
+
+        ``bounded=False`` admits past ``max_depth``: for a job the server
+        has already accepted, which must never be rejected afterwards.
+        """
+        if bounded and len(self._by_id) >= self.max_depth:
             raise QueueFull(len(self._by_id), self.retry_after_s())
         if job.job_id in self._by_id:
             raise ServiceError(

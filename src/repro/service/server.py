@@ -6,17 +6,21 @@ One :class:`ReproService` owns:
   (:mod:`repro.service.protocol`), one reader task and one writer task
   per connection (a per-connection outbound queue, so a slow subscriber
   never blocks the dispatcher or other clients);
-* the admission queue (:class:`repro.service.scheduler.JobScheduler`) —
-  priority + per-client fairness + bounded depth with structured
-  ``queue-full`` rejection;
+* admission on the event loop: each cell of a submitted job is keyed
+  once and probed against the shared warm
+  :class:`repro.cache.ResultCache`; the probed hits are read and streamed
+  as ``cached`` cells right after ``accepted``, and a job with nothing
+  left to run gets its ``done`` there and then;
+* the admission queue (:class:`repro.service.scheduler.JobScheduler`) for
+  jobs with cells left to run — priority + per-client fairness + bounded
+  depth with structured ``queue-full`` rejection, checked before any
+  read or event;
 * a single-thread executor the dispatcher feeds one job at a time.
   Parallelism lives *inside* a batch (the runner's ``--jobs`` fan-out),
   not across batches;
-* a shared warm :class:`repro.cache.ResultCache`: submissions are probed
-  against it (without charging hits) so clients learn up front how much
-  of a job is already satisfied, per-job hit/miss deltas are persisted
-  via :meth:`~repro.cache.ResultCache.record_run`, and trace recordings
-  are exported once per content key (:class:`repro.service.store.JobStore`).
+* per-job hit/miss deltas persisted via
+  :meth:`~repro.cache.ResultCache.record_run`, and trace recordings
+  exported once per content key (:class:`repro.service.store.JobStore`).
 
 Every event a job produces carries no wall-clock and no scheduling
 artifacts beyond arrival order — the client reorders cells by index and
@@ -31,10 +35,11 @@ import concurrent.futures
 import os
 import threading
 import time
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
+from repro.cache import cell_key
 from repro.errors import ConfigurationError, ProtocolError, ServiceError
-from repro.runner import CellResult, USE_DEFAULT_CACHE
+from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE
 from repro.service import protocol
 from repro.service.protocol import (
     DEFAULT_SOCKET,
@@ -64,7 +69,7 @@ def resolve_socket_path(path: Optional[str] = None) -> str:
 
 
 class _Connection:
-    """One client connection: identity, writer queue, subscriptions."""
+    """One client connection: identity and writer queue."""
 
     _counter = 0
 
@@ -73,12 +78,30 @@ class _Connection:
         self.name = f"conn-{_Connection._counter}"
         self.writer = writer
         self.outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
-        self.jobs: Set[str] = set()
         self.closed = False
 
     def send(self, frame: Dict[str, Any]) -> None:
         if not self.closed:
             self.outbox.put_nowait(dumps_line(frame))
+
+
+class _JobWork:
+    """A job's in-flight state, held by its :class:`QueuedJob` only.
+
+    The subscriber, every cell's content key, and the cells admission
+    left to run with their indices in the job. The job's record never
+    holds it, so it is dropped once the job ends.
+    """
+
+    def __init__(
+        self, subscriber: _Connection, keys: List[Optional[str]]
+    ) -> None:
+        self.subscriber = subscriber
+        self.keys = keys
+        self.cells: List[Cell] = []
+        self.indices: List[int] = []
+        self.counters = {"completed": 0, "hits": 0, "misses": 0,
+                         "deduped": 0, "failures": 0}
 
 
 class ReproService:
@@ -157,7 +180,8 @@ class ReproService:
 
     async def stop(self) -> None:
         """Graceful shutdown: reject new work, cancel queued + running jobs,
-        flush every connection, unlink the socket, release the executor."""
+        flush every connection, unlink the socket, release the executor,
+        and persist the cache deltas no job has recorded yet."""
         if self._stopping.is_set():
             await self._finished.wait()
             return
@@ -179,6 +203,9 @@ class ReproService:
         for connection in list(self._connections):
             await self._close_connection(connection)
         self._executor.shutdown(wait=True)
+        if self.cache is not None:
+            # Persist the reads of jobs that never ran (see _finish).
+            self.cache.record_run("serve")
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -289,6 +316,17 @@ class ReproService:
     def _handle_submit(
         self, connection: _Connection, frame: Dict[str, Any]
     ) -> None:
+        """Admit one job, answering its cached cells on the spot.
+
+        Each cell is keyed once and probed with ``ResultCache.contains``.
+        A job with probe misses must win a queue slot before anything is
+        read or sent (else ``queue-full``). Then ``accepted`` goes out,
+        each probed hit is read once and streamed as a ``cached`` cell,
+        and only the cells left (probe misses, plus any read that failed
+        after its probe) are queued to run. A job with none left gets its
+        ``done`` here and never takes a slot, the dispatcher or the job
+        thread.
+        """
         from repro.service.registry import build_cells, normalize_spec
 
         if self._stopping.is_set():
@@ -304,59 +342,78 @@ class ReproService:
                 f"priority must be an integer, got {priority!r}",
                 code="bad-request",
             )
+        started = time.perf_counter()
         self._job_counter += 1
         job_id = f"job-{self._job_counter}"
-        # Probe the warm cache (no hit/miss charged) so the client learns
-        # immediately how much of the batch is already satisfied, and so
-        # trace artifacts can be addressed by content key later.
-        cached: Dict[int, str] = {}
-        keys: Dict[int, Optional[str]] = {}
-        for index, cell in enumerate(cells):
-            key = None
-            if self.cache is not None:
-                key = self.cache.key_for(cell.fn, cell.args, cell.kwargs)
-                if key is not None and self.cache.contains(key):
-                    cached[index] = key
-            keys[index] = key
+        # Every cell is keyed, cache or not: trace artifacts are named by
+        # content key. With a cache, key through its key_for (which is
+        # cell_key) so keying time stays on the cache layer's seam.
+        cache = self.cache
+        key_for = cell_key if cache is None else cache.key_for
+        keys = [key_for(cell.fn, cell.args, cell.kwargs) for cell in cells]
+        probed = [] if cache is None else [
+            index for index, key in enumerate(keys)
+            if key is not None and cache.contains(key)
+        ]
         job = QueuedJob(
             job_id=job_id,
             client=connection.name,
             priority=priority,
             spec=spec,
-            cached=cached,
             cells=len(cells),
         )
-        try:
-            self.scheduler.submit(job)
-        except QueueFull as error:
-            self.store.add(JobRecord(
-                job_id=job_id,
-                client=connection.name,
-                priority=priority,
-                spec=spec,
-                cells=len(cells),
-                status="rejected",
-            ))
-            raise
+        queued = len(probed) < len(cells)
+        if queued:
+            try:
+                self.scheduler.submit(job)
+            except QueueFull:
+                self.store.add(JobRecord(
+                    job_id=job_id,
+                    client=connection.name,
+                    priority=priority,
+                    spec=spec,
+                    cells=len(cells),
+                    status="rejected",
+                ))
+                raise
         record = self.store.add(JobRecord(
             job_id=job_id,
             client=connection.name,
             priority=priority,
             spec=spec,
             cells=len(cells),
-            precached=len(cached),
+            precached=len(probed),
         ))
-        setattr(record, "_keys", keys)
-        setattr(record, "_cells", cells)
-        setattr(record, "_subscriber", connection)
-        connection.jobs.add(job_id)
         connection.send({
             "event": "accepted",
             "job": job_id,
             "cells": len(cells),
-            "precached": len(cached),
+            "precached": len(probed),
             "queue_depth": self.scheduler.depth,
         })
+        work = job.work = _JobWork(connection, keys)
+        left = set(range(len(cells))).difference(probed)
+        for index in probed:
+            hit, value = cache.get(keys[index])
+            if not hit:
+                left.add(index)
+                continue
+            work.counters["hits"] += 1
+            work.counters["completed"] += 1
+            connection.send(self._cell_event(
+                job, record, index,
+                CellResult(index, value=value, attempts=0, cached=True),
+            ))
+        if not left:
+            record.duration_s = time.perf_counter() - started
+            self._finish(job, record, "done", ran=False)
+            return
+        work.indices = sorted(left)
+        work.cells = [cells[index] for index in work.indices]
+        if not queued:
+            # Accepted already: a read that failed after its probe queues
+            # the job past the depth bound rather than rejecting it now.
+            self.scheduler.submit(job, bounded=False)
         self._work.set()
 
     # ------------------------------------------------------------- cancel
@@ -367,12 +424,14 @@ class ReproService:
         """Cancel a queued or running job and acknowledge where it was.
 
         A queued job never runs: its ``done`` event reports ``cancelled``
-        with no cell completed. A running job stops starting cells: the
-        cells in flight finish, every cell not yet started is reported
-        ``cancelled``, and the job ends ``cancelled``. A cancel
-        acknowledged as ``running`` after the last cell has started
-        cancels nothing: that job ends ``done``, with every cell reported
-        finished.
+        with only the cells answered from the cache at admission
+        completed (they were streamed already). A running job stops
+        starting cells: the cells in flight finish, every cell not yet
+        started is reported ``cancelled``, and the job ends ``cancelled``.
+        A cancel acknowledged as ``running`` after the last cell has
+        started cancels nothing: that job ends ``done``, with every cell
+        reported finished. A job answered entirely at admission is never
+        queued or running, so cancelling it is an ``unknown-job`` error.
         """
         job_id = frame.get("job")
         queued = self.scheduler.remove(job_id) if job_id else None
@@ -399,19 +458,36 @@ class ReproService:
 
     def _finish_cancelled_in_queue(self, job: QueuedJob) -> None:
         record = self.store.get(job.job_id)
-        if record is None:
-            return
-        record.status = "cancelled"
-        subscriber = getattr(record, "_subscriber", None)
-        if subscriber is not None:
-            subscriber.send({
-                "event": "done",
-                "job": job.job_id,
-                "status": "cancelled",
-                "cells": record.cells,
-                "completed": 0,
-                "failures": 0,
-            })
+        if record is not None:
+            self._finish(job, record, "cancelled", ran=False)
+
+    def _finish(
+        self, job: QueuedJob, record: JobRecord, status: str, ran: bool
+    ) -> None:
+        """End a job: fill its record, send done.
+
+        A job that ran persists the cache's deltas since the last run
+        record (``ResultCache.record_run``). A job that never ran (fully
+        cached, or cancelled in the queue) writes no record of its own:
+        its admission reads are persisted with the next job that runs, or
+        at shutdown, so a warm submit creates no file. The subscriber is
+        reached through ``job.work`` only, and nothing keeps the job once
+        it has ended, so a finished record pins no connection.
+        """
+        work: _JobWork = job.work
+        counters = work.counters
+        record.status = status
+        record.hits = counters["hits"]
+        record.misses = counters["misses"]
+        record.deduped = counters["deduped"]
+        record.failures = counters["failures"]
+        if ran and self.cache is not None:
+            self.cache.record_run(job.job_id)
+        work.subscriber.send(dict(
+            {"event": "done", "job": job.job_id, "status": status,
+             "cells": record.cells},
+            **counters,
+        ))
 
     # ----------------------------------------------------------- dispatch
 
@@ -436,11 +512,10 @@ class ReproService:
 
         record = self.store.get(job.job_id)
         assert record is not None
-        subscriber: Optional[_Connection] = getattr(record, "_subscriber", None)
-        keys: Dict[int, Optional[str]] = getattr(record, "_keys", {})
-        # The cells built (and probed) at submit; the record outlives them.
-        cells = getattr(record, "_cells")
-        delattr(record, "_cells")
+        work: _JobWork = job.work
+        subscriber = work.subscriber
+        indices = work.indices
+        counters = work.counters
         record.status = "running"
         cancel = threading.Event()
         self._running_job = job.job_id
@@ -448,8 +523,6 @@ class ReproService:
         if self._stopping.is_set():
             cancel.set()
         started = time.perf_counter()
-        counters = {"hits": 0, "misses": 0, "deduped": 0, "failures": 0,
-                    "completed": 0}
 
         def on_result(result: CellResult) -> None:
             counters["completed"] += 1
@@ -461,13 +534,13 @@ class ReproService:
                 counters["misses"] += 1
             if not result.ok:
                 counters["failures"] += 1
-            event = self._cell_event(job, record, keys, result)
-            if subscriber is not None:
-                subscriber.send(event)
+            subscriber.send(self._cell_event(
+                job, record, indices[result.index], result
+            ))
 
         try:
             results = await run_cells_streamed(
-                cells,
+                work.cells,
                 jobs=self.jobs,
                 timeout_s=self.timeout_s,
                 retries=self.retries,
@@ -479,16 +552,15 @@ class ReproService:
         except Exception as error:  # noqa: BLE001 — surfaced as a job event
             record.status = "failed"
             record.duration_s = time.perf_counter() - started
-            if subscriber is not None:
-                subscriber.send({
-                    "event": "done",
-                    "job": job.job_id,
-                    "status": "failed",
-                    "error": repr(error),
-                    "cells": record.cells,
-                    "completed": counters["completed"],
-                    "failures": counters["failures"],
-                })
+            subscriber.send({
+                "event": "done",
+                "job": job.job_id,
+                "status": "failed",
+                "error": repr(error),
+                "cells": record.cells,
+                "completed": counters["completed"],
+                "failures": counters["failures"],
+            })
             return
         finally:
             self._running_job = None
@@ -499,34 +571,19 @@ class ReproService:
             not result.ok and result.failure.kind == "cancelled"
             for result in results
         )
-        record.status = "cancelled" if cancelled else "done"
         record.duration_s = duration
-        record.hits = counters["hits"]
-        record.misses = counters["misses"]
-        record.deduped = counters["deduped"]
-        record.failures = counters["failures"]
-        if self.cache is not None:
-            self.cache.record_run(job.job_id)
-        if subscriber is not None:
-            subscriber.send({
-                "event": "done",
-                "job": job.job_id,
-                "status": record.status,
-                "cells": record.cells,
-                "completed": counters["completed"],
-                "hits": counters["hits"],
-                "misses": counters["misses"],
-                "deduped": counters["deduped"],
-                "failures": counters["failures"],
-            })
+        self._finish(
+            job, record, "cancelled" if cancelled else "done", ran=True
+        )
 
     def _cell_event(
         self,
         job: QueuedJob,
         record: JobRecord,
-        keys: Dict[int, Optional[str]],
+        index: int,
         result: CellResult,
     ) -> Dict[str, Any]:
+        """The ``cell`` event for the job's cell ``index``."""
         if not result.ok:
             status = (
                 "cancelled" if result.failure.kind == "cancelled" else "failed"
@@ -538,37 +595,35 @@ class ReproService:
         event: Dict[str, Any] = {
             "event": "cell",
             "job": job.job_id,
-            "index": result.index,
+            "index": index,
             "status": status,
             "attempts": result.attempts,
             "deduped": result.deduped,
         }
         if result.ok:
             event["value"] = encode_value(result.value)
-            trace = self._export_trace(job, keys, result)
+            trace = self._export_trace(job, index, result)
             if trace is not None:
-                record.trace_paths[result.index] = trace
+                record.trace_paths[index] = trace
                 event["trace"] = trace
         else:
             event["failure"] = encode_failure(result.failure)
         return event
 
     def _export_trace(
-        self,
-        job: QueuedJob,
-        keys: Dict[int, Optional[str]],
-        result: CellResult,
+        self, job: QueuedJob, index: int, result: CellResult
     ) -> Optional[str]:
-        if job.spec.get("kind") != "trace" or not result.ok:
+        if job.spec.get("kind") != "trace":
             return None
         value = result.value
         recording = getattr(value, "recording", None)
-        label = getattr(value, "label", f"cell-{result.index}")
+        label = getattr(value, "label", f"cell-{index}")
         if recording is None:
             return None
         try:
             return self.store.write_trace(
-                keys.get(result.index), label, recording
+                job.work.keys[index], label, recording,
+                job_id=job.job_id, index=index,
             )
         except OSError:
             return None

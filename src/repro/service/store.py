@@ -4,10 +4,13 @@ The server keeps one :class:`JobRecord` per job it has ever seen (queued,
 running, or finished) so ``repro jobs`` can answer without touching the
 executor. Trace-kind cells additionally produce Perfetto JSON artifacts:
 :meth:`JobStore.write_trace` exports one cell's recording addressed by the
-cell's content key — the same SHA-256 the result cache uses — so a cell
-re-submitted with identical inputs maps to the identical artifact path and
-the file is simply reused. The streamed cell event carries the path as a
-``trace`` handle instead of shipping span dicts to every subscriber.
+cell's content key — the same SHA-256 the result cache uses, derived
+whether or not a cache is attached — so a cell re-submitted with identical
+inputs maps to the identical artifact path and the file is simply reused.
+The streamed cell event carries the path as a ``trace`` handle instead of
+shipping span dicts to every subscriber. A record holds no connection and
+no cells: the server keeps a job's in-flight state on its queued job,
+which is dropped when the job ends.
 """
 
 from __future__ import annotations
@@ -99,27 +102,32 @@ class JobStore:
 
     # ---------------------------------------------------------- artifacts
 
-    def trace_path(self, key: Optional[str], label: str) -> str:
-        """The artifact path one cell's recording lands at.
-
-        Content-keyed when the cell has a cache key (identical cells share
-        one file); label-keyed otherwise.
-        """
-        name = key if key is not None else _slug(label)
-        return os.path.join(self.artifacts_dir, "traces", f"{name}.json")
-
     def write_trace(
-        self, key: Optional[str], label: str, recording: Any
+        self,
+        key: Optional[str],
+        label: str,
+        recording: Any,
+        *,
+        job_id: str,
+        index: int,
     ) -> str:
-        """Export one recording as Perfetto JSON; returns the path.
+        """Export one cell's recording as Perfetto JSON; returns the path.
 
-        Atomic (temp + replace) and idempotent: a path that already
-        exists is reused — same key means same content by construction.
+        A cell with a content key lands at ``traces/<key>.json``, and a path
+        that already exists is reused: same key means same content by
+        construction. A cell with no key (an input with no stable encoding)
+        gets a name scoped to its job and cell, written every time, so it
+        never picks up another job's file. Writes are atomic (temp +
+        replace).
         """
         from repro.trace import chrome_trace, dumps
 
-        path = self.trace_path(key, label)
-        if os.path.exists(path):
+        if key is None:
+            name = f"{_slug(job_id)}-{index}-{_slug(label)}"
+        else:
+            name = key
+        path = os.path.join(self.artifacts_dir, "traces", f"{name}.json")
+        if key is not None and os.path.exists(path):
             return path
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)

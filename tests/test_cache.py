@@ -2,6 +2,8 @@
 
 import dataclasses
 import enum
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -196,9 +198,9 @@ class TestResultCache:
         assert len(code_fingerprint()) == 64
 
     def test_contains_probes_without_touching_counters(self, tmp_path):
-        # The service probes the store at submit time to report precached
-        # cells; a probe must not charge a hit or a miss — the real hit
-        # lands when execution reads the entry.
+        # The service probes every cell at admission; a probe must not
+        # charge a hit or a miss — the hit lands when admission reads the
+        # entry, the miss when the runner looks the cell up.
         cache = ResultCache(tmp_path)
         key = cache.key_for(_square, (3,), {})
         assert not cache.contains(key)
@@ -207,6 +209,36 @@ class TestResultCache:
         assert cache.hits == 0 and cache.misses == 0
         assert cache.get(key) == (True, 9)
         assert cache.hits == 1
+
+
+    def test_counters_lose_no_update_across_threads(self, tmp_path):
+        # A service reads the store on its event loop while its job thread
+        # reads it too: every hit, miss and byte must be counted.
+        cache = ResultCache(tmp_path)
+        hit = cache.key_for(_square, (3,), {})
+        miss = cache.key_for(_square, (4,), {})
+        cache.put(hit, 9)
+        entry_bytes = cache.stats().bytes
+        threads, rounds = 8, 200
+
+        def read():
+            for _ in range(rounds):
+                cache.get(hit)
+                cache.get(miss)
+
+        workers = [threading.Thread(target=read) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert cache.hits == cache.misses == threads * rounds
+        assert cache.bytes_read == threads * rounds * entry_bytes
 
 
 class TestStatsPersistence:

@@ -95,6 +95,14 @@ class TestAdmission:
         # Nothing was silently dropped: exactly the two admitted jobs run.
         assert _drain(scheduler) == ["one", "two"]
 
+    def test_unbounded_submit_admits_past_depth(self):
+        # The server's path for a job it has already accepted.
+        scheduler = JobScheduler(1)
+        scheduler.submit(_job("one"))
+        scheduler.submit(_job("accepted"), bounded=False)
+        assert scheduler.depth == 2
+        assert _drain(scheduler) == ["one", "accepted"]
+
     def test_slot_frees_after_dispatch(self):
         scheduler = JobScheduler(1)
         scheduler.submit(_job("one"))

@@ -7,17 +7,26 @@ bytes; pytest's tmp_path is routinely longer than that).
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import os
 import shutil
 import tempfile
 import threading
+import time
+import weakref
 
 import pytest
 
 from repro.cache import ResultCache
 from repro.errors import ConfigurationError, ServiceError
 from repro.service import ServiceClient, ServiceThread, server_available, submit_or_local
-from repro.service.registry import normalize_spec, run_local, render_results
+from repro.service.registry import (
+    build_cells,
+    normalize_spec,
+    run_local,
+    render_results,
+)
 
 
 @pytest.fixture()
@@ -44,6 +53,21 @@ def _spec(arms=("off",), transactions=40, **overrides):
     return spec
 
 
+def _explore_spec(routings=("xy",), seed=0):
+    # Cheap explore cells: the netstack gate below never holds them.
+    return {
+        "kind": "explore",
+        "platform": "7302",
+        "seed": seed,
+        "params": {
+            "topologies": ["squeeze-3x2"],
+            "routings": list(routings),
+            "workloads": ["contention"],
+            "packets_per_sender": 10,
+        },
+    }
+
+
 def _cancel_quietly(client, job_id):
     """Best-effort cleanup cancel: the job may already have finished."""
     try:
@@ -57,6 +81,17 @@ def _next_event(client):
     if client._pending:
         return client._pending.pop(0)
     return client._raise_on_error(client._recv())
+
+
+def _job_frames(client, job_id):
+    """This job's frames, read up to and including its done event."""
+    frames = []
+    while True:
+        frame = _next_event(client)
+        if frame.get("job") == job_id:
+            frames.append(frame)
+            if frame.get("event") == "done":
+                return frames
 
 
 def _service(service_dir, **kwargs):
@@ -438,3 +473,343 @@ class TestTraceArtifacts:
         # full breakdown locally, identically to an in-process run.
         local = submit_or_local(spec, prefer_local=True, cache=None)
         assert first.render() == local.render()
+
+    def test_uncached_trace_jobs_differing_in_seed_get_their_own_files(
+        self, service_dir
+    ):
+        # With no cache attached every cell is still content-keyed, so two
+        # jobs that differ only in seed never share an artifact.
+        from repro.trace import chrome_trace, dumps
+
+        specs = [
+            {
+                "kind": "trace",
+                "platform": "synthetic",
+                "seed": seed,
+                "params": {"cell": "netstack", "samples": 10},
+            }
+            for seed in (0, 1)
+        ]
+        with _service(service_dir, cache=None):
+            with ServiceClient(_sock(service_dir)) as client:
+                outcomes = [client.submit(spec) for spec in specs]
+        first, second = outcomes
+        assert len(first.trace_paths) == len(second.trace_paths) == 3
+        assert set(first.trace_paths.values()).isdisjoint(
+            second.trace_paths.values()
+        )
+        for outcome in outcomes:
+            for index, path in outcome.trace_paths.items():
+                value = outcome.results[index].value
+                with open(path, encoding="utf-8") as handle:
+                    assert handle.read() == dumps(
+                        chrome_trace([(value.label, value.recording)])
+                    )
+
+    def test_keyless_cell_gets_a_job_scoped_file_written_every_time(
+        self, service_dir
+    ):
+        from repro.service.store import JobStore
+        from repro.trace import chrome_trace, dumps
+
+        spec = normalize_spec({
+            "kind": "trace",
+            "platform": "synthetic",
+            "params": {"cell": "netstack", "samples": 10},
+        })
+        first, second = [
+            result.value.recording
+            for result in run_local(spec, cache=None)[:2]
+        ]
+        store = JobStore(os.path.join(service_dir, "artifacts"))
+        path = store.write_trace(
+            None, "cell", first, job_id="job-1", index=0
+        )
+        again = store.write_trace(
+            None, "cell", second, job_id="job-1", index=0
+        )
+        other = store.write_trace(
+            None, "cell", first, job_id="job-2", index=0
+        )
+        assert path == again != other
+        with open(again, encoding="utf-8") as handle:
+            # Written again: the second recording replaced the first.
+            assert handle.read() == dumps(chrome_trace([("cell", second)]))
+
+
+class TestAdmission:
+    """Cached cells are answered at admission, ahead of any queued work.
+
+    The gate holds a cold netstack job on the job thread. Its patched
+    ``run_point`` is a local function, so netstack cells are uncacheable
+    under it; the cached specs here are explore sweeps, which the gate
+    never holds. An answer that waited for the job thread would wait for
+    the gate, so the answered clients read with a socket timeout.
+    """
+
+    @staticmethod
+    def _hold(gate, client):
+        held = _spec(arms=("off", "credits", "credits+qos"))
+        client._send({
+            "op": "submit", "spec": normalize_spec(held), "priority": 0,
+        })
+        accepted = client._await_event("accepted")
+        assert gate.started.wait(timeout=60)
+        return accepted["job"]
+
+    def test_cached_resubmit_is_done_before_the_gate_opens(
+        self, service_dir, gate
+    ):
+        spec = _explore_spec(routings=("xy", "adaptive"))
+        with _service(service_dir, jobs=1):
+            with ServiceClient(_sock(service_dir), client="hog") as hog:
+                cold = hog.submit(spec)
+                held = self._hold(gate, hog)
+                try:
+                    with ServiceClient(
+                        _sock(service_dir), client="warm"
+                    ) as warm:
+                        warm._sock.settimeout(30)
+                        outcome = warm.submit(spec)
+                    assert not gate.release.is_set()
+                finally:
+                    gate.release.set()
+                    _cancel_quietly(hog, held)
+        assert outcome.status == "done"
+        assert outcome.precached == len(outcome.results) == 2
+        assert all(result.cached for result in outcome.results)
+        assert outcome.render() == cold.render()
+        assert gate.released == [True]
+
+    def test_partly_cached_job_streams_hits_before_its_misses(
+        self, service_dir, gate
+    ):
+        with _service(service_dir, jobs=1):
+            with ServiceClient(_sock(service_dir), client="hog") as hog:
+                # Caches cell 0 ("xy") of the two-cell job below.
+                hog.submit(_explore_spec(routings=("xy",)))
+                held = self._hold(gate, hog)
+                try:
+                    with ServiceClient(
+                        _sock(service_dir), client="part"
+                    ) as part:
+                        part._sock.settimeout(30)
+                        part._send({
+                            "op": "submit",
+                            "spec": normalize_spec(
+                                _explore_spec(routings=("xy", "adaptive"))
+                            ),
+                            "priority": 0,
+                        })
+                        accepted = part._await_event("accepted")
+                        early = _next_event(part)
+                        assert not gate.release.is_set()
+                        gate.release.set()
+                        late = _job_frames(part, accepted["job"])
+                finally:
+                    gate.release.set()
+                    _cancel_quietly(hog, held)
+        assert accepted["precached"] == 1
+        assert (early["event"], early["index"], early["status"]) == (
+            "cell", 0, "cached"
+        )
+        # The miss ran after the held job, at its index in the job.
+        assert [
+            (frame["index"], frame["status"])
+            for frame in late if frame["event"] == "cell"
+        ] == [(1, "ok")]
+        done = late[-1]
+        assert done["status"] == "done"
+        assert (done["completed"], done["hits"], done["misses"]) == (2, 1, 1)
+        assert gate.released == [True]
+
+    def test_queued_cancel_counts_the_hits_already_streamed(
+        self, service_dir, gate
+    ):
+        with _service(service_dir, jobs=1):
+            with ServiceClient(_sock(service_dir), client="hog") as hog:
+                hog.submit(_explore_spec(routings=("xy",)))
+                held = self._hold(gate, hog)
+                try:
+                    hog._send({
+                        "op": "submit",
+                        "spec": normalize_spec(
+                            _explore_spec(routings=("xy", "adaptive"))
+                        ),
+                        "priority": 0,
+                    })
+                    queued = hog._await_event("accepted")["job"]
+                    hog._sock.settimeout(30)
+                    assert hog.cancel(queued)["where"] == "queue"
+                    frames = _job_frames(hog, queued)
+                finally:
+                    gate.release.set()
+                    _cancel_quietly(hog, held)
+        assert [
+            (frame["index"], frame["status"])
+            for frame in frames if frame["event"] == "cell"
+        ] == [(0, "cached")]
+        done = frames[-1]
+        assert (done["status"], done["completed"], done["hits"]) == (
+            "cancelled", 1, 1
+        )
+        assert gate.released == [True]
+
+    def test_full_queue_answers_a_cached_job_and_rejects_misses(
+        self, service_dir, gate
+    ):
+        cache = ResultCache(os.path.join(service_dir, "cache"))
+        cached = _explore_spec()
+        with _service(service_dir, jobs=1, max_depth=1, cache=cache):
+            with ServiceClient(_sock(service_dir), client="hog") as hog:
+                hog.submit(cached)
+                held = self._hold(gate, hog)
+                queued = None
+                try:
+                    # Uncacheable under the gate: takes the only slot.
+                    hog._send({
+                        "op": "submit", "spec": normalize_spec(_spec()),
+                        "priority": 0,
+                    })
+                    queued = hog._await_event("accepted")["job"]
+                    with ServiceClient(
+                        _sock(service_dir), client="late"
+                    ) as late:
+                        late._sock.settimeout(30)
+                        outcome = late.submit(cached)
+                        charged = (cache.hits, cache.misses)
+                        with pytest.raises(ServiceError) as excinfo:
+                            late.submit(_explore_spec(seed=1))
+                        # Rejected before any read.
+                        assert (cache.hits, cache.misses) == charged
+                    assert not gate.release.is_set()
+                finally:
+                    gate.release.set()
+                    if queued is not None:
+                        _cancel_quietly(hog, queued)
+                    _cancel_quietly(hog, held)
+        assert outcome.status == "done"
+        assert all(result.cached for result in outcome.results)
+        assert excinfo.value.code == "queue-full"
+        assert gate.released == [True]
+
+
+    def test_read_failing_after_its_probe_runs_the_cell_past_a_full_queue(
+        self, service_dir, gate
+    ):
+        # The entry exists (the probe hits) but cannot be read: the
+        # accepted job must run that cell, even with the queue full.
+        cache = ResultCache(os.path.join(service_dir, "cache"))
+        spec = _explore_spec()
+        (cell,) = build_cells(normalize_spec(spec))
+        with _service(service_dir, jobs=1, max_depth=1, cache=cache):
+            with ServiceClient(_sock(service_dir), client="hog") as hog:
+                hog.submit(spec)
+                key = cache.key_for(cell.fn, cell.args, cell.kwargs)
+                with open(cache._path(key), "wb") as handle:
+                    handle.write(b"not a pickle")
+                held = self._hold(gate, hog)
+                queued = None
+                try:
+                    hog._send({
+                        "op": "submit", "spec": normalize_spec(_spec()),
+                        "priority": 0,
+                    })
+                    queued = hog._await_event("accepted")["job"]
+                    with ServiceClient(
+                        _sock(service_dir), client="late"
+                    ) as late:
+                        late._send({
+                            "op": "submit", "spec": normalize_spec(spec),
+                            "priority": 0,
+                        })
+                        accepted = late._await_event("accepted")
+                        gate.release.set()
+                        frames = _job_frames(late, accepted["job"])
+                finally:
+                    gate.release.set()
+                    if queued is not None:
+                        _cancel_quietly(hog, queued)
+                    _cancel_quietly(hog, held)
+        assert accepted["precached"] == 1
+        assert [
+            (frame["index"], frame["status"])
+            for frame in frames if frame["event"] == "cell"
+        ] == [(0, "ok")]
+        done = frames[-1]
+        assert (done["status"], done["hits"], done["misses"]) == ("done", 0, 1)
+        assert gate.released == [True]
+
+
+class TestCacheAccounting:
+    def test_each_cell_is_charged_once_and_recorded(
+        self, service_dir, capsys
+    ):
+        from repro.cli import main
+
+        root = os.path.join(service_dir, "cache")
+        cache = ResultCache(root)
+        reads = []
+        get = cache.get
+
+        def counting_get(key):
+            reads.append(key)
+            return get(key)
+
+        cache.get = counting_get
+        spec = _spec(arms=("off", "credits"))
+        cells = len(build_cells(normalize_spec(spec)))
+        with _service(service_dir, cache=cache):
+            with ServiceClient(_sock(service_dir)) as client:
+                client.submit(spec)
+                assert (cache.hits, cache.misses) == (0, cells)
+                assert len(reads) == cells
+                warm = client.submit(spec)
+                assert (cache.hits, cache.misses) == (cells, cells)
+                # One read per cell: no cell read twice, none skipped.
+                assert sorted(reads[cells:]) == sorted(set(reads[:cells]))
+                records = client.jobs()["records"]
+                # The warm job never ran, so it wrote no run record: its
+                # hits are persisted at shutdown.
+                assert ResultCache(root).stats().recorded_runs == 1
+        assert warm.hits == cells == 4
+        assert [(row["hits"], row["misses"]) for row in records] == [
+            (0, cells), (cells, 0)
+        ]
+        assert main(["cache", "stats", "--dir", root]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "recorded runs: 2" in lines
+        assert f"recorded hits: {cells}" in lines
+        assert f"recorded misses: {cells}" in lines
+
+
+class TestLifetimes:
+    def test_finished_jobs_pin_no_connection(self, service_dir):
+        # One job run on the job thread (cold), one answered at admission
+        # (warm): once each is done and its client has closed, the server
+        # keeps the job's record but not the connection.
+        spec = _spec()
+        refs = []
+        with _service(service_dir) as thread:
+            service = thread.service
+
+            async def connection_named(name):
+                return [c for c in service._connections if c.name == name]
+
+            for name in ("cold", "warm"):
+                client = ServiceClient(_sock(service_dir), client=name)
+                client.connect()
+                client.submit(spec)
+                (connection,) = asyncio.run_coroutine_threadsafe(
+                    connection_named(name), thread._loop
+                ).result(timeout=30)
+                refs.append(weakref.ref(connection))
+                del connection
+                client.close()
+            deadline = time.monotonic() + 30
+            while any(ref() is not None for ref in refs):
+                assert time.monotonic() < deadline, "a connection outlived its job"
+                time.sleep(0.01)
+                gc.collect()
+            statuses = [record.status for record in service.store.records()]
+        assert statuses == ["done", "done"]
