@@ -9,7 +9,9 @@ Exercises the full daemon lifecycle the way CI and a developer would:
    the in-process ``--local`` fallback and to the direct
    ``repro netstack`` subcommand's stdout,
 4. shut the daemon down through the protocol and assert a clean exit:
-   exit code 0, socket unlinked, no orphaned worker processes.
+   exit code 0, socket unlinked, no orphaned worker processes, and no
+   traceback on the daemon's stderr (kept in a file, not a pipe, so the
+   daemon can never block on a full pipe buffer).
 
 Run via ``make serve-smoke`` (or directly)::
 
@@ -48,6 +50,11 @@ def fail(message):
     sys.exit(1)
 
 
+def read_text(path):
+    with open(path, encoding="utf-8", errors="replace") as file:
+        return file.read()
+
+
 def main():
     # Unix socket paths are limited to ~108 bytes, so anchor under /tmp
     # rather than wherever $TMPDIR points.
@@ -60,14 +67,17 @@ def main():
     env["REPRO_CACHE"] = "1"
     env["REPRO_CACHE_DIR"] = os.path.join(workdir, "cache")
 
-    server = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", socket_path,
-            "--artifacts-dir", os.path.join(workdir, "artifacts"),
-        ],
-        env=env,
-    )
+    stderr_path = os.path.join(workdir, "serve.stderr")
+    with open(stderr_path, "wb") as stderr:
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--socket", socket_path,
+                "--artifacts-dir", os.path.join(workdir, "artifacts"),
+            ],
+            env=env,
+            stderr=stderr,
+        )
     try:
         deadline = time.monotonic() + START_DEADLINE_S
         while not server_available(socket_path):
@@ -123,8 +133,13 @@ def main():
             fail(f"server exited with code {code} after shutdown")
         if os.path.exists(socket_path):
             fail("socket file left behind after shutdown")
-        print("serve-smoke: clean shutdown, socket unlinked")
+        if "Traceback" in read_text(stderr_path):
+            fail("the daemon printed a traceback (its stderr follows)")
+        print("serve-smoke: clean shutdown, socket unlinked, no traceback")
         return 0
+    except BaseException:
+        sys.stderr.write(read_text(stderr_path))
+        raise
     finally:
         if server.poll() is None:
             server.kill()

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.analysis.stats import LatencyStats
 from repro.errors import ConfigurationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 from repro.transport.message import OpKind, Transaction
 from repro.transport.path import CompiledPath
 from repro.transport.transaction import TransactionExecutor
@@ -247,6 +247,15 @@ class ClosedLoopIssuer:
     def _lane(
         self, path: CompiledPath, worker_id: int, lane: int, warmup: int
     ) -> Generator[Event, None, None]:
+        """One outstanding slot: run its quota of transactions back to back.
+
+        Each transaction runs inline, in the lane's own process. Where a
+        process per transaction would queue its bootstrap and then its
+        completion, the lane yields a zero timeout (drawing the same
+        sequence number), unless that event would fire next anyway
+        (:meth:`~repro.sim.engine.Environment.fires_next`).
+        """
+        env = self.env
         # Split the per-worker count over its lanes (remainder to lane 0).
         base, extra = divmod(self.count_per_worker, self.window)
         quota = base + (1 if lane < extra else 0)
@@ -255,21 +264,24 @@ class ClosedLoopIssuer:
                 # Claim the next pacing slot for the whole issuer group.
                 # Pacing must never fall behind real time, or an idle period
                 # would be followed by an artificial burst.
-                slot = max(self._next_issue_ns, self.env.now)
+                slot = max(self._next_issue_ns, env.now)
                 self._next_issue_ns = slot + self._interval_ns
-                if slot > self.env.now:
-                    yield self.env.timeout(slot - self.env.now)
+                if slot > env.now:
+                    yield env.timeout(slot - env.now)
             txn = Transaction(
                 self.op, self.size_bytes, src_core=worker_id, flow_id=worker_id
             )
-            done = self.env.process(self.executor.execute(txn, path))
-            yield done
+            if not env.fires_next():
+                yield Timeout(env, 0.0)
+            yield from self.executor.execute(txn, path)
+            if not env.fires_next():
+                yield Timeout(env, 0.0)
             if i >= warmup // max(1, self.window):
                 if self._measure_start_ns is None:
                     self._measure_start_ns = txn.issued_ns
                 self._samples.append(txn.latency_ns)
                 self._bytes_measured += txn.size_bytes
-                self._measure_end_ns = self.env.now
+                self._measure_end_ns = env.now
 
     def start(self):
         """Start all workers; returns the event that fires when all finish.

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, fired
 from repro.units import CACHELINE
 
 __all__ = ["TokenPool", "ccx_token_pool", "ccd_token_pool"]
@@ -54,14 +54,21 @@ class TokenPool:
         return len(self._waiting)
 
     def acquire(self) -> Event:
-        """Claim one token; the event fires when the token is granted."""
-        event = Event(self.env)
+        """Claim one token; the event fires when the token is granted.
+
+        A free token whose grant would fire next comes back already fired
+        instead of queued (:meth:`~repro.sim.engine.Environment.fires_next`),
+        so only the acquiring process may wait on it, as every caller does.
+        """
+        env = self.env
         if self._available > 0 and not self._waiting:
             self._available -= 1
             self._record_wait(0.0)
-            event.succeed()
-        else:
-            self._waiting.append((event, self.env.now))
+            if env.fires_next():
+                return fired(env)
+            return Event(env).succeed()
+        event = Event(env)
+        self._waiting.append((event, env.now))
         return event
 
     def release(self) -> None:

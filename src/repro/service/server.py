@@ -69,14 +69,20 @@ def resolve_socket_path(path: Optional[str] = None) -> str:
 
 
 class _Connection:
-    """One client connection: identity and writer queue."""
+    """One client connection: identity, its stream pair, its handler task
+    and its writer queue."""
 
     _counter = 0
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         _Connection._counter += 1
         self.name = f"conn-{_Connection._counter}"
+        self.reader = reader
         self.writer = writer
+        #: The task running :meth:`ReproService._handle_connection`.
+        self.handler = asyncio.current_task()
         self.outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
         self.closed = False
 
@@ -200,8 +206,16 @@ class ReproService:
             self._running_cancel.set()
         if self._dispatcher is not None:
             await self._dispatcher
+        # End every connection's reader at EOF, so each handler returns on
+        # its own. A handler still parked in readline() when asyncio.run
+        # tears the loop down gets cancelled, and the stream protocol's
+        # done-callback then prints a CancelledError traceback.
+        handlers = []
         for connection in list(self._connections):
             await self._close_connection(connection)
+            connection.reader.feed_eof()
+            handlers.append(connection.handler)
+        await asyncio.gather(*handlers, return_exceptions=True)
         self._executor.shutdown(wait=True)
         if self.cache is not None:
             # Persist the reads of jobs that never ran (see _finish).
@@ -217,7 +231,7 @@ class ReproService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        connection = _Connection(writer)
+        connection = _Connection(reader, writer)
         self._connections.add(connection)
         drain = asyncio.ensure_future(self._drain_outbox(connection))
         try:

@@ -22,7 +22,31 @@ progressions — shard ``i`` of ``N`` uses ``offset=i, step=N`` — which makes
 the merged event order of N shards directly comparable with (and for one
 shard identical to) the serial order. Anything that influences results must
 flow through ``(time, seq)``: callbacks run in list order, and no code may
-depend on heap internals beyond this contract.
+depend on heap internals beyond this contract. Sequence numbers are only
+ever *compared*, never counted: no result may depend on how many were
+drawn.
+
+**Events that fire next skip the queue.** A zero-delay event that the run
+loop would pop next anyway need not be queued: its waiter may continue at
+once. :meth:`Environment.fires_next` says when that holds — the loop is
+firing the *only* callback of the event it popped, and no other event is
+due at ``now``. Four places apply it, each where the event is yielded at
+once: :meth:`Resource.request` returns a free slot, and
+:meth:`~repro.noc.flowcontrol.TokenPool.acquire` a free token, as an
+already-fired event (as :meth:`Store.put` always does); a :class:`Process`
+that finishes with one waiter calls it in place; and a
+:class:`~repro.core.loadgen.ClosedLoopIssuer` lane runs each transaction
+inline, queueing a zero :class:`Timeout` only where the bootstrap or
+completion of a per-transaction process would not have fired next. This is
+exact by construction: the skipped event is the one the loop would pop
+next, so every callback runs in the same order, at the same ``now``, with
+the same RNG draws. Only later sequence numbers shift (one fewer is
+drawn), which keeps their order. A multi-callback event fires with the rule
+off (its siblings must run before any continuation), and so does the event
+a ``run(until=event)`` stops at (the loop stops after it). The strict loop
+(``Environment(strict=True)``, :meth:`Environment.step`) never applies the
+rule: every event goes through the queue, and that run is the reference the
+fast one must reproduce.
 
 Every class on the hot path declares ``__slots__`` — a simulation allocates
 millions of short-lived events, and slotted instances are both smaller and
@@ -51,6 +75,7 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Store",
+    "fired",
 ]
 
 #: Sentinel for "event not yet triggered".
@@ -119,6 +144,20 @@ class Event:
                 callback(self)
 
 
+def fired(env: "Environment", value: Any = None) -> Event:
+    """An event that has already fired with ``value``; it is never queued.
+
+    ``triggered`` and ``processed`` are both true, so a process yielding it
+    continues at once with ``value``.
+    """
+    event = Event.__new__(Event)
+    event.env = env
+    event.callbacks = None
+    event._value = value
+    event._ok = True
+    return event
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
@@ -167,7 +206,22 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                callbacks = self.callbacks
+                env = self.env
+                queue = env._queue
+                if (
+                    len(callbacks) == 1
+                    and env._sole
+                    and (not queue or queue[0][0] != env._now)
+                    and env._until is not self
+                ):
+                    # The completion would fire next, with this one waiter:
+                    # call it in place (see the module ordering contract).
+                    self._value = stop.value
+                    self.callbacks = None
+                    callbacks[0](self)
+                else:
+                    self.succeed(stop.value)
                 return
             if not isinstance(target, Event):
                 raise SimulationError(
@@ -249,9 +303,14 @@ class Environment:
     (see :meth:`step`). The checked loop costs a few percent, so the
     default ``run`` loops stay inlined and check-free; the scheduling order
     — and therefore every simulation result — is identical either way.
+    The checked loop also queues every event (no event skips the queue,
+    see :meth:`fires_next`), so a strict run is the reference.
     """
 
-    __slots__ = ("_now", "_queue", "_sequence", "_seq_step", "strict", "tracer")
+    __slots__ = (
+        "_now", "_queue", "_sequence", "_seq_step", "strict", "tracer",
+        "_sole", "_until",
+    )
 
     def __init__(
         self,
@@ -279,6 +338,11 @@ class Environment:
         #: per transaction and otherwise run the exact pre-tracing code.
         #: The run loops never touch it, so tracing-off costs nothing.
         self.tracer = None
+        #: True while a non-strict run loop fires the only callback of the
+        #: event it popped (see :meth:`fires_next`); False everywhere else.
+        self._sole = False
+        #: The event a running ``run(until=event)`` stops at, else None.
+        self._until = None
 
     @property
     def now(self) -> float:
@@ -288,6 +352,21 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._sequence = sequence = self._sequence + self._seq_step
         _heappush(self._queue, (self._now + delay, sequence, event))
+
+    def fires_next(self) -> bool:
+        """True when a zero-delay event scheduled now would fire next.
+
+        That is when a non-strict run loop is firing the only callback of
+        the event it popped and no other event is due at ``now``: the event
+        would be popped next and handed to its waiter, so a caller that
+        yields it at once may skip the queue and continue (see the module
+        ordering contract). Always False outside :meth:`run` and under
+        ``strict=True``.
+        """
+        if not self._sole:
+            return False
+        queue = self._queue
+        return not queue or queue[0][0] != self._now
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` ns from now."""
@@ -362,48 +441,74 @@ class Environment:
 
         The loops below inline :meth:`step`'s pop-and-fire body (minus its
         can't-happen past-event check): the heap guarantees monotonic pop
-        order, and ``_schedule`` never targets the past. Strict environments
-        route through the checked loop instead.
+        order, and ``_schedule`` never targets the past. They also keep the
+        :meth:`fires_next` flag: set while a popped event's only callback
+        fires, cleared while a multi-callback event (or the awaited event)
+        fires, and cleared when the run ends, however it ends. Strict
+        environments route through the checked loop instead, which never
+        sets it.
         """
         if self.strict:
             return self._run_checked(until)
         queue = self._queue
-        if isinstance(until, Event):
-            stop_event = until
-            while stop_event.callbacks is not None:
-                if not queue:
+        self._sole = True
+        try:
+            if isinstance(until, Event):
+                stop_event = self._until = until
+                while stop_event.callbacks is not None:
+                    if not queue:
+                        raise SimulationError(
+                            "simulation ran out of events before the awaited "
+                            "event fired"
+                        )
+                    self._now, __, event = _heappop(queue)
+                    callbacks, event.callbacks = event.callbacks, None
+                    if callbacks:
+                        if len(callbacks) == 1 and event is not stop_event:
+                            callbacks[0](event)
+                        else:
+                            self._sole = False
+                            for callback in callbacks:
+                                callback(event)
+                            self._sole = True
+                if not stop_event._ok:
+                    raise stop_event._value
+                return stop_event._value
+            if until is not None:
+                horizon = float(until)
+                if horizon < self._now:
                     raise SimulationError(
-                        "simulation ran out of events before the awaited event fired"
+                        f"cannot run until {horizon}: clock is already at "
+                        f"{self._now}"
                     )
+                while queue and queue[0][0] <= horizon:
+                    self._now, __, event = _heappop(queue)
+                    callbacks, event.callbacks = event.callbacks, None
+                    if callbacks:
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            self._sole = False
+                            for callback in callbacks:
+                                callback(event)
+                            self._sole = True
+                self._now = horizon
+                return None
+            while queue:
                 self._now, __, event = _heappop(queue)
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until {horizon}: clock is already at {self._now}"
-                )
-            while queue and queue[0][0] <= horizon:
-                self._now, __, event = _heappop(queue)
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-            self._now = horizon
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._sole = False
+                        for callback in callbacks:
+                            callback(event)
+                        self._sole = True
             return None
-        while queue:
-            self._now, __, event = _heappop(queue)
-            callbacks, event.callbacks = event.callbacks, None
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-        return None
+        finally:
+            self._sole = False
+            self._until = None
 
 
 class _ResourceRequest(Event):
@@ -455,15 +560,26 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> _ResourceRequest:
-        """Claim a slot; the returned event fires when the slot is granted."""
+        """Claim a slot; the returned event fires when the slot is granted.
+
+        A free slot whose grant would fire next comes back already fired
+        instead of queued (:meth:`Environment.fires_next`), so only the
+        requesting process may wait on it, as every caller does.
+        """
         req = _ResourceRequest(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            # Grant inline: what succeed() does, with the same sequence draw.
             req._value = None
             env = self.env
-            env._sequence = sequence = env._sequence + env._seq_step
-            _heappush(env._queue, (env._now, sequence, req))
+            queue = env._queue
+            if env._sole and (not queue or queue[0][0] != env._now):
+                # The grant would fire next: hand it over already fired
+                # (Environment.fires_next, inlined).
+                req.callbacks = None
+            else:
+                # Grant inline: what succeed() does, with the same draw.
+                env._sequence = sequence = env._sequence + env._seq_step
+                _heappush(queue, (env._now, sequence, req))
         else:
             self._waiting.append(req)
         return req
@@ -506,12 +622,7 @@ class Store:
             self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
-        done = Event.__new__(Event)
-        done.env = self.env
-        done.callbacks = None
-        done._value = item
-        done._ok = True
-        return done
+        return fired(self.env, item)
 
     def get(self) -> Event:
         """Remove and return the oldest item, waiting if the store is empty."""

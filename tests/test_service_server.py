@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import logging
 import os
 import shutil
 import tempfile
@@ -813,3 +814,26 @@ class TestLifetimes:
                 gc.collect()
             statuses = [record.status for record in service.store.records()]
         assert statuses == ["done", "done"]
+
+
+class TestShutdown:
+    def test_stop_with_a_client_connected_logs_and_prints_nothing(
+        self, service_dir, capfd, caplog
+    ):
+        # Each cycle stops the service while a client is still connected,
+        # its handler parked in readline(). A handler left to asyncio.run's
+        # teardown is cancelled there, and the stream protocol's
+        # done-callback then logs "Exception in callback ...
+        # CancelledError" with a traceback.
+        caplog.set_level(logging.WARNING)
+        capfd.readouterr()
+        for __ in range(10):
+            with _service(service_dir):
+                client = ServiceClient(_sock(service_dir), client="idle")
+                client.connect()
+                assert client.ping()
+            client.close()
+        captured = capfd.readouterr()
+        assert [record.getMessage() for record in caplog.records] == []
+        assert captured.err == ""
+        assert captured.out == ""
