@@ -78,9 +78,10 @@ shard-smoke:
 	@echo "shard-smoke: OK"
 
 # The persistent simulation service end to end: `repro serve` as a real
-# daemon, a netstack batch submitted twice (the resubmission must be
-# >=90% warm-cache hits and byte-identical to the --local fallback),
-# then a protocol-driven shutdown that must leave nothing behind.
+# daemon, a netstack batch and a Table 2 column each submitted twice
+# (the resubmission must be >=90% warm-cache hits and byte-identical to
+# the --local fallback and the direct subcommand), then a
+# protocol-driven shutdown that must leave nothing behind.
 serve-smoke:
 	timeout 180 env PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
 	@echo "serve-smoke: OK"

@@ -15,7 +15,10 @@ def bench_characterization_suite(benchmark, p7302, p9634):
     suite = CharacterizationSuite(iterations=800)
 
     def sweep():
-        return suite.compare([p7302, p9634, synthetic_ucie()])
+        return {
+            platform.name: suite.run(platform)
+            for platform in (p7302, p9634, synthetic_ucie())
+        }
 
     reports = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for report in reports.values():

@@ -3,11 +3,12 @@
 Exercises the full daemon lifecycle the way CI and a developer would:
 
 1. start ``repro serve`` as a real subprocess on a fresh Unix socket,
-2. submit a netstack batch, then submit the identical batch again,
-3. assert the resubmission is served almost entirely from the warm
+2. submit a netstack batch, then submit the identical batch again, and
+   do the same with a Table 2 column,
+3. assert each resubmission is served almost entirely from the warm
    cache (>= 90% hits) and that both artifacts are byte-identical to
-   the in-process ``--local`` fallback and to the direct
-   ``repro netstack`` subcommand's stdout,
+   the in-process ``--local`` fallback and to the direct subcommand's
+   stdout (``repro netstack``, ``repro table2``),
 4. shut the daemon down through the protocol and assert a clean exit:
    exit code 0, socket unlinked, no orphaned worker processes, and no
    traceback on the daemon's stderr (kept in a file, not a pipe, so the
@@ -29,16 +30,24 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.service import ServiceClient, server_available, submit_or_local
 
-#: The batch: every netstack arm on the synthetic platform, kept small
-#: enough that the cold pass finishes in seconds on one CPU.
-SPEC = {
-    "kind": "netstack",
-    "platform": "synthetic",
-    "params": {"transactions_per_core": 60},
-}
-
-#: The direct subcommand that denotes the same spec.
-DIRECT = ["netstack", "--platform", "synthetic", "--transactions", "60"]
+#: The batches, each with the direct subcommand that denotes the same
+#: spec: every netstack arm on the synthetic platform, and the 7302's
+#: Table 2 column. Both are kept small enough that the cold pass
+#: finishes in seconds on one CPU.
+BATCHES = (
+    (
+        {
+            "kind": "netstack",
+            "platform": "synthetic",
+            "params": {"transactions_per_core": 60},
+        },
+        ["netstack", "--platform", "synthetic", "--transactions", "60"],
+    ),
+    (
+        {"kind": "table2", "platform": "7302", "params": {"iterations": 100}},
+        ["table2", "--platform", "7302", "--iterations", "100"],
+    ),
+)
 
 START_DEADLINE_S = 30.0
 SHUTDOWN_DEADLINE_S = 30.0
@@ -53,6 +62,50 @@ def fail(message):
 def read_text(path):
     with open(path, encoding="utf-8", errors="replace") as file:
         return file.read()
+
+
+def check_batch(socket_path, env, spec, direct_argv):
+    """Cold and warm submits of one spec against both in-process doors."""
+    kind = spec["kind"]
+    with ServiceClient(socket_path, client="smoke") as client:
+        cold = client.submit(spec)
+    if cold.status != "done" or cold.failures:
+        fail(f"{kind} cold submit: status={cold.status} "
+             f"failures={cold.failures}")
+    cells = len(cold.results)
+    print(
+        f"serve-smoke: {kind} cold submit {cold.job_id}: {cells} cells, "
+        f"{cold.hits} hits"
+    )
+
+    with ServiceClient(socket_path, client="smoke") as client:
+        warm = client.submit(spec)
+    if warm.status != "done" or warm.failures:
+        fail(f"{kind} warm submit: status={warm.status} "
+             f"failures={warm.failures}")
+    hit_rate = warm.hits / cells
+    print(
+        f"serve-smoke: {kind} warm submit {warm.job_id}: {warm.hits}/{cells} "
+        f"hits ({hit_rate:.0%}), {warm.precached} precached"
+    )
+    if hit_rate < HIT_FLOOR:
+        fail(f"{kind} warm hit rate {hit_rate:.0%} below {HIT_FLOOR:.0%}")
+
+    # Byte-identity: the served artifact must match the in-process
+    # fallback exactly (cache off so the local run really computes).
+    local = submit_or_local(spec, prefer_local=True, cache=None)
+    if not (cold.render() == warm.render() == local.render()):
+        fail(f"served {kind} artifact differs from the local fallback")
+    print(f"serve-smoke: served {kind} artifact byte-identical to --local")
+    direct = subprocess.run(
+        [sys.executable, "-m", "repro", *direct_argv, "--no-cache"],
+        env=env, stdout=subprocess.PIPE, text=True, check=False,
+    )
+    if direct.returncode != 0:
+        fail(f"repro {' '.join(direct_argv)} exited with {direct.returncode}")
+    if direct.stdout != local.render() + "\n":
+        fail(f"direct {kind} subcommand's artifact differs from the submit")
+    print(f"serve-smoke: direct {kind} subcommand byte-identical to submit")
 
 
 def main():
@@ -88,43 +141,8 @@ def main():
             time.sleep(0.1)
         print(f"serve-smoke: server up on {socket_path}")
 
-        with ServiceClient(socket_path, client="smoke") as client:
-            cold = client.submit(SPEC)
-        if cold.status != "done" or cold.failures:
-            fail(f"cold submit: status={cold.status} failures={cold.failures}")
-        cells = len(cold.results)
-        print(
-            f"serve-smoke: cold submit {cold.job_id}: {cells} cells, "
-            f"{cold.hits} hits"
-        )
-
-        with ServiceClient(socket_path, client="smoke") as client:
-            warm = client.submit(SPEC)
-        if warm.status != "done" or warm.failures:
-            fail(f"warm submit: status={warm.status} failures={warm.failures}")
-        hit_rate = warm.hits / cells
-        print(
-            f"serve-smoke: warm submit {warm.job_id}: {warm.hits}/{cells} "
-            f"hits ({hit_rate:.0%}), {warm.precached} precached"
-        )
-        if hit_rate < HIT_FLOOR:
-            fail(f"warm hit rate {hit_rate:.0%} below {HIT_FLOOR:.0%}")
-
-        # Byte-identity: the served artifact must match the in-process
-        # fallback exactly (cache off so the local run really computes).
-        local = submit_or_local(SPEC, prefer_local=True, cache=None)
-        if not (cold.render() == warm.render() == local.render()):
-            fail("served artifact differs from the local fallback")
-        print("serve-smoke: served artifact byte-identical to --local")
-        direct = subprocess.run(
-            [sys.executable, "-m", "repro", *DIRECT, "--no-cache"],
-            env=env, stdout=subprocess.PIPE, text=True, check=False,
-        )
-        if direct.returncode != 0:
-            fail(f"repro {' '.join(DIRECT)} exited with {direct.returncode}")
-        if direct.stdout != local.render() + "\n":
-            fail("direct subcommand's artifact differs from the submit")
-        print("serve-smoke: direct subcommand byte-identical to submit")
+        for spec, direct_argv in BATCHES:
+            check_batch(socket_path, env, spec, direct_argv)
 
         with ServiceClient(socket_path, client="smoke") as client:
             client.shutdown()

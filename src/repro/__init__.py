@@ -40,11 +40,9 @@ from repro.runner import (
     Cell,
     CellFailure,
     CellResult,
-    platform_map,
     resolve_jobs,
     run_cells,
     run_cells_detailed,
-    starmap,
 )
 from repro.transport.message import OpKind
 
@@ -67,8 +65,6 @@ __all__ = [
     "resolve_jobs",
     "run_cells",
     "run_cells_detailed",
-    "starmap",
-    "platform_map",
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",

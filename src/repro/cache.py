@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import fcntl
 import hashlib
 import json
 import os
@@ -40,10 +41,9 @@ import pickle
 import struct
 import tempfile
 import threading
-import time
 import weakref
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "CACHE_DIR_ENV_VAR",
@@ -259,8 +259,38 @@ def code_fingerprint() -> str:
 # ------------------------------------------------------------------- store
 
 
-#: Subdirectory of the store holding persisted per-run counter records.
+#: Subdirectory of the store holding the persisted run counters: one
+#: totals file, replaced atomically under an exclusive lock on a lock file.
+#: Per-run ``run-*.json`` records that older versions wrote there are
+#: folded into the totals by the next :meth:`ResultCache.record_run`.
 _STATS_DIRNAME = "_stats"
+_TOTALS_NAME = "totals.json"
+_LOCK_NAME = ".lock"
+
+#: The persisted counters, in totals-file order.
+_TOTALS_FIELDS = ("runs", "hits", "misses", "bytes_read", "bytes_written")
+
+
+def _write_atomic(path: str, payload: bytes) -> None:
+    """Write ``path`` through a temp file and :func:`os.replace`.
+
+    Readers never see a torn file. On failure the temp file is removed and
+    the error raised.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        dir=os.path.dirname(path), prefix=".tmp-",
+        suffix=os.path.splitext(path)[1],
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,9 +300,9 @@ class CacheStats:
     ``entries``/``bytes`` are recomputed from disk on every call, so
     entries written by *other* processes mid-run are counted the moment
     they land. ``hits``/``misses``/``bytes_read``/``bytes_written`` are
-    this process's live counters; the ``recorded_*`` fields aggregate the
-    per-run records persisted by :meth:`ResultCache.record_run` — the
-    store's lifetime accounting across every process that used it.
+    this process's live counters; the ``recorded_*`` fields are the totals
+    persisted by :meth:`ResultCache.record_run` — the store's lifetime
+    accounting across every process that used it.
     """
 
     root: str
@@ -350,23 +380,10 @@ class ResultCache:
     def put(self, key: str, value: Any) -> bool:
         """Store ``value`` under ``key`` atomically; False if not storable."""
         path = self._path(key)
-        directory = os.path.dirname(path)
         try:
             payload = pickle.dumps(value)
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _write_atomic(path, payload)
         except Exception:
             return False
         with self._lock:
@@ -380,56 +397,95 @@ class ResultCache:
             if not path.name.startswith(".tmp-"):
                 yield path
 
-    def _stats_records(self) -> Iterator[Path]:
+    def _legacy_records(self) -> Iterator[Path]:
+        """Per-run records written by older versions, not yet folded."""
         stats_dir = self.root / _STATS_DIRNAME
-        if not stats_dir.is_dir():
-            return
-        for path in stats_dir.glob("run-*.json"):
-            yield path
+        if stats_dir.is_dir():
+            yield from stats_dir.glob("run-*.json")
+
+    def _stats_lock(self, create: bool):
+        """The stats directory's exclusive lock; closing releases it.
+
+        None when there is no stats directory (unless ``create``) or it
+        cannot be locked.
+        """
+        stats_dir = self.root / _STATS_DIRNAME
+        try:
+            if create:
+                stats_dir.mkdir(parents=True, exist_ok=True)
+            elif not stats_dir.is_dir():
+                return None
+            handle = open(stats_dir / _LOCK_NAME, "a")
+        except OSError:
+            return None
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+        except OSError:
+            handle.close()
+            return None
+        return handle
+
+    def _read_totals(self, legacy: List[Path]) -> Dict[str, int]:
+        """The persisted totals plus the ``legacy`` per-run records.
+
+        Unreadable or missing files count as zero.
+        """
+        totals = dict.fromkeys(_TOTALS_FIELDS, 0)
+        path = self.root / _STATS_DIRNAME / _TOTALS_NAME
+        records = [(path, False)] + [(record, True) for record in legacy]
+        for record_path, one_run in records:
+            try:
+                with open(record_path, encoding="utf-8") as handle:
+                    record = json.load(handle)
+                counts = {name: int(record.get(name, 0)) for name in totals}
+            except (OSError, ValueError, TypeError, AttributeError):
+                continue
+            if one_run:
+                counts["runs"] = 1
+            for name, count in counts.items():
+                totals[name] += count
+        return totals
 
     def record_run(self, label: str) -> bool:
-        """Persist this process's counters-since-last-record as one run.
+        """Add this process's counters-since-last-record to the totals.
 
-        Writes an atomic JSON record under ``<root>/_stats/`` with the
-        hit/miss/byte deltas accumulated since the previous
+        Under an exclusive lock on ``<root>/_stats/.lock``, reads the totals
+        (folding in any per-run records older versions left), adds one run
+        with the hit/miss/byte deltas accumulated since the previous
         :meth:`record_run` (so a long-lived service can record when a job
-        that ran ends, and at shutdown, without double counting).
-        All-zero deltas are skipped. Never raises — stats are accounting,
-        not correctness.
+        that ran ends, and at shutdown, without double counting), replaces
+        the totals file atomically and unlinks the folded records. The
+        store's stats stay one file however many runs it has seen.
+        All-zero deltas are skipped. The totals keep counts only, so
+        ``label`` (the command or job that ran) is not persisted. Never
+        raises — stats are accounting, not correctness.
         """
         previous = self._recorded
         current = self._counters()
         delta = tuple(now - then for now, then in zip(current, previous))
         if not any(delta):
             return False
-        record = {
-            "label": str(label),
-            "hits": delta[0],
-            "misses": delta[1],
-            "bytes_read": delta[2],
-            "bytes_written": delta[3],
-            "pid": os.getpid(),
-            "recorded_at_ns": time.time_ns(),
-        }
-        stats_dir = self.root / _STATS_DIRNAME
-        try:
-            stats_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=stats_dir, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(
-                tmp_name,
-                stats_dir
-                / f"run-{record['recorded_at_ns']}-{record['pid']}.json",
-            )
-        except Exception:
-            try:
-                os.unlink(tmp_name)
-            except (OSError, UnboundLocalError):
-                pass
+        lock = self._stats_lock(create=True)
+        if lock is None:
             return False
+        with lock:
+            legacy = list(self._legacy_records())
+            totals = self._read_totals(legacy)
+            totals["runs"] += 1
+            for name, count in zip(_TOTALS_FIELDS[1:], delta):
+                totals[name] += count
+            try:
+                _write_atomic(
+                    os.path.join(self._root, _STATS_DIRNAME, _TOTALS_NAME),
+                    json.dumps(totals, sort_keys=True).encode(),
+                )
+            except Exception:
+                return False
+            for path in legacy:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
         self._recorded = current
         return True
 
@@ -452,18 +508,7 @@ class ResultCache:
                 size += path.stat().st_size
             except OSError:
                 pass
-        runs = recorded_hits = recorded_misses = 0
-        recorded_read = recorded_written = 0
-        for path in self._stats_records():
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                recorded_hits += int(record.get("hits", 0))
-                recorded_misses += int(record.get("misses", 0))
-                recorded_read += int(record.get("bytes_read", 0))
-                recorded_written += int(record.get("bytes_written", 0))
-            except (OSError, ValueError):
-                continue
-            runs += 1
+        totals = self._read_totals(list(self._legacy_records()))
         hits, misses, bytes_read, bytes_written = self._counters()
         return CacheStats(
             root=str(self.root),
@@ -473,15 +518,15 @@ class ResultCache:
             misses=misses,
             bytes_read=bytes_read,
             bytes_written=bytes_written,
-            recorded_runs=runs,
-            recorded_hits=recorded_hits,
-            recorded_misses=recorded_misses,
-            recorded_bytes_read=recorded_read,
-            recorded_bytes_written=recorded_written,
+            recorded_runs=totals["runs"],
+            recorded_hits=totals["hits"],
+            recorded_misses=totals["misses"],
+            recorded_bytes_read=totals["bytes_read"],
+            recorded_bytes_written=totals["bytes_written"],
         )
 
     def clear(self) -> int:
-        """Delete every entry (and run record); returns entries removed."""
+        """Delete every entry and the run totals; returns entries removed."""
         removed = 0
         for path in list(self._entries()):
             try:
@@ -489,11 +534,15 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
-        for path in list(self._stats_records()):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        lock = self._stats_lock(create=False)
+        if lock is not None:
+            with lock:
+                stats_dir = self.root / _STATS_DIRNAME
+                for path in [stats_dir / _TOTALS_NAME, *self._legacy_records()]:
+                    try:
+                        path.unlink()
+                    except OSError:
+                        pass
         return removed
 
 

@@ -1,5 +1,14 @@
 """Command-line interface: regenerate any paper artifact from a shell.
 
+Every artifact subcommand is a kind of :mod:`repro.service.registry`:
+``repro <kind>`` builds one job spec per ``--platform``, runs every
+spec's cells as one runner batch, and prints the kind's rendering;
+``repro submit <kind>`` takes the same spec flags (one declaration per
+kind, :data:`_KIND_COMMANDS`) and prints the same bytes, served by
+``repro serve`` or run in process. The tails no spec carries are
+``repro <kind>`` flags only: ``fig3 --csv``, ``trace --out``,
+``chaos --recover`` and ``kvstore --engine``.
+
 Examples::
 
     python -m repro table2 --platform 9634
@@ -10,6 +19,7 @@ Examples::
     python -m repro os-scaling
     python -m repro accel
     python -m repro devtree --platform 9634
+    python -m repro submit table2 --platform 7302 --iterations 100
 """
 
 from __future__ import annotations
@@ -17,9 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Sequence
-
-from repro.platform.topology import Platform
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["main", "build_parser"]
 
@@ -66,6 +74,176 @@ def _shards_arg(text: str) -> int:
     return value
 
 
+class _Flag(NamedTuple):
+    """One spec flag: its argparse spelling and options, and its param.
+
+    A value of None, or of ``every`` (the flag's "all choices" spelling),
+    leaves the param to its normalizer's default; a ``listed`` param takes
+    a one-item list. A positional here (``trace``'s cell) is an option on
+    ``repro submit``, defaulting to its first choice.
+    """
+
+    names: Tuple[str, ...]
+    param: str
+    options: Dict[str, Any]
+    listed: bool = False
+    every: Any = None
+
+    @property
+    def dest(self) -> str:
+        return self.names[0].lstrip("-").replace("-", "_")
+
+
+#: Every kind's subcommand, in presentation order: its help line, its
+#: default ``--platform`` (None: the kind takes no platform), and the spec
+#: flags ``repro <kind>`` and ``repro submit <kind>`` share.
+_KIND_COMMANDS: Dict[str, Tuple[str, Optional[str], Tuple[_Flag, ...]]] = {
+    "table1": ("hardware specifications", "all", ()),
+    "table2": ("data-path latency breakdown", "all", (
+        _Flag(("--iterations",), "iterations", dict(
+            type=int, default=2000,
+            help="pointer-chase iterations per point",
+        )),
+    )),
+    "table3": ("max bandwidth by sender scope", "all", ()),
+    "fig3": ("latency vs offered load (DES sweep)", "all", (
+        _Flag(("--transactions",), "transactions_per_core", dict(
+            type=int, default=800,
+            help="transactions per core per load point",
+        )),
+    )),
+    "fig4": ("bandwidth partitioning cases", "all", ()),
+    "fig5": ("bandwidth-harvesting timelines", "9634", ()),
+    "fig6": ("read/write interference knees", "9634", ()),
+    "suite": ("full cross-platform characterization + guidelines", "all", ()),
+    "os-scaling": (
+        "shared-memory vs multikernel scaling (§4 #2)", "all", (),
+    ),
+    "accel": ("accelerator dispatch protection (§4 #4)", "9634", (
+        _Flag(("--dispatch-jobs",), "dispatch_jobs", dict(
+            type=int, default=8,
+            help="dispatch jobs simulated per scenario (default 8)",
+        )),
+    )),
+    "chaos": (
+        "graceful degradation under dynamic fabric faults", "7302", (
+            _Flag(("--severity",), "severities", dict(
+                type=float, default=None, metavar="S",
+                help=(
+                    "single fault severity in [0,1] (0 = healthy "
+                    "baseline); default: sweep 0, 0.25, 0.5, 0.75, 1"
+                ),
+            ), listed=True),
+            _Flag(("--transactions",), "transactions_per_core", dict(
+                type=int, default=None,
+                help="DES transactions per core per severity (default 200)",
+            )),
+        ),
+    ),
+    "netstack": (
+        "networking stack vs sender-driven partitioning (§4)", "7302", (
+            _Flag(("--arm",), "arms", dict(
+                default=None, choices=("off", "credits", "credits+qos"),
+                help="single stack arm (default: compare all three)",
+            ), listed=True),
+            _Flag(("--transactions",), "transactions_per_core", dict(
+                type=int, default=None,
+                help="DES transactions per core per arm (default 400)",
+            )),
+        ),
+    ),
+    "sharded": (
+        "serial vs sharded DES engine on the contention cell", "9634", (
+            _Flag(("--engine",), "engines", dict(
+                default="both", choices=("serial", "sharded", "both"),
+                help="which engine(s) to run (default both, for the "
+                     "comparison)",
+            ), listed=True, every="both"),
+            _Flag(("--shards",), "shards", dict(
+                type=_shards_arg, default=None, metavar="N",
+                help=(
+                    "event-loop shards for the sharded engine (default: one "
+                    "per CCD). Unlike --jobs — which fans whole cells over "
+                    "processes — shards split one cell's "
+                    "event loop and change its results within the "
+                    "documented tolerance; shards=1 is bit-identical to "
+                    "serial"
+                ),
+            )),
+            _Flag(("--transactions",), "transactions_per_core", dict(
+                type=int, default=150,
+                help="closed-loop transactions per core (default 150)",
+            )),
+        ),
+    ),
+    "trace": (
+        "span-trace one cell: per-hop latency attribution + Perfetto JSON",
+        "7302", (
+            _Flag(("cell",), "cell", dict(
+                choices=("netstack", "table2"),
+                help=(
+                    "netstack: the Fig 4-6 contention cell, one traced DES "
+                    "run per stack arm; table2: the DRAM/CXL pointer "
+                    "chases, one per position"
+                ),
+            )),
+            _Flag(("--samples",), "samples", dict(
+                type=int, default=None, metavar="N",
+                help=(
+                    "transactions per core (netstack) or chase iterations "
+                    "(table2); defaults keep the trace a few MB"
+                ),
+            )),
+        ),
+    ),
+    "kvstore": (
+        "open-loop kvstore serving tails (hybrid batched/fluid engine)",
+        "9634", (
+            _Flag(("--qps",), "qps", dict(
+                type=float, default=None,
+                help="offered open-loop arrival rate (default 2,000,000)",
+            )),
+            _Flag(("--requests",), "requests", dict(
+                type=int, default=None,
+                help="requests served per (tier, background) arm (default "
+                     "100,000)",
+            )),
+        ),
+    ),
+    "explore": (
+        "generated topology x routing x workload design-space sweep", None, (
+            _Flag(("--topology",), "topologies", dict(
+                default=None, metavar="NAME",
+                help=(
+                    "one generated topology from the catalog, or 'all' for "
+                    "the full catalog (default all)"
+                ),
+            ), listed=True, every="all"),
+            _Flag(("--routing",), "routings", dict(
+                default=None, choices=("xy", "adaptive", "both"),
+                help="routing policy arm(s) to sweep (default both)",
+            ), listed=True, every="both"),
+            _Flag(("--workload",), "workloads", dict(
+                default=None, choices=("contention", "uniform", "both"),
+                help="workload arm(s) to sweep (default both)",
+            ), listed=True, every="both"),
+            _Flag(("--packets",), "packets_per_sender", dict(
+                type=int, default=None, metavar="N",
+                help="DES packets injected per sender per cell (default 60)",
+            )),
+        ),
+    ),
+    "devtree": ("chiplet-net device tree export (§4 #1)", "all", ()),
+    "io-relay": ("NIC→DRAM→NVMe relay stack designs (§4 #3)", "all", ()),
+    "collective": (
+        "all-reduce algorithm costs across chiplets (§4 #6)", "all", (),
+    ),
+    "noc-routing": ("buffered vs bufferless NoC routing (§2.3)", "all", ()),
+    "core-to-core": ("cacheline handoff latency matrix", "all", ()),
+    "patterns": ("access-pattern bandwidth matrix (§3.1)", "all", ()),
+}
+
+
 def _platform_names_for(name: str) -> List[str]:
     """The preset names ``--platform`` denotes ("all": both EPYC parts).
 
@@ -84,13 +262,6 @@ def _platform_names_for(name: str) -> List[str]:
             f"unknown platform {name!r} (choose from "
             f"{', '.join(PLATFORMS)}, all)"
         ) from None
-
-
-def _platforms_for(name: str) -> List[Platform]:
-    """Like :func:`_platform_names_for`, but the built presets."""
-    from repro.service.registry import resolve_platform
-
-    return [resolve_platform(preset) for preset in _platform_names_for(name)]
 
 
 def _validate_env(parser: argparse.ArgumentParser) -> None:
@@ -158,59 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return cmd
 
-    add("table1", "hardware specifications")
-    table2_cmd = add("table2", "data-path latency breakdown")
-    table2_cmd.add_argument(
-        "--iterations", type=int, default=2000,
-        help="pointer-chase iterations per point",
-    )
-    add("table3", "max bandwidth by sender scope")
-    fig3_cmd = add("fig3", "latency vs offered load (DES sweep)")
-    fig3_cmd.add_argument(
-        "--transactions", type=int, default=800,
-        help="transactions per core per load point",
-    )
-    fig3_cmd.add_argument(
+    kinds = {}
+    for name, (help_text, platform_default, flags) in _KIND_COMMANDS.items():
+        kinds[name] = add(name, help_text, platform_default)
+        for flag in flags:
+            kinds[name].add_argument(*flag.names, **flag.options)
+
+    # The direct door's own flags: tails no spec carries, runner knobs.
+    kinds["fig3"].add_argument(
         "--csv", default=None, metavar="DIR",
         help="also write one CSV per panel/op into DIR",
     )
-    add("fig4", "bandwidth partitioning cases")
-    add("fig5", "bandwidth-harvesting timelines", platform_default="9634")
-    add("fig6", "read/write interference knees", platform_default="9634")
-    add("suite", "full cross-platform characterization + guidelines")
-    add("os-scaling", "shared-memory vs multikernel scaling (§4 #2)")
-    accel_cmd = add(
-        "accel", "accelerator dispatch protection (§4 #4)",
-        platform_default="9634",
-    )
-    accel_cmd.add_argument(
-        "--dispatch-jobs", type=int, default=8,
-        help="dispatch jobs simulated per scenario (default 8)",
-    )
-    chaos_cmd = add(
-        "chaos", "graceful degradation under dynamic fabric faults",
-        platform_default="7302",
-    )
-    chaos_cmd.add_argument(
-        "--severity", type=float, default=None, metavar="S",
-        help=(
-            "single fault severity in [0,1] (0 = healthy baseline); "
-            "default: sweep 0, 0.25, 0.5, 0.75, 1"
-        ),
-    )
-    chaos_cmd.add_argument(
-        "--transactions", type=int, default=None,
-        help="DES transactions per core per severity (default 200)",
-    )
-    chaos_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout (default: none)",
-    )
-    chaos_cmd.add_argument(
-        "--retries", type=int, default=0,
-        help="retry attempts per failed cell (default 0)",
-    )
-    chaos_cmd.add_argument(
+    for name in ("chaos", "netstack"):
+        kinds[name].add_argument(
+            "--timeout", type=float, default=None, metavar="SECONDS",
+            help="per-cell wall-clock timeout (default: none)",
+        )
+        kinds[name].add_argument(
+            "--retries", type=int, default=0,
+            help="retry attempts per failed cell (default 0)",
+        )
+    kinds["chaos"].add_argument(
         "--recover",
         action="store_true",
         help=(
@@ -219,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(detection, credit reclamation, retransmission, failover)"
         ),
     )
-    chaos_mode = chaos_cmd.add_mutually_exclusive_group()
+    chaos_mode = kinds["chaos"].add_mutually_exclusive_group()
     chaos_mode.add_argument(
         "--fail-fast", action="store_true",
         help="abort the sweep on the first severity that fails",
@@ -228,93 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-going", action="store_true", default=True,
         help="report failed severities in their row and continue (default)",
     )
-    netstack_cmd = add(
-        "netstack", "networking stack vs sender-driven partitioning (§4)",
-        platform_default="7302",
-    )
-    netstack_cmd.add_argument(
-        "--arm", default=None, choices=("off", "credits", "credits+qos"),
-        help="single stack arm (default: compare all three)",
-    )
-    netstack_cmd.add_argument(
-        "--transactions", type=int, default=None,
-        help="DES transactions per core per arm (default 400)",
-    )
-    netstack_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout (default: none)",
-    )
-    netstack_cmd.add_argument(
-        "--retries", type=int, default=0,
-        help="retry attempts per failed cell (default 0)",
-    )
-    netstack_cmd.add_argument(
+    kinds["netstack"].add_argument(
         "--fail-fast", action="store_true",
         help="abort the comparison on the first cell that fails",
     )
-    sharded_cmd = add(
-        "sharded",
-        "serial vs sharded DES engine on the contention cell",
-        platform_default="9634",
-    )
-    sharded_cmd.add_argument(
-        "--engine", default="both", choices=("serial", "sharded", "both"),
-        help="which engine(s) to run (default both, for the comparison)",
-    )
-    sharded_cmd.add_argument(
-        "--shards", type=_shards_arg, default=None, metavar="N",
-        help=(
-            "event-loop shards for the sharded engine (default: one per "
-            "CCD). Unlike --jobs — which fans whole cells over "
-            "processes — shards split one cell's "
-            "event loop and change its results within the documented "
-            "tolerance; shards=1 is bit-identical to serial"
-        ),
-    )
-    sharded_cmd.add_argument(
-        "--transactions", type=int, default=150,
-        help="closed-loop transactions per core (default 150)",
-    )
-    trace_cmd = add(
-        "trace",
-        "span-trace one cell: per-hop latency attribution + Perfetto JSON",
-        platform_default="7302",
-    )
-    trace_cmd.add_argument(
-        "cell", choices=("netstack", "table2"),
-        help=(
-            "netstack: the Fig 4-6 contention cell, one traced DES run per "
-            "stack arm; table2: the DRAM/CXL pointer chases, one per position"
-        ),
-    )
-    trace_cmd.add_argument(
-        "--samples", type=int, default=None, metavar="N",
-        help=(
-            "transactions per core (netstack) or chase iterations (table2); "
-            "defaults keep the trace a few MB"
-        ),
-    )
-    trace_cmd.add_argument(
+    kinds["trace"].add_argument(
         "--out", default=None, metavar="FILE",
         help=(
             "trace JSON path (default trace-<cell>-<platform>.json; "
             "'-' skips the file and prints only the breakdown)"
         ),
     )
-    kvstore_cmd = add(
-        "kvstore",
-        "open-loop kvstore serving tails (hybrid batched/fluid engine)",
-        platform_default="9634",
-    )
-    kvstore_cmd.add_argument(
-        "--qps", type=float, default=None,
-        help="offered open-loop arrival rate (default 2,000,000)",
-    )
-    kvstore_cmd.add_argument(
-        "--requests", type=int, default=None,
-        help="requests served per (tier, background) arm (default 100,000)",
-    )
-    kvstore_cmd.add_argument(
+    kinds["kvstore"].add_argument(
         "--engine", default="hybrid", choices=("hybrid", "des"),
         help=(
             "hybrid: exact batched recurrences with fluid-coupled "
@@ -322,43 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
             "for small-cell validation"
         ),
     )
-    explore_cmd = add(
-        "explore",
-        "generated topology x routing x workload design-space sweep",
-        platform_default=None,
-    )
-    explore_cmd.description = (
+    kinds["explore"].description = (
         "Sweep generated topologies (repro.platform.generator catalog) "
         "against routing policies and workloads through the hardened "
         "runner, scoring each point on victim share, Jain fairness, "
         "p99 DES latency, and bisection utilization."
     )
-    explore_cmd.add_argument(
-        "--topology", default=None, metavar="NAME",
-        help=(
-            "one generated topology from the catalog, or 'all' for the "
-            "full catalog (default all)"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--routing", default=None, choices=("xy", "adaptive", "both"),
-        help="routing policy arm(s) to sweep (default both)",
-    )
-    explore_cmd.add_argument(
-        "--workload", default=None,
-        choices=("contention", "uniform", "both"),
-        help="workload arm(s) to sweep (default both)",
-    )
-    explore_cmd.add_argument(
-        "--packets", type=int, default=None, metavar="N",
-        help="DES packets injected per sender per cell (default 60)",
-    )
-    add("devtree", "chiplet-net device tree export (§4 #1)")
-    add("io-relay", "NIC→DRAM→NVMe relay stack designs (§4 #3)")
-    add("collective", "all-reduce algorithm costs across chiplets (§4 #6)")
-    add("noc-routing", "buffered vs bufferless NoC routing (§2.3)")
-    add("core-to-core", "cacheline handoff latency matrix")
-    add("patterns", "access-pattern bandwidth matrix (§3.1)")
+
     all_cmd = add("all", "regenerate every table and figure in one report")
     all_cmd.add_argument(
         "--quality", default="quick", choices=("quick", "full"),
@@ -443,94 +477,62 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one batch to the service (or run it locally)",
         description=(
-            "Build one job spec and submit it to a running `repro serve` "
-            "daemon; when no server is listening the same spec runs in "
-            "process, with byte-identical stdout. The artifact goes to "
-            "stdout, job/cache accounting to stderr."
+            "Build one job spec per platform and submit it to a running "
+            "`repro serve` daemon; when no server is listening the same "
+            "spec runs in process, with byte-identical stdout. The "
+            "artifact goes to stdout, job/cache accounting to stderr. "
+            "Each kind takes the spec flags of `repro <kind>`."
         ),
     )
-    submit_cmd.add_argument(
-        "kind", choices=("netstack", "chaos", "trace", "kvstore", "explore"),
-        help="which experiment family the batch runs",
+    submit_kinds = submit_cmd.add_subparsers(
+        dest="kind", required=True, metavar="kind",
+        help="which artifact kind the batch runs",
     )
-    submit_cmd.add_argument(
-        "--platform", default="7302",
-        help="7302, 9634, synthetic, or all (one job per platform)",
-    )
-    submit_cmd.add_argument(
-        "--seed", type=int, default=0, help="simulation seed (default 0)"
-    )
-    add_service_options(
-        submit_cmd,
-        "worker processes for the local fallback (a count or 'auto')",
-    )
-    submit_cmd.add_argument(
-        "--priority", type=int, default=0, metavar="P",
-        help="scheduling priority; higher runs first (default 0)",
-    )
-    submit_cmd.add_argument(
-        "--client", default=None, metavar="NAME",
-        help="client name for the server's fairness policy (default: per-"
-             "connection)",
-    )
-    submit_cmd.add_argument(
-        "--local", action="store_true",
-        help="skip the server probe and run in process",
-    )
-    submit_cmd.add_argument(
-        "--arm", default=None, choices=("off", "credits", "credits+qos"),
-        help="netstack: single stack arm (default: all three)",
-    )
-    submit_cmd.add_argument(
-        "--severity", type=float, default=None, metavar="S",
-        help="chaos: single fault severity in [0,1] (default: full sweep)",
-    )
-    submit_cmd.add_argument(
-        "--cell", default="netstack", choices=("netstack", "table2"),
-        help="trace: which cell to trace (default netstack)",
-    )
-    submit_cmd.add_argument(
-        "--samples", type=int, default=None, metavar="N",
-        help="trace: samples per traced cell (default: kind-specific)",
-    )
-    submit_cmd.add_argument(
-        "--transactions", type=int, default=None, metavar="N",
-        help="netstack/chaos: DES transactions per core (default: "
-             "experiment-specific)",
-    )
-    submit_cmd.add_argument(
-        "--qps", type=float, default=None, metavar="RATE",
-        help="kvstore: offered open-loop arrival rate (default 2,000,000)",
-    )
-    submit_cmd.add_argument(
-        "--topology", default=None, metavar="NAME",
-        help="explore: one catalog topology, or 'all' (default all)",
-    )
-    submit_cmd.add_argument(
-        "--routing", default=None, choices=("xy", "adaptive", "both"),
-        help="explore: routing policy arm(s) (default both)",
-    )
-    submit_cmd.add_argument(
-        "--workload", default=None,
-        choices=("contention", "uniform", "both"),
-        help="explore: workload arm(s) (default both)",
-    )
-    submit_cmd.add_argument(
-        "--packets", type=int, default=None, metavar="N",
-        help="explore: DES packets per sender per cell (default 60)",
-    )
-    submit_cmd.add_argument(
-        "--requests", type=int, default=None, metavar="N",
-        help="kvstore: requests per serving arm (default 100,000)",
-    )
-    submit_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell timeout for the local fallback (default: none)",
-    )
-    submit_cmd.add_argument(
-        "--retries", type=int, default=0,
-        help="retry attempts per failed cell in the local fallback",
-    )
+    for name, (help_text, platform_default, flags) in _KIND_COMMANDS.items():
+        cmd = submit_kinds.add_parser(name, help=help_text)
+        # explore's cells bring their own platforms; its spec still
+        # carries one.
+        platform_default = platform_default or "7302"
+        cmd.add_argument(
+            "--platform", default=platform_default,
+            help=(
+                f"7302, 9634, synthetic, or all (one job per platform; "
+                f"default {platform_default})"
+            ),
+        )
+        cmd.add_argument(
+            "--seed", type=int, default=0, help="simulation seed (default 0)"
+        )
+        add_service_options(
+            cmd, "worker processes for the local fallback (a count or 'auto')"
+        )
+        cmd.add_argument(
+            "--priority", type=int, default=0, metavar="P",
+            help="scheduling priority; higher runs first (default 0)",
+        )
+        cmd.add_argument(
+            "--client", default=None, metavar="NAME",
+            help="client name for the server's fairness policy (default: "
+                 "per-connection)",
+        )
+        cmd.add_argument(
+            "--local", action="store_true",
+            help="skip the server probe and run in process",
+        )
+        for flag in flags:
+            names, options = flag.names, flag.options
+            if not names[0].startswith("-"):
+                names = (f"--{names[0]}",)
+                options = dict(options, default=options["choices"][0])
+            cmd.add_argument(*names, **options)
+        cmd.add_argument(
+            "--timeout", type=float, default=None, metavar="SECONDS",
+            help="per-cell timeout for the local fallback (default: none)",
+        )
+        cmd.add_argument(
+            "--retries", type=int, default=0,
+            help="retry attempts per failed cell in the local fallback",
+        )
 
     jobs_cmd = sub.add_parser(
         "jobs",
@@ -542,41 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _submit_spec(kind: str, args, platform_name: str) -> dict:
-    """One service job spec from the flags of ``repro [submit] <kind>``.
+def _spec(kind: str, args, platform_name: str) -> dict:
+    """One job spec from the flags of ``repro [submit] <kind>``.
 
     Only the flags given go into ``params``; :func:`normalize_spec` fills
     the defaults and range-checks every value for both doors.
     """
     params: dict = {}
-    if kind == "netstack":
-        if args.arm is not None:
-            params["arms"] = [args.arm]
-        if args.transactions is not None:
-            params["transactions_per_core"] = args.transactions
-    elif kind == "chaos":
-        if args.severity is not None:
-            params["severities"] = [args.severity]
-        if args.transactions is not None:
-            params["transactions_per_core"] = args.transactions
-    elif kind == "kvstore":
-        if args.qps is not None:
-            params["qps"] = args.qps
-        if args.requests is not None:
-            params["requests"] = args.requests
-    elif kind == "explore":
-        if args.topology not in (None, "all"):
-            params["topologies"] = [args.topology]
-        if args.routing not in (None, "both"):
-            params["routings"] = [args.routing]
-        if args.workload not in (None, "both"):
-            params["workloads"] = [args.workload]
-        if args.packets is not None:
-            params["packets_per_sender"] = args.packets
-    else:
-        params["cell"] = args.cell
-        if args.samples is not None:
-            params["samples"] = args.samples
+    for flag in _KIND_COMMANDS[kind][2]:
+        value = getattr(args, flag.dest)
+        if value is not None and value != flag.every:
+            params[flag.param] = [value] if flag.listed else value
     return {
         "kind": kind,
         "platform": platform_name,
@@ -684,16 +662,149 @@ def _jobs_listing(args) -> int:
     return 0
 
 
+def _run_kind(parser: argparse.ArgumentParser, args) -> List[str]:
+    """``repro <kind>``: one runner batch over every platform's spec.
+
+    Returns the artifact's sections, with the direct-door tails.
+    """
+    from repro.errors import ConfigurationError
+    from repro.runner import run_groups
+    from repro.service.registry import build_cells, normalize_spec
+
+    knobs = dict(
+        jobs=args.jobs,
+        timeout_s=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 0),
+        fail_fast=getattr(args, "fail_fast", False),
+    )
+    # explore has no --platform: its cells bring their own platforms.
+    names = _platform_names_for(getattr(args, "platform", "7302"))
+    if getattr(args, "out", None) not in (None, "-") and len(names) > 1:
+        parser.error("--out names a single file; pick a single --platform")
+    try:
+        specs = [
+            normalize_spec(_spec(args.command, args, name)) for name in names
+        ]
+        if args.command == "kvstore" and args.engine != "hybrid":
+            # --engine is a direct-door flag: a spec always runs the
+            # hybrid engine.
+            from repro.experiments import kvserve
+            from repro.service.registry import resolve_platform
+
+            groups = [
+                kvserve.cells(
+                    resolve_platform(spec["platform"]), engine=args.engine,
+                    seed=spec["seed"], **spec["params"],
+                )
+                for spec in specs
+            ]
+        else:
+            groups = [build_cells(spec) for spec in specs]
+    except ConfigurationError as error:
+        parser.error(str(error))
+    return _with_tails(
+        args, list(zip(specs, run_groups(groups, **knobs))), knobs
+    )
+
+
+def _with_tails(args, pairs, knobs) -> List[str]:
+    """The kind's artifact, with the direct-door tails no spec carries.
+
+    ``chaos --recover`` and ``trace``'s Perfetto file follow each
+    platform's section; ``fig3 --csv`` follows the whole figure.
+    """
+    from repro.runner import run_cells_detailed, values_of
+    from repro.service.registry import render_pairs, resolve_platform
+
+    if args.command == "fig3" and args.csv:
+        from repro.experiments import fig3
+
+        text = render_pairs(pairs)
+        sweeps = [sweep for __, group in pairs for sweep in values_of(group)]
+        written = fig3.export_csv(sweeps, args.csv)
+        return [text, "wrote: " + ", ".join(written)]
+    recover = args.command == "chaos" and args.recover
+    perfetto = args.command == "trace" and args.out != "-"
+    if not (recover or perfetto):
+        text = render_pairs(pairs)
+        return [text] if text else []
+    from repro.experiments import chaos, trace
+
+    sections = []
+    for spec, results in pairs:
+        platform = resolve_platform(spec["platform"])
+        sections.append(render_pairs([(spec, results)]))
+        if recover:
+            recovery = run_cells_detailed(
+                chaos.recovery_cells(platform, seed=spec["seed"]), **knobs
+            )
+            sections.append(chaos.render_recovery(platform.name, recovery))
+            continue
+        path = args.out or trace.default_out_path(args.cell, platform)
+        text, events = trace.export_json(results)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        sections.append(f"wrote {path} ({events} trace events)")
+    return sections
+
+
+def _submit(parser: argparse.ArgumentParser, args) -> Optional[List[str]]:
+    """``repro submit <kind>``: one job per platform, one artifact.
+
+    Returns the artifact's sections, or None when the server rejected a
+    job (the reason is on stderr).
+    """
+    from repro.errors import ConfigurationError, ServiceError
+    from repro.service import submit_or_local
+    from repro.service.registry import render_pairs
+
+    pairs = []
+    for platform_name in _platform_names_for(args.platform):
+        try:
+            outcome = submit_or_local(
+                _spec(args.kind, args, platform_name),
+                socket_path=args.socket,
+                priority=args.priority,
+                client=args.client,
+                jobs=args.jobs,
+                timeout_s=args.timeout,
+                retries=args.retries,
+                prefer_local=args.local,
+            )
+        except ConfigurationError as error:
+            parser.error(str(error))
+        except ServiceError as error:
+            hint = (
+                f" (retry in {error.retry_after_s:.1f}s)"
+                if error.retry_after_s is not None else ""
+            )
+            print(f"[repro] submit rejected: {error}{hint}", file=sys.stderr)
+            return None
+        pairs.append((outcome.spec, outcome.results))
+        where = (
+            f"job {outcome.job_id} (served)" if outcome.served else "local"
+        )
+        print(
+            f"[repro] submit {platform_name}: {where} "
+            f"cells={len(outcome.results)} hits={outcome.hits} "
+            f"deduped={outcome.deduped} failures={outcome.failures}",
+            file=sys.stderr,
+        )
+    text = render_pairs(pairs)
+    return [text] if text else []
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point: run one subcommand and print its artifact.
 
     Artifacts go to stdout; a one-line timing summary goes to stderr (so
     redirected artifacts stay byte-identical regardless of ``--jobs``).
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     from repro.cache import ResultCache, cache_enabled_by_env, set_default_cache
 
-    _validate_env(build_parser())
+    _validate_env(parser)
 
     if args.command == "cache":
         cache = ResultCache(args.dir)
@@ -725,302 +836,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         set_default_cache(ResultCache())
 
-    from repro.errors import ConfigurationError
-    from repro.service.registry import KINDS
-
-    jobs = getattr(args, "jobs", None)
     started = time.perf_counter()
-    out: List[str] = []
-
-    if args.command == "table1":
-        from repro.experiments import table1
-
-        out.append(table1.render(table1.run()))
-
-    elif args.command == "table2":
-        from repro.experiments import table2
-
-        rows = table2.run_many(
-            _platforms_for(args.platform),
-            iterations=args.iterations, seed=args.seed, jobs=jobs,
-        )
-        out.append(table2.render(rows))
-
-    elif args.command == "table3":
-        from repro.experiments import table3
-
-        results = table3.run_many(
-            _platforms_for(args.platform), seed=args.seed, jobs=jobs
-        )
-        out.append(table3.render(results))
-
-    elif args.command == "fig3":
-        from repro.experiments import fig3
-
-        sweeps = fig3.run_all(
-            _platforms_for(args.platform),
-            transactions_per_core=args.transactions,
-            seed=args.seed,
-            jobs=jobs,
-        )
-        out.append(fig3.render(sweeps))
-        if args.csv:
-            written = fig3.export_csv(sweeps, args.csv)
-            out.append("wrote: " + ", ".join(written))
-
-    elif args.command == "fig4":
-        from repro.experiments import fig4
-
-        results = fig4.run_many(_platforms_for(args.platform), jobs=jobs)
-        out.append(fig4.render(results))
-
-    elif args.command == "fig5":
-        from repro.experiments import fig5
-
-        for result in fig5.run_all(_platforms_for(args.platform), jobs=jobs):
-            delay = (
-                "n/a (oscillates)"
-                if result.harvest_delay_s is None
-                else f"{result.harvest_delay_s * 1e3:.0f} ms"
-            )
-            out.append(
-                f"{result.scenario.platform} {result.scenario.name}: "
-                f"harvest delay {delay}, in-window variation "
-                f"{result.variation_gbps:.2f} GB/s"
-            )
-
-    elif args.command == "fig6":
-        from repro.experiments import fig6
-
-        for result in fig6.run_many(_platforms_for(args.platform), jobs=jobs):
-            out.append(fig6.render(result))
-
-    elif args.command == "suite":
-        from repro.core.suite import CharacterizationSuite
-
-        suite = CharacterizationSuite(seed=args.seed, jobs=jobs)
-        reports = suite.run_many(_platforms_for(args.platform))
-        for report in reports.values():
-            out.append(report.render())
-
-    elif args.command == "os-scaling":
-        from repro.experiments import os_scaling
-        from repro.runner import platform_map
-
-        results = platform_map(
-            os_scaling.run, _platforms_for(args.platform), jobs=jobs
-        )
-        out.append(os_scaling.render(results))
-
-    elif args.command == "accel":
-        from repro.experiments import accel_dispatch
-
-        for platform in _platforms_for(args.platform):
-            if not platform.cxl_devices:
-                continue
-            reports = accel_dispatch.compare(
-                platform, jobs=args.dispatch_jobs, seed=args.seed
-            )
-            out.append(accel_dispatch.render(reports))
-
-    elif args.command == "sharded":
-        from repro.experiments import sharded_cell
-
-        engines = (
-            sharded_cell.ENGINES if args.engine == "both" else (args.engine,)
-        )
-        for platform in _platforms_for(args.platform):
-            try:
-                results = sharded_cell.run(
-                    platform,
-                    engines=engines,
-                    shards=args.shards,
-                    seed=args.seed,
-                    transactions_per_core=args.transactions,
-                    jobs=jobs,
-                )
-            except ConfigurationError as error:
-                # An out-of-range shard count is a usage error, not a
-                # traceback.
-                build_parser().error(str(error))
-            out.append(sharded_cell.render(platform.name, results))
-
-    elif args.command in KINDS:
-        from repro.runner import run_cells_detailed
-        from repro.service.registry import (
-            normalize_spec,
-            render_results,
-            resolve_platform,
-            run_local,
-        )
-
-        knobs = dict(
-            jobs=jobs,
-            timeout_s=getattr(args, "timeout", None),
-            retries=getattr(args, "retries", 0),
-            fail_fast=getattr(args, "fail_fast", False),
-        )
-        # explore has no --platform: its cells bring their own platforms.
-        names = _platform_names_for(getattr(args, "platform", "7302"))
-        one_file = args.command == "trace" and args.out not in (None, "-")
-        if one_file and len(names) > 1:
-            build_parser().error(
-                "--out names a single file; pick a single --platform"
-            )
-        for name in names:
-            try:
-                spec = normalize_spec(_submit_spec(args.command, args, name))
-                if args.command == "kvstore" and args.engine != "hybrid":
-                    # --engine is a direct-door flag: a submitted spec
-                    # always runs the hybrid engine.
-                    from repro.experiments import kvserve
-
-                    results = run_cells_detailed(kvserve.cells(
-                        resolve_platform(name), engine=args.engine,
-                        seed=spec["seed"], **spec["params"],
-                    ), **knobs)
-                else:
-                    results = run_local(spec, **knobs)
-            except ConfigurationError as error:
-                build_parser().error(str(error))
-            out.append(render_results(spec, results))
-            if args.command == "chaos" and args.recover:
-                from repro.experiments import chaos
-
-                platform = resolve_platform(name)
-                out.append(chaos.render_recovery(
-                    platform.name,
-                    run_cells_detailed(
-                        chaos.recovery_cells(platform, seed=args.seed),
-                        **knobs,
-                    ),
-                ))
-            if args.command == "trace" and args.out != "-":
-                from repro.experiments import trace as trace_exp
-
-                path = args.out or trace_exp.default_out_path(
-                    args.cell, resolve_platform(name)
-                )
-                text, events = trace_exp.export_json(results)
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                out.append(f"wrote {path} ({events} trace events)")
-
-    elif args.command == "devtree":
-        from repro.telemetry.devtree import build_devtree, render_dts
-
-        for platform in _platforms_for(args.platform):
-            out.append(render_dts(build_devtree(platform)))
-
-    elif args.command == "io-relay":
-        from repro.io.relay import render as render_relay
-        from repro.io.relay import sweep_designs
-
-        for platform in _platforms_for(args.platform):
-            out.append(render_relay(sweep_designs(platform)))
-
-    elif args.command == "collective":
-        from repro.analysis.report import render_table
-        from repro.collective import Algorithm, allreduce_time_ns, crossover_bytes
-
-        for platform in _platforms_for(args.platform):
-            rows = [
-                [
-                    n,
-                    *(
-                        f"{allreduce_time_ns(platform, n, a) / 1e3:.1f}"
-                        for a in Algorithm
-                    ),
-                ]
-                for n in (256, 4096, 65536, 1 << 20, 16 << 20)
-            ]
-            out.append(render_table(
-                ["bytes", "flat (us)", "tree (us)", "ring (us)"],
-                rows, title=f"All-reduce across chiplets ({platform.name})",
-            ))
-            out.append(
-                f"ring beats tree from {crossover_bytes(platform):.0f} bytes"
-            )
-
-    elif args.command == "noc-routing":
-        from repro.experiments import noc_routing
-
-        for platform in _platforms_for(args.platform):
-            results = {
-                lanes: noc_routing.run(platform, lanes_per_sender=lanes)
-                for lanes in (1, 4, 8)
-            }
-            out.append(noc_routing.render(results))
-
-    elif args.command == "all":
+    if args.command == "all":
         from repro.experiments.summary import reproduce_all
 
-        out.append(reproduce_all(quality=args.quality, seed=args.seed, jobs=jobs))
-
-    elif args.command == "patterns":
-        from repro.experiments import patterns
-        from repro.runner import platform_map
-
-        results = platform_map(
-            patterns.run, _platforms_for(args.platform), jobs=jobs,
-            seed=args.seed,
-        )
-        out.append(patterns.render(results))
-
+        out = [reproduce_all(
+            quality=args.quality, seed=args.seed, jobs=args.jobs
+        )]
     elif args.command == "submit":
-        from repro.errors import ServiceError
-        from repro.service import submit_or_local
-
-        for platform_name in _platform_names_for(args.platform):
-            spec = _submit_spec(args.kind, args, platform_name)
-            try:
-                outcome = submit_or_local(
-                    spec,
-                    socket_path=args.socket,
-                    priority=args.priority,
-                    client=args.client,
-                    jobs=jobs,
-                    timeout_s=args.timeout,
-                    retries=args.retries,
-                    prefer_local=args.local,
-                )
-            except ConfigurationError as error:
-                build_parser().error(str(error))
-            except ServiceError as error:
-                hint = (
-                    f" (retry in {error.retry_after_s:.1f}s)"
-                    if error.retry_after_s is not None else ""
-                )
-                print(
-                    f"[repro] submit rejected: {error}{hint}",
-                    file=sys.stderr,
-                )
-                return 1
-            out.append(outcome.render())
-            where = (
-                f"job {outcome.job_id} (served)"
-                if outcome.served else "local"
-            )
-            print(
-                f"[repro] submit {platform_name}: {where} "
-                f"cells={len(outcome.results)} hits={outcome.hits} "
-                f"deduped={outcome.deduped} failures={outcome.failures}",
-                file=sys.stderr,
-            )
-
-    elif args.command == "core-to-core":
-        from repro.core.coretocore import measure_matrix
-
-        for platform in _platforms_for(args.platform):
-            sample = sorted(
-                {platform.cores_of_ccx(ccx_id)[0].core_id
-                 for ccx_id in platform.ccxs}
-            )[:12]
-            matrix = measure_matrix(platform, core_ids=sample)
-            out.append(
-                f"core-to-core handoff latency (ns), {platform.name} "
-                f"(one core per CCX):\n" + matrix.heatmap()
-            )
+        out = _submit(parser, args)
+        if out is None:
+            return 1
+    else:
+        out = _run_kind(parser, args)
 
     elapsed = time.perf_counter() - started
     # Persist this run's cache hit/miss deltas so `repro cache stats`
@@ -1038,7 +866,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.runner import resolve_jobs
 
     print(
-        f"[repro] {args.command}: {elapsed:.2f}s (jobs={resolve_jobs(jobs)})",
+        f"[repro] {args.command}: {elapsed:.2f}s "
+        f"(jobs={resolve_jobs(args.jobs)})",
         file=sys.stderr,
     )
     return 0

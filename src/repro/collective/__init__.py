@@ -13,16 +13,22 @@ numbers.
 
 from repro.collective.model import (
     Algorithm,
+    AllreduceTable,
     CollectiveCost,
+    allreduce_table,
     allreduce_time_ns,
     best_algorithm,
     crossover_bytes,
+    render,
 )
 
 __all__ = [
     "Algorithm",
+    "AllreduceTable",
     "CollectiveCost",
+    "allreduce_table",
     "allreduce_time_ns",
     "best_algorithm",
     "crossover_bytes",
+    "render",
 ]

@@ -22,18 +22,26 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.analysis.report import render_table
 from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
 
 __all__ = [
     "Algorithm",
+    "AllreduceTable",
     "CollectiveCost",
+    "TABLE_BYTES",
+    "allreduce_table",
     "allreduce_time_ns",
     "best_algorithm",
     "crossover_bytes",
+    "render",
 ]
+
+#: Payload sizes (bytes) of the all-reduce cost table.
+TABLE_BYTES = (256, 4096, 65536, 1 << 20, 16 << 20)
 
 
 class Algorithm(enum.Enum):
@@ -150,3 +158,43 @@ def crossover_bytes(
         else:
             lo = mid
     return hi
+
+
+@dataclass(frozen=True)
+class AllreduceTable:
+    """All-reduce completion times by payload size on one platform."""
+
+    platform: str
+    #: (payload bytes, completion ns per algorithm in :class:`Algorithm`
+    #: order), one row per payload size.
+    rows: Tuple[Tuple[int, Tuple[float, ...]], ...]
+    #: Where RING starts beating TREE (see :func:`crossover_bytes`).
+    crossover_bytes: Optional[float]
+
+
+def allreduce_table(
+    platform: Platform, sizes: Sequence[int] = TABLE_BYTES
+) -> AllreduceTable:
+    """Every algorithm's all-reduce time at each payload size."""
+    return AllreduceTable(
+        platform.name,
+        tuple(
+            (n, tuple(allreduce_time_ns(platform, n, a) for a in Algorithm))
+            for n in sizes
+        ),
+        crossover_bytes(platform),
+    )
+
+
+def render(table: AllreduceTable) -> str:
+    """The cost table (microseconds) and the ring-over-tree crossover."""
+    rows = [
+        [n, *(f"{ns / 1e3:.1f}" for ns in times)] for n, times in table.rows
+    ]
+    text = render_table(
+        ["bytes", *(f"{a.value} (us)" for a in Algorithm)],
+        rows, title=f"All-reduce across chiplets ({table.platform})",
+    )
+    return (
+        f"{text}\n\nring beats tree from {table.crossover_bytes:.0f} bytes"
+    )

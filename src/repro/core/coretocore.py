@@ -24,8 +24,12 @@ import numpy as np
 
 from repro.errors import TopologyError
 from repro.platform.topology import Platform
+from repro.runner import Cell
 
-__all__ = ["HandoffClass", "core_to_core_ns", "CoreToCoreMatrix", "measure_matrix"]
+__all__ = [
+    "HandoffClass", "core_to_core_ns", "CoreToCoreMatrix", "measure_matrix",
+    "ccx_sample", "cells", "render",
+]
 
 
 @dataclass(frozen=True)
@@ -125,3 +129,25 @@ def measure_matrix(
         for j, b in enumerate(cores):
             matrix[i, j] = core_to_core_ns(platform, a, b)
     return CoreToCoreMatrix(platform.name, list(cores), matrix)
+
+
+def ccx_sample(platform: Platform) -> List[int]:
+    """One core per CCX (each CCX's first), in core order."""
+    return sorted(
+        {platform.cores_of_ccx(ccx_id)[0].core_id for ccx_id in platform.ccxs}
+    )
+
+
+def cells(platform: Platform) -> List[Cell]:
+    """The first 12 cores of :func:`ccx_sample` as one matrix cell."""
+    return [
+        Cell(measure_matrix, (platform,), {"core_ids": ccx_sample(platform)[:12]})
+    ]
+
+
+def render(matrix: CoreToCoreMatrix) -> str:
+    """A one-core-per-CCX matrix as the titled heatmap ``repro`` prints."""
+    return (
+        f"core-to-core handoff latency (ns), {matrix.platform} "
+        f"(one core per CCX):\n" + matrix.heatmap()
+    )

@@ -13,12 +13,13 @@ interconnect-wall position, CXL tiering cost, write asymmetry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
-from repro.core.coretocore import measure_matrix
+from repro.core.coretocore import ccx_sample, measure_matrix
 from repro.experiments import fig4, table2, table3
 from repro.platform.topology import Platform
+from repro.runner import Cell, run_cells
 
 __all__ = ["CharacterizationReport", "CharacterizationSuite"]
 
@@ -71,10 +72,7 @@ class CharacterizationReport:
 
 def _handoff_matrix(platform: Platform):
     """The sampled core-to-core matrix (one core per CCX) — a runner cell."""
-    sample = sorted(
-        {platform.cores_of_ccx(ccx_id)[0].core_id for ccx_id in platform.ccxs}
-    )
-    return measure_matrix(platform, core_ids=sample)
+    return measure_matrix(platform, core_ids=ccx_sample(platform))
 
 
 class CharacterizationSuite:
@@ -82,8 +80,8 @@ class CharacterizationSuite:
 
     ``jobs`` fans the suite's independent measurement cells (the latency
     ladder, the bandwidth ladder, the partitioning cases, and the handoff
-    matrix — per platform) out over worker processes; every cell builds its
-    own simulation environment, so reports are bit-identical for any value.
+    matrix) out over worker processes; every cell builds its own
+    simulation environment, so reports are bit-identical for any value.
     """
 
     def __init__(self, iterations: int = 1200, seed: int = 0, jobs=None) -> None:
@@ -93,50 +91,44 @@ class CharacterizationSuite:
 
     def run(self, platform: Platform) -> CharacterizationReport:
         """Characterize one platform and derive guidelines."""
-        return self.run_many([platform])[platform.name]
+        return self.report(
+            platform, run_cells(self.cells(platform), jobs=self.jobs)
+        )
 
-    def run_many(
-        self, platforms: List[Platform]
-    ) -> Dict[str, CharacterizationReport]:
-        """Characterize several platforms with one flat cell fan-out."""
-        from repro.runner import Cell, run_cells
+    def cells(self, platform: Platform) -> List[Cell]:
+        """The platform's four measurement cells, in :meth:`report` order."""
+        return [
+            Cell(
+                table2.run, (platform,),
+                {"iterations": self.iterations, "seed": self.seed},
+            ),
+            Cell(table3.run, (platform,), {"seed": self.seed}),
+            Cell(fig4.run, (platform,)),
+            Cell(_handoff_matrix, (platform,)),
+        ]
 
-        cells: List[Cell] = []
-        for platform in platforms:
-            cells += [
-                Cell(
-                    table2.run, (platform,),
-                    {"iterations": self.iterations, "seed": self.seed},
-                ),
-                Cell(table3.run, (platform,), {"seed": self.seed}),
-                Cell(fig4.run, (platform,)),
-                Cell(_handoff_matrix, (platform,)),
-            ]
-        results = run_cells(cells, jobs=self.jobs)
-        reports: Dict[str, CharacterizationReport] = {}
-        for index, platform in enumerate(platforms):
-            latency, bandwidth, partitioning, matrix = results[
-                4 * index: 4 * index + 4
-            ]
-            guidelines = tuple(
-                self.derive_guidelines(platform, latency, bandwidth, matrix=matrix)
-            )
-            reports[platform.name] = CharacterizationReport(
-                platform.name, latency, bandwidth, partitioning, guidelines
-            )
-        return reports
+    def report(
+        self, platform: Platform, values: Sequence[Any]
+    ) -> CharacterizationReport:
+        """The report from the values of :meth:`cells`, in order."""
+        latency, bandwidth, partitioning, matrix = values
+        guidelines = tuple(
+            self.derive_guidelines(platform, latency, bandwidth, matrix)
+        )
+        return CharacterizationReport(
+            platform.name, latency, bandwidth, partitioning, guidelines
+        )
 
     def derive_guidelines(
         self,
         platform: Platform,
         latency: table2.Table2Row,
         bandwidth: table3.Table3Result,
-        matrix=None,
+        matrix,
     ) -> List[str]:
         """Numeric, actionable guidance from the measurements.
 
-        ``matrix`` is the sampled core-to-core handoff matrix; when omitted
-        it is measured here (the serial, single-platform convenience path).
+        ``matrix`` is the sampled core-to-core handoff matrix.
         """
         guidelines: List[str] = []
 
@@ -198,8 +190,6 @@ class CharacterizationSuite:
 
         # Thread-placement tiers from the core-to-core handoff matrix
         # (sampled: one core per CCX is enough for the tier means).
-        if matrix is None:
-            matrix = _handoff_matrix(platform)
         tiers = {t.name: t for t in matrix.classes(platform)}
         if "cross-ccd" in tiers:
             cross = tiers["cross-ccd"].latency_ns
@@ -210,9 +200,3 @@ class CharacterizationSuite:
                 f"communicating thread pairs to one core complex"
             )
         return guidelines
-
-    def compare(
-        self, platforms: List[Platform]
-    ) -> Dict[str, CharacterizationReport]:
-        """Characterize several platforms (the cross-platform use case)."""
-        return self.run_many(platforms)

@@ -1,17 +1,17 @@
-"""One module per table/figure of the paper's evaluation (§3).
+"""One module per table/figure of the paper's evaluation (§3), and more.
 
-Each module exposes ``run(...)`` returning a structured result and
-``render(result)`` producing the paper-style text artifact. The benchmark
-harness under ``benchmarks/`` calls these and checks the shape criteria of
-DESIGN.md §6; EXPERIMENTS.md records paper-vs-measured values.
-
-The five submittable kinds — :mod:`~repro.experiments.netstack`,
-:mod:`~repro.experiments.chaos`, :mod:`~repro.experiments.trace`,
-:mod:`~repro.experiments.kvserve` and :mod:`~repro.experiments.explore` —
-expose ``cells(...)`` instead of ``run(...)``: the kind's one list of
-:class:`~repro.runner.Cell`, which ``repro <kind>`` and the service's
-:func:`~repro.service.registry.build_cells` both run through
-:func:`~repro.runner.run_cells_detailed`.
+Each artifact module exposes ``run(...)`` (one measurement, returning a
+structured result), ``cells(...)`` (the artifact's list of
+:class:`~repro.runner.Cell`, one per independent measurement) and
+``render(...)`` (the paper-style text). Every artifact is a kind of
+:mod:`repro.service.registry`, which normalizes a spec's params, builds
+its cells from ``cells()`` and renders their results: ``repro <kind>``,
+``repro submit <kind>`` and the service all run kinds that way, through
+:func:`~repro.runner.run_cells_detailed`. ``repro all``
+(:mod:`~repro.experiments.summary`) runs the paper's tables and figures
+as one batch. The benchmark harness under ``benchmarks/`` checks the
+shape criteria of DESIGN.md §6; EXPERIMENTS.md records paper-vs-measured
+values.
 """
 
 from repro.experiments import (  # noqa: F401

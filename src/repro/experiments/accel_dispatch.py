@@ -31,12 +31,13 @@ from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
 from repro.core.loadgen import ClosedLoopIssuer
 from repro.errors import ConfigurationError
+from repro.runner import Cell
 from repro.sim.engine import Environment
 from repro.transport.message import OpKind
 from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 
-__all__ = ["DispatchReport", "run", "compare", "render"]
+__all__ = ["DispatchReport", "run", "cells", "render"]
 
 #: Background streams issue 256 B bursts (4 cachelines) — keeps the DES
 #: event count manageable without changing the bandwidth picture.
@@ -151,12 +152,20 @@ def run(
     )
 
 
-def compare(platform, jobs: int = 12, seed: int = 0) -> Dict[str, DispatchReport]:
-    """Run both modes."""
-    return {
-        "unmanaged": run(platform, managed=False, jobs=jobs, seed=seed),
-        "managed": run(platform, managed=True, jobs=jobs, seed=seed),
-    }
+def cells(platform, dispatch_jobs: int = 12, seed: int = 0) -> List[Cell]:
+    """Both modes, unmanaged first, one runner cell each.
+
+    None on a platform without CXL: the background traffic needs it.
+    """
+    if not platform.cxl_devices:
+        return []
+    return [
+        Cell(
+            run, (platform,),
+            {"managed": managed, "jobs": dispatch_jobs, "seed": seed},
+        )
+        for managed in (False, True)
+    ]
 
 
 def render(reports: Dict[str, DispatchReport]) -> str:

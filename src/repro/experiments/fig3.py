@@ -34,10 +34,11 @@ from repro.core.microbench import MicroBench
 from repro.errors import ConfigurationError
 from repro.platform.numa import Position
 from repro.platform.topology import Platform
+from repro.runner import Cell
 from repro.transport.message import OpKind
 
 __all__ = [
-    "PanelConfig", "PanelSweep", "run_panel", "run_all", "panel_configs",
+    "PanelConfig", "PanelSweep", "run_panel", "cells", "panel_configs",
     "render",
 ]
 
@@ -210,23 +211,20 @@ def run_panel(
     return PanelSweep(config, op, tuple(offered), tuple(results))
 
 
-def run_all(
-    platforms: Sequence[Platform],
+def cells(
+    platform: Platform,
     transactions_per_core: int = 600,
     fractions: Sequence[float] = LOAD_FRACTIONS,
     seed: int = 0,
-    jobs=None,
-) -> List[PanelSweep]:
-    """Every (platform, panel, op) sweep, fanned out over worker processes.
+) -> List[Cell]:
+    """Every (panel, op) sweep of the platform, one runner cell each.
 
-    Each sweep is one independent runner cell (its own Environment and seed
-    streams), so the result list is bit-identical for any ``jobs`` value and
-    ordered canonically: platforms in the given order, panels in
-    ``panel_configs`` order, READ before NT_WRITE.
+    Each sweep builds its own Environment and seed streams, so results are
+    bit-identical for any ``--jobs``. Order is canonical: panels in
+    ``panel_configs`` order, READ before NT_WRITE. A platform with no
+    Figure 3 panels raises :class:`ConfigurationError`.
     """
-    from repro.runner import Cell, run_cells
-
-    cells = [
+    return [
         Cell(
             run_panel,
             (platform, config, op),
@@ -236,11 +234,9 @@ def run_all(
                 seed=seed,
             ),
         )
-        for platform in platforms
         for config in panel_configs(platform)
         for op in (OpKind.READ, OpKind.NT_WRITE)
     ]
-    return run_cells(cells, jobs=jobs)
 
 
 def export_csv(sweeps: Sequence[PanelSweep], out_dir) -> List[str]:

@@ -23,9 +23,10 @@ from repro.core.partition import CompetingFlows, contend
 from repro.errors import ConfigurationError
 from repro.fluid.solver import Policy
 from repro.platform.topology import Platform
+from repro.runner import Cell
 
 __all__ = [
-    "Fig4Result", "link_capacity_gbps", "run", "run_many", "render", "CASES",
+    "Fig4Result", "link_capacity_gbps", "run", "cells", "render", "CASES",
 ]
 
 #: (flow 0, flow 1) requested bandwidth as fractions of the link capacity.
@@ -85,11 +86,9 @@ def run(
     return Fig4Result(platform.name, outcomes)
 
 
-def run_many(platforms, jobs=None) -> List[Fig4Result]:
-    """Run the partitioning cases per platform, fanned out over processes."""
-    from repro.runner import starmap
-
-    return starmap(run, [(platform,) for platform in platforms], jobs=jobs)
+def cells(platform: Platform) -> List[Cell]:
+    """The platform's partitioning cases as one runner cell."""
+    return [Cell(run, (platform,))]
 
 
 def render(results: List[Fig4Result]) -> str:

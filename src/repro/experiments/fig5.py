@@ -14,7 +14,7 @@ The paper's observations, all of which must emerge here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 from repro.errors import ConfigurationError
@@ -26,10 +26,11 @@ from repro.fluid.adaptation import (
 from repro.fluid.solver import Channel, FluidFlow
 from repro.fluid.timeseries import DemandSchedule, FluidSimulator, FlowTrace
 from repro.platform.topology import Platform
+from repro.runner import Cell
 
 __all__ = [
-    "Fig5Scenario", "Fig5Result", "scenario_for", "run", "run_all",
-    "measure_harvest",
+    "Fig5Scenario", "Fig5Result", "scenario_for", "run", "cells",
+    "harvest_line", "render", "measure_harvest",
 ]
 
 #: Throttle windows and depth from the paper's setup.
@@ -151,20 +152,28 @@ def run(
     return Fig5Result(scenario, traces, harvest, variation)
 
 
-def run_all(platforms, jobs=None) -> "list[Fig5Result]":
-    """Every (platform, link) harvesting timeline, fanned out over processes.
+def cells(platform: Platform) -> List[Cell]:
+    """The platform's harvesting timelines, one runner cell per link.
 
-    Canonical order: platforms as given, the IF panel before the P Link
-    panel (the latter only on CXL-equipped platforms).
+    The IF panel comes before the P Link panel, which only CXL-equipped
+    platforms have.
     """
-    from repro.runner import starmap
+    links = ["if"] + (["plink"] if platform.cxl_devices else [])
+    return [Cell(run, (platform, link)) for link in links]
 
-    pairs = [
-        (platform, link)
-        for platform in platforms
-        for link in (["if"] + (["plink"] if platform.cxl_devices else []))
-    ]
-    return starmap(run, pairs, jobs=jobs)
+
+def harvest_line(result: Fig5Result) -> str:
+    """One panel's harvest delay and in-window variation, on one line."""
+    delay = (
+        "n/a (oscillates)"
+        if result.harvest_delay_s is None
+        else f"{result.harvest_delay_s * 1e3:.0f} ms"
+    )
+    return (
+        f"{result.scenario.platform} {result.scenario.name}: "
+        f"harvest delay {delay}, in-window variation "
+        f"{result.variation_gbps:.2f} GB/s"
+    )
 
 
 def render(results) -> str:

@@ -30,6 +30,7 @@ from repro.analysis.report import render_table
 from repro.core.partition import InterferenceLink
 from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
+from repro.runner import Cell
 from repro.transport.message import OpKind
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
     "Fig6Result",
     "scenarios_for",
     "run",
-    "run_many",
+    "cells",
     "render",
     "PAPER_KNEES",
 ]
@@ -215,12 +216,11 @@ def run(platform: Platform, points: int = 40) -> Fig6Result:
     return Fig6Result(platform.name, curves)
 
 
-def run_many(platforms, points: int = 40, jobs=None) -> List[Fig6Result]:
-    """Run Figure 6 on every CXL-equipped platform, fanned out."""
-    from repro.runner import starmap
-
-    eligible = [p for p in platforms if p.cxl_devices]
-    return starmap(run, [(p,) for p in eligible], jobs=jobs, points=points)
+def cells(platform: Platform, points: int = 40) -> List[Cell]:
+    """Figure 6 as one runner cell; none on a platform without CXL."""
+    if not platform.cxl_devices:
+        return []
+    return [Cell(run, (platform,), {"points": points})]
 
 
 def render(result: Fig6Result) -> str:

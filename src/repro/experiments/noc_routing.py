@@ -17,10 +17,15 @@ from repro.noc.bufferless import BufferlessMeshNetwork
 from repro.noc.mesh import Mesh
 from repro.noc.router import MeshNetwork
 from repro.platform.topology import Platform
+from repro.runner import Cell
 from repro.sim.engine import Environment
 from repro.sim.rng import SplitRng
 
-__all__ = ["RoutingComparison", "run", "render"]
+__all__ = ["RoutingComparison", "LANES", "run", "cells", "render"]
+
+
+#: The load levels ``repro noc-routing`` compares: lanes per sender.
+LANES = (1, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,13 @@ def run(
         bufferless_p99_ns=float(np.percentile(bufferless_latencies, 99)),
         deflection_rate=bufferless.deflection_rate,
     )
+
+
+def cells(platform: Platform) -> List[Cell]:
+    """Both routers at every load level of :data:`LANES`, one cell each."""
+    return [
+        Cell(run, (platform,), {"lanes_per_sender": lanes}) for lanes in LANES
+    ]
 
 
 def render(results: Dict[int, RoutingComparison]) -> str:

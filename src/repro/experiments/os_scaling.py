@@ -23,8 +23,9 @@ from repro.osdesign.model import (
     SharedMemoryDesign,
 )
 from repro.platform.topology import Platform
+from repro.runner import Cell
 
-__all__ = ["OsScalingResult", "run", "render"]
+__all__ = ["OsScalingResult", "run", "cells", "render"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ def run(platform: Platform, sweep_points: int = 24) -> OsScalingResult:
         crossover_mops=crossover,
         points=tuple(points),
     )
+
+
+def cells(platform: Platform) -> List[Cell]:
+    """The platform's design sweep as one runner cell."""
+    return [Cell(run, (platform,))]
 
 
 def render(results: Dict[str, OsScalingResult]) -> str:

@@ -15,15 +15,16 @@ pattern costs are first-class measured artifacts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.report import render_table
 from repro.core.flows import Pattern, Scope
 from repro.core.microbench import MicroBench
 from repro.platform.topology import Platform
+from repro.runner import Cell
 from repro.transport.message import OpKind
 
-__all__ = ["PatternMatrix", "run", "render"]
+__all__ = ["PatternMatrix", "run", "cells", "render"]
 
 #: The (label, op, pattern) combinations measured per scope.
 _COMBOS: Tuple[Tuple[str, OpKind, Pattern], ...] = (
@@ -57,6 +58,11 @@ def run(platform: Platform, seed: int = 0) -> PatternMatrix:
                 scope, op, pattern=pattern
             )
     return PatternMatrix(platform.name, cells)
+
+
+def cells(platform: Platform, seed: int = 0) -> List[Cell]:
+    """The platform's pattern matrix as one runner cell."""
+    return [Cell(run, (platform,), {"seed": seed})]
 
 
 def render(results: Dict[str, PatternMatrix]) -> str:

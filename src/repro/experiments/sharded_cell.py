@@ -23,9 +23,9 @@ from repro.analysis.report import render_table
 from repro.core.shardexec import ShardCellOutcome, run_cell
 from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
-from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE, run_cells_detailed
+from repro.runner import Cell, CellResult
 
-__all__ = ["ENGINES", "resolve_shards", "run_engine_cell", "run", "render"]
+__all__ = ["ENGINES", "resolve_shards", "run_engine_cell", "cells", "render"]
 
 #: The engines, in presentation order.
 ENGINES: Tuple[str, ...] = ("serial", "sharded")
@@ -66,18 +66,20 @@ def run_engine_cell(
     )
 
 
-def run(
+def cells(
     platform: Platform,
     engines: Sequence[str] = ENGINES,
     shards: Optional[int] = None,
     seed: int = 0,
     transactions_per_core: int = 150,
-    jobs=None,
-    cache=USE_DEFAULT_CACHE,
-) -> List[CellResult]:
-    """Every requested engine as one hardened-runner cell each."""
+) -> List[Cell]:
+    """Every requested engine as one hardened-runner cell each.
+
+    An out-of-range shard count raises :class:`ConfigurationError` here,
+    before any cell runs.
+    """
     resolved = resolve_shards(platform, shards)
-    cells = [
+    return [
         Cell(
             run_engine_cell,
             (platform, engine, resolved),
@@ -85,7 +87,6 @@ def run(
         )
         for engine in engines
     ]
-    return run_cells_detailed(cells, jobs=jobs, cache=cache)
 
 
 def render(platform_name: str, results: Sequence[CellResult]) -> str:

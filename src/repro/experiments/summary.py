@@ -2,17 +2,18 @@
 
 ``reproduce_all`` is the "run everything" entry point a new user reaches
 for first: it regenerates Tables 1-3 and Figures 3-6 (plus the headline
-ablations) and concatenates the paper-style renderings. Two quality levels
-trade DES sample counts for wall-clock time.
+ablation) and concatenates the paper-style renderings. Every cell of every
+artifact runs in one runner batch, so in-batch dedup and the result cache
+see all of them. Two quality levels trade DES sample counts for
+wall-clock time; they only pick the cells' arguments.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.platform.presets import epyc_7302, epyc_9634
-from repro.transport.message import OpKind
 
 __all__ = ["QUALITY_PRESETS", "reproduce_all"]
 
@@ -26,9 +27,9 @@ QUALITY_PRESETS: Dict[str, tuple] = {
 def reproduce_all(quality: str = "quick", seed: int = 0, jobs=None) -> str:
     """Regenerate every table and figure; returns the combined report.
 
-    ``jobs`` fans each artifact's independent cells out over worker
-    processes (see :mod:`repro.runner`); the report is byte-identical for
-    any value.
+    ``jobs`` fans the cells out over worker processes (see
+    :mod:`repro.runner`); the report is byte-identical for any value. A
+    failed cell raises its error, and no report is returned.
     """
     try:
         iterations, transactions, fractions = QUALITY_PRESETS[quality]
@@ -47,38 +48,51 @@ def reproduce_all(quality: str = "quick", seed: int = 0, jobs=None) -> str:
         table2,
         table3,
     )
-    from repro.runner import starmap
+    from repro.runner import Cell, run_groups, values_of
 
     p7302, p9634 = epyc_7302(), epyc_9634()
-    sections: List[str] = []
+    both = (p7302, p9634)
 
-    sections.append(table1.render(table1.run()))
-    sections.append(table2.render(table2.run_many(
-        (p7302, p9634), iterations=iterations, seed=seed, jobs=jobs
-    )))
-    sections.append(table3.render(table3.run_many(
-        (p7302, p9634), seed=seed, jobs=jobs
-    )))
+    def by_platform(values):
+        return {value.platform: value for value in values}
 
-    sections.append(fig3.render(fig3.run_all(
-        (p7302, p9634),
-        transactions_per_core=transactions,
-        fractions=fractions,
-        seed=seed,
-        jobs=jobs,
-    )))
+    def ablation_line(values):
+        fair_before, fair_after = values[0]["case4-unequal-demands"].fairness()
+        return (
+            "Ablation highlights: the max-min traffic manager lifts case-4 "
+            f"Jain fairness from {fair_before:.3f} to {fair_after:.3f}; see "
+            "benchmarks/ for the full ablation set."
+        )
 
-    sections.append(fig4.render(fig4.run_many((p7302, p9634), jobs=jobs)))
-    sections.append(fig5.render(starmap(
-        fig5.run, [(p9634, "if"), (p9634, "plink"), (p7302, "if")], jobs=jobs,
-    )))
-    sections.append(fig6.render(fig6.run(p9634)))
-
-    managed = ablations.manager_vs_sender_driven(p9634)
-    fair_before, fair_after = managed["case4-unequal-demands"].fairness()
-    sections.append(
-        "Ablation highlights: the max-min traffic manager lifts case-4 "
-        f"Jain fairness from {fair_before:.3f} to {fair_after:.3f}; see "
-        "benchmarks/ for the full ablation set."
+    # (cells, rendering of their values), in report order.
+    sections = [
+        (table1.cells(), lambda values: table1.render(values[0])),
+        (
+            [c for p in both for c in table2.cells(p, iterations, seed)],
+            lambda values: table2.render(by_platform(values)),
+        ),
+        (
+            [c for p in both for c in table3.cells(p, seed)],
+            lambda values: table3.render(by_platform(values)),
+        ),
+        (
+            [
+                c for p in both
+                for c in fig3.cells(p, transactions, fractions, seed)
+            ],
+            fig3.render,
+        ),
+        ([c for p in both for c in fig4.cells(p)], fig4.render),
+        # 9634 first: the report lists its IF and P Link before the 7302's IF.
+        (fig5.cells(p9634) + fig5.cells(p7302), fig5.render),
+        (fig6.cells(p9634), lambda values: fig6.render(values[0])),
+        (
+            [Cell(ablations.manager_vs_sender_driven, (p9634,))],
+            ablation_line,
+        ),
+    ]
+    results = run_groups([cells for cells, __ in sections], jobs=jobs)
+    values = [values_of(group) for group in results]
+    return "\n\n".join(
+        render(group) for (__, render), group in zip(sections, values)
     )
-    return "\n\n".join(sections)

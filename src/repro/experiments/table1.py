@@ -12,9 +12,10 @@ from typing import Dict, List
 from repro.analysis.report import render_table
 from repro.platform.presets import epyc_7302, epyc_9634
 from repro.platform.topology import Platform
+from repro.runner import Cell
 from repro.units import KIB, MIB
 
-__all__ = ["Table1Result", "run", "render", "PAPER_TABLE1"]
+__all__ = ["Table1Result", "run", "cells", "render", "PAPER_TABLE1"]
 
 #: The paper's Table 1, for comparison in tests and EXPERIMENTS.md.
 PAPER_TABLE1 = {
@@ -70,6 +71,11 @@ def run() -> Table1Result:
     return Table1Result(
         {plat.name: _describe(plat) for plat in (epyc_7302(), epyc_9634())}
     )
+
+
+def cells() -> List[Cell]:
+    """Table 1's one runner cell (it describes both presets at once)."""
+    return [Cell(run)]
 
 
 def render(result: Table1Result) -> str:

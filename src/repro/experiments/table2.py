@@ -10,15 +10,16 @@ presets only hold per-stage constants, and the sums/queueing emerge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table
 from repro.core.flows import Scope
 from repro.core.microbench import MicroBench
 from repro.platform.numa import Position
 from repro.platform.topology import Platform
+from repro.runner import Cell
 
-__all__ = ["Table2Row", "run", "run_many", "render", "PAPER_TABLE2"]
+__all__ = ["Table2Row", "run", "cells", "render", "PAPER_TABLE2"]
 
 #: The paper's Table 2 (ns) for comparison. None = N/A on that platform.
 PAPER_TABLE2: Dict[str, Dict[str, Optional[float]]] = {
@@ -127,17 +128,18 @@ def run(platform: Platform, iterations: int = 2000, seed: int = 0) -> Table2Row:
     )
 
 
-def run_many(
-    platforms, iterations: int = 2000, seed: int = 0, jobs=None
-) -> Dict[str, Table2Row]:
-    """Measure one Table 2 column per platform, fanned out over processes."""
-    from repro.runner import platform_map
-
-    return platform_map(run, platforms, jobs=jobs, iterations=iterations, seed=seed)
+def cells(
+    platform: Platform, iterations: int = 2000, seed: int = 0
+) -> List[Cell]:
+    """The platform's Table 2 column as one runner cell."""
+    return [Cell(run, (platform,), {"iterations": iterations, "seed": seed})]
 
 
 def render(rows: Dict[str, Table2Row]) -> str:
-    """Render measured columns side by side with the paper's values."""
+    """Render measured columns side by side with the paper's values.
+
+    A preset the paper did not measure gets N/A paper cells.
+    """
     labels = {
         "l1": "L1",
         "l2": "L2",
@@ -161,7 +163,7 @@ def render(rows: Dict[str, Table2Row]) -> str:
         row = [label]
         for name in names:
             measured = rows[name].as_dict()[key]
-            paper = PAPER_TABLE2[name][key]
+            paper = PAPER_TABLE2.get(name, {}).get(key)
             row.append("N/A" if measured is None else f"{measured:.2f}")
             row.append("N/A" if paper is None else f"{paper:.2f}")
         table_rows.append(row)

@@ -10,15 +10,16 @@ routing capacity, and the P-Link/CXL chain respectively (§3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.report import format_pair, render_table
 from repro.core.flows import Scope
 from repro.core.microbench import MicroBench
 from repro.platform.topology import Platform
+from repro.runner import Cell
 from repro.transport.message import OpKind
 
-__all__ = ["Table3Result", "run", "run_many", "render", "PAPER_TABLE3"]
+__all__ = ["Table3Result", "run", "cells", "render", "PAPER_TABLE3"]
 
 #: The paper's Table 3: {platform: {(scope, target): (read, write) GB/s}}.
 PAPER_TABLE3: Dict[str, Dict[Tuple[str, str], Tuple[float, float]]] = {
@@ -70,11 +71,9 @@ def run(platform: Platform, seed: int = 0) -> Table3Result:
     return Table3Result(platform.name, cells)
 
 
-def run_many(platforms, seed: int = 0, jobs=None) -> Dict[str, Table3Result]:
-    """Measure Table 3 per platform, fanned out over worker processes."""
-    from repro.runner import platform_map
-
-    return platform_map(run, platforms, jobs=jobs, seed=seed)
+def cells(platform: Platform, seed: int = 0) -> List[Cell]:
+    """The platform's Table 3 columns as one runner cell."""
+    return [Cell(run, (platform,), {"seed": seed})]
 
 
 def umc_channel_bandwidth(platform: Platform, seed: int = 0) -> Tuple[float, float]:

@@ -81,12 +81,14 @@ def des_vs_fluid(
     streams), so the scenarios fan out over worker processes and return in
     canonical order regardless of ``jobs``.
     """
-    from repro.runner import starmap
+    from repro.runner import Cell, run_cells
 
-    return starmap(
-        _agreement_cell,
+    return run_cells(
         [
-            (platform, name, scope, op, transactions_per_core, seed)
+            Cell(
+                _agreement_cell,
+                (platform, name, scope, op, transactions_per_core, seed),
+            )
             for name, scope, op in _AGREEMENT_SCENARIOS
         ],
         jobs=jobs,

@@ -45,7 +45,8 @@ count and duration) instead of raising mid-flight, and layers on
   failure; the default collects every failure and lets the caller decide.
 
 :func:`run_cells` keeps the original simple surface: values only, first
-cell failure re-raised as-is.
+cell failure re-raised as-is. :func:`run_groups` runs several cell lists
+(say, one per platform of an artifact) as one batch.
 
 Job-count resolution
 --------------------
@@ -80,8 +81,8 @@ __all__ = [
     "resolve_jobs",
     "run_cells",
     "run_cells_detailed",
-    "starmap",
-    "platform_map",
+    "run_groups",
+    "values_of",
 ]
 
 #: Environment variable consulted when ``jobs`` is None.
@@ -588,41 +589,47 @@ def run_cells(
     cells in-process; timeouts surface as
     :class:`~repro.errors.CellExecutionError`.
     """
-    detailed = run_cells_detailed(
+    return values_of(run_cells_detailed(
         cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
         backoff_s=backoff_s, fail_fast=False, cache=cache,
         pool_threshold_s=pool_threshold_s,
-    )
-    for result in detailed:
+    ))
+
+
+def values_of(results: Iterable[CellResult]) -> List[Any]:
+    """Every result's value, in order; the first failure's error is raised."""
+    values = []
+    for result in results:
         if not result.ok:
             raise result.failure.error
-    return [result.value for result in detailed]
+        values.append(result.value)
+    return values
 
 
-def starmap(
-    fn: Callable[..., Any],
-    argument_tuples: Iterable[Tuple[Any, ...]],
-    jobs: JobsSpec = None,
-    **kwargs: Any,
-) -> List[Any]:
-    """``[fn(*args, **kwargs) for args in argument_tuples]``, fanned out."""
-    return run_cells(
-        [Cell(fn, tuple(args), dict(kwargs)) for args in argument_tuples],
-        jobs=jobs,
-    )
+def run_groups(
+    groups: Iterable[Iterable[Cell]], **kwargs: Any
+) -> List[List[CellResult]]:
+    """Run several cell lists as one :func:`run_cells_detailed` batch.
 
-
-def platform_map(
-    fn: Callable[..., Any],
-    platforms: Sequence[Any],
-    jobs: JobsSpec = None,
-    **kwargs: Any,
-) -> Dict[str, Any]:
-    """Run ``fn(platform, **kwargs)`` per platform; {platform.name: result}.
-
-    The canonical shape of most CLI subcommands (`table2`, `table3`,
-    `os-scaling`, `patterns`, ...): one independent measurement per platform,
-    merged into a name-keyed dict in platform order.
+    One batch means one dedup and cache pass over every cell and one pool
+    for all of them. Results come back per list, each list indexed from 0,
+    exactly as if it had run alone. ``kwargs`` go to
+    :func:`run_cells_detailed`.
     """
-    results = starmap(fn, [(platform,) for platform in platforms], jobs=jobs, **kwargs)
-    return {platform.name: result for platform, result in zip(platforms, results)}
+    groups = [list(group) for group in groups]
+    batch = run_cells_detailed(
+        [cell for group in groups for cell in group], **kwargs
+    )
+    split: List[List[CellResult]] = []
+    start = 0
+    for group in groups:
+        split.append([
+            replace(
+                result,
+                index=index,
+                failure=result.failure and replace(result.failure, index=index),
+            )
+            for index, result in enumerate(batch[start:start + len(group)])
+        ])
+        start += len(group)
+    return split

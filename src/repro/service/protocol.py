@@ -21,9 +21,11 @@ byte-identity contract (server-backed output == in-process fallback
 output) rests on this codec never perturbing a value:
 
 * ``json`` — the exact-round-trip JSON subset (None, bool, int, float,
-  str, lists, str-keyed dicts). Floats serialize by ``repr`` and parse
-  back to the identical IEEE value; NaN/Infinity use Python's JSON
-  extensions (this is a private protocol, both ends are this module).
+  str, lists, str-keyed dicts whose keys are in sorted order, since
+  frames sort keys and a renderer may iterate a dict). Floats serialize
+  by ``repr`` and parse back to the identical IEEE value; NaN/Infinity
+  use Python's JSON extensions (this is a private protocol, both ends
+  are this module).
 * ``tuple`` — tuples, recursively encoded (JSON has no tuple type).
 * ``dc`` — dataclasses, by importable class name and field values.
 * ``pkl`` — anything else picklable, as base64 (local Unix socket, same
@@ -141,9 +143,12 @@ def _json_exact(value: Any) -> bool:
     if isinstance(value, list):
         return all(_json_exact(item) for item in value)
     if isinstance(value, dict):
-        return all(
-            isinstance(key, str) and _json_exact(item)
-            for key, item in value.items()
+        # Frames sort keys, so only an already-sorted dict keeps its order.
+        keys = list(value)
+        return (
+            all(isinstance(key, str) for key in keys)
+            and keys == sorted(keys)
+            and all(_json_exact(item) for item in value.values())
         )
     return False
 

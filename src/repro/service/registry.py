@@ -1,63 +1,70 @@
-"""The submittable cell kinds and their job specs.
+"""The artifact kinds and their job specs.
 
 A *job spec* is the JSON-friendly description of one batch a client
-submits: which experiment kind, on which platform preset, with which
+submits: which artifact kind, on which platform preset, with which
 parameters. :func:`normalize_spec` canonicalizes a raw spec (fills
 defaults, validates every field, sorts structure) so that two clients
 asking for the same work produce byte-identical specs — and therefore
 the same cells, the same cache keys, and the same dedup behaviour.
 
-Five kinds cover the service's surface, one per family of the repo's
-experiment layers:
+Every artifact the CLI prints is a kind, one entry of :data:`KINDS`: the
+paper's tables and figures (``table1``–``table3``, ``fig3``–``fig6``),
+the cross-platform ``suite``, the §4 explorations (``os-scaling``,
+``accel``, ``devtree``, ``io-relay``, ``collective``), the §2–§3
+micro-studies (``noc-routing``, ``core-to-core``, ``patterns``), the
+engine comparison ``sharded``, and the service-era sweeps ``netstack``,
+``chaos``, ``trace``, ``kvstore`` and ``explore``. A kind
 
-* ``netstack`` — the §4 stack-on/off contention comparison
-  (:func:`repro.experiments.netstack.run_point`), one cell per
-  (backend, arm);
-* ``chaos`` — the graceful-degradation severity sweep
-  (:func:`repro.experiments.chaos.run_point`), one cell per severity;
-* ``trace`` — the span-traced cells
-  (:mod:`repro.experiments.trace`), whose values carry
-  :class:`~repro.trace.TraceRecording` artifacts the server exports as
-  Perfetto JSON handles;
-* ``kvstore`` — the open-loop serving-tail sweep
-  (:func:`repro.experiments.kvserve.run_point`), one cell per
-  (value tier, background arm) on the hybrid batched/fluid engine;
-* ``explore`` — the generated-topology design-space sweep
-  (:func:`repro.experiments.explore.run_point`), one cell per
-  (topology, workload, routing). The spec's ``platform`` field is
-  carried (and validated) for spec uniformity but ignored: each cell's
-  platform comes from its generated topology.
+* normalizes a spec's params — its normalizer here is the only place
+  they get defaults and range checks;
+* builds one spec's runner cells, from its module's ``cells()``;
+* renders the ordered ``(spec, results)`` pairs of one invocation (one
+  pair per platform). Side-by-side artifacts (``table2``, ``table3``,
+  ``fig3``, ``fig4``, ``os-scaling``, ``patterns``) put every platform
+  into one table; the rest print one section per platform, and a spec
+  with no cells (``fig6`` or ``accel`` without CXL) prints nothing.
 
-Each kind's cells are its experiment module's ``cells()``, and its
-normalizer here is the only place its params get defaults and range
-checks: ``repro <kind>`` builds and normalizes the same spec as
-``repro submit <kind>``, so the two doors run the same cells and reject
-the same inputs. Every choice that changes a result is a cell argument,
-so a spec's cells alone determine their cache keys.
+``repro <kind>`` and ``repro submit <kind>`` build and normalize the same
+specs and render them the same way, so the two doors run the same cells,
+print the same bytes and reject the same inputs. Every choice that
+changes a result is a cell argument, so a spec's cells alone determine
+their cache keys. ``explore`` carries (and validates) the spec's
+``platform`` for uniformity but ignores it: each cell's platform comes
+from its generated topology.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE, run_cells_detailed
+from repro.runner import (
+    Cell,
+    CellResult,
+    USE_DEFAULT_CACHE,
+    run_cells_detailed,
+    values_of,
+)
 
 __all__ = [
     "KINDS",
     "PLATFORMS",
+    "Kind",
     "build_cells",
     "canonical_platform",
     "kind_names",
     "normalize_spec",
+    "render_pairs",
     "render_results",
     "resolve_platform",
     "run_local",
 ]
 
-#: The submittable experiment kinds, in presentation order.
-KINDS: Tuple[str, ...] = ("netstack", "chaos", "trace", "kvstore", "explore")
+#: One invocation's ordered ``(normalized spec, results)`` pairs.
+Pairs = Sequence[Tuple[Dict[str, Any], Sequence[CellResult]]]
 
 #: Platform presets by canonical name: the factory's name in
 #: :mod:`repro.platform.presets`. The CLI and the service share this table.
@@ -85,7 +92,7 @@ _built: Dict[str, Any] = {}
 
 def kind_names() -> Tuple[str, ...]:
     """The accepted ``kind`` values, for help strings and validation."""
-    return KINDS
+    return tuple(KINDS)
 
 
 def canonical_platform(name: Any) -> str:
@@ -141,26 +148,45 @@ def _as_int(value: Any, field: str, minimum: int) -> int:
     return value
 
 
+def _counts(**defaults: int) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """A normalizer for params that are all counts (integers >= 1)."""
+
+    def normalize(params: Dict[str, Any]) -> Dict[str, Any]:
+        """Each count param, defaulted and checked to be >= 1."""
+        return {
+            name: _as_int(params.get(name, default), f"params.{name}", 1)
+            for name, default in defaults.items()
+        }
+
+    return normalize
+
+
+def _choice_list(
+    params: Dict[str, Any], field: str, label: str, choices: Sequence[Any]
+) -> List[Any]:
+    """A non-empty list param drawn from ``choices`` (default: all of them)."""
+    value = params.get(field)
+    if value is None:
+        return list(choices)
+    _require(
+        isinstance(value, list) and value,
+        f"params.{field} must be a non-empty list, got {value!r}",
+    )
+    for item in value:
+        _require(
+            item in choices,
+            f"unknown {label} {item!r} (choose from {', '.join(choices)})",
+        )
+    return value
+
+
 def _normalize_netstack(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.experiments.netstack import ARMS
 
-    arms = params.get("arms")
-    if arms is None:
-        arms = list(ARMS)
-    _require(
-        isinstance(arms, list) and arms,
-        f"params.arms must be a non-empty list, got {arms!r}",
-    )
-    for arm in arms:
-        _require(
-            arm in ARMS,
-            f"unknown arm {arm!r} (choose from {', '.join(ARMS)})",
-        )
-    transactions = _as_int(
-        params.get("transactions_per_core", 400),
-        "params.transactions_per_core", 1,
-    )
-    return {"arms": arms, "transactions_per_core": transactions}
+    return {
+        "arms": _choice_list(params, "arms", "arm", ARMS),
+        **_counts(transactions_per_core=400)(params),
+    }
 
 
 def _normalize_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -181,11 +207,10 @@ def _normalize_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
             f"severity must be a number in [0, 1], got {severity!r}",
         )
         normalized.append(float(severity))
-    transactions = _as_int(
-        params.get("transactions_per_core", 200),
-        "params.transactions_per_core", 1,
-    )
-    return {"severities": normalized, "transactions_per_core": transactions}
+    return {
+        "severities": normalized,
+        **_counts(transactions_per_core=200)(params),
+    }
 
 
 def _normalize_trace(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -218,61 +243,218 @@ def _normalize_explore(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.experiments.explore import ROUTINGS, WORKLOADS
     from repro.platform.generator import catalog_names
 
-    known = catalog_names()
-    topologies = params.get("topologies")
-    if topologies is None:
-        topologies = list(known)
-    _require(
-        isinstance(topologies, list) and topologies,
-        f"params.topologies must be a non-empty list, got {topologies!r}",
-    )
-    for name in topologies:
-        _require(
-            name in known,
-            f"unknown topology {name!r} (choose from {', '.join(known)})",
-        )
-    routings = params.get("routings")
-    if routings is None:
-        routings = list(ROUTINGS)
-    _require(
-        isinstance(routings, list) and routings,
-        f"params.routings must be a non-empty list, got {routings!r}",
-    )
-    for routing in routings:
-        _require(
-            routing in ROUTINGS,
-            f"unknown routing {routing!r} (choose from {', '.join(ROUTINGS)})",
-        )
-    workloads = params.get("workloads")
-    if workloads is None:
-        workloads = list(WORKLOADS)
-    _require(
-        isinstance(workloads, list) and workloads,
-        f"params.workloads must be a non-empty list, got {workloads!r}",
-    )
-    for workload in workloads:
-        _require(
-            workload in WORKLOADS,
-            f"unknown workload {workload!r} "
-            f"(choose from {', '.join(WORKLOADS)})",
-        )
-    packets = _as_int(
-        params.get("packets_per_sender", 60), "params.packets_per_sender", 1
-    )
     return {
-        "topologies": topologies,
-        "routings": routings,
-        "workloads": workloads,
-        "packets_per_sender": packets,
+        "topologies": _choice_list(
+            params, "topologies", "topology", catalog_names()
+        ),
+        "routings": _choice_list(params, "routings", "routing", ROUTINGS),
+        "workloads": _choice_list(params, "workloads", "workload", WORKLOADS),
+        **_counts(packets_per_sender=60)(params),
     }
 
 
-_NORMALIZERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    "netstack": _normalize_netstack,
-    "chaos": _normalize_chaos,
-    "trace": _normalize_trace,
-    "kvstore": _normalize_kvserve,
-    "explore": _normalize_explore,
+def _normalize_sharded(params: Dict[str, Any]) -> Dict[str, Any]:
+    # The shard count's upper bound is the platform's CCD count, which
+    # sharded_cell.cells checks when it resolves the default.
+    from repro.experiments.sharded_cell import ENGINES
+
+    shards = params.get("shards")
+    return {
+        "engines": _choice_list(params, "engines", "engine", ENGINES),
+        "shards": None if shards is None else _as_int(
+            shards, "params.shards", 1
+        ),
+        **_counts(transactions_per_core=150)(params),
+    }
+
+
+# ------------------------------------------------------------------ kinds
+
+
+def _values(pairs: Pairs) -> List[Any]:
+    """Every cell value of one invocation, in order (a failure re-raises)."""
+    return [value for __, results in pairs for value in values_of(results)]
+
+
+def _by_platform(pairs: Pairs) -> Dict[str, Any]:
+    """The values by their ``platform`` name, for side-by-side tables."""
+    return {value.platform: value for value in _values(pairs)}
+
+
+def _joined(sections: Iterable[str]) -> str:
+    """One section per item, blank-line separated; empty sections dropped."""
+    return "\n\n".join(section for section in sections if section)
+
+
+def _name(spec: Dict[str, Any]) -> str:
+    return resolve_platform(spec["platform"]).name
+
+
+# Cell builders, ``(module, platform, seed, params) -> cells``.
+
+
+def _seeded(m: Any, platform: Any, seed: int, params: Dict[str, Any]):
+    """``module.cells(platform, seed=seed, **params)``."""
+    return m.cells(platform, seed=seed, **params)
+
+
+def _unseeded(m: Any, platform: Any, seed: int, params: Dict[str, Any]):
+    """``module.cells(platform)``: the artifact takes no seed or params."""
+    return m.cells(platform)
+
+
+def _one_cell(function: str) -> Callable[..., List[Cell]]:
+    """A builder of the one cell ``module.<function>(platform)``."""
+    return lambda m, platform, seed, params: [
+        Cell(getattr(m, function), (platform,))
+    ]
+
+
+# Renderers, ``(module, pairs) -> text``.
+
+
+def _side_by_side(m: Any, pairs: Pairs) -> str:
+    """One table with every platform's value, keyed by platform name."""
+    return m.render(_by_platform(pairs))
+
+
+def _listed(m: Any, pairs: Pairs) -> str:
+    """One table over every value, in order."""
+    return m.render(_values(pairs))
+
+
+def _each_value(function: str = "render") -> Callable[..., str]:
+    """One section per value: ``module.<function>(value)``."""
+    return lambda m, pairs: _joined(map(getattr(m, function), _values(pairs)))
+
+
+def _each_platform(m: Any, pairs: Pairs) -> str:
+    """One section per platform, failed cells as rows of it."""
+    return _joined(m.render(_name(spec), results) for spec, results in pairs)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One artifact kind: where its code lives, and spec → cells → text.
+
+    ``cells(module, platform, seed, params)`` is one normalized spec's
+    runner cells and ``render(module, pairs)`` the artifact of one
+    invocation's :data:`Pairs`, where ``module`` is the kind's module,
+    imported on first use. ``normalize(params)`` fills the defaults and
+    range-checks every param.
+    """
+
+    module: str
+    cells: Callable[..., List[Cell]]
+    render: Callable[..., str]
+    normalize: Callable[[Dict[str, Any]], Dict[str, Any]] = _counts()
+
+
+#: Every artifact kind, in presentation order. A renderer that reads
+#: values (:func:`_values`) needs every cell: a failed cell re-raises its
+#: error and no partial artifact is printed. The others render failed
+#: cells as rows.
+KINDS: Dict[str, Kind] = {
+    # Both presets in one table, printed once whatever the platform.
+    "table1": Kind(
+        "repro.experiments.table1",
+        lambda m, platform, seed, params: m.cells(),
+        lambda m, pairs: m.render(_values(pairs)[0]),
+    ),
+    "table2": Kind(
+        "repro.experiments.table2", _seeded, _side_by_side,
+        _counts(iterations=2000),
+    ),
+    "table3": Kind("repro.experiments.table3", _seeded, _side_by_side),
+    "fig3": Kind(
+        "repro.experiments.fig3", _seeded, _listed,
+        _counts(transactions_per_core=800),
+    ),
+    "fig4": Kind("repro.experiments.fig4", _unseeded, _listed),
+    "fig5": Kind(
+        "repro.experiments.fig5", _unseeded, _each_value("harvest_line")
+    ),
+    "fig6": Kind("repro.experiments.fig6", _unseeded, _each_value()),
+    "suite": Kind(
+        "repro.core.suite",
+        lambda m, platform, seed, params: m.CharacterizationSuite(
+            seed=seed
+        ).cells(platform),
+        lambda m, pairs: _joined(
+            m.CharacterizationSuite().report(
+                resolve_platform(spec["platform"]), values_of(results)
+            ).render()
+            for spec, results in pairs
+        ),
+    ),
+    "os-scaling": Kind(
+        "repro.experiments.os_scaling", _unseeded, _side_by_side
+    ),
+    "accel": Kind(
+        "repro.experiments.accel_dispatch", _seeded,
+        lambda m, pairs: _joined(
+            m.render({report.mode: report for report in values_of(results)})
+            for __, results in pairs
+            if results
+        ),
+        _counts(dispatch_jobs=8),
+    ),
+    "chaos": Kind(
+        "repro.experiments.chaos", _seeded, _each_platform, _normalize_chaos
+    ),
+    "netstack": Kind(
+        "repro.experiments.netstack", _seeded, _each_platform,
+        _normalize_netstack,
+    ),
+    "sharded": Kind(
+        "repro.experiments.sharded_cell", _seeded, _each_platform,
+        _normalize_sharded,
+    ),
+    "trace": Kind(
+        "repro.experiments.trace", _seeded,
+        lambda m, pairs: _joined(
+            m.render(
+                resolve_platform(spec["platform"]), spec["params"]["cell"],
+                results,
+            )
+            for spec, results in pairs
+        ),
+        _normalize_trace,
+    ),
+    "kvstore": Kind(
+        "repro.experiments.kvserve", _seeded, _each_platform,
+        _normalize_kvserve,
+    ),
+    "explore": Kind(
+        "repro.experiments.explore",
+        # The generated topologies replace the spec's (ignored) preset.
+        lambda m, platform, seed, params: m.cells(seed=seed, **params),
+        lambda m, pairs: _joined(m.render(results) for __, results in pairs),
+        _normalize_explore,
+    ),
+    "devtree": Kind(
+        "repro.telemetry.devtree", _one_cell("build_devtree"),
+        _each_value("render_dts"),
+    ),
+    "io-relay": Kind(
+        "repro.io.relay", _one_cell("sweep_designs"), _each_value()
+    ),
+    "collective": Kind(
+        "repro.collective.model", _one_cell("allreduce_table"),
+        _each_value(),
+    ),
+    "noc-routing": Kind(
+        "repro.experiments.noc_routing", _unseeded,
+        lambda m, pairs: _joined(
+            m.render({
+                result.lanes_per_sender: result
+                for result in values_of(results)
+            })
+            for __, results in pairs
+        ),
+    ),
+    "core-to-core": Kind("repro.core.coretocore", _unseeded, _each_value()),
+    "patterns": Kind("repro.experiments.patterns", _seeded, _side_by_side),
 }
 
 
@@ -292,7 +474,7 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
     )
     kind = spec.get("kind")
     _require(
-        kind in KINDS,
+        isinstance(kind, str) and kind in KINDS,
         f"unknown kind {kind!r} (choose from {', '.join(KINDS)})",
     )
     platform = canonical_platform(spec.get("platform", "7302"))
@@ -310,7 +492,7 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
         "kind": kind,
         "platform": platform,
         "seed": seed,
-        "params": _NORMALIZERS[kind](params),
+        "params": KINDS[kind].normalize(params),
     }
 
 
@@ -320,76 +502,34 @@ def normalize_spec(spec: Any) -> Dict[str, Any]:
 def build_cells(spec: Dict[str, Any]) -> List[Cell]:
     """The runner cells one normalized spec denotes, in submission order.
 
-    Each kind's cell list is its experiment module's ``cells()``, so
+    Each kind's cell list comes from its module's ``cells()``, so
     ``repro <kind>`` and a submitted spec run the same cells. Deterministic:
     the same normalized spec always yields the same cells in the same
     order, which is what makes per-cell events addressable by index alone.
+    A spec its platform cannot run (no Figure 3 panels, too many shards)
+    raises :class:`ConfigurationError`.
     """
-    platform = resolve_platform(spec["platform"])
-    kind, params, seed = spec["kind"], spec["params"], spec["seed"]
-    if kind == "netstack":
-        from repro.experiments import netstack
-
-        return netstack.cells(
-            platform, params["arms"], seed=seed,
-            transactions_per_core=params["transactions_per_core"],
-        )
-    if kind == "chaos":
-        from repro.experiments import chaos
-
-        return chaos.cells(
-            platform, params["severities"], seed=seed,
-            transactions_per_core=params["transactions_per_core"],
-        )
-    if kind == "kvstore":
-        from repro.experiments import kvserve
-
-        return kvserve.cells(
-            platform, qps=params["qps"], requests=params["requests"],
-            engine="hybrid", seed=seed,
-        )
-    if kind == "explore":
-        from repro.experiments import explore
-
-        # The generated topologies replace the spec's (ignored) preset.
-        return explore.cells(
-            params["topologies"], params["routings"], params["workloads"],
-            seed=seed, packets_per_sender=params["packets_per_sender"],
-        )
-    from repro.experiments import trace
-
-    return trace.cells(
-        platform, params["cell"], seed=seed, samples=params["samples"]
+    kind = KINDS[spec["kind"]]
+    return kind.cells(
+        import_module(kind.module), resolve_platform(spec["platform"]),
+        spec["seed"], spec["params"],
     )
 
 
-def render_results(spec: Dict[str, Any], results: Sequence[CellResult]) -> str:
-    """The spec's human-readable artifact, identical to the CLI's rendering.
+def render_pairs(pairs: Pairs) -> str:
+    """One invocation's artifact from its ordered (spec, results) pairs.
 
-    Pure function of (spec, decoded results): the client renders locally
-    from streamed values, and the output is byte-identical to running the
-    same spec in process.
+    Pure function of the decoded results: the client renders locally from
+    streamed values, byte-identical to running the same specs in process.
+    Every pair is of one kind.
     """
-    platform = resolve_platform(spec["platform"])
-    if spec["kind"] == "netstack":
-        from repro.experiments.netstack import render
+    kind = KINDS[pairs[0][0]["kind"]]
+    return kind.render(import_module(kind.module), pairs)
 
-        return render(platform.name, results)
-    if spec["kind"] == "chaos":
-        from repro.experiments.chaos import render
 
-        return render(platform.name, results)
-    if spec["kind"] == "kvstore":
-        from repro.experiments.kvserve import render
-
-        return render(platform.name, results)
-    if spec["kind"] == "explore":
-        from repro.experiments.explore import render
-
-        return render(results)
-    from repro.experiments.trace import render
-
-    return render(platform, spec["params"]["cell"], results)
+def render_results(spec: Dict[str, Any], results: Sequence[CellResult]) -> str:
+    """One spec's artifact: :func:`render_pairs` of a single pair."""
+    return render_pairs([(spec, results)])
 
 
 def run_local(
@@ -405,8 +545,8 @@ def run_local(
 ) -> List[CellResult]:
     """Execute one normalized spec in this process.
 
-    The client's in-process fallback and the ``repro <kind>`` path. The
-    server runs the same :func:`build_cells` output through the same
+    The client's in-process fallback. The server runs the same
+    :func:`build_cells` output through the same
     :func:`~repro.runner.run_cells_detailed` (built once, at submit), which
     is what makes the fallback byte-identical to the served path.
     """

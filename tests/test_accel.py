@@ -196,8 +196,14 @@ class TestIntraHostSwitch:
 class TestDispatchExperiment:
     def test_manager_protects_signal_plane(self, p9634):
         from repro.experiments import accel_dispatch
+        from repro.runner import run_cells
 
-        reports = accel_dispatch.compare(p9634, jobs=4)
+        reports = {
+            report.mode: report
+            for report in run_cells(
+                accel_dispatch.cells(p9634, dispatch_jobs=4), jobs=1
+            )
+        }
         unmanaged = reports["unmanaged"]
         managed = reports["managed"]
         # The switch restores signal latency to near-unloaded.

@@ -298,6 +298,93 @@ class TestStatsPersistence:
         assert stats.recorded_runs == 0
         assert stats.recorded_hits == 0
 
+    def test_stats_read_one_totals_file_however_many_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.cache as cache_module
+
+        cache = ResultCache(tmp_path)
+        self._one_hit_one_miss(cache)
+        key = cache.key_for(_square, (3,), {})
+        for __ in range(1000):
+            cache.get(key)              # one hit per run
+            assert cache.record_run("run")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+        stats = ResultCache(tmp_path).stats()
+        assert len(opened) <= 2         # the lock and the totals
+        assert sorted(p.name for p in (tmp_path / "_stats").iterdir()) == [
+            ".lock", "totals.json",
+        ]
+        assert stats.recorded_runs == 1000
+        assert stats.recorded_hits == 1001
+        assert stats.recorded_misses == 1
+
+    def test_concurrent_recorders_lose_and_double_count_nothing(
+        self, tmp_path
+    ):
+        # Four recording processes (more than this host's cores), released
+        # together: 50 runs of one hit each, recorded at once.
+        import os
+        import subprocess
+
+        import repro
+
+        go = tmp_path / "go"
+        script = (
+            "import os, sys, time\n"
+            "from repro.cache import ResultCache\n"
+            "root, go = sys.argv[1], sys.argv[2]\n"
+            "deadline = time.monotonic() + 30\n"
+            "while not os.path.exists(go) and time.monotonic() < deadline:\n"
+            "    time.sleep(0.001)\n"
+            "cache = ResultCache(root)\n"
+            "for __ in range(50):\n"
+            "    cache.hits += 1\n"
+            "    if not cache.record_run('worker'):\n"
+            "        sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), str(go)],
+                env=env,
+            )
+            for __ in range(4)
+        ]
+        go.touch()
+        assert [worker.wait(timeout=60) for worker in workers] == [0] * 4
+        stats = ResultCache(tmp_path).stats()
+        assert stats.recorded_runs == 200
+        assert stats.recorded_hits == 200
+
+    def test_per_run_records_of_older_versions_are_folded(self, tmp_path):
+        import json
+
+        stats_dir = tmp_path / "_stats"
+        stats_dir.mkdir()
+        for index in range(3):
+            (stats_dir / f"run-{index}-1.json").write_text(json.dumps({
+                "label": "old", "hits": 2, "misses": 1, "bytes_read": 10,
+                "bytes_written": 5, "pid": 1, "recorded_at_ns": index,
+            }))
+        cache = ResultCache(tmp_path)
+        assert cache.stats().recorded_runs == 3
+        self._one_hit_one_miss(cache)
+        assert cache.record_run("new")
+        assert not list(stats_dir.glob("run-*.json"))
+        stats = cache.stats()
+        assert stats.recorded_runs == 4
+        assert stats.recorded_hits == 7
+        assert stats.recorded_misses == 4
+        assert stats.recorded_bytes_read > 30
+
 
 class TestRunnerIntegration:
     def test_second_run_hits_and_skips_execution(self, tmp_path):

@@ -25,6 +25,17 @@ class TestParser:
             args = parser.parse_args([command])
             assert args.command == command
 
+    def test_every_kind_is_a_subcommand_of_both_doors(self):
+        from repro.cli import _KIND_COMMANDS
+        from repro.service.registry import KINDS
+
+        assert list(_KIND_COMMANDS) == list(KINDS)
+        parser = build_parser()
+        for kind in KINDS:
+            positional = ["netstack"] if kind == "trace" else []
+            assert parser.parse_args([kind] + positional).command == kind
+            assert parser.parse_args(["submit", kind]).kind == kind
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -44,6 +55,48 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "DRAM near" in out
+
+    def test_table2_synthetic_has_na_paper_cells(self, capsys):
+        # The paper measured only the two EPYC parts: a preset it did not
+        # measure gets N/A paper cells, as in Table 3.
+        assert main([
+            "table2", "--platform", "synthetic", "--iterations", "60",
+            "--jobs", "1", "--no-cache",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Synthetic UCIe (paper)" in out
+        rows = [line for line in out.splitlines() if line.startswith("L1 ")]
+        assert rows and rows[0].rstrip().endswith("N/A")
+
+    def test_fig3_synthetic_is_a_usage_error_at_both_doors(self, capsys):
+        errors = []
+        for argv in (
+            ["fig3", "--platform", "synthetic"],
+            ["submit", "fig3", "--platform", "synthetic", "--local"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--no-cache"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "error: no Figure 3 panels for Synthetic UCIe" in errors[0]
+
+    def test_too_many_shards_is_a_usage_error_at_both_doors(self, capsys):
+        errors = []
+        for argv in (
+            ["sharded", "--shards", "13"],
+            ["submit", "sharded", "--shards", "13", "--local"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--no-cache"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "shard count must be in [1, 12]" in errors[0]
 
     def test_fig4(self, capsys):
         assert main(["fig4", "--platform", "9634"]) == 0
@@ -294,11 +347,12 @@ class TestServiceCLI:
 
     def test_submit_unknown_kind_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["submit", "fig3"])
+            build_parser().parse_args(["submit", "nope"])
 
     def test_submit_has_no_variant_flags(self, capsys):
-        # The shard count and the recovery arm are cell arguments of their
-        # own subcommands; submit takes neither.
+        # The shard count and the recovery arm belong to their own kinds
+        # (`submit sharded --shards`, the direct `chaos --recover`); a
+        # netstack submit takes neither.
         for flag in (["--shards", "2"], ["--recover"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["submit", "netstack", "--local"] + flag)
@@ -307,17 +361,38 @@ class TestServiceCLI:
 
     def test_submit_local_matches_direct_command(self, capsys):
         # `repro <kind>` and `repro submit <kind> --local` build the same
-        # normalized spec and run the same cells: stdout is byte-identical
-        # for every kind.
-        for direct in (
+        # normalized specs and run the same cells: stdout is byte-identical
+        # for every kind, side-by-side tables at --platform all included.
+        from repro.service.registry import KINDS
+
+        cases = (
+            ["table1"],
+            ["table2", "--platform", "all", "--iterations", "60"],
+            ["table3", "--platform", "7302"],
+            ["fig3", "--platform", "7302", "--transactions", "20"],
+            ["fig4", "--platform", "all"],
+            ["fig5", "--platform", "all"],
+            ["fig6", "--platform", "all"],
+            ["suite", "--platform", "7302"],
+            ["os-scaling", "--platform", "all"],
+            ["accel", "--dispatch-jobs", "2"],
+            ["chaos", "--severity", "0.5", "--transactions", "20"],
             ["netstack", "--platform", "7302", "--arm", "off",
              "--transactions", "40"],
-            ["chaos", "--severity", "0.5", "--transactions", "20"],
+            ["sharded", "--platform", "7302", "--transactions", "20"],
             ["trace", "table2", "--samples", "10", "--out", "-"],
             ["kvstore", "--platform", "9634", "--requests", "300"],
             ["explore", "--topology", "squeeze-3x2", "--routing", "xy",
              "--workload", "contention", "--packets", "5"],
-        ):
+            ["devtree", "--platform", "7302"],
+            ["io-relay"],
+            ["collective"],
+            ["noc-routing", "--platform", "7302"],
+            ["core-to-core"],
+            ["patterns", "--platform", "all"],
+        )
+        assert [case[0] for case in cases] == list(KINDS)
+        for direct in cases:
             # trace's cell is a positional on the direct door; --out is
             # direct-only (it writes the Perfetto file).
             submitted = (
@@ -339,10 +414,16 @@ class TestServiceCLI:
         ("kvstore", ["--qps", "nan"]),
         ("kvstore", ["--qps", "inf"]),
         ("explore", ["--packets", "0"]),
+        ("table2", ["--iterations", "0"]),
+        ("fig3", ["--transactions", "0"]),
+        ("accel", ["--dispatch-jobs", "0"]),
+        ("sharded", ["--transactions", "0"]),
     ], ids=[
         "netstack-transactions-0", "chaos-transactions-0",
         "kvstore-requests-5", "kvstore-qps-negative", "kvstore-qps-nan",
-        "kvstore-qps-inf", "explore-packets-0",
+        "kvstore-qps-inf", "explore-packets-0", "table2-iterations-0",
+        "fig3-transactions-0", "accel-dispatch-jobs-0",
+        "sharded-transactions-0",
     ])
     def test_both_doors_reject_the_same_input(self, capsys, kind, flags):
         # One validator per kind: the registry normalizer range-checks

@@ -48,7 +48,10 @@ class TestSuite:
         assert "practical guidelines:" in text
 
     def test_compare_multiple(self, suite, p7302):
-        reports = suite.compare([p7302, synthetic_ucie()])
+        reports = {
+            platform.name: suite.run(platform)
+            for platform in (p7302, synthetic_ucie())
+        }
         assert set(reports) == {"EPYC 7302", "Synthetic UCIe"}
 
     def test_synthetic_keeps_the_interconnect_wall(self, synthetic_report):

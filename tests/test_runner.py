@@ -22,7 +22,7 @@ from repro.runner import (
     resolve_jobs,
     run_cells,
     run_cells_detailed,
-    starmap,
+    run_groups,
 )
 from repro.sim.engine import Environment, Resource, Store
 from repro.transport.message import OpKind
@@ -62,9 +62,11 @@ def test_fig3_panel_d_jobs_invariant():
 
 def test_table2_jobs_invariant():
     platform = epyc_7302()
-    serial = table2.run_many([platform], iterations=300, seed=0, jobs=1)
-    pooled = table2.run_many([platform], iterations=300, seed=0, jobs=4)
-    assert table2.render(serial) == table2.render(pooled)
+    serial = run_cells(table2.cells(platform, iterations=300, seed=0), jobs=1)
+    pooled = run_cells(table2.cells(platform, iterations=300, seed=0), jobs=4)
+    assert table2.render({platform.name: serial[0]}) == table2.render(
+        {platform.name: pooled[0]}
+    )
 
 
 # --------------------------------------------------------------------------
@@ -102,13 +104,28 @@ def test_run_cells_empty():
     assert run_cells([], jobs=4) == []
 
 
-def test_starmap_preserves_order():
-    def offset(x, delta=0):
-        return x + delta
-
-    assert starmap(offset, [(1,), (2,), (3,)], jobs=1, delta=10) == [
-        11, 12, 13,
+def test_run_groups_splits_one_batch():
+    # One batch over every group: a cell repeated in a later group is
+    # deduped against the first, and each group's results (failures
+    # included) are indexed from 0 as if the group had run alone.
+    groups = run_groups(
+        [
+            [Cell(_square, (2,)), Cell(_square, (3,))],
+            [Cell(_square, (3,)), Cell(_raise_oserror, (7,))],
+            [],
+        ],
+        jobs=1,
+        cache=None,
+    )
+    assert [[r.value for r in group] for group in groups] == [
+        [4, 9], [9, None], [],
     ]
+    assert [[r.index for r in group] for group in groups] == [
+        [0, 1], [0, 1], [],
+    ]
+    assert groups[1][0].deduped and not groups[0][1].deduped
+    assert groups[1][1].failure.index == 1
+    assert isinstance(groups[1][1].failure.error, OSError)
 
 
 # --------------------------------------------------------------------------

@@ -106,6 +106,14 @@ class TestValueCodec:
         assert out.arm == point.arm and out.p99_ns == point.p99_ns
         assert math.isnan(out.p50_ns)
 
+    def test_dict_key_order_survives(self):
+        # Frames sort keys: a dict in any other order must not take the
+        # JSON envelope, or a renderer iterating it would reorder its rows.
+        value = {"b": 1, "a": {"d": 2, "c": 3}}
+        assert encode_value(value)["t"] == "pkl"
+        out = _roundtrip(value)
+        assert list(out) == ["b", "a"] and list(out["a"]) == ["d", "c"]
+
     def test_picklable_fallback(self):
         value = {1: "int keys are not json", frozenset({2}): "nor these"}
         assert _roundtrip(value) == value

@@ -231,6 +231,34 @@ class TestEndToEnd:
         assert render_results(normalize_spec(spec), served.results) == \
             render_results(normalize_spec(spec), local)
 
+    def test_every_kind_serves_what_it_runs_locally(self, service_dir):
+        # Every artifact kind, cold and then warm, renders from the
+        # decoded values exactly what the in-process run renders.
+        from repro.service.registry import KINDS
+
+        small = {
+            "table2": {"iterations": 60},
+            "fig3": {"transactions_per_core": 20},
+            "accel": {"dispatch_jobs": 2},
+            "chaos": {"severities": [0.5], "transactions_per_core": 20},
+            "netstack": {"arms": ["off"], "transactions_per_core": 20},
+            "sharded": {"shards": 2, "transactions_per_core": 20},
+            "trace": {"cell": "table2", "samples": 10},
+            "kvstore": {"requests": 300},
+            "explore": _explore_spec()["params"],
+        }
+        with _service(service_dir, jobs=1):
+            with ServiceClient(_sock(service_dir)) as client:
+                for kind in KINDS:
+                    spec = normalize_spec({
+                        "kind": kind, "platform": "9634",
+                        "params": small.get(kind, {}),
+                    })
+                    local = render_results(spec, run_local(spec, cache=None))
+                    for __ in range(2):
+                        served = client.submit(spec)
+                        assert served.render() == local, kind
+
 
 class TestOps:
     def test_ping_and_availability(self, service_dir):
@@ -240,7 +268,11 @@ class TestOps:
             with ServiceClient(_sock(service_dir)) as client:
                 assert client.ping()
                 assert client.server_info["kinds"] == [
-                    "netstack", "chaos", "trace", "kvstore", "explore"
+                    "table1", "table2", "table3", "fig3", "fig4", "fig5",
+                    "fig6", "suite", "os-scaling", "accel", "chaos",
+                    "netstack", "sharded", "trace", "kvstore", "explore",
+                    "devtree", "io-relay", "collective", "noc-routing",
+                    "core-to-core", "patterns",
                 ]
         assert not server_available(_sock(service_dir))
 
