@@ -17,9 +17,8 @@ Modules
     cell values exactly (floats by repr, dataclasses by field, anything
     else by pickle).
 :mod:`~repro.service.registry`
-    The submittable cell kinds (``netstack``, ``chaos``, ``trace``,
-    ``kvstore``, ``explore``): spec normalization, cell building and
-    rendering.
+    The artifact kinds, one per CLI artifact subcommand (``table1`` …
+    ``patterns``): spec normalization, cell building and rendering.
 :mod:`~repro.service.scheduler`
     The admission queue: strict priority, round-robin fairness across
     clients within a priority, bounded depth with structured retry-after
