@@ -700,11 +700,12 @@ def _run_kind(parser: argparse.ArgumentParser, args) -> List[str]:
             ]
         else:
             groups = [build_cells(spec) for spec in specs]
+        # A bad runner knob (--timeout 0, --retries -1) raises here, before
+        # any cell runs; cell errors come back as failed results.
+        pairs = list(zip(specs, run_groups(groups, **knobs)))
     except ConfigurationError as error:
         parser.error(str(error))
-    return _with_tails(
-        args, list(zip(specs, run_groups(groups, **knobs))), knobs
-    )
+    return _with_tails(args, pairs, knobs)
 
 
 def _with_tails(args, pairs, knobs) -> List[str]:

@@ -439,6 +439,19 @@ class TestServiceCLI:
         assert errors[0] == errors[1]
         assert "error: params." in errors[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["netstack", "--timeout", "0"],
+        ["chaos", "--retries", "-1"],
+        ["submit", "netstack", "--local", "--timeout", "0"],
+    ], ids=["direct-timeout-0", "direct-retries-negative", "submit-timeout-0"])
+    def test_bad_runner_knobs_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--transactions", "10"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err and "Traceback" not in captured.err
+
     def test_jobs_without_server_fails_cleanly(self, capsys, tmp_path):
         missing = str(tmp_path / "no-service.sock")
         assert main(["jobs", "--socket", missing]) == 1
