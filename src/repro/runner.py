@@ -627,7 +627,8 @@ def run_groups(
             replace(
                 result,
                 index=index,
-                failure=result.failure and replace(result.failure, index=index),
+                failure=None if result.failure is None
+                else replace(result.failure, index=index),
             )
             for index, result in enumerate(batch[start:start + len(group)])
         ])
