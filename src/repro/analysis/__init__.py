@@ -1,6 +1,5 @@
 """Measurement analysis: latency statistics, time series, report rendering."""
 
-from repro.analysis.histogram import LatencyHistogram
 from repro.analysis.export import curves_to_csv, rows_to_csv, timeseries_to_csv
 from repro.analysis.report import format_pair, render_table
 from repro.analysis.stats import LatencyStats, jain_index, percentile
@@ -16,5 +15,4 @@ __all__ = [
     "rows_to_csv",
     "timeseries_to_csv",
     "curves_to_csv",
-    "LatencyHistogram",
 ]

@@ -18,7 +18,6 @@ from repro.apps.kvserve import (
     HybridKvServer,
     TenantReport,
     TenantSpec,
-    serve_hybrid,
 )
 from repro.apps.kvstore import KvServerModel, KvWorkload, ServiceReport
 
@@ -30,5 +29,4 @@ __all__ = [
     "HybridKvServer",
     "TenantReport",
     "TenantSpec",
-    "serve_hybrid",
 ]

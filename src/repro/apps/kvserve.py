@@ -61,7 +61,6 @@ __all__ = [
     "TenantSpec",
     "HybridKvServer",
     "TenantReport",
-    "serve_hybrid",
 ]
 
 
@@ -346,25 +345,3 @@ class HybridKvServer:
             )
         return reports, LatencyStats.merge(sorted_parts)
 
-
-def serve_hybrid(
-    platform: Platform,
-    workload: KvWorkload,
-    server_ccd: int = 0,
-    workers: int = 4,
-    seed: int = 0,
-    background_cores: Optional[Sequence[int]] = None,
-    background_rate_gbps: Optional[float] = None,
-    arrival: Optional[ArrivalSpec] = None,
-    derates: Optional[Dict[str, float]] = None,
-) -> ServiceReport:
-    """One-shot hybrid run with the same surface as ``KvServerModel.serve``."""
-    server = HybridKvServer(platform, seed=seed, derates=derates)
-    return server.serve(
-        workload,
-        server_ccd=server_ccd,
-        workers=workers,
-        background_cores=background_cores,
-        background_rate_gbps=background_rate_gbps,
-        arrival=arrival,
-    )

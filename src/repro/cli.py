@@ -490,16 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, (help_text, platform_default, flags) in _KIND_COMMANDS.items():
         cmd = submit_kinds.add_parser(name, help=help_text)
-        # explore's cells bring their own platforms; its spec still
-        # carries one.
-        platform_default = platform_default or "7302"
-        cmd.add_argument(
-            "--platform", default=platform_default,
-            help=(
-                f"7302, 9634, synthetic, or all (one job per platform; "
-                f"default {platform_default})"
-            ),
-        )
+        if platform_default is not None:
+            cmd.add_argument(
+                "--platform", default=platform_default,
+                help=(
+                    f"7302, 9634, synthetic, or all (one job per platform; "
+                    f"default {platform_default})"
+                ),
+            )
         cmd.add_argument(
             "--seed", type=int, default=0, help="simulation seed (default 0)"
         )
@@ -700,6 +698,14 @@ def _run_kind(parser: argparse.ArgumentParser, args) -> List[str]:
             ]
         else:
             groups = [build_cells(spec) for spec in specs]
+        for spec, group in zip(specs, groups):
+            if not group:
+                # e.g. fig6 and accel need a CXL device.
+                print(
+                    f"[repro] {args.command}: nothing to run on "
+                    f"{spec['platform']}; its section is empty",
+                    file=sys.stderr,
+                )
         # A bad runner knob (--timeout 0, --retries -1) raises here, before
         # any cell runs; cell errors come back as failed results.
         pairs = list(zip(specs, run_groups(groups, **knobs)))
@@ -759,8 +765,10 @@ def _submit(parser: argparse.ArgumentParser, args) -> Optional[List[str]]:
     from repro.service import submit_or_local
     from repro.service.registry import render_pairs
 
+    # explore has no --platform: its cells bring their own platforms.
+    names = _platform_names_for(getattr(args, "platform", "7302"))
     pairs = []
-    for platform_name in _platform_names_for(args.platform):
+    for platform_name in names:
         try:
             outcome = submit_or_local(
                 _spec(args.kind, args, platform_name),

@@ -14,17 +14,20 @@ per CCD in the canonical contention cell — and runs them on either engine:
   With ``shards == 1`` the *same serial cell* runs inside the single shard
   — zero scheduling difference, so the outcome is md5-byte-identical to
   ``engine="serial"``. With ``shards > 1`` each shard times its flows with
-  the exact batched recurrences of :mod:`repro.sim.batch`; stages shared
-  *across* shards (the NoC aggregate, contended UMCs) are partitioned into
-  per-shard replicas sized in-flight-proportionally (FIFO arbitration
+  the batched recurrences of :mod:`repro.sim.batch` (issue-ordered: they
+  match the DES only where every lane meeting at a shared stage reaches
+  it through the same upstream stages); stages shared *across* shards
+  (the NoC aggregate, contended UMCs) are partitioned into per-shard
+  replicas sized in-flight-proportionally (FIFO arbitration
   shares by outstanding requests — §3.5's traffic obliviousness), and
   per-window byte accounting flows between shards as genuine lookahead-
   delayed boundary events through numpy event calendars.
 
-Both engines disable DRAM timing jitter (the recurrences are exact only
-for deterministic service), so they model the same system; the residual
-multi-shard disagreement is the replica-partitioning approximation, whose
-tolerance the conformance tier documents.
+Both engines disable DRAM timing jitter (the recurrences assume
+deterministic service), so they model the same system; the residual
+multi-shard disagreement is the replica-partitioning approximation plus
+the kernel's issue ordering, whose tolerance the conformance tier
+documents.
 """
 
 from __future__ import annotations

@@ -38,11 +38,6 @@ class FaultInjectionError(ChipletError):
     """A fault schedule is invalid or targets hardware the platform lacks."""
 
 
-class AdmissionError(ChipletError):
-    """A guaranteed-rate flow was refused: admitting it would over-subscribe
-    at least one fabric channel (the admission controller's invariant)."""
-
-
 class ServiceError(ChipletError):
     """The simulation service refused or failed a request.
 

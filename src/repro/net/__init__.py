@@ -3,11 +3,10 @@
 The reproduction's other packages *diagnose* the paper's idiosyncrasies
 (telemetry, faults, the fluid and DES backends); this package is the §4
 *treatment*: receiver-driven credit-based congestion control
-(:mod:`repro.net.credits`), telemetry-driven multipath selection
-(:mod:`repro.net.multipath`), and QoS classes with admission control
-(:mod:`repro.net.qos`), tied together by one configuration
-(:class:`~repro.net.stack.NetStackConfig`) that realizes identically on
-both backends — :func:`~repro.net.stack.fluid_allocation` for steady state,
+(:mod:`repro.net.credits`) and QoS classes (:mod:`repro.net.qos`), tied
+together by one configuration (:class:`~repro.net.stack.NetStackConfig`)
+that realizes identically on both backends —
+:func:`~repro.net.stack.fluid_allocation` for steady state,
 :func:`~repro.net.inject.install` for the discrete-event simulator.
 :mod:`repro.net.recovery` closes the loop with :mod:`repro.faults`:
 link-health detection, credit reclamation through permanent failures,
@@ -25,10 +24,8 @@ from repro.net.credits import (
     endpoint_rtt_ns,
 )
 from repro.net.inject import CreditGate, NetInstallation, install
-from repro.net.multipath import MultipathSelector, link_for_channel
 from repro.net.qos import (
     CLASS_SPECS,
-    AdmissionController,
     ClassSpec,
     QosClass,
     class_credit_scales,
@@ -62,10 +59,7 @@ __all__ = [
     "CreditGate",
     "NetInstallation",
     "install",
-    "MultipathSelector",
-    "link_for_channel",
     "CLASS_SPECS",
-    "AdmissionController",
     "ClassSpec",
     "QosClass",
     "class_credit_scales",

@@ -1,4 +1,4 @@
-"""QoS classes and admission control for the chiplet networking stack.
+"""QoS classes for the chiplet networking stack.
 
 Two service classes cover the paper's workload split (§4): latency-sensitive
 traffic (request/response, pointer-heavy) and bulk traffic (streaming,
@@ -9,31 +9,21 @@ checkpoint, migration). A class maps onto both backends at once:
 * DES — a ``credit_scale`` that skews the receiver-driven credit split
   (bulk senders hold fewer outstanding cachelines per endpoint, so they
   cannot build deep queues in front of latency traffic).
-
-:class:`AdmissionController` is the control-plane half: a guaranteed-rate
-flow is admitted only if every fabric channel on its path retains headroom
-for the full guarantee, so the sum of guarantees can never exceed any
-channel's capacity (the invariant :class:`~repro.errors.AdmissionError`
-enforces). Admitted flows get :class:`~repro.manager.ratelimit.TokenBucket`
-limiters programmed to their guarantee, reusing the manager's enforcement
-machinery.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec
-from repro.errors import AdmissionError, ConfigurationError
-from repro.manager.ratelimit import TokenBucket
-from repro.units import CACHELINE
-
-__all__ = ["QosClass", "ClassSpec", "CLASS_SPECS", "AdmissionController"]
-
-_EPS = 1e-9
+__all__ = [
+    "QosClass",
+    "ClassSpec",
+    "CLASS_SPECS",
+    "class_weights",
+    "class_credit_scales",
+]
 
 
 class QosClass(enum.Enum):
@@ -61,155 +51,6 @@ CLASS_SPECS: Dict[QosClass, ClassSpec] = {
 }
 
 
-class AdmissionController:
-    """Admits guaranteed-rate flows only while every channel keeps headroom.
-
-    Usage::
-
-        control = AdmissionController(FabricModel(platform))
-        control.admit(victim_spec, rate_gbps=24.0)   # ok or AdmissionError
-        limiters = control.limiters()                # enforcement buckets
-    """
-
-    def __init__(self, fabric: FabricModel, health=None) -> None:
-        self.fabric = fabric
-        #: Optional :class:`repro.net.recovery.HealthMonitor` (duck-typed:
-        #: ``is_dead(endpoint)``). A DEAD channel offers zero admission
-        #: headroom until its probes revive it.
-        self.health = health
-        #: Admitted guarantee per flow name.
-        self._rates: Dict[str, float] = {}
-        #: Channel load (GB/s) each admitted flow commits, by flow name.
-        self._loads: Dict[str, Dict[str, float]] = {}
-
-    def _channel_dead(self, channel: str) -> bool:
-        if self.health is None:
-            return False
-        base, __, ___ = channel.partition(":")
-        return self.health.is_dead(base)
-
-    # ---------------------------------------------------------------- queries
-
-    @property
-    def admitted(self) -> Dict[str, float]:
-        """Guaranteed rate (GB/s) per admitted flow."""
-        return dict(self._rates)
-
-    def committed_gbps(self, channel: str) -> float:
-        """Total guaranteed load already committed on one channel."""
-        return sum(loads.get(channel, 0.0) for loads in self._loads.values())
-
-    def headroom_gbps(self, channel: str) -> float:
-        """Capacity of ``channel`` not yet promised to admitted flows.
-
-        A channel whose endpoint the health monitor has declared DEAD
-        offers no headroom at all — new guarantees cannot be promised
-        against capacity that is not being served.
-        """
-        if self._channel_dead(channel):
-            return 0.0
-        capacity = self.fabric.channel(channel).capacity_gbps
-        return max(0.0, capacity - self.committed_gbps(channel))
-
-    def revalidate(self) -> Dict[str, float]:
-        """Flows whose guarantees now ride a DEAD channel, by flow name.
-
-        The controller never silently revokes an admitted guarantee —
-        control-plane policy belongs to the caller. This reports which
-        admitted flows are committed on channels the health monitor has
-        since declared dead, so the caller can :meth:`release` and
-        re-:meth:`admit` them over the surviving paths (re-admission after
-        a flapping link returns is the same call with health healthy).
-        """
-        stranded: Dict[str, float] = {}
-        for name, loads in self._loads.items():
-            if any(self._channel_dead(channel) for channel in loads):
-                stranded[name] = self._rates[name]
-        return stranded
-
-    # ------------------------------------------------------------- admission
-
-    def _channel_loads(
-        self,
-        spec: StreamSpec,
-        rate_gbps: float,
-        umc_ids: Optional[Sequence[int]],
-    ) -> Dict[str, float]:
-        """Per-channel load (GB/s) a guarantee of ``rate_gbps`` commits."""
-        sized = StreamSpec(
-            spec.name, spec.op, spec.core_ids,
-            target=spec.target, demand_gbps=rate_gbps,
-        )
-        loads: Dict[str, float] = {}
-        for flow in self.fabric.flows_for(sized, umc_ids=umc_ids):
-            for channel, weight in flow.path:
-                loads[channel.name] = (
-                    loads.get(channel.name, 0.0)
-                    + flow.demand_gbps * weight
-                )
-        return loads
-
-    def admit(
-        self,
-        spec: StreamSpec,
-        rate_gbps: float,
-        umc_ids: Optional[Sequence[int]] = None,
-    ) -> Dict[str, float]:
-        """Admit ``spec`` with a guaranteed rate, or raise AdmissionError.
-
-        Returns the per-channel loads the admission committed. The check and
-        the commit are atomic: a refused flow commits nothing.
-        """
-        if rate_gbps <= 0:
-            raise ConfigurationError(
-                f"guaranteed rate must be positive, got {rate_gbps}"
-            )
-        if spec.name in self._rates:
-            raise ConfigurationError(
-                f"flow {spec.name!r} is already admitted"
-            )
-        loads = self._channel_loads(spec, rate_gbps, umc_ids)
-        for channel, load in loads.items():
-            headroom = self.headroom_gbps(channel)
-            if load > headroom + _EPS:
-                raise AdmissionError(
-                    f"flow {spec.name!r} refused: {load:.2f} GB/s on "
-                    f"{channel} exceeds the {headroom:.2f} GB/s headroom"
-                )
-        self._rates[spec.name] = rate_gbps
-        self._loads[spec.name] = loads
-        return dict(loads)
-
-    def release(self, name: str) -> None:
-        """Return an admitted flow's guarantee to the free pool."""
-        if name not in self._rates:
-            raise ConfigurationError(f"flow {name!r} is not admitted")
-        del self._rates[name]
-        del self._loads[name]
-
-    def limiters(self, burst_lines: int = 16) -> Dict[str, TokenBucket]:
-        """Token buckets programmed to the admitted guarantees."""
-        return {
-            name: TokenBucket(rate, burst_lines * CACHELINE)
-            for name, rate in self._rates.items()
-        }
-
-    def assert_subscribed_within_capacity(self) -> None:
-        """The controller's invariant, checkable at any time."""
-        for channel in {
-            name
-            for loads in self._loads.values()
-            for name in loads
-        }:
-            capacity = self.fabric.channel(channel).capacity_gbps
-            committed = self.committed_gbps(channel)
-            if committed > capacity + _EPS:
-                raise AdmissionError(
-                    f"channel {channel} over-subscribed: {committed:.2f} "
-                    f"GB/s committed against {capacity:.2f} GB/s capacity"
-                )
-
-
 def class_weights(
     classes: Dict[str, QosClass],
     specs: Optional[Dict[QosClass, ClassSpec]] = None,
@@ -227,5 +68,3 @@ def class_credit_scales(
     table = specs or CLASS_SPECS
     return {name: table[cls].credit_scale for name, cls in classes.items()}
 
-
-__all__ += ["class_weights", "class_credit_scales"]

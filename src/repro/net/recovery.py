@@ -2,11 +2,8 @@
 
 The stack from :mod:`repro.net` is fault-*oblivious*: inject a permanent
 link failure from :mod:`repro.faults` and credits strand on the dead link,
-the :class:`~repro.net.qos.AdmissionController` keeps admitting onto
-zero-capacity channels, and the
-:class:`~repro.net.multipath.MultipathSelector` keeps splitting traffic
-onto a link whose telemetry shows it dead. This module closes the
-detect -> reclaim -> reroute loop:
+and workers keep issuing to an endpoint whose telemetry shows it dead.
+This module closes the detect -> reclaim -> reroute loop:
 
 * **Detection** — :class:`HealthMonitor` is an engine-agnostic state
   machine fed from telemetry on the *simulated* clock: per-window
@@ -30,9 +27,7 @@ detect -> reclaim -> reroute loop:
   final attempt waits unbounded: a transaction is retried or reported,
   never silently dropped.
 * **Failover** — :class:`FailoverRouter` re-homes a worker's stranded
-  endpoint onto the healthy candidate with the most residual capacity;
-  the selector and admission controller consume the same health state
-  (dead links leave split weights and admission capacity).
+  endpoint onto the healthy candidate with the most residual capacity.
 
 Both engines compile the same configuration: the DES interposes
 :class:`RecoveryGate` plus monitor/prober processes

@@ -11,9 +11,6 @@
 * ``qos`` — service classes skew both realizations: class weights drive
   :attr:`~repro.fluid.solver.Policy.WEIGHTED` filling, class credit scales
   skew the receiver's credit split.
-* ``multipath`` — endpoint sets come from live telemetry
-  (:class:`repro.net.multipath.MultipathSelector`) instead of the static
-  BIOS interleave.
 
 Everything defaults to off, and a disabled stack routes through the exact
 code paths the reproduction already uses — Figures 4–6 stay bit-identical.
@@ -45,7 +42,6 @@ class NetStackConfig:
 
     credits: bool = False
     qos: bool = False
-    multipath: bool = False
     credit_config: CreditConfig = field(default_factory=CreditConfig)
     #: Flow name → service class (consulted only when ``qos`` is on).
     classes: Dict[str, QosClass] = field(default_factory=dict)
@@ -58,21 +54,15 @@ class NetStackConfig:
 
     @property
     def enabled(self) -> bool:
-        return self.credits or self.qos or self.multipath
+        """Whether any feature is on (``qos`` implies ``credits``)."""
+        return self.credits
 
     @property
     def label(self) -> str:
         """Short human-readable arm name ("off", "credits", "credits+qos")."""
-        if not self.enabled:
+        if not self.credits:
             return "off"
-        parts = []
-        if self.credits:
-            parts.append("credits")
-        if self.qos:
-            parts.append("qos")
-        if self.multipath:
-            parts.append("multipath")
-        return "+".join(parts)
+        return "credits+qos" if self.qos else "credits"
 
     # --------------------------------------------------------------- presets
 
@@ -155,10 +145,10 @@ def fluid_allocation(
 
     Disabled stack → exactly :meth:`FabricModel.achieved_gbps` under the
     hardware's demand-proportional policy (same call, same numbers). With
-    credits on, each stream is additionally capped at the aggregate
-    window/RTT rate its credit shares sustain across its endpoints, and the
-    channels are shared by (weighted) progressive filling — the fluid limit
-    of receiver-driven crediting.
+    credits on, each stream is capped at the aggregate window/RTT rate its
+    credit shares sustain across its endpoints, and the channels are
+    shared by (weighted) progressive filling — the fluid limit of
+    receiver-driven crediting.
     """
     if not config.enabled:
         return fabric.achieved_gbps(
@@ -170,30 +160,28 @@ def fluid_allocation(
     flows = []
     owners: List[Tuple[str, str]] = []
     for spec in specs:
-        cap: Optional[float] = None
-        if config.credits:
-            targets = (
-                list(umc_ids) if umc_ids and spec.target == "dram"
-                else (
-                    fabric.default_umc_ids(spec)
-                    if spec.target == "dram"
-                    else sorted(fabric.platform.cxl_devices)
-                )
+        targets = (
+            list(umc_ids) if umc_ids and spec.target == "dram"
+            else (
+                fabric.default_umc_ids(spec)
+                if spec.target == "dram"
+                else sorted(fabric.platform.cxl_devices)
             )
-            cap = 0.0
-            for endpoint in _endpoint_names(spec, targets):
-                share = credit_share(
-                    platform, endpoint, names, spec.name,
-                    config=config.credit_config, credit_scales=scales,
-                    is_write=spec.op.is_write,
-                )
-                cap += credit_rate_gbps(
-                    platform, endpoint, share, config=config.credit_config
-                )
+        )
+        cap = 0.0
+        for endpoint in _endpoint_names(spec, targets):
+            share = credit_share(
+                platform, endpoint, names, spec.name,
+                config=config.credit_config, credit_scales=scales,
+                is_write=spec.op.is_write,
+            )
+            cap += credit_rate_gbps(
+                platform, endpoint, share, config=config.credit_config
+            )
         spec_flows = fabric.flows_for(spec, umc_ids=umc_ids)
         demand_sum = sum(flow.demand_gbps for flow in spec_flows)
         for flow in spec_flows:
-            if cap is not None and demand_sum > 0:
+            if demand_sum > 0:
                 # The stream's credit-rate cap, apportioned over its
                 # per-CCX flows in proportion to their offered demands.
                 flow.demand_gbps = min(

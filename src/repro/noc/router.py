@@ -108,8 +108,7 @@ class _AdaptivePort:
 
     On top of the serializer + wire of :class:`_Port`, each port carries a
     BDP-sized downstream-credit pool (:func:`repro.net.link_credit_budget`)
-    — the telemetry the adaptive outport selection reads — plus counters
-    splitting traffic into adaptively-routed and escape-routed packets.
+    — the telemetry the adaptive outport selection reads.
     """
 
     resource: Resource
@@ -117,8 +116,6 @@ class _AdaptivePort:
     hop_ns: float
     gbps: float
     bytes_forwarded: int = 0
-    adaptive_packets: int = 0
-    escape_packets: int = 0
 
 
 class AdaptiveMeshNetwork:
@@ -232,9 +229,6 @@ class AdaptiveMeshNetwork:
             port = self.port(here, nxt)
             if adaptive:
                 yield port.credits.acquire()
-                port.adaptive_packets += 1
-            else:
-                port.escape_packets += 1
             with port.resource.request() as grant:
                 yield grant
                 service = size_bytes / port.gbps
@@ -249,10 +243,3 @@ class AdaptiveMeshNetwork:
     def total_bytes_forwarded(self) -> int:
         """Total bytes forwarded across every port."""
         return sum(port.bytes_forwarded for port in self._ports.values())
-
-    def escape_fraction(self) -> float:
-        """Share of forwarded packets that took the escape channel."""
-        adaptive = sum(p.adaptive_packets for p in self._ports.values())
-        escape = sum(p.escape_packets for p in self._ports.values())
-        total = adaptive + escape
-        return 0.0 if total == 0 else escape / total

@@ -164,17 +164,6 @@ class MultikernelDesign:
                 worst = max(worst, cost)
         return worst
 
-    def _per_link_load_gbps(self, offered_mops: float) -> float:
-        """Broadcast traffic crossing one chiplet's IF link.
-
-        Each replica originates ``offered/replicas`` updates and sends each
-        to the other ``replicas−1``; it also receives every other replica's
-        updates. Outgoing + incoming both cross its IF link.
-        """
-        rate_per_replica = offered_mops / self.replicas  # Mops
-        messages = rate_per_replica * (self.replicas - 1) * 2.0
-        return messages * self.message_bytes / 1e3  # Mops×B → GB/s
-
     def max_mops(self) -> float:
         """The tighter of the IF-link budget and the receive-CPU budget."""
         if_cap = self.platform.link("if/ccd0").write_gbps

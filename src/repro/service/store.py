@@ -1,8 +1,9 @@
 """Job records and the content-addressed trace-artifact store.
 
-The server keeps one :class:`JobRecord` per job it has ever seen (queued,
-running, or finished) so ``repro jobs`` can answer without touching the
-executor. Trace-kind cells additionally produce Perfetto JSON artifacts:
+The server keeps one :class:`JobRecord` per queued or running job and the
+newest :data:`MAX_FINISHED_RECORDS` finished ones, so ``repro jobs`` can
+answer without touching the executor. Trace-kind cells additionally
+produce Perfetto JSON artifacts:
 :meth:`JobStore.write_trace` exports one cell's recording addressed by the
 cell's content key — the same SHA-256 the result cache uses, derived
 whether or not a cache is attached — so a cell re-submitted with identical
@@ -21,11 +22,24 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["DEFAULT_ARTIFACTS_DIR", "JobRecord", "JobStore"]
+__all__ = [
+    "DEFAULT_ARTIFACTS_DIR",
+    "MAX_FINISHED_RECORDS",
+    "JobRecord",
+    "JobStore",
+]
 
 #: Default artifact root (next to ``.repro-cache/``, same working-dir
 #: scoping as the socket and the cache).
 DEFAULT_ARTIFACTS_DIR = ".repro-service"
+
+#: Finished records (done, cancelled, rejected or failed) the store keeps;
+#: older ones are dropped as new jobs arrive. A record costs about 3.5 KB,
+#: so the bound holds them to about 3.5 MB. Queued and running records are
+#: never dropped.
+MAX_FINISHED_RECORDS = 1000
+
+_LIVE = ("queued", "running")
 
 
 @dataclass
@@ -37,7 +51,8 @@ class JobRecord:
     priority: int
     spec: Dict[str, Any]
     cells: int
-    status: str = "queued"  # queued | running | done | cancelled | rejected
+    #: queued | running | done | cancelled | rejected | failed
+    status: str = "queued"
     #: Cells satisfied by the warm cache at submit time.
     precached: int = 0
     #: Per-run cache accounting, filled when the job finishes.
@@ -78,15 +93,17 @@ class JobStore:
     def __init__(self, artifacts_dir: Optional[str] = None) -> None:
         self.artifacts_dir = artifacts_dir or DEFAULT_ARTIFACTS_DIR
         self._records: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
+        #: The records last seen queued or running: the few a scan of the
+        #: oldest records may have to step over.
+        self._live: Dict[str, JobRecord] = {}
 
     # ------------------------------------------------------------ records
 
     def add(self, record: JobRecord) -> JobRecord:
         """Register (or re-register) a record; insertion order is kept."""
-        if record.job_id not in self._records:
-            self._order.append(record.job_id)
         self._records[record.job_id] = record
+        self._live[record.job_id] = record
+        self._prune()
         return record
 
     def get(self, job_id: str) -> Optional[JobRecord]:
@@ -94,8 +111,31 @@ class JobStore:
         return self._records.get(job_id)
 
     def records(self) -> List[JobRecord]:
-        """All records, oldest first."""
-        return [self._records[job_id] for job_id in self._order]
+        """Every kept record, oldest first."""
+        self._prune()
+        return list(self._records.values())
+
+    def _prune(self) -> None:
+        """Drop the oldest finished records past :data:`MAX_FINISHED_RECORDS`.
+
+        The server finishes a record by setting its status, so the store
+        sees it finished at the next :meth:`add` or :meth:`records`.
+        """
+        self._live = {
+            job_id: live for job_id, live in self._live.items()
+            if live.status in _LIVE
+        }
+        excess = len(self._records) - len(self._live) - MAX_FINISHED_RECORDS
+        if excess <= 0:
+            return
+        stale = []
+        for job_id in self._records:
+            if job_id not in self._live:
+                stale.append(job_id)
+                if len(stale) == excess:
+                    break
+        for job_id in stale:
+            del self._records[job_id]
 
     def __len__(self) -> int:
         return len(self._records)

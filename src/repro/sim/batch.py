@@ -11,7 +11,8 @@ which unrolls to the vectorizable prefix-max form
 
     ``d_i = s * (i + 1) + max_{j <= i} (a_j - s * j)``
 
-(:func:`fifo_departures` computes it with one ``np.maximum.accumulate``).
+(:func:`open_loop_departures` computes it with one
+``np.maximum.accumulate``).
 A ``c``-server FIFO splits into ``c`` independent interleaved chains
 (``d_i = max(a_i, d_{i-c}) + s``), and a token pool of capacity ``T`` is
 the same lag recurrence on completions.
@@ -43,7 +44,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "fifo_departures",
     "open_loop_departures",
     "BatchStage",
     "BatchPool",
@@ -54,25 +54,16 @@ __all__ = [
 ]
 
 
-def fifo_departures(arrivals, service_ns: float, servers: int = 1) -> np.ndarray:
-    """Exact departure times of a constant-service FIFO (vectorized).
-
-    ``arrivals`` must be sorted non-decreasing; ``servers`` parallel
-    servers each take ``service_ns`` per job (jobs are served in arrival
-    order, each by the first free server — the lag-``servers`` recurrence).
-    The scalar form of :func:`open_loop_departures`.
-    """
-    return open_loop_departures(arrivals, float(service_ns), servers)
-
-
 def open_loop_departures(arrivals, service_ns, servers: int = 1) -> np.ndarray:
     """Exact departure times of an open-loop FIFO, vectorized.
 
     ``arrivals`` is a sorted non-decreasing array of request arrival
     times. ``service_ns`` may be:
 
-    * a scalar — constant service; identical to :func:`fifo_departures`,
-      and run as the per-server form with that time on every server;
+    * a scalar — constant service, run as the per-server form with that
+      time on every server (with one service time, binding request ``i``
+      to server ``i % servers`` is the same as serving each request on the
+      first free server);
     * an array of length ``servers`` (with ``servers > 1`` or a 1-element
       array) — per-server constant service, where request ``i`` is bound
       to server ``i % servers`` (the worker-pool assignment the DES
@@ -234,9 +225,19 @@ def simulate_closed_loops(flows: Sequence[BatchFlow]) -> Dict[str, FlowTiming]:
     broken by ``(flow index, lane index)`` — the order the serial engine's
     process-creation sequence induces). Each transaction claims its pacing
     slot, waits for a token from each of its pools, clears its stages,
-    then holds the tokens until its completion — the exact lifecycle of
+    then holds the tokens until its completion — the lifecycle of
     :meth:`repro.transport.transaction.TransactionExecutor.execute`, as
     arithmetic instead of events.
+
+    The kernel is issue-ordered, not arrival-ordered: a transaction books
+    every stage of its route when its lane is ready, before it reaches the
+    later ones. The per-event DES serves each stage in arrival order, so
+    the two agree only when every lane that meets at a shared stage
+    reaches it through the same upstream stages. Otherwise a
+    later-issued transaction that reaches a shared stage first still
+    queues behind the earlier booking (a lane with a 10 ns private stage
+    ahead of a shared 3 ns stage delays a lane that uses only the shared
+    stage, which the DES would serve first).
 
     Each call first turns its lanes into flat plans, ``(flow index, stage
     steps, pool heaps, fixed_ns)``, one per distinct lane route of a flow.

@@ -12,7 +12,6 @@
 
 from repro.telemetry.counters import CounterRegistry, LinkCounters
 from repro.telemetry.devtree import build_devtree, proc_chiplet_net, render_dts
-from repro.telemetry.history import UtilizationHistory
 from repro.telemetry.matrix import TrafficMatrix
 from repro.telemetry.profiler import FlowProfiler
 from repro.telemetry.sketch import CountMinSketch
@@ -26,5 +25,4 @@ __all__ = [
     "TrafficMatrix",
     "FlowProfiler",
     "CountMinSketch",
-    "UtilizationHistory",
 ]

@@ -28,7 +28,6 @@ from repro.apps import (
     KvServerModel,
     KvWorkload,
     TenantSpec,
-    serve_hybrid,
 )
 from repro.cli import main
 from repro.errors import ConfigurationError, MeasurementError
@@ -280,8 +279,8 @@ class TestHybridVsDes:
         cores = list(kvserve.hog_cores(platform, workers=workers))
         background = cores if arm != "off" else None
         des = _des_report(platform, workers, background, rate)
-        hybrid = serve_hybrid(
-            platform, _workload(), workers=workers,
+        hybrid = HybridKvServer(platform).serve(
+            _workload(), workers=workers,
             background_cores=background, background_rate_gbps=rate,
         )
         assert hybrid.latency.p50 == pytest.approx(

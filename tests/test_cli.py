@@ -113,6 +113,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "if-intra-cc" in out
 
+    def test_zero_cell_platform_says_its_section_is_empty(self, capsys):
+        # fig6 and accel build no cells on a preset without CXL: stdout
+        # stays one empty line and the exit 0, and stderr says why, once
+        # per such platform.
+        assert main(["fig6", "--platform", "7302", "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "\n"
+        assert (
+            "[repro] fig6: nothing to run on 7302; its section is empty\n"
+            in captured.err
+        )
+        assert main([
+            "accel", "--platform", "all", "--dispatch-jobs", "2",
+            "--no-cache", "--jobs", "1",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "unmanaged" in captured.out
+        notes = [
+            line for line in captured.err.splitlines()
+            if "nothing to run" in line
+        ]
+        assert notes == [
+            "[repro] accel: nothing to run on 7302; its section is empty"
+        ]
+
     def test_os_scaling(self, capsys):
         assert main(["os-scaling", "--platform", "7302"]) == 0
         out = capsys.readouterr().out
@@ -358,6 +383,16 @@ class TestServiceCLI:
                 main(["submit", "netstack", "--local"] + flag)
             assert excinfo.value.code == 2
             assert flag[0] in capsys.readouterr().err
+
+    def test_submit_explore_takes_no_platform(self, capsys):
+        # Like `repro explore`: its cells bring their own platforms, so a
+        # --platform would only repeat the sweep once per platform.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "explore", "--platform", "all", "--local"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--platform" in captured.err
 
     def test_submit_local_matches_direct_command(self, capsys):
         # `repro <kind>` and `repro submit <kind> --local` build the same

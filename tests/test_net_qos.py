@@ -1,19 +1,11 @@
-"""Tests for QoS classes and admission control (repro.net.qos)."""
+"""Tests for QoS classes (repro.net.qos)."""
 
-import pytest
-
-from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec
-from repro.errors import AdmissionError, ConfigurationError
 from repro.net.qos import (
     CLASS_SPECS,
-    AdmissionController,
     QosClass,
     class_credit_scales,
     class_weights,
 )
-from repro.transport.message import OpKind
-from repro.units import CACHELINE
 
 
 class TestClassSpecs:
@@ -42,80 +34,3 @@ class TestClassSpecs:
             "h": CLASS_SPECS[QosClass.BULK].credit_scale,
         }
 
-
-class TestAdmissionController:
-    def _controller(self, platform):
-        return AdmissionController(FabricModel(platform))
-
-    def _spec(self, name, core_id=0):
-        return StreamSpec(name, OpKind.READ, (core_id,))
-
-    def test_admit_commits_path_loads(self, p7302):
-        control = self._controller(p7302)
-        loads = control.admit(self._spec("v"), rate_gbps=4.0)
-        assert control.admitted == {"v": 4.0}
-        assert loads and all(load > 0 for load in loads.values())
-        for channel, load in loads.items():
-            assert control.committed_gbps(channel) == pytest.approx(load)
-        control.assert_subscribed_within_capacity()
-
-    def test_over_subscription_refused_atomically(self, p7302):
-        # Two 14 GB/s guarantees from the same CCX exceed its ~25 GB/s
-        # read channel; the second must be refused.
-        control = self._controller(p7302)
-        control.admit(self._spec("v"), rate_gbps=14.0)
-        before = dict(control.admitted)
-        with pytest.raises(AdmissionError):
-            control.admit(self._spec("greedy", core_id=1), rate_gbps=14.0)
-        # A refused flow commits nothing.
-        assert control.admitted == before
-        control.assert_subscribed_within_capacity()
-
-    def test_invalid_rate_rejected(self, p7302):
-        with pytest.raises(ConfigurationError):
-            self._controller(p7302).admit(self._spec("v"), rate_gbps=0.0)
-
-    def test_double_admission_rejected(self, p7302):
-        control = self._controller(p7302)
-        control.admit(self._spec("v"), rate_gbps=1.0)
-        with pytest.raises(ConfigurationError):
-            control.admit(self._spec("v"), rate_gbps=1.0)
-
-    def test_release_returns_headroom(self, p7302):
-        control = self._controller(p7302)
-        loads = control.admit(self._spec("v"), rate_gbps=4.0)
-        channel = next(iter(loads))
-        held = control.headroom_gbps(channel)
-        control.release("v")
-        assert control.admitted == {}
-        assert control.headroom_gbps(channel) > held
-
-    def test_release_unknown_rejected(self, p7302):
-        with pytest.raises(ConfigurationError):
-            self._controller(p7302).release("ghost")
-
-    def test_limiters_programmed_to_guarantees(self, p7302):
-        control = self._controller(p7302)
-        control.admit(self._spec("v"), rate_gbps=4.0)
-        limiters = control.limiters(burst_lines=8)
-        assert limiters["v"].rate_gbps == pytest.approx(4.0)
-        assert limiters["v"].available_bytes(0.0) == pytest.approx(
-            8 * CACHELINE
-        )
-
-    def test_admission_never_over_subscribes(self, platform):
-        # The headline invariant: keep admitting until the controller says
-        # no; at every step (and at the end) no channel exceeds capacity.
-        control = self._controller(platform)
-        admitted = 0
-        for index in range(1000):
-            try:
-                control.admit(self._spec(f"f{index}"), rate_gbps=8.0)
-            except AdmissionError:
-                break
-            admitted += 1
-            control.assert_subscribed_within_capacity()
-        else:
-            pytest.fail("controller never refused a flow")
-        assert admitted >= 1
-        control.assert_subscribed_within_capacity()

@@ -4,20 +4,16 @@ The chaos recovery sweep (``tests/test_chaos_determinism.py``, the
 conformance tier) exercises the closed loop end to end; these tests pin
 the pieces: the health state machine's transition rules, the reclaimable
 pool's conservation accounting, the failover router's residual-capacity
-choice, the health-aware behavior of the selector and admission
-controller, and the install contract (disabled == the PR-6 stack).
+choice, and the install contract (disabled installs the plain credit
+stack).
 """
 
 import pytest
 
-from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.inject import install as install_faults
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.net.inject import NetInstallation
-from repro.net.multipath import MultipathSelector
-from repro.net.qos import AdmissionController
 from repro.net.recovery import (
     FailoverRouter,
     HealthMonitor,
@@ -325,63 +321,6 @@ class TestFailoverRouter:
     def test_unregistered_worker_returns_none(self, p7302):
         router, __ = self._router(p7302)
         assert router.reroute(7) is None
-
-
-class TestHealthAwareMultipath:
-    def test_none_health_is_the_old_selector(self, p7302):
-        plain = MultipathSelector(p7302)
-        aware = MultipathSelector(
-            p7302, health=HealthMonitor(RecoveryConfig.on())
-        )
-        umcs = sorted(p7302.umcs)
-        assert plain.rank_umcs(0) == aware.rank_umcs(0)
-        assert plain.split_weights(umcs) == aware.split_weights(umcs)
-
-    def test_dead_endpoints_leave_rank_and_weights(self, p7302):
-        monitor = HealthMonitor(RecoveryConfig.on(dead_after=1))
-        monitor.credit_timeout("umc0", 100.0)
-        selector = MultipathSelector(p7302, health=monitor)
-        assert 0 not in selector.rank_umcs(0)
-        weights = selector.split_weights(sorted(p7302.umcs))
-        assert weights[0] == 0.0
-        assert sum(weights.values()) == pytest.approx(1.0)
-
-    def test_all_dead_falls_back_to_total_routing(self, p7302):
-        monitor = HealthMonitor(RecoveryConfig.on(dead_after=1))
-        for umc in p7302.umcs:
-            monitor.credit_timeout(f"umc{umc}", 100.0)
-        selector = MultipathSelector(p7302, health=monitor)
-        assert selector.rank_umcs(0) == MultipathSelector(p7302).rank_umcs(0)
-
-
-class TestHealthAwareAdmission:
-    def _controller(self, platform, monitor=None):
-        return AdmissionController(FabricModel(platform), health=monitor)
-
-    def test_dead_channel_offers_no_headroom(self, p7302):
-        monitor = HealthMonitor(RecoveryConfig.on(dead_after=1))
-        controller = self._controller(p7302, monitor)
-        healthy = controller.headroom_gbps("umc0:r")
-        assert healthy > 0.0
-        monitor.credit_timeout("umc0", 100.0)
-        assert controller.headroom_gbps("umc0:r") == 0.0
-
-    def test_revalidate_reports_stranded_flows_without_revoking(self, p7302):
-        monitor = HealthMonitor(RecoveryConfig.on(dead_after=1))
-        controller = self._controller(p7302, monitor)
-        cores = tuple(c.core_id for c in p7302.cores_of_ccd(0))
-        spec = StreamSpec("victim", OpKind.READ, cores[:1])
-        controller.admit(spec, 2.0, umc_ids=[0])
-        assert controller.revalidate() == {}
-        monitor.credit_timeout("umc0", 100.0)
-        stranded = controller.revalidate()
-        assert stranded == {"victim": 2.0}
-        # Never auto-revoked: the guarantee is still admitted.
-        assert controller.admitted == {"victim": 2.0}
-        # The caller closes the loop: release, then re-admit elsewhere.
-        controller.release("victim")
-        controller.admit(spec, 2.0, umc_ids=[1])
-        assert controller.revalidate() == {}
 
 
 class TestInstallContract:

@@ -27,10 +27,6 @@ class TestNetStackConfig:
             NetStackConfig.with_qos({"v": QosClass.LATENCY}).label
             == "credits+qos"
         )
-        assert (
-            NetStackConfig(credits=True, multipath=True).label
-            == "credits+multipath"
-        )
 
     def test_fluid_policy(self):
         assert (

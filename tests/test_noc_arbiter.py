@@ -122,3 +122,19 @@ class TestTelemetry:
 
         env.run(env.process(proc()))
         assert arb.utilization(False, 8.0) == pytest.approx(0.25)
+
+    def test_concurrent_workers_saturate_a_gmi_link(self, p7302):
+        # Four closed-loop workers keep the read direction of a real
+        # preset link busy: the FIFO arbiter leaves no idle gaps.
+        env = Environment()
+        arb = LinkArbiter(env, p7302.link("gmi/ccd0"))
+
+        def worker():
+            for __ in range(50):
+                yield from arb.transfer(64, is_write=False)
+
+        for __ in range(4):
+            env.process(worker())
+        env.run()
+        assert arb.read_dir.bytes_served == 4 * 50 * 64
+        assert arb.utilization(False, env.now) > 0.8

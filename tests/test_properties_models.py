@@ -1,12 +1,10 @@
-"""Property-based tests on the analytic models (collective, relay, histogram)
-and on the open-loop serving path against its reference loops."""
+"""Property-based tests on the analytic models (collective, relay) and on
+the open-loop serving path against its reference loops."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.histogram import LatencyHistogram
 from repro.collective.model import Algorithm, CollectiveCost
 from repro.io.relay import NicSpec, RelayDesign, SsdArraySpec, relay_throughput
 from repro.analysis.stats import LatencyStats
@@ -103,44 +101,6 @@ class TestRelayProperties:
             _P9634, RelayDesign.CHANNEL_AWARE, nic=NicSpec("f", slow * boost)
         )
         assert fast_result.throughput_gbps >= slow_result.throughput_gbps - 1e-9
-
-
-class TestHistogramProperties:
-    @given(
-        samples=st.lists(
-            st.floats(min_value=1.0, max_value=1e6),
-            min_size=20,
-            max_size=400,
-        ),
-        q=st.floats(min_value=1.0, max_value=99.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_percentile_within_bin_error(self, samples, q):
-        # The histogram estimates nearest-rank quantiles, so compare
-        # against the lower/higher rank values with one bin of slack
-        # (numpy's default linear interpolation can sit between samples
-        # that land in different bins).
-        histogram = LatencyHistogram(growth=1.05)
-        histogram.add_many(samples)
-        lower = float(np.percentile(samples, q, method="lower"))
-        higher = float(np.percentile(samples, q, method="higher"))
-        estimate = histogram.percentile(q)
-        assert estimate <= higher * 1.05 * 1.05 + 1e-9
-        assert estimate >= lower / 1.05 / 1.05 - 1e-9
-
-    @given(
-        samples=st.lists(
-            st.floats(min_value=1.0, max_value=1e6),
-            min_size=5,
-            max_size=100,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_percentiles_monotone(self, samples):
-        histogram = LatencyHistogram()
-        histogram.add_many(samples)
-        quantiles = [histogram.percentile(q) for q in (10, 50, 90, 99)]
-        assert quantiles == sorted(quantiles)
 
 
 class TestServingPathProperties:

@@ -22,6 +22,7 @@ import pytest
 from repro.cache import ResultCache
 from repro.errors import ConfigurationError, ServiceError
 from repro.service import ServiceClient, ServiceThread, server_available, submit_or_local
+from repro.service import store as store_module
 from repro.service.registry import (
     build_cells,
     normalize_spec,
@@ -846,6 +847,52 @@ class TestLifetimes:
                 gc.collect()
             statuses = [record.status for record in service.store.records()]
         assert statuses == ["done", "done"]
+
+
+class TestJobRecordBound:
+    def test_store_drops_the_oldest_finished_records_only(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_FINISHED_RECORDS", 3)
+        store = store_module.JobStore()
+
+        def record(index, status):
+            return store.add(store_module.JobRecord(
+                f"job-{index}", "me", 0, {"kind": "explore"}, 1,
+                status=status,
+            ))
+
+        queued = record(0, "queued")
+        running = record(1, "running")
+        for index in range(2, 8):
+            record(index, "done")
+        assert [r.job_id for r in store.records()] == [
+            "job-0", "job-1", "job-5", "job-6", "job-7",
+        ]
+        # A live record finishes by its status; the next add counts it.
+        queued.status = running.status = "cancelled"
+        record(8, "rejected")
+        assert [r.job_id for r in store.records()] == [
+            "job-6", "job-7", "job-8",
+        ]
+        assert store.get("job-0") is None
+
+    def test_jobs_lists_the_newest_finished_jobs(
+        self, service_dir, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setattr(store_module, "MAX_FINISHED_RECORDS", 3)
+        with _service(service_dir, jobs=1) as thread:
+            with ServiceClient(_sock(service_dir), client="me") as client:
+                ids = [
+                    client.submit(_explore_spec()).job_id for __ in range(6)
+                ]
+            assert main(["jobs", "--socket", _sock(service_dir)]) == 0
+            assert len(thread.service.store) == 3
+        listed = [
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("job-")
+        ]
+        assert listed == ids[-3:]
 
 
 class TestShutdown:

@@ -33,7 +33,7 @@ from repro.core.loadgen import (
 )
 from repro.errors import ConfigurationError, MeasurementError
 from repro.fluid.coupling import background_utilizations
-from repro.sim.batch import fifo_departures, open_loop_departures
+from repro.sim.batch import open_loop_departures
 from repro.sim.rng import SplitRng
 
 # --------------------------------------------------------------- reference
@@ -109,7 +109,7 @@ def _reference_generate(spec, rng, qps, count):
     return _reference_diurnal_arrivals(rng, peak, shape, spec.period_ns, count)
 
 
-def _reference_fifo_departures(arrivals, service_ns, servers=1):
+def _reference_scalar_departures(arrivals, service_ns, servers=1):
     a = np.asarray(arrivals, dtype=float)
     if a.ndim != 1:
         raise ConfigurationError("arrivals must be a 1-D array")
@@ -144,7 +144,7 @@ def _reference_open_loop_departures(arrivals, service_ns, servers=1):
     if np.any(service < 0):
         raise ConfigurationError("negative service time")
     if service.ndim == 0:
-        return _reference_fifo_departures(a, float(service), servers)
+        return _reference_scalar_departures(a, float(service), servers)
     if service.ndim != 1:
         raise ConfigurationError("service_ns must be a scalar or 1-D array")
     if a.size == 0:
@@ -433,8 +433,8 @@ def _check_departure_trial(arrivals, service, servers):
     _assert_same_bits(got, want)
     if np.ndim(service) == 0:
         _assert_same_bits(
-            fifo_departures(arrivals, service, servers),
-            _reference_fifo_departures(arrivals, service, servers),
+            open_loop_departures(arrivals, float(service), servers),
+            _reference_scalar_departures(arrivals, service, servers),
         )
     latencies = np.sort(want - arrivals)
     _assert_same_bits(
@@ -540,8 +540,8 @@ class TestArraysIdentity:
         checks = (
             (lambda a: open_loop_departures(a, 1.0, 2),
              lambda a: _reference_open_loop_departures(a, 1.0, 2)),
-            (lambda a: fifo_departures(a, 1.0, 2),
-             lambda a: _reference_fifo_departures(a, 1.0, 2)),
+            (lambda a: open_loop_departures(a, 1.0, 2),
+             lambda a: _reference_scalar_departures(a, 1.0, 2)),
             (LatencyStats.from_sorted, _reference_from_sorted),
             (lambda a: LatencyStats.merge([a]),
              lambda a: _reference_merge([a])),
@@ -571,7 +571,7 @@ class TestInputsAreNotMutated:
             before = (arrivals.copy(), np.copy(service))
             open_loop_departures(arrivals, service, servers)
             if np.ndim(service) == 0:
-                fifo_departures(arrivals, service, servers)
+                open_loop_departures(arrivals, float(service), servers)
             LatencyStats.from_sorted(arrivals)
             _assert_same_bits((arrivals, np.copy(service)), before)
             parts = _random_parts(rng)
