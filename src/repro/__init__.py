@@ -18,35 +18,46 @@ microbenchmark utility), :mod:`repro.manager` and :mod:`repro.telemetry`
 (the paper's §4 proposals), :mod:`repro.experiments` (one module per
 table/figure), and :mod:`repro.runner` (deterministic fan-out of
 independent experiment cells over worker processes).
+
+``import repro`` loads none of them: each name in ``__all__`` is imported
+from its defining module the first time it is used.
 """
 
-from repro.core.flows import Scope, StreamSpec
-from repro.core.microbench import MicroBench
-from repro.errors import (
-    CellExecutionError,
-    ChipletError,
-    ConfigurationError,
-    ConvergenceError,
-    FaultInjectionError,
-    MeasurementError,
-    SimulationError,
-    TopologyError,
-)
-from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.platform.numa import NpsMode, Position
-from repro.platform.presets import epyc_7302, epyc_9634
-from repro.platform.topology import Platform, PlatformSpec
-from repro.runner import (
-    Cell,
-    CellFailure,
-    CellResult,
-    resolve_jobs,
-    run_cells,
-    run_cells_detailed,
-)
-from repro.transport.message import OpKind
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+#: Where each public name is defined. The package imports none of these
+#: modules itself; :func:`__getattr__` imports one on its name's first use.
+_ORIGINS = {
+    "MicroBench": "repro.core.microbench",
+    "Scope": "repro.core.flows",
+    "StreamSpec": "repro.core.flows",
+    "OpKind": "repro.transport.message",
+    "Platform": "repro.platform.topology",
+    "PlatformSpec": "repro.platform.topology",
+    "Position": "repro.platform.numa",
+    "NpsMode": "repro.platform.numa",
+    "epyc_7302": "repro.platform.presets",
+    "epyc_9634": "repro.platform.presets",
+    "Cell": "repro.runner",
+    "CellFailure": "repro.runner",
+    "CellResult": "repro.runner",
+    "resolve_jobs": "repro.runner",
+    "run_cells": "repro.runner",
+    "run_cells_detailed": "repro.runner",
+    "FaultEvent": "repro.faults.schedule",
+    "FaultKind": "repro.faults.schedule",
+    "FaultSchedule": "repro.faults.schedule",
+    "CellExecutionError": "repro.errors",
+    "ChipletError": "repro.errors",
+    "ConfigurationError": "repro.errors",
+    "FaultInjectionError": "repro.errors",
+    "ConvergenceError": "repro.errors",
+    "MeasurementError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "TopologyError": "repro.errors",
+}
 
 __all__ = [
     "MicroBench",
@@ -78,3 +89,19 @@ __all__ = [
     "TopologyError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its defining module (PEP 562).
+
+    Nothing is cached here: ``repro.X`` is always the defining module's
+    current attribute, so a wrapper or monkeypatch installed there is what
+    every caller sees.
+    """
+    try:
+        origin = _ORIGINS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(import_module(origin), name)

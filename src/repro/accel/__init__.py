@@ -19,15 +19,3 @@ This package models exactly that signal plane and data plane:
   module: it reads the traffic matrix and provisions background flows so
   the latency-sensitive dispatch path keeps headroom.
 """
-
-from repro.accel.device import AcceleratorJob, AcceleratorModel, JobTrace
-from repro.accel.dispatch import DispatchSimulator
-from repro.accel.switch import IntraHostSwitch
-
-__all__ = [
-    "AcceleratorJob",
-    "AcceleratorModel",
-    "JobTrace",
-    "DispatchSimulator",
-    "IntraHostSwitch",
-]

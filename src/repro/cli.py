@@ -244,11 +244,14 @@ _KIND_COMMANDS: Dict[str, Tuple[str, Optional[str], Tuple[_Flag, ...]]] = {
 }
 
 
-def _platform_names_for(name: str) -> List[str]:
+def _platform_names_for(
+    parser: argparse.ArgumentParser, name: str
+) -> List[str]:
     """The preset names ``--platform`` denotes ("all": both EPYC parts).
 
     Spellings resolve through the service registry's alias table, so a
-    direct subcommand and ``submit`` accept exactly the same names.
+    direct subcommand and ``submit`` accept exactly the same names; any
+    other name is a usage error, like every bad flag value.
     """
     from repro.errors import ConfigurationError
     from repro.service.registry import PLATFORMS, canonical_platform
@@ -258,10 +261,10 @@ def _platform_names_for(name: str) -> List[str]:
     try:
         return [canonical_platform(name)]
     except ConfigurationError:
-        raise SystemExit(
+        parser.error(
             f"unknown platform {name!r} (choose from "
             f"{', '.join(PLATFORMS)}, all)"
-        ) from None
+        )
 
 
 def _validate_env(parser: argparse.ArgumentParser) -> None:
@@ -676,7 +679,7 @@ def _run_kind(parser: argparse.ArgumentParser, args) -> List[str]:
         fail_fast=getattr(args, "fail_fast", False),
     )
     # explore has no --platform: its cells bring their own platforms.
-    names = _platform_names_for(getattr(args, "platform", "7302"))
+    names = _platform_names_for(parser, getattr(args, "platform", "7302"))
     if getattr(args, "out", None) not in (None, "-") and len(names) > 1:
         parser.error("--out names a single file; pick a single --platform")
     try:
@@ -766,7 +769,7 @@ def _submit(parser: argparse.ArgumentParser, args) -> Optional[List[str]]:
     from repro.service.registry import render_pairs
 
     # explore has no --platform: its cells bring their own platforms.
-    names = _platform_names_for(getattr(args, "platform", "7302"))
+    names = _platform_names_for(parser, getattr(args, "platform", "7302"))
     pairs = []
     for platform_name in names:
         try:

@@ -14,20 +14,3 @@ simulated platform instead of real silicon:
 * rate-controlled loaded-latency mode (Figure 3),
 * competing-flow mode (Figures 4-6) via :mod:`repro.core.partition`.
 """
-
-from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec, Scope
-from repro.core.loadgen import ClosedLoopIssuer, LoadResult
-from repro.core.microbench import MicroBench
-from repro.core.partition import CompetingFlows, contend
-
-__all__ = [
-    "FabricModel",
-    "StreamSpec",
-    "Scope",
-    "ClosedLoopIssuer",
-    "LoadResult",
-    "MicroBench",
-    "CompetingFlows",
-    "contend",
-]

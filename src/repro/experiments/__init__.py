@@ -13,39 +13,3 @@ as one batch. The benchmark harness under ``benchmarks/`` checks the
 shape criteria of DESIGN.md §6; EXPERIMENTS.md records paper-vs-measured
 values.
 """
-
-from repro.experiments import (  # noqa: F401
-    ablations,
-    accel_dispatch,
-    chaos,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    noc_routing,
-    os_scaling,
-    patterns,
-    summary,
-    table1,
-    table2,
-    table3,
-    validation,
-)
-
-__all__ = [
-    "table1",
-    "table2",
-    "table3",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "ablations",
-    "accel_dispatch",
-    "chaos",
-    "os_scaling",
-    "noc_routing",
-    "patterns",
-    "summary",
-    "validation",
-]

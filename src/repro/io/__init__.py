@@ -12,21 +12,3 @@ designs, from a conventional CPU-copy path that funnels everything through
 one compute chiplet to a channel-aware orchestration that spreads staging
 across memory domains.
 """
-
-from repro.io.relay import (
-    NicSpec,
-    RelayDesign,
-    RelayResult,
-    SsdArraySpec,
-    relay_throughput,
-    sweep_designs,
-)
-
-__all__ = [
-    "NicSpec",
-    "SsdArraySpec",
-    "RelayDesign",
-    "RelayResult",
-    "relay_throughput",
-    "sweep_designs",
-]

@@ -1,15 +1,11 @@
 """Global software traffic manager — the paper's §4 proposal, realized.
 
 Implication #4 argues for "the communication flow abstraction, materialize[d]
-in a global software-based traffic manager". :class:`TrafficManager`
-registers flows, computes max-min fair allocations over the platform's
-bandwidth domains, and emits per-flow rate limits — replacing the hardware's
-sender-driven aggressive partitioning with policy. The ablation benchmark
+in a global software-based traffic manager".
+:class:`~repro.manager.manager.TrafficManager` registers flows, computes
+max-min fair allocations over the platform's bandwidth domains, and emits
+per-flow rate limits — replacing the hardware's sender-driven aggressive
+partitioning with policy. The ablation benchmark
 (`benchmarks/bench_ablation_manager.py`) contrasts the two on Figure 4's
 cases.
 """
-
-from repro.manager.manager import ManagedAllocation, TrafficManager
-from repro.manager.ratelimit import TokenBucket
-
-__all__ = ["TrafficManager", "ManagedAllocation", "TokenBucket"]

@@ -1,15 +1,1 @@
 """Memory-side substrates: caches, DRAM timing, UMCs, and CXL devices."""
-
-from repro.memory.cache import CacheHierarchy, MemoryLevel
-from repro.memory.cxl import CxlDeviceModel, wire_bytes
-from repro.memory.dram import DramTimingModel
-from repro.memory.umc import UmcServer
-
-__all__ = [
-    "CacheHierarchy",
-    "MemoryLevel",
-    "CxlDeviceModel",
-    "wire_bytes",
-    "DramTimingModel",
-    "UmcServer",
-]

@@ -9,34 +9,6 @@ mechanism behind §3.5's sender-driven bandwidth partitioning).
 Beyond the preset hardware's XY mesh, :mod:`repro.noc.routing` generalizes
 the substrate to generated router grids (arbitrary dims, 3D sparse-pillar
 layers, link-weight encodings) with credit-aware adaptive minimal routing
-(:class:`AdaptiveMeshNetwork`) and escape-VC deadlock safety.
+(:class:`~repro.noc.router.AdaptiveMeshNetwork`) and escape-VC deadlock
+safety.
 """
-
-from repro.noc.arbiter import LinkArbiter
-from repro.noc.bufferless import BufferlessMeshNetwork
-from repro.noc.flowcontrol import TokenPool, ccx_token_pool, ccd_token_pool
-from repro.noc.mesh import Mesh
-from repro.noc.router import AdaptiveMeshNetwork, MeshNetwork
-from repro.noc.routing import (
-    RouterGrid,
-    RoutingPolicy,
-    channel_dependency_graph,
-    is_deadlock_free,
-    route_split,
-)
-
-__all__ = [
-    "LinkArbiter",
-    "BufferlessMeshNetwork",
-    "TokenPool",
-    "ccx_token_pool",
-    "ccd_token_pool",
-    "Mesh",
-    "MeshNetwork",
-    "AdaptiveMeshNetwork",
-    "RouterGrid",
-    "RoutingPolicy",
-    "channel_dependency_graph",
-    "is_deadlock_free",
-    "route_split",
-]

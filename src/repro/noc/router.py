@@ -107,7 +107,8 @@ class _AdaptivePort:
     """One output port of the adaptive router.
 
     On top of the serializer + wire of :class:`_Port`, each port carries a
-    BDP-sized downstream-credit pool (:func:`repro.net.link_credit_budget`)
+    BDP-sized downstream-credit pool
+    (:func:`repro.net.credits.link_credit_budget`)
     — the telemetry the adaptive outport selection reads.
     """
 

@@ -21,20 +21,3 @@ shared run-queue-like structure updated from every core):
 finds where each design saturates — the "scalable commutativity" question,
 with chiplet-network numbers in it.
 """
-
-from repro.osdesign.simulate import MultikernelRun, simulate_multikernel
-from repro.osdesign.model import (
-    DesignPoint,
-    MultikernelDesign,
-    SharedMemoryDesign,
-    cacheline_transfer_ns,
-)
-
-__all__ = [
-    "DesignPoint",
-    "MultikernelDesign",
-    "SharedMemoryDesign",
-    "cacheline_transfer_ns",
-    "MultikernelRun",
-    "simulate_multikernel",
-]

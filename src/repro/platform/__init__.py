@@ -15,63 +15,7 @@ Two presets reproduce the evaluated machines of Table 1:
 Beyond the presets, :mod:`repro.platform.generator` generalizes the model
 into a topology *generator* (:class:`~repro.platform.generator.TopologyGen`):
 mesh dimensions, component placement, 3D sparse-pillar layers, and link
-width/weight encodings, materializing the same :class:`Platform` objects —
-the presets are two points of that generated space.
+width/weight encodings, materializing the same
+:class:`~repro.platform.topology.Platform` objects — the presets are two
+points of that generated space.
 """
-
-from repro.platform.components import (
-    CCD,
-    CCX,
-    Core,
-    CXLDevice,
-    DIMM,
-    IOHub,
-    RootComplex,
-    UMC,
-)
-from repro.platform.generator import (
-    CATALOG,
-    EPYC_7302_GEN,
-    EPYC_9634_GEN,
-    NocRouting,
-    TopologyGen,
-    catalog_names,
-    from_catalog,
-)
-from repro.platform.interconnect import LinkKind, LinkSpec
-from repro.platform.numa import NpsMode, Position
-from repro.platform.presets import epyc_7302, epyc_9634
-from repro.platform.topology import (
-    BandwidthParams,
-    LatencyParams,
-    Platform,
-    PlatformSpec,
-)
-
-__all__ = [
-    "CCD",
-    "CCX",
-    "Core",
-    "CXLDevice",
-    "DIMM",
-    "IOHub",
-    "RootComplex",
-    "UMC",
-    "LinkKind",
-    "LinkSpec",
-    "NpsMode",
-    "Position",
-    "BandwidthParams",
-    "LatencyParams",
-    "Platform",
-    "PlatformSpec",
-    "epyc_7302",
-    "epyc_9634",
-    "TopologyGen",
-    "NocRouting",
-    "CATALOG",
-    "EPYC_7302_GEN",
-    "EPYC_9634_GEN",
-    "catalog_names",
-    "from_catalog",
-]

@@ -37,11 +37,26 @@ Modules
     a byte-identical in-process fallback when no server is listening.
 """
 
-from repro.service.client import ServiceClient, SubmitOutcome, server_available, submit_or_local
-from repro.service.protocol import DEFAULT_SOCKET, PROTOCOL_VERSION, SOCKET_ENV_VAR
-from repro.service.registry import kind_names, normalize_spec
-from repro.service.scheduler import JobScheduler, QueueFull
-from repro.service.server import ReproService, ServiceThread
+from importlib import import_module
+
+#: Where each public name is defined. The package imports none of these
+#: modules itself, so ``repro.service.registry`` does not pull in the
+#: asyncio daemon; :func:`__getattr__` imports one on its name's first use.
+_ORIGINS = {
+    "DEFAULT_SOCKET": "repro.service.protocol",
+    "PROTOCOL_VERSION": "repro.service.protocol",
+    "SOCKET_ENV_VAR": "repro.service.protocol",
+    "JobScheduler": "repro.service.scheduler",
+    "QueueFull": "repro.service.scheduler",
+    "ReproService": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+    "ServiceThread": "repro.service.server",
+    "SubmitOutcome": "repro.service.client",
+    "kind_names": "repro.service.registry",
+    "normalize_spec": "repro.service.registry",
+    "server_available": "repro.service.client",
+    "submit_or_local": "repro.service.client",
+}
 
 __all__ = [
     "DEFAULT_SOCKET",
@@ -58,3 +73,18 @@ __all__ = [
     "server_available",
     "submit_or_local",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a public name from its defining module (PEP 562).
+
+    Nothing is cached here: ``repro.service.X`` is always the defining
+    module's current attribute.
+    """
+    try:
+        origin = _ORIGINS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(import_module(origin), name)

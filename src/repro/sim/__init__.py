@@ -6,40 +6,3 @@ requests, other processes). It is the substrate for the transaction-level
 experiments (Table 2, Figure 3); the sustained-bandwidth experiments use the
 fluid model in :mod:`repro.fluid` instead.
 """
-
-from repro.sim.calendar import EventCalendar
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    Resource,
-    Store,
-    Timeout,
-)
-from repro.sim.rng import SplitRng, make_rng
-from repro.sim.sharded import (
-    ShardEnvironment,
-    ShardMessage,
-    ShardedEnvironment,
-    default_lookahead_ns,
-)
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "EventCalendar",
-    "Process",
-    "Resource",
-    "ShardEnvironment",
-    "ShardMessage",
-    "ShardedEnvironment",
-    "Store",
-    "Timeout",
-    "SplitRng",
-    "make_rng",
-    "default_lookahead_ns",
-]

@@ -9,20 +9,3 @@
   hardware description and `/proc/chiplet-net`-style runtime report;
 * :mod:`~repro.telemetry.profiler` — a perf-like per-flow profiler.
 """
-
-from repro.telemetry.counters import CounterRegistry, LinkCounters
-from repro.telemetry.devtree import build_devtree, proc_chiplet_net, render_dts
-from repro.telemetry.matrix import TrafficMatrix
-from repro.telemetry.profiler import FlowProfiler
-from repro.telemetry.sketch import CountMinSketch
-
-__all__ = [
-    "CounterRegistry",
-    "LinkCounters",
-    "build_devtree",
-    "render_dts",
-    "proc_chiplet_net",
-    "TrafficMatrix",
-    "FlowProfiler",
-    "CountMinSketch",
-]

@@ -7,16 +7,3 @@ destination entities at the cacheline or FLIT granularity" (§2.3). Here a
 propagation latency plus the ordered queued stages it must clear — and driven
 through the DES by :class:`~repro.transport.transaction.TransactionExecutor`.
 """
-
-from repro.transport.message import OpKind, Transaction
-from repro.transport.path import CompiledPath, PathResolver, QueuedStage
-from repro.transport.transaction import TransactionExecutor
-
-__all__ = [
-    "OpKind",
-    "Transaction",
-    "CompiledPath",
-    "PathResolver",
-    "QueuedStage",
-    "TransactionExecutor",
-]

@@ -522,6 +522,19 @@ class TestPlatformSpellings:
         assert main(command + ["--platform", spelling] + flags) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        "command", [["table1"], ["submit", "table1", "--local"]],
+        ids=["direct", "submit-local"],
+    )
+    def test_unknown_platform_is_a_usage_error(self, capsys, command):
+        # Like every other bad flag value: usage line, message, exit 2.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--platform", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "error: unknown platform 'bogus'" in err
+
 
 class TestEnvValidation:
     def test_bad_jobs_env_is_a_usage_error(self, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Tests for the platform model: components, links, latencies, geometry."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -183,16 +185,100 @@ class TestGraph:
             "repro.epyc_7302(); repro.epyc_9634()\n"
             "assert 'networkx' not in sys.modules, 'networkx imported'\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=120,
-        )
+        done = _python("-c", code)
         assert done.returncode == 0, done.stderr
+
+
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with this checkout's ``src``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+def _loaded_by(code: str, cwd=None) -> set:
+    """The modules a fresh interpreter holds once ``code`` has run.
+
+    Read from ``sys.modules`` at exit: ``python -X importtime`` does not
+    log a module loaded through ``importlib.import_module``, which is how
+    the registry loads each kind's module.
+    """
+    done = _python(
+        "-c",
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+        + code,
+        cwd=cwd,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.splitlines()[-1].split())
+
+
+def _cli(*argv: str) -> str:
+    """Code that runs ``python -m repro *argv``."""
+    return (
+        f"import runpy; sys.argv = ['repro', *{argv!r}]\n"
+        "runpy.run_module('repro', run_name='__main__')\n"
+    )
+
+
+class TestImportCost:
+    """Importing a package loads only what its importer asked for."""
+
+    @pytest.mark.parametrize(
+        "code",
+        ["import repro", "import repro.cli", _cli("--help")],
+        ids=["repro", "repro.cli", "help"],
+    )
+    def test_start_up_loads_no_library_layer(self, code):
+        loaded = _loaded_by(code)
+        assert not loaded & {"numpy", "networkx", "asyncio", "multiprocessing"}
+        assert not {
+            name for name in loaded
+            if name.startswith("repro.experiments.")
+            or name == "repro.service.server"
+        }
+
+    def test_direct_artifact_leaves_the_service_daemon_unloaded(
+        self, tmp_path
+    ):
+        loaded = _loaded_by(
+            _cli("table1", "--no-cache", "--jobs", "1"), cwd=tmp_path
+        )
+        assert "repro.experiments.table1" in loaded
+        assert "asyncio" not in loaded
+        assert "repro.service.server" not in loaded
+
+    def test_one_experiment_loads_no_other(self):
+        loaded = _loaded_by("from repro.experiments import fig3")
+        assert {
+            name for name in loaded if name.startswith("repro.experiments.")
+        } == {"repro.experiments.fig3"}
+
+    @pytest.mark.parametrize("package", ["repro", "repro.service"])
+    def test_public_names_follow_the_defining_module(
+        self, package, monkeypatch
+    ):
+        # repro.X is the defining module's current attribute, so a wrapper
+        # or monkeypatch installed there is what the package returns.
+        package = importlib.import_module(package)
+        for name in package.__all__:
+            if name == "__version__":
+                continue
+            origin = importlib.import_module(package._ORIGINS[name])
+            value = getattr(origin, name)
+            assert getattr(package, name) is value, name
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == origin.__name__, name
+            replacement = object()
+            monkeypatch.setattr(origin, name, replacement)
+            assert getattr(package, name) is replacement, name
 
 
 class TestLatencies:
