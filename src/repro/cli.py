@@ -399,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     all_cmd = add("all", "regenerate every table and figure in one report")
     all_cmd.add_argument(
         "--quality", default="quick", choices=("quick", "full"),
-        help="DES sample counts: quick (~30 s) or full (minutes)",
+        help=(
+            "DES sample counts: quick (~2.5 s) or full (~20 s), timed "
+            "uncached with --jobs 1 on a 2-core VM"
+        ),
     )
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clear the content-addressed result cache"
@@ -616,7 +619,7 @@ def _jobs_listing(args) -> int:
     from repro.analysis.report import render_table
     from repro.errors import ServiceError
     from repro.service import ServiceClient
-    from repro.service.server import resolve_socket_path
+    from repro.service.protocol import resolve_socket_path
 
     try:
         with ServiceClient(args.socket) as client:

@@ -66,7 +66,13 @@ class TokenPool:
             self._record_wait(0.0)
             if env.fires_next():
                 return fired(env)
-            return Event(env).succeed()
+            # Event(env).succeed(), inlined: the grant is due now, so it
+            # draws its sequence number and joins the engine's FIFO.
+            event = Event(env)
+            event._value = None
+            env._sequence += env._seq_step
+            env._fifo.append(event)
+            return event
         event = Event(env)
         self._waiting.append((event, env.now))
         return event
@@ -75,8 +81,12 @@ class TokenPool:
         """Return one token, granting the oldest waiter if any."""
         if self._waiting:
             event, enqueued_at = self._waiting.popleft()
-            self._record_wait(self.env.now - enqueued_at)
-            event.succeed()
+            env = self.env
+            self._record_wait(env.now - enqueued_at)
+            # event.succeed(), inlined as in acquire().
+            event._value = None
+            env._sequence += env._seq_step
+            env._fifo.append(event)
         else:
             self._available += 1
             if self._available > self.capacity:

@@ -26,6 +26,7 @@ from repro.service.protocol import (
     decode_value,
     dumps_line,
     loads_line,
+    resolve_socket_path,
 )
 
 __all__ = [
@@ -84,8 +85,6 @@ class ServiceClient:
         client: Optional[str] = None,
         connect_timeout_s: float = 5.0,
     ) -> None:
-        from repro.service.server import resolve_socket_path
-
         self.socket_path = resolve_socket_path(socket_path)
         self.client = client
         self.connect_timeout_s = connect_timeout_s

@@ -41,6 +41,7 @@ import base64
 import dataclasses
 import importlib
 import json
+import os
 import pickle
 from typing import Any, Dict, Optional
 
@@ -59,6 +60,7 @@ __all__ = [
     "encode_value",
     "error_event",
     "loads_line",
+    "resolve_socket_path",
 ]
 
 #: Protocol revision; bumped on incompatible frame changes.
@@ -70,6 +72,11 @@ SOCKET_ENV_VAR = "REPRO_SOCKET"
 #: Default Unix socket path (relative to the working directory, next to
 #: ``.repro-cache/`` — one project, one service).
 DEFAULT_SOCKET = ".repro-service.sock"
+
+
+def resolve_socket_path(path: Optional[str] = None) -> str:
+    """The service socket path: explicit, else $REPRO_SOCKET, else default."""
+    return path or os.environ.get(SOCKET_ENV_VAR) or DEFAULT_SOCKET
 
 #: Stream limit for one frame: traced cells ship whole span recordings.
 MAX_FRAME_BYTES = 256 * 1024 * 1024

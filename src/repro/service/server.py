@@ -42,15 +42,14 @@ from repro.errors import ConfigurationError, ProtocolError, ServiceError
 from repro.runner import Cell, CellResult, USE_DEFAULT_CACHE
 from repro.service import protocol
 from repro.service.protocol import (
-    DEFAULT_SOCKET,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    SOCKET_ENV_VAR,
     dumps_line,
     encode_failure,
     encode_value,
     error_event,
     loads_line,
+    resolve_socket_path,
 )
 from repro.service.scheduler import (
     DEFAULT_MAX_DEPTH,
@@ -61,11 +60,6 @@ from repro.service.scheduler import (
 from repro.service.store import JobRecord, JobStore
 
 __all__ = ["ReproService", "ServiceThread", "resolve_socket_path"]
-
-
-def resolve_socket_path(path: Optional[str] = None) -> str:
-    """The service socket path: explicit, else $REPRO_SOCKET, else default."""
-    return path or os.environ.get(SOCKET_ENV_VAR) or DEFAULT_SOCKET
 
 
 class _Connection:

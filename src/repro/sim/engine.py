@@ -12,11 +12,12 @@ The implementation is single-threaded and deterministic: events scheduled for
 the same timestamp fire in scheduling order (a monotonically increasing
 sequence number breaks ties).
 
-**Ordering contract.** The event queue holds ``(time, seq, event)`` tuples
-and pops them in ascending tuple order, so the total order of a simulation
-is fully determined by ``(time, seq)``. ``seq`` is *shard-stable*: an
-environment draws its sequence numbers from the arithmetic progression
-``seq_offset + k * seq_step`` (defaults ``0 + k * 1``). A serial run and a
+**Ordering contract.** Every queued event carries a time and a sequence
+number, and the events fire in ascending ``(time, seq)`` order, so the
+total order of a simulation is fully determined by ``(time, seq)``.
+``seq`` is *shard-stable*: an environment draws its sequence numbers from
+the arithmetic progression ``seq_offset + k * seq_step`` (defaults
+``0 + k * 1``). A serial run and a
 :mod:`repro.sim.sharded` run therefore draw from disjoint, interleavable
 progressions — shard ``i`` of ``N`` uses ``offset=i, step=N`` — which makes
 the merged event order of N shards directly comparable with (and for one
@@ -26,12 +27,28 @@ depend on heap internals beyond this contract. Sequence numbers are only
 ever *compared*, never counted: no result may depend on how many were
 drawn.
 
+**The current instant is a FIFO.** Events wait in two containers: a heap
+of ``(time, seq, event)`` tuples for later instants and a
+first-in-first-out queue (a ``deque``) for the current one. An event whose
+computed time ``now + delay`` equals ``now`` is appended to the FIFO; the
+route follows the computed time, not ``delay == 0``, because a positive
+delay can round to ``now`` in float. When a loop moves the clock to the
+next heap time ``t``, it moves every heap event due at ``t`` into the
+empty FIFO, in ``(time, seq)`` order, and the events scheduled while the
+clock reads ``t`` queue behind them. Those heap events were scheduled
+before the clock reached ``t``, so their sequence numbers are smaller than
+any drawn at ``t``: draining the FIFO before the next heap pop *is* the
+``(time, seq)`` order, while a same-instant event costs a deque append and
+pop instead of a tuple and two heap walks. Each FIFO event still draws its
+one sequence number. Outside a strict environment, the heap never holds an
+event due at ``now``.
+
 **Events that fire next skip the queue.** A zero-delay event that the run
 loop would pop next anyway need not be queued: its waiter may continue at
 once. :meth:`Environment.fires_next` says when that holds — the loop is
 firing the *only* callback of the event it popped, and no other event is
-due at ``now``. Four places apply it, each where the event is yielded at
-once: :meth:`Resource.request` returns a free slot, and
+due at ``now`` (the FIFO is empty). Four places apply it, each where the
+event is yielded at once: :meth:`Resource.request` returns a free slot, and
 :meth:`~repro.noc.flowcontrol.TokenPool.acquire` a free token, as an
 already-fired event (as :meth:`Store.put` always does); a :class:`Process`
 that finishes with one waiter calls it in place; and a
@@ -43,18 +60,22 @@ next, so every callback runs in the same order, at the same ``now``, with
 the same RNG draws. Only later sequence numbers shift (one fewer is
 drawn), which keeps their order. A multi-callback event fires with the rule
 off (its siblings must run before any continuation), and so does the event
-a ``run(until=event)`` stops at (the loop stops after it). The strict loop
-(``Environment(strict=True)``, :meth:`Environment.step`) never applies the
-rule: every event goes through the queue, and that run is the reference the
-fast one must reproduce.
+a ``run(until=event)`` stops at (the loop stops after it).
+
+**Strict is heap-only.** A strict environment (``Environment(strict=True)``)
+never applies the rule and keeps no FIFO: its stand-in pushes every
+same-instant event onto the heap as ``(now, seq, event)``, and its checked
+loop pops the heap alone. That run is the independent reference the fast
+one must reproduce.
 
 Every class on the hot path declares ``__slots__`` — a simulation allocates
 millions of short-lived events, and slotted instances are both smaller and
 faster to initialize than ``__dict__``-backed ones. The :meth:`Environment.run`
 loops additionally inline :meth:`Environment.step`'s pop-and-fire body, and
-timeouts, processes and resource requests are built in place and pushed onto
-the heap directly, each drawing the one sequence number ``_schedule`` would
-have drawn at that point (so no subclass may override ``_schedule``); the
+timeouts, processes and resource grants (here and in
+:class:`~repro.noc.flowcontrol.TokenPool`) are built in place and queued
+directly, each drawing the one sequence number ``_schedule`` would have
+drawn at that point (so no subclass may override ``_schedule``); the
 scheduling order (and therefore every simulation result) is unchanged.
 """
 
@@ -80,6 +101,8 @@ __all__ = [
 
 #: Sentinel for "event not yet triggered".
 _PENDING = object()
+
+_INFINITY = float("inf")
 
 
 class Event:
@@ -173,7 +196,12 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         env._sequence = sequence = env._sequence + env._seq_step
-        _heappush(env._queue, (env._now + delay, sequence, self))
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._fifo.append(self)
+        else:
+            _heappush(env._queue, (when, sequence, self))
 
 
 class Process(Event):
@@ -183,7 +211,7 @@ class Process(Event):
     event is sent back into the generator; failed events raise inside it.
     """
 
-    __slots__ = ("_generator",)
+    __slots__ = ("_generator", "_resumer")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send"):
@@ -195,7 +223,10 @@ class Process(Event):
         self._value = _PENDING
         self._ok = True
         self._generator = generator
-        Timeout(env, 0.0).callbacks.append(self._resume)
+        # One bound method serves every yield. It refers back to the
+        # process, so _resume drops it when the generator ends.
+        self._resumer = resumer = self._resume
+        Timeout(env, 0.0).callbacks.append(resumer)
 
     def _resume(self, event: Event) -> None:
         generator = self._generator
@@ -206,13 +237,13 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
+                self._resumer = None
                 callbacks = self.callbacks
                 env = self.env
-                queue = env._queue
                 if (
                     len(callbacks) == 1
                     and env._sole
-                    and (not queue or queue[0][0] != env._now)
+                    and not env._fifo
                     and env._until is not self
                 ):
                     # The completion would fire next, with this one waiter:
@@ -223,6 +254,9 @@ class Process(Event):
                 else:
                     self.succeed(stop.value)
                 return
+            except BaseException:
+                self._resumer = None
+                raise
             if not isinstance(target, Event):
                 raise SimulationError(
                     f"process yielded a non-event: {target!r} "
@@ -233,7 +267,7 @@ class Process(Event):
                 # Already fired: loop around immediately with its value.
                 event = target
                 continue
-            callbacks.append(self._resume)
+            callbacks.append(self._resumer)
             return
 
 
@@ -295,21 +329,44 @@ class AnyOf(Event):
             self.fail(event.value)
 
 
+class _HeapOnlyInstant:
+    """A strict environment's stand-in for the current-instant FIFO.
+
+    It is always empty: :meth:`append` pushes the event onto the heap as
+    ``(now, seq, event)``, with the sequence number its caller has just
+    drawn, so a strict run orders every event by the heap alone.
+    """
+
+    __slots__ = ("_queue",)
+
+    def __init__(self, queue: list) -> None:
+        self._queue = queue
+
+    def __len__(self) -> int:
+        return 0
+
+    def append(self, event: Event) -> None:
+        env = event.env
+        _heappush(self._queue, (env._now, env._sequence, event))
+
+
 class Environment:
-    """The event loop: a simulated clock plus a priority queue of events.
+    """The event loop: a simulated clock, a heap of later events and a FIFO
+    of the events due at the current instant (see the module docstring).
 
     ``strict=True`` turns on invariant checking: every event pop verifies
     monotonic simulated time and reports the offending event on violation
     (see :meth:`step`). The checked loop costs a few percent, so the
     default ``run`` loops stay inlined and check-free; the scheduling order
     — and therefore every simulation result — is identical either way.
-    The checked loop also queues every event (no event skips the queue,
-    see :meth:`fires_next`), so a strict run is the reference.
+    A strict environment also queues every event on the heap (no FIFO, and
+    no event skips the queue, see :meth:`fires_next`), so a strict run is
+    the reference.
     """
 
     __slots__ = (
-        "_now", "_queue", "_sequence", "_seq_step", "strict", "tracer",
-        "_sole", "_until",
+        "_now", "_queue", "_fifo", "_sequence", "_seq_step", "strict",
+        "tracer", "_sole", "_until",
     )
 
     def __init__(
@@ -326,6 +383,8 @@ class Environment:
             )
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
+        #: The events due at ``now``, in firing order.
+        self._fifo = _HeapOnlyInstant(self._queue) if strict else deque()
         #: Shard-stable sequence counter (see the module ordering contract):
         #: sequence numbers are drawn from ``seq_offset + k * seq_step``, so
         #: shard ``i`` of ``N`` (``offset=i, step=N``) never collides with a
@@ -351,22 +410,25 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._sequence = sequence = self._sequence + self._seq_step
-        _heappush(self._queue, (self._now + delay, sequence, event))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._fifo.append(event)
+        else:
+            _heappush(self._queue, (when, sequence, event))
 
     def fires_next(self) -> bool:
         """True when a zero-delay event scheduled now would fire next.
 
         That is when a non-strict run loop is firing the only callback of
-        the event it popped and no other event is due at ``now``: the event
-        would be popped next and handed to its waiter, so a caller that
-        yields it at once may skip the queue and continue (see the module
-        ordering contract). Always False outside :meth:`run` and under
+        the event it popped and no other event is due at ``now`` (the FIFO
+        is empty; the heap never holds one): the event would be popped
+        next and handed to its waiter, so a caller that yields it at once
+        may skip the queue and continue (see the module ordering
+        contract). Always False outside :meth:`run` and under
         ``strict=True``.
         """
-        if not self._sole:
-            return False
-        queue = self._queue
-        return not queue or queue[0][0] != self._now
+        return self._sole and not self._fifo
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` ns from now."""
@@ -389,10 +451,19 @@ class Environment:
         return AnyOf(self, events)
 
     def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
+        """Process the single next event: the FIFO's head, else the heap's.
+
+        A heap pop moves the clock; outside strict mode, the other heap
+        events due at the new ``now`` move into the FIFO behind it.
+        """
+        fifo = self._fifo
+        if fifo:
+            fifo.popleft()._run_callbacks()
+            return
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() on an empty event queue")
-        when, __, event = _heappop(self._queue)
+        when, __, event = _heappop(queue)
         if when < self._now:
             raise SimulationError(
                 f"simulated time went backwards: {type(event).__name__} "
@@ -400,7 +471,19 @@ class Environment:
                 f"t={self._now} ns"
             )
         self._now = when
+        if not self.strict:
+            while queue and queue[0][0] == when:
+                fifo.append(_heappop(queue)[2])
         event._run_callbacks()
+
+    @property
+    def next_event_ns(self) -> Optional[float]:
+        """Time of the next event to fire (``now`` while the FIFO holds
+        one), or None when nothing is queued."""
+        if self._fifo:
+            return self._now
+        queue = self._queue
+        return queue[0][0] if queue else None
 
     def _run_checked(self, until: Optional[float | Event]) -> Any:
         """The strict-mode run loop: same semantics as :meth:`run`, but every
@@ -441,27 +524,39 @@ class Environment:
 
         The loops below inline :meth:`step`'s pop-and-fire body (minus its
         can't-happen past-event check): the heap guarantees monotonic pop
-        order, and ``_schedule`` never targets the past. They also keep the
-        :meth:`fires_next` flag: set while a popped event's only callback
-        fires, cleared while a multi-callback event (or the awaited event)
-        fires, and cleared when the run ends, however it ends. Strict
-        environments route through the checked loop instead, which never
-        sets it.
+        order, and ``_schedule`` never targets the past. Each pops the FIFO
+        while it holds an event; otherwise it pops the heap, moves the
+        clock, and moves the rest of that instant into the FIFO. They also
+        keep the :meth:`fires_next` flag: set while a popped event's only
+        callback fires, cleared while a multi-callback event (or the
+        awaited event) fires, and cleared when the run ends, however it
+        ends. Strict environments route through the checked loop instead,
+        which never sets it. A run that stops at an event or a horizon
+        leaves the rest of the FIFO queued for the next one.
         """
         if self.strict:
             return self._run_checked(until)
         queue = self._queue
+        fifo = self._fifo
+        popleft = fifo.popleft
+        append = fifo.append
         self._sole = True
         try:
             if isinstance(until, Event):
                 stop_event = self._until = until
                 while stop_event.callbacks is not None:
-                    if not queue:
+                    if fifo:
+                        event = popleft()
+                    elif queue:
+                        now, __, event = _heappop(queue)
+                        self._now = now
+                        while queue and queue[0][0] == now:
+                            append(_heappop(queue)[2])
+                    else:
                         raise SimulationError(
                             "simulation ran out of events before the awaited "
                             "event fired"
                         )
-                    self._now, __, event = _heappop(queue)
                     callbacks, event.callbacks = event.callbacks, None
                     if callbacks:
                         if len(callbacks) == 1 and event is not stop_event:
@@ -474,28 +569,25 @@ class Environment:
                 if not stop_event._ok:
                     raise stop_event._value
                 return stop_event._value
-            if until is not None:
+            if until is None:
+                horizon = _INFINITY
+            else:
                 horizon = float(until)
                 if horizon < self._now:
                     raise SimulationError(
                         f"cannot run until {horizon}: clock is already at "
                         f"{self._now}"
                     )
-                while queue and queue[0][0] <= horizon:
-                    self._now, __, event = _heappop(queue)
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            self._sole = False
-                            for callback in callbacks:
-                                callback(event)
-                            self._sole = True
-                self._now = horizon
-                return None
-            while queue:
-                self._now, __, event = _heappop(queue)
+            while True:
+                if fifo:
+                    event = popleft()
+                elif queue and queue[0][0] <= horizon:
+                    now, __, event = _heappop(queue)
+                    self._now = now
+                    while queue and queue[0][0] == now:
+                        append(_heappop(queue)[2])
+                else:
+                    break
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks:
                     if len(callbacks) == 1:
@@ -505,6 +597,8 @@ class Environment:
                         for callback in callbacks:
                             callback(event)
                         self._sole = True
+            if until is not None:
+                self._now = horizon
             return None
         finally:
             self._sole = False
@@ -571,15 +665,14 @@ class Resource:
             self._in_use += 1
             req._value = None
             env = self.env
-            queue = env._queue
-            if env._sole and (not queue or queue[0][0] != env._now):
+            if env._sole and not env._fifo:
                 # The grant would fire next: hand it over already fired
                 # (Environment.fires_next, inlined).
                 req.callbacks = None
             else:
                 # Grant inline: what succeed() does, with the same draw.
-                env._sequence = sequence = env._sequence + env._seq_step
-                _heappush(queue, (env._now, sequence, req))
+                env._sequence += env._seq_step
+                env._fifo.append(req)
         else:
             self._waiting.append(req)
         return req
@@ -589,8 +682,12 @@ class Resource:
         if request.resource is not self:
             raise SimulationError("release() with a request from another resource")
         if self._waiting:
+            # succeed(), inlined: the grant is due now, so it joins the FIFO.
             nxt = self._waiting.popleft()
-            nxt.succeed()
+            nxt._value = None
+            env = self.env
+            env._sequence += env._seq_step
+            env._fifo.append(nxt)
         else:
             self._in_use -= 1
             if self._in_use < 0:

@@ -33,6 +33,7 @@ seam adds no scheduling difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop as _heappop
 from typing import Any, Callable, List, Optional
@@ -98,11 +99,6 @@ class ShardEnvironment(Environment):
         """The owning coordinator (interposers use it to check shard count)."""
         return self._coordinator
 
-    @property
-    def next_event_ns(self) -> Optional[float]:
-        """Timestamp of the earliest queued event, or None when idle."""
-        return self._queue[0][0] if self._queue else None
-
     def send(
         self, dst_shard: int, payload: Any, delay_ns: Optional[float] = None
     ) -> ShardMessage:
@@ -138,6 +134,8 @@ class ShardEnvironment(Environment):
         Returns the number of events processed. The clock is left at the
         last processed event (not advanced to ``bound``): the next window's
         bound is derived from queue state, never from partial clocks.
+        The loop is :meth:`Environment.run`'s, bounded: the FIFO of events
+        due at ``now`` first, then the heap.
         """
         count = 0
         queue = self._queue
@@ -146,8 +144,19 @@ class ShardEnvironment(Environment):
                 self.step()
                 count += 1
             return count
-        while queue and queue[0][0] < bound:
-            self._now, __, event = _heappop(queue)
+        fifo = self._fifo
+        while True:
+            if fifo:
+                if self._now >= bound:
+                    break
+                event = fifo.popleft()
+            elif queue and queue[0][0] < bound:
+                now, __, event = _heappop(queue)
+                self._now = now
+                while queue and queue[0][0] == now:
+                    fifo.append(_heappop(queue)[2])
+            else:
+                break
             callbacks, event.callbacks = event.callbacks, None
             if callbacks:
                 for callback in callbacks:
@@ -162,20 +171,7 @@ class ShardEnvironment(Environment):
         match the serial ``run(until)`` semantics (events *at* the horizon
         fire). The clock advances to ``horizon`` afterwards.
         """
-        count = 0
-        queue = self._queue
-        if self.strict:
-            while queue and queue[0][0] <= horizon:
-                self.step()
-                count += 1
-        else:
-            while queue and queue[0][0] <= horizon:
-                self._now, __, event = _heappop(queue)
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                count += 1
+        count = self.run_window(math.nextafter(horizon, math.inf))
         self._now = horizon
         return count
 
@@ -285,9 +281,9 @@ class ShardedEnvironment:
     def next_event_ns(self) -> Optional[float]:
         """Earliest queued event across all shards (pending sends excluded)."""
         times = [
-            shard.next_event_ns
-            for shard in self.shards
-            if shard.next_event_ns is not None
+            when
+            for when in (shard.next_event_ns for shard in self.shards)
+            if when is not None
         ]
         return min(times) if times else None
 

@@ -255,6 +255,24 @@ class TestImportCost:
         assert "asyncio" not in loaded
         assert "repro.service.server" not in loaded
 
+    def test_service_client_leaves_the_daemon_unloaded(self, tmp_path):
+        # No server listens in tmp_path: `repro jobs` says so and exits 1.
+        loaded = _loaded_by(
+            "from repro.service.client import ServiceClient\n"
+            "ServiceClient()\n"
+            "import runpy; sys.argv = ['repro', 'jobs']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 1, stop.code\n"
+            "else:\n"
+            "    raise AssertionError('repro jobs did not exit')\n",
+            cwd=tmp_path,
+        )
+        assert "repro.service.client" in loaded
+        assert "asyncio" not in loaded
+        assert "repro.service.server" not in loaded
+
     def test_one_experiment_loads_no_other(self):
         loaded = _loaded_by("from repro.experiments import fig3")
         assert {

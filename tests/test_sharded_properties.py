@@ -16,7 +16,7 @@ is a conformance-job install, not a tier-1 dependency).
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.errors import SimulationError  # noqa: E402
@@ -95,6 +95,7 @@ def test_undercutting_lookahead_always_raises(shortfall, lookahead):
     ),
     lookahead=st.floats(min_value=0.5, max_value=20.0),
 )
+@example(times=[0.0, 4.0, 0.0], lookahead=1.0)  # due now: the FIFO
 @settings(max_examples=100, deadline=None)
 def test_window_bounds_strictly_increase(times, lookahead):
     """The coordinator always makes progress: windows grow, events drain."""
@@ -103,7 +104,7 @@ def test_window_bounds_strictly_increase(times, lookahead):
         Timeout(sharded.shard(index % 2), when)
     sharded.run()
     assert sharded.events_processed == len(times)
-    assert all(not shard._queue for shard in sharded.shards)
+    assert all(shard.next_event_ns is None for shard in sharded.shards)
 
 
 @given(rng=st.randoms(use_true_random=False))

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import (
@@ -347,19 +349,205 @@ class TestInlineScheduling:
         assert fired == ["first", "request", "process", "last"]
 
     def test_each_draws_one_step_of_the_progression(self):
-        env = Environment(seq_offset=1, seq_step=3)
-        res = Resource(env, capacity=1)
+        for strict in (False, True):
+            env = Environment(seq_offset=1, seq_step=3, strict=strict)
+            res = Resource(env, capacity=1)
 
-        def proc():
-            yield env.timeout(0.0)
+            def proc():
+                yield env.timeout(0.0)
 
-        res.request()
-        assert env._sequence == 4
-        res.request()  # queued: draws nothing until granted
-        assert env._sequence == 4
-        env.process(proc())
-        assert env._sequence == 7
-        assert [seq for __, seq, __ in sorted(env._queue)] == [4, 7]
+            granted = res.request()
+            assert env._sequence == 4
+            res.request()  # queued: draws nothing until granted
+            assert env._sequence == 4
+            env.process(proc())
+            assert env._sequence == 7
+            # Both are due now: the strict heap holds them at (now, seq);
+            # the default FIFO holds them in the same order.
+            if strict:
+                assert [seq for __, seq, __ in sorted(env._queue)] == [4, 7]
+                pending = [event for __, __, event in sorted(env._queue)]
+            else:
+                assert env._queue == []
+                pending = list(env._fifo)
+            assert pending[0] is granted
+            assert isinstance(pending[1], Timeout) and len(pending) == 2
+
+
+def _both_loops(scenario):
+    """Run ``scenario(strict)`` on the heap-only strict loop and on the
+    default loop (heap plus current-instant FIFO); both must agree."""
+    reference = scenario(True)
+    assert scenario(False) == reference
+    return reference
+
+
+class TestCurrentInstantOrder:
+    """The FIFO of events due at ``now`` keeps the heap-only ``(time, seq)``
+    order (see the ordering contract in ``repro.sim.engine``)."""
+
+    def test_zero_delay_event_fires_after_those_due_now(self):
+        def scenario(strict):
+            env = Environment(strict=strict)
+            log = []
+
+            def note(name):
+                return lambda event: log.append((name, env.now))
+
+            def first(event):
+                log.append(("a", env.now))
+                Timeout(env, 0.0).callbacks.append(note("zero"))
+                env.event().succeed().callbacks.append(note("succeeded"))
+
+            env.timeout(1.0).callbacks.append(first)
+            env.timeout(1.0).callbacks.append(note("b"))
+            env.timeout(2.0).callbacks.append(note("later"))
+            env.timeout(1.0).callbacks.append(note("c"))
+            env.run()
+            return log
+
+        assert _both_loops(scenario) == [
+            ("a", 1.0), ("b", 1.0), ("c", 1.0), ("zero", 1.0),
+            ("succeeded", 1.0), ("later", 2.0),
+        ]
+
+    def test_a_delay_that_rounds_to_now_keeps_its_place(self):
+        # At 2**53 the float spacing is 2.0: now + 0.5 == now, so the
+        # half-nanosecond timeout is due now and fires in scheduling order
+        # between the two zero-delay ones.
+        def scenario(strict):
+            env = Environment(initial_time=2.0**53, strict=strict)
+            log = []
+
+            def kick(event):
+                for name, delay in (("zero", 0.0), ("half", 0.5), ("again", 0.0)):
+                    Timeout(env, delay).callbacks.append(
+                        lambda event, name=name: log.append((name, env.now))
+                    )
+
+            env.timeout(2.0).callbacks.append(kick)
+            env.run()
+            return log
+
+        now = 2.0**53 + 2.0
+        assert now + 0.5 == now
+        assert _both_loops(scenario) == [
+            ("zero", now), ("half", now), ("again", now),
+        ]
+
+    def test_run_until_a_horizon_drains_the_instant_first(self):
+        def scenario(strict):
+            env = Environment(strict=strict)
+            log = []
+
+            def at_three(event):
+                log.append(("three", env.now))
+                Timeout(env, 0.0).callbacks.append(
+                    lambda event: log.append(("zero", env.now))
+                )
+
+            Timeout(env, 0.0).callbacks.append(
+                lambda event: log.append(("start", env.now))
+            )
+            env.timeout(3.0).callbacks.append(at_three)
+            env.timeout(4.0).callbacks.append(
+                lambda event: log.append(("four", env.now))
+            )
+            env.run(until=3.0)
+            log.append(("stopped", env.now))
+            env.run(until=10.0)
+            log.append(("stopped", env.now))
+            return log
+
+        assert _both_loops(scenario) == [
+            ("start", 0.0), ("three", 3.0), ("zero", 3.0), ("stopped", 3.0),
+            ("four", 4.0), ("stopped", 10.0),
+        ]
+
+    def test_run_until_an_event_leaves_the_instant_pending(self):
+        def scenario(strict):
+            env = Environment(strict=strict)
+            log = []
+
+            def awaited(event):
+                log.append(("awaited", env.now))
+                Timeout(env, 0.0).callbacks.append(
+                    lambda event: log.append(("zero", env.now))
+                )
+
+            stop = env.timeout(1.0)
+            stop.callbacks.append(awaited)
+            env.timeout(1.0).callbacks.append(
+                lambda event: log.append(("sibling", env.now))
+            )
+            env.run(until=stop)
+            stopped = (list(log), env.now)
+            env.run()
+            return stopped, log, env.now
+
+        assert _both_loops(scenario) == (
+            ([("awaited", 1.0)], 1.0),
+            [("awaited", 1.0), ("sibling", 1.0), ("zero", 1.0)],
+            1.0,
+        )
+
+    @given(
+        start=st.sampled_from([0.0, 2.0**53]),
+        nodes=st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=30),
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.5]),
+                st.sampled_from(["timeout", "succeed", "process"]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        horizon=st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5, 4.0])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_programs_fire_in_the_same_order(self, start, nodes, horizon):
+        """Node ``i`` is scheduled, with its delay, when its parent fires
+        (parents -1 and ``>= i`` mean: at the start)."""
+
+        def scenario(strict):
+            env = Environment(initial_time=start, strict=strict)
+            log = []
+            children = {}
+            for index, (parent, __, __) in enumerate(nodes):
+                root = parent if 0 <= parent < index else -1
+                children.setdefault(root, []).append(index)
+
+            def fire(index):
+                log.append((index, env.now))
+                for child in children.get(index, ()):
+                    schedule(child)
+
+            def schedule(index):
+                __, delay, kind = nodes[index]
+                if kind == "timeout":
+                    Timeout(env, delay).callbacks.append(
+                        lambda event: fire(index)
+                    )
+                elif kind == "succeed":
+                    env.event().succeed().callbacks.append(
+                        lambda event: fire(index)
+                    )
+                else:
+                    def body():
+                        yield env.timeout(delay)
+                        fire(index)
+
+                    env.process(body())
+
+            for index in children.get(-1, ()):
+                schedule(index)
+            if horizon is not None:
+                env.run(until=start + horizon)
+                log.append(("horizon", env.now))
+            env.run()
+            return log, env.now
+
+        _both_loops(scenario)
 
 
 class TestResource:

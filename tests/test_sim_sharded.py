@@ -87,7 +87,7 @@ class TestEventCalendar:
         times = np.repeat(np.arange(1.0, 6.0), 200)
         EventCalendar(env).schedule(times, lambda now, idx: None)
         events = 0
-        while env._queue:
+        while env.next_event_ns is not None:  # the heap and the FIFO
             env.step()
             events += 1
         # 5 distinct timestamps -> 5 timer events + 5 bucket-done events at
@@ -491,6 +491,32 @@ class TestCcdShardMap:
 # ------------------------------------------------------------ cell runner
 
 
+#: shards -> victim CCD -> (windows, events_processed, cross_messages,
+#: accounting_bytes) of the ``sharded-closed`` benchmark cells at seed 0.
+_SYNC_PINS = {
+    2: {
+        0: (1082, 2322, 1386, 1881600.0),
+        4: (1103, 2322, 1386, 1881600.0),
+        8: (1108, 2322, 1386, 1881600.0),
+    },
+    4: {
+        1: (721, 3015, 2079, 2822400.0),
+        5: (1007, 3015, 2079, 2822400.0),
+        9: (889, 3015, 2079, 2822400.0),
+    },
+    6: {
+        2: (381, 3246, 2310, 3136000.0),
+        6: (468, 3246, 2310, 3136000.0),
+        10: (468, 3246, 2310, 3136000.0),
+    },
+    12: {
+        3: (295, 3477, 2541, 3449600.0),
+        7: (295, 3477, 2541, 3449600.0),
+        11: (295, 3477, 2541, 3449600.0),
+    },
+}
+
+
 class TestRunCell:
     def test_unknown_engine_raises(self, p7302):
         with pytest.raises(ConfigurationError):
@@ -541,6 +567,25 @@ class TestRunCell:
                 p9634, engine="sharded", shards=12, transactions_per_core=2500
             )
         assert tampered
+
+    @pytest.mark.parametrize("shards", sorted(_SYNC_PINS))
+    def test_sync_of_the_benchmark_layouts_is_pinned(self, p9634, shards):
+        """Every window count, event count, message count and byte total
+        of the ``sharded-closed`` benchmark layouts (seed 0, 700 per core),
+        as the heap-only window loops recorded them. A window loop that
+        missed the engine's current-instant FIFO would lose events."""
+        from benchmarks.e2e.workloads import contention_layout
+
+        for victim, pinned in _SYNC_PINS[shards].items():
+            outcome = run_cell(
+                p9634, contention_layout(p9634, victim), engine="sharded",
+                shards=shards, transactions_per_core=700, seed=0,
+            )
+            sync = outcome.sync
+            assert (
+                sync["windows"], sync["events_processed"],
+                sync["cross_messages"], sync["accounting_bytes"],
+            ) == pinned, (shards, victim)
 
     def test_contention_flows_cover_all_ccds(self, p9634):
         flows = contention_flows(p9634)
