@@ -9,7 +9,7 @@
 PYTHON ?= python
 PYTEST  = env PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-check lint verify chaos-smoke chaos-recover-smoke shard-smoke serve-smoke kvserve-smoke explore-smoke conformance coverage
+.PHONY: test bench bench-check lint verify chaos-smoke chaos-recover-smoke shard-smoke serve-smoke kvserve-smoke explore-smoke conformance coverage reach
 
 test:
 	$(PYTEST) -x -q
@@ -100,3 +100,11 @@ kvserve-smoke:
 explore-smoke:
 	timeout 120 env PYTHONPATH=src $(PYTHON) -m repro explore --no-cache
 	@echo "explore-smoke: OK"
+
+# Which src functions nothing but the tests enters: runs the CLI golden
+# argv, every example and script, each e2e workload (--quick) and
+# `repro all --quality full` under a call profiler in every process, then
+# lists the unentered functions with line counts and marks those only
+# tests name. Takes minutes, so it is not part of `verify`.
+reach:
+	timeout 1800 env PYTHONPATH=src $(PYTHON) scripts/reach.py

@@ -71,8 +71,8 @@ def _plain_twin(platform):
         umc_id = int(homes[index][len("umc"):])
         path = resolver.dram_path(core_id, umc_id)
         issuer = ClosedLoopIssuer(
-            env, gate, lambda worker, path=path: path, OpKind.READ,
-            workers=1, window=window, count_per_worker=_TRANSACTIONS,
+            env, gate, (path,), OpKind.READ,
+            window=window, count_per_worker=_TRANSACTIONS,
             rate_gbps=rate_each,
         )
         finished.append(issuer.start())

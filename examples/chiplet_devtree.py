@@ -9,8 +9,8 @@ proposes for ``/proc/chiplet-net``.
 Run:  python examples/chiplet_devtree.py
 """
 
-from repro import OpKind, epyc_9634
-from repro.core.loadgen import ClosedLoopIssuer
+from repro import OpKind, StreamSpec, epyc_9634
+from repro.core.loadgen import lower_stream
 from repro.platform.numa import Position
 from repro.sim.engine import Environment
 from repro.telemetry.counters import CounterRegistry
@@ -34,21 +34,18 @@ def main() -> None:
     resolver = PathResolver(env, platform, seed=3)
     executor = TransactionExecutor(env)
     near = [u.umc_id for u in platform.umcs_at(0, Position.NEAR)]
-    read_paths = {
-        i: resolver.dram_path(core.core_id, near[i % len(near)])
-        for i, core in enumerate(platform.cores_of_ccd(0))
-    }
-    write_paths = {
-        i: resolver.cxl_path(core.core_id, i % 4, op=OpKind.NT_WRITE)
-        for i, core in enumerate(platform.cores_of_ccd(1))
-    }
-    readers = ClosedLoopIssuer(
-        env, executor, lambda w: read_paths[w], OpKind.READ,
-        workers=len(read_paths), window=8, count_per_worker=300,
+    ccd0, ccd1 = (
+        tuple(core.core_id for core in platform.cores_of_ccd(ccd_id))
+        for ccd_id in (0, 1)
     )
-    writers = ClosedLoopIssuer(
-        env, executor, lambda w: write_paths[w], OpKind.NT_WRITE,
-        workers=len(write_paths), window=8, count_per_worker=300,
+    readers = lower_stream(
+        env, executor, resolver, StreamSpec("reads", OpKind.READ, ccd0),
+        near, window=8, count_per_worker=300,
+    )
+    writers = lower_stream(
+        env, executor, resolver,
+        StreamSpec("writes", OpKind.NT_WRITE, ccd1, target="cxl"),
+        sorted(platform.cxl_devices), window=8, count_per_worker=300,
     )
     env.run(env.all_of([readers.start(), writers.start()]))
 

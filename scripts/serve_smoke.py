@@ -114,9 +114,12 @@ def main():
     workdir = tempfile.mkdtemp(prefix="reprosvc-smoke-", dir="/tmp")
     socket_path = os.path.join(workdir, "svc.sock")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "src"
-    )
+    # src first, the caller's entries behind it: a sitecustomize on the
+    # caller's path (scripts/reach.py's profiler) must run in the daemon.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
+        os.environ.get("PYTHONPATH"),
+    ]))
     env["REPRO_CACHE"] = "1"
     env["REPRO_CACHE_DIR"] = os.path.join(workdir, "cache")
 

@@ -21,7 +21,6 @@ from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
 from repro.errors import ConfigurationError
 from repro.fluid.solver import Policy
-from repro.telemetry.matrix import TrafficMatrix
 
 __all__ = ["IntraHostSwitch", "ProvisionPlan"]
 
@@ -55,23 +54,6 @@ class IntraHostSwitch:
         if spec.name in self._background:
             raise ConfigurationError(f"stream {spec.name!r} already registered")
         self._background[spec.name] = spec
-
-    def observed_matrix(
-        self, achieved: Dict[str, float]
-    ) -> TrafficMatrix:
-        """Fold achieved stream rates into a (chiplet → domain) matrix."""
-        platform = self.fabric.platform
-        sources = [f"ccd{i}" for i in sorted(platform.ccds)]
-        destinations = ["dram", "cxl", "device"]
-        matrix = TrafficMatrix(sources, destinations)
-        for name, spec in self._background.items():
-            rate = achieved.get(name, 0.0)
-            ccds = sorted(
-                {platform.core(c).ccd_id for c in spec.core_ids}
-            )
-            for ccd_id in ccds:
-                matrix.record(f"ccd{ccd_id}", spec.target, rate / len(ccds))
-        return matrix
 
     def provision(
         self, accelerator_demand_gbps: float, host_ccd: int = 0

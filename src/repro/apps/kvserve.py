@@ -37,7 +37,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.stats import LatencyStats
-from repro.apps.kvstore import KvWorkload, ServiceReport
+from repro.apps.kvstore import (
+    KvWorkload,
+    ServiceReport,
+    background_stream,
+    near_umcs,
+    worker_cores,
+    worker_paths,
+)
 from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
 from repro.core.loadgen import (
@@ -47,12 +54,10 @@ from repro.core.loadgen import (
 )
 from repro.errors import ConfigurationError, MeasurementError
 from repro.fluid.coupling import background_utilizations, effective_service_ns
-from repro.platform.numa import Position
 from repro.platform.topology import Platform
 from repro.sim.batch import open_loop_departures
 from repro.sim.engine import Environment
 from repro.sim.rng import SplitRng
-from repro.transport.message import OpKind
 from repro.transport.path import PathResolver
 from repro.units import CACHELINE
 
@@ -170,20 +175,6 @@ class HybridKvServer:
         lat = self.platform.spec.latency
         return lat.io_hub_ns + lat.root_complex_ns + lat.p_link_ns
 
-    def _worker_cores(self, server_ccd: int, workers: int) -> List[int]:
-        if server_ccd not in self.platform.ccds:
-            raise ConfigurationError(f"unknown CCD {server_ccd}")
-        cores = self.platform.cores_of_ccd(server_ccd)
-        if workers < 1 or workers > len(cores):
-            raise ConfigurationError(f"workers must be in [1, {len(cores)}]")
-        return [core.core_id for core in cores[:workers]]
-
-    def _near_umcs(self, server_ccd: int) -> List[int]:
-        return sorted(
-            u.umc_id
-            for u in self.platform.umcs_at(server_ccd, Position.NEAR)
-        ) or sorted(self.platform.umcs)
-
     def background_specs(
         self,
         background_cores: Optional[Sequence[int]],
@@ -192,15 +183,7 @@ class HybridKvServer:
         """The fluid view of the DES colocated background issuer."""
         if not background_cores:
             return []
-        return [
-            StreamSpec(
-                name="kv-background",
-                op=OpKind.READ,
-                core_ids=tuple(background_cores),
-                target="dram",
-                demand_gbps=background_rate_gbps,
-            )
-        ]
+        return [background_stream(background_cores, background_rate_gbps)]
 
     def service_times_ns(
         self,
@@ -211,33 +194,21 @@ class HybridKvServer:
     ) -> np.ndarray:
         """Per-worker-core end-to-end service time of one GET (ns).
 
-        Mirrors the DES path construction core for core: index reads go
-        to the CCD's near UMCs round-robin, the value read to the next
-        near UMC or a CXL device, plus one NIC crossing each way.
+        The paths come from :func:`repro.apps.kvstore.worker_paths`, as
+        in the DES, plus one NIC crossing each way.
         """
-        worker_cores = self._worker_cores(server_ccd, workers)
-        near = self._near_umcs(server_ccd)
-        if workload.value_tier == "cxl" and not self.platform.cxl_devices:
-            raise ConfigurationError(
-                f"{self.platform.name} has no CXL tier for values"
-            )
+        paths = worker_paths(
+            self._resolver,
+            worker_cores(self.platform, server_ccd, workers),
+            near_umcs(self.platform, server_ccd),
+            workload,
+        )
         nic = 2.0 * self._nic_oneway_ns()
-        services = np.empty(len(worker_cores), dtype=float)
-        for i, core in enumerate(worker_cores):
-            index_path = self._resolver.dram_path(core, near[i % len(near)])
+        services = np.empty(len(paths), dtype=float)
+        for i, (index_path, value_path) in enumerate(paths):
             index_ns = effective_service_ns(
                 index_path, CACHELINE, utilizations
             )
-            if workload.value_tier == "cxl":
-                value_path = self._resolver.cxl_path(
-                    core, i % len(self.platform.cxl_devices),
-                    size_bytes=workload.value_bytes,
-                )
-            else:
-                value_path = self._resolver.dram_path(
-                    core, near[(i + 1) % len(near)],
-                    size_bytes=workload.value_bytes,
-                )
             value_ns = effective_service_ns(
                 value_path, workload.value_bytes, utilizations
             )
@@ -298,7 +269,7 @@ class HybridKvServer:
             background_utilizations(
                 self.fabric,
                 specs,
-                umc_ids=self._near_umcs(tenants[0].server_ccd),
+                umc_ids=near_umcs(self.platform, tenants[0].server_ccd),
             )
             if specs
             else {}

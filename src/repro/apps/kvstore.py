@@ -20,23 +20,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import LatencyStats
-from repro.core.loadgen import ClosedLoopIssuer
+from repro.core.flows import StreamSpec
+from repro.core.loadgen import lower_stream
 from repro.errors import ConfigurationError, MeasurementError
 from repro.platform.numa import Position
 from repro.platform.topology import Platform
 from repro.sim.engine import Environment, Event, Resource
 from repro.sim.rng import SplitRng
 from repro.transport.message import OpKind, Transaction
-from repro.transport.path import PathResolver
+from repro.transport.path import CompiledPath, PathResolver
 from repro.transport.transaction import TransactionExecutor
 from repro.units import CACHELINE
 
-__all__ = ["KvWorkload", "KvServerModel", "ServiceReport"]
+__all__ = [
+    "KvWorkload", "KvServerModel", "ServiceReport",
+    "background_stream", "near_umcs", "worker_cores", "worker_paths",
+]
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,67 @@ class ServiceReport:
         return self.latency.p99 <= p99_us * 1e3
 
 
+def worker_cores(
+    platform: Platform, server_ccd: int, workers: int
+) -> List[int]:
+    """The first ``workers`` cores of the server chiplet."""
+    if server_ccd not in platform.ccds:
+        raise ConfigurationError(f"unknown CCD {server_ccd}")
+    cores = platform.cores_of_ccd(server_ccd)
+    if workers < 1 or workers > len(cores):
+        raise ConfigurationError(f"workers must be in [1, {len(cores)}]")
+    return [core.core_id for core in cores[:workers]]
+
+
+def near_umcs(platform: Platform, server_ccd: int) -> List[int]:
+    """The server chiplet's near UMCs (every UMC when none is near)."""
+    return sorted(
+        u.umc_id for u in platform.umcs_at(server_ccd, Position.NEAR)
+    ) or sorted(platform.umcs)
+
+
+def worker_paths(
+    resolver: PathResolver,
+    cores: Sequence[int],
+    near: Sequence[int],
+    workload: KvWorkload,
+) -> List[Tuple[CompiledPath, CompiledPath]]:
+    """Each worker core's ``(index path, value path)``, for both engines.
+
+    Worker ``i`` reads its index from ``near[i % len(near)]``, and its
+    value from the next near UMC or from CXL device ``i % devices``.
+    """
+    platform = resolver.platform
+    if workload.value_tier == "cxl" and not platform.cxl_devices:
+        raise ConfigurationError(
+            f"{platform.name} has no CXL tier for values"
+        )
+    paths = []
+    for i, core in enumerate(cores):
+        index_path = resolver.dram_path(core, near[i % len(near)])
+        if workload.value_tier == "cxl":
+            value_path = resolver.cxl_path(
+                core, i % len(platform.cxl_devices),
+                size_bytes=workload.value_bytes,
+            )
+        else:
+            value_path = resolver.dram_path(
+                core, near[(i + 1) % len(near)],
+                size_bytes=workload.value_bytes,
+            )
+        paths.append((index_path, value_path))
+    return paths
+
+
+def background_stream(
+    cores: Sequence[int], rate_gbps: Optional[float]
+) -> StreamSpec:
+    """The colocated background: DRAM reads, unthrottled at ``None``."""
+    return StreamSpec(
+        "kv-background", OpKind.READ, tuple(cores), demand_gbps=rate_gbps
+    )
+
+
 class KvServerModel:
     """A KV server pinned to one chiplet of the platform."""
 
@@ -88,16 +153,9 @@ class KvServerModel:
         seed: int = 0,
         with_dram_jitter: bool = True,
     ) -> None:
-        if server_ccd not in platform.ccds:
-            raise ConfigurationError(f"unknown CCD {server_ccd}")
-        cores = platform.cores_of_ccd(server_ccd)
-        if workers < 1 or workers > len(cores):
-            raise ConfigurationError(
-                f"workers must be in [1, {len(cores)}]"
-            )
+        self.worker_cores = worker_cores(platform, server_ccd, workers)
         self.platform = platform
         self.server_ccd = server_ccd
-        self.worker_cores = [core.core_id for core in cores[:workers]]
         self.seed = seed
         self.with_dram_jitter = with_dram_jitter
 
@@ -127,48 +185,16 @@ class KvServerModel:
         executor = TransactionExecutor(env)
         rng = SplitRng(self.seed).stream("kv-arrivals")
 
-        near = sorted(
-            u.umc_id
-            for u in self.platform.umcs_at(self.server_ccd, Position.NEAR)
-        ) or sorted(self.platform.umcs)
-        index_paths = {
-            core: resolver.dram_path(core, near[i % len(near)])
-            for i, core in enumerate(self.worker_cores)
-        }
-        if workload.value_tier == "cxl":
-            if not self.platform.cxl_devices:
-                raise ConfigurationError(
-                    f"{self.platform.name} has no CXL tier for values"
-                )
-            value_paths = {
-                core: resolver.cxl_path(
-                    core, i % len(self.platform.cxl_devices),
-                    size_bytes=workload.value_bytes,
-                )
-                for i, core in enumerate(self.worker_cores)
-            }
-        else:
-            value_paths = {
-                core: resolver.dram_path(
-                    core, near[(i + 1) % len(near)],
-                    size_bytes=workload.value_bytes,
-                )
-                for i, core in enumerate(self.worker_cores)
-            }
+        near = near_umcs(self.platform, self.server_ccd)
+        paths = worker_paths(resolver, self.worker_cores, near, workload)
 
         if background_cores:
-            paths = {
-                i: resolver.dram_path(core, near[i % len(near)])
-                for i, core in enumerate(background_cores)
-            }
-            background = ClosedLoopIssuer(
-                env, TransactionExecutor(env),
-                path_of_worker=lambda w: paths[w],
-                op=OpKind.READ,
-                workers=len(background_cores),
+            background = lower_stream(
+                env, TransactionExecutor(env), resolver,
+                background_stream(background_cores, background_rate_gbps),
+                near,
                 window=self.platform.spec.bandwidth.mlp_read,
                 count_per_worker=1_000_000,
-                rate_gbps=background_rate_gbps,
             )
             background.start()
 
@@ -183,17 +209,13 @@ class KvServerModel:
             first_at[0] = min(first_at[0], start)
             with pool.request() as grant:
                 yield grant
-                core = self.worker_cores[
-                    arrival_index % len(self.worker_cores)
-                ]
+                index_path, value_path = paths[arrival_index % len(paths)]
                 yield env.timeout(self._nic_oneway_ns())       # ingress
                 for __ in range(workload.index_depth):          # index walk
                     txn = Transaction(OpKind.READ, CACHELINE)
-                    yield env.process(
-                        executor.execute(txn, index_paths[core])
-                    )
+                    yield env.process(executor.execute(txn, index_path))
                 txn = Transaction(OpKind.READ, workload.value_bytes)
-                yield env.process(executor.execute(txn, value_paths[core]))
+                yield env.process(executor.execute(txn, value_path))
                 yield env.timeout(self._nic_oneway_ns())       # egress
             latencies.append(env.now - start)
             done_at[0] = max(done_at[0], env.now)

@@ -17,7 +17,6 @@ from repro.collective.model import (
     CollectiveCost,
     allreduce_table,
     allreduce_time_ns,
-    best_algorithm,
     crossover_bytes,
     render,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "CollectiveCost",
     "allreduce_table",
     "allreduce_time_ns",
-    "best_algorithm",
     "crossover_bytes",
     "render",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.errors import ConfigurationError
@@ -35,7 +35,6 @@ __all__ = [
     "TABLE_BYTES",
     "allreduce_table",
     "allreduce_time_ns",
-    "best_algorithm",
     "crossover_bytes",
     "render",
 ]
@@ -118,18 +117,6 @@ def allreduce_time_ns(
     return CollectiveCost.for_platform(platform, chiplets).time_ns(
         algorithm, n_bytes
     )
-
-
-def best_algorithm(
-    platform: Platform, n_bytes: float, chiplets: Optional[int] = None
-) -> Algorithm:
-    """The cheapest algorithm for this payload size."""
-    cost = CollectiveCost.for_platform(platform, chiplets)
-    times: Dict[Algorithm, float] = {
-        algorithm: cost.time_ns(algorithm, n_bytes)
-        for algorithm in Algorithm
-    }
-    return min(times, key=lambda a: times[a])
 
 
 def crossover_bytes(

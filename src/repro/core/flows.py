@@ -11,7 +11,13 @@ from repro.errors import ConfigurationError
 from repro.platform.topology import Platform
 from repro.transport.message import OpKind
 
-__all__ = ["Scope", "StreamSpec"]
+__all__ = ["Scope", "StreamSpec", "VICTIM_DEMAND_GBPS"]
+
+#: Demand of the paced victim stream in the contention cells (GB/s), every
+#: engine's. Fits comfortably on a healthy GMI port (share 1.0 when
+#: uncontended) but exceeds what a squeezed or derated path delivers, so
+#: the share responds smoothly to pressure.
+VICTIM_DEMAND_GBPS = 24.0
 
 
 class Scope(enum.Enum):

@@ -4,7 +4,9 @@ The paper controls offered load by padding the instruction stream with NOPs
 (§3.4): each core keeps at most its MLP window outstanding and issues no
 faster than the target rate. :class:`ClosedLoopIssuer` models exactly that —
 ``window`` outstanding transactions per worker plus a shared pacing gate —
-and collects per-transaction latency samples.
+and collects per-transaction latency samples. :func:`lower_stream` builds
+one from a :class:`~repro.core.flows.StreamSpec`: every closed-loop DES cell
+decides its worker-to-endpoint stripe there.
 
 Serving workloads are *open-loop*: arrivals do not wait for completions.
 :func:`poisson_arrivals`, :func:`onoff_arrivals`, and
@@ -24,21 +26,23 @@ rejected draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.stats import LatencyStats
+from repro.core.flows import StreamSpec
 from repro.errors import ConfigurationError
 from repro.sim.engine import Environment, Event, Timeout
 from repro.transport.message import OpKind, Transaction
-from repro.transport.path import CompiledPath
+from repro.transport.path import CompiledPath, PathResolver
 from repro.transport.transaction import TransactionExecutor
 from repro.units import CACHELINE
 
 __all__ = [
     "ClosedLoopIssuer",
     "LoadResult",
+    "lower_stream",
     "poisson_arrivals",
     "onoff_arrivals",
     "diurnal_arrivals",
@@ -191,22 +195,21 @@ class LoadResult:
 
 
 class ClosedLoopIssuer:
-    """A group of workers issuing transactions over one or more paths."""
+    """A group of workers; worker ``i`` issues over ``paths[i]``."""
 
     def __init__(
         self,
         env: Environment,
         executor: TransactionExecutor,
-        path_of_worker: Callable[[int], CompiledPath],
+        paths: Sequence[CompiledPath],
         op: OpKind,
-        workers: int,
         window: int,
         count_per_worker: int,
         rate_gbps: Optional[float] = None,
         size_bytes: int = CACHELINE,
         warmup_fraction: float = 0.1,
     ) -> None:
-        if workers < 1 or window < 1 or count_per_worker < 1:
+        if not paths or window < 1 or count_per_worker < 1:
             raise ConfigurationError("workers, window, and count must be >= 1")
         if rate_gbps is not None and rate_gbps <= 0:
             raise ConfigurationError(f"rate must be positive, got {rate_gbps}")
@@ -214,9 +217,8 @@ class ClosedLoopIssuer:
             raise ConfigurationError("warmup fraction must be in [0, 1)")
         self.env = env
         self.executor = executor
-        self.path_of_worker = path_of_worker
+        self.paths = tuple(paths)
         self.op = op
-        self.workers = workers
         self.window = window
         self.count_per_worker = count_per_worker
         self.size_bytes = size_bytes
@@ -235,7 +237,7 @@ class ClosedLoopIssuer:
         self._measure_end_ns = 0.0
 
     def _worker(self, worker_id: int) -> Generator[Event, None, None]:
-        path = self.path_of_worker(worker_id)
+        path = self.paths[worker_id]
         warmup = int(self.count_per_worker * self.warmup_fraction)
         # Each worker runs `window` lanes; a lane is one outstanding slot.
         lanes = [
@@ -290,7 +292,7 @@ class ClosedLoopIssuer:
         stream) in one environment, then ``env.run(env.all_of([...]))``.
         """
         return self.env.all_of(
-            [self.env.process(self._worker(w)) for w in range(self.workers)]
+            [self.env.process(self._worker(w)) for w in range(len(self.paths))]
         )
 
     def result(self) -> LoadResult:
@@ -312,3 +314,51 @@ class ClosedLoopIssuer:
         """Start all workers, run the DES to completion, summarize."""
         self.env.run(self.start())
         return self.result()
+
+
+def lower_stream(
+    env: Environment,
+    executor: TransactionExecutor,
+    resolver: PathResolver,
+    spec: StreamSpec,
+    endpoints: Sequence[int],
+    window: int,
+    count_per_worker: int,
+    size_bytes: int = CACHELINE,
+    use_token_pools: bool = True,
+) -> ClosedLoopIssuer:
+    """Lower one stream to an unstarted DES issuer, one worker per core.
+
+    ``executor`` may be a gate that wraps one. Worker ``i`` runs on
+    ``spec.core_ids[i]`` and targets ``endpoints[i % len(endpoints)]``: UMC
+    ids for a DRAM stream, CXL device ids for a CXL one. Its path carries
+    ``spec.op``, ``spec.remote``, ``size_bytes`` and ``use_token_pools``;
+    the group is paced at ``spec.demand_gbps`` (None: unpaced).
+
+    This stripe is the DES's own. ``FabricModel.flows_for`` makes one
+    fluid flow per CCX and splits it evenly over the endpoints. The two
+    agree where each CCX's cores cover the endpoints evenly (on the EPYC
+    7302 contention cell, one core of each CCX per shared UMC). On the EPYC
+    9634 cell they differ: the DES puts the 7-core victim, and the hog,
+    3/2/2 on ``umc0/4/8``; the fluid model gives each UMC a third.
+    """
+    if not endpoints:
+        raise ConfigurationError(f"stream {spec.name}: no endpoints")
+    paths = []
+    for i, core_id in enumerate(spec.core_ids):
+        endpoint = endpoints[i % len(endpoints)]
+        if spec.target == "cxl":
+            path = resolver.cxl_path(
+                core_id, endpoint, op=spec.op, size_bytes=size_bytes,
+                use_token_pools=use_token_pools,
+            )
+        else:
+            path = resolver.dram_path(
+                core_id, endpoint, op=spec.op, size_bytes=size_bytes,
+                use_token_pools=use_token_pools, remote=spec.remote,
+            )
+        paths.append(path)
+    return ClosedLoopIssuer(
+        env, executor, paths, spec.op, window, count_per_worker,
+        rate_gbps=spec.demand_gbps, size_bytes=size_bytes,
+    )

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.analysis.stats import LatencyStats
 from repro.core.fabric import FabricModel
 from repro.core.flows import Pattern, Scope, StreamSpec
-from repro.core.loadgen import ClosedLoopIssuer, LoadResult
+from repro.core.loadgen import LoadResult, lower_stream
 from repro.errors import ConfigurationError, TopologyError
 from repro.memory.cache import CacheHierarchy, MemoryLevel
 from repro.platform.numa import NpsMode, Position
@@ -104,21 +104,19 @@ class MicroBench:
                 raise TopologyError(
                     f"no UMC at {position.value} relative to ccd{core.ccd_id}"
                 )
-            umc_id = min(
+            endpoint = min(
                 (umc.umc_id for umc in candidates),
                 key=lambda u: self.platform.dram_latency_ns(core.ccd_id, u),
             )
-            path = resolver.dram_path(core_id, umc_id, remote=remote_socket)
         elif target == "cxl":
-            path = resolver.cxl_path(core_id)
+            endpoint = 0
         else:
             raise ConfigurationError(f"unknown target {target!r}")
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            path_of_worker=lambda __: path,
-            op=OpKind.READ,
-            workers=1,
+        spec = StreamSpec(
+            flow, OpKind.READ, (core_id,), target=target, remote=remote_socket
+        )
+        issuer = lower_stream(
+            env, executor, resolver, spec, [endpoint],
             window=1,                  # pointer chasing: one dependent load
             count_per_worker=iterations,
         )
@@ -140,20 +138,12 @@ class MicroBench:
             env, self.platform, seed=self.seed, with_dram_jitter=False
         )
         executor = TransactionExecutor(env)
-        cores = StreamSpec.cores_for_scope(self.platform, scope)
-        near = self.fabric.default_umc_ids(
-            StreamSpec("probe", OpKind.READ, cores)
+        spec = StreamSpec(
+            "probe", OpKind.READ,
+            StreamSpec.cores_for_scope(self.platform, scope),
         )
-        paths = {
-            i: resolver.dram_path(core_id, near[i % len(near)])
-            for i, core_id in enumerate(cores)
-        }
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            path_of_worker=lambda w: paths[w],
-            op=OpKind.READ,
-            workers=len(cores),
+        issuer = lower_stream(
+            env, executor, resolver, spec, self.fabric.default_umc_ids(spec),
             window=self.platform.spec.bandwidth.mlp_read,
             count_per_worker=transactions_per_core,
         )
@@ -169,7 +159,7 @@ class MicroBench:
             for pool in pools:
                 pool.reset_stats()
 
-        path_latency = next(iter(paths.values())).unloaded_ns
+        path_latency = issuer.paths[0].unloaded_ns
         env.process(_reset_after_warmup())
         issuer.run()
         result = {"ccx_max_wait_ns": resolver.ccx_pool(0).max_wait_ns}
@@ -217,7 +207,6 @@ class MicroBench:
         target: str = "dram",
         window_per_core: Optional[int] = None,
         transactions_per_core: int = 600,
-        use_token_pools: bool = True,
         pattern: Pattern = Pattern.SEQUENTIAL,
         fault_schedule: Optional["FaultSchedule"] = None,
         strict: bool = False,
@@ -248,42 +237,22 @@ class MicroBench:
                 window_per_core = bw.effective_random_mlp
             elif pattern is Pattern.POINTER_CHASE:
                 window_per_core = 1
-        if target == "dram":
-            targets = list(umc_ids) if umc_ids else self.fabric.default_umc_ids(
-                StreamSpec("load", op, tuple(core_ids))
-            )
-            paths = {
-                i: resolver.dram_path(
-                    core_id, targets[i % len(targets)], op=op,
-                    use_token_pools=use_token_pools,
-                )
-                for i, core_id in enumerate(core_ids)
-            }
-        elif target == "cxl":
-            devices = sorted(self.platform.cxl_devices)
-            paths = {
-                i: resolver.cxl_path(
-                    core_id, devices[i % len(devices)], op=op,
-                    use_token_pools=use_token_pools,
-                )
-                for i, core_id in enumerate(core_ids)
-            }
+        spec = StreamSpec(
+            "load", op, tuple(core_ids), target=target,
+            demand_gbps=offered_gbps, pattern=pattern,
+        )
+        if target == "cxl":
+            endpoints = sorted(self.platform.cxl_devices)
         else:
-            raise ConfigurationError(f"unknown target {target!r}")
+            endpoints = list(umc_ids or self.fabric.default_umc_ids(spec))
+        issuer = lower_stream(
+            env, executor, resolver, spec, endpoints,
+            window=window_per_core, count_per_worker=transactions_per_core,
+        )
         if fault_schedule is not None:
             from repro.faults.inject import install
 
             install(resolver, fault_schedule)
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            path_of_worker=lambda w: paths[w],
-            op=op,
-            workers=len(core_ids),
-            window=window_per_core,
-            count_per_worker=transactions_per_core,
-            rate_gbps=offered_gbps,
-        )
         result = issuer.run()
         if strict:
             executor.assert_conserved(drained=True)

@@ -7,8 +7,10 @@ per CCD in the canonical contention cell — and runs them on either engine:
 * ``engine="serial"`` — the reference: one
   :class:`~repro.sim.engine.Environment`, real
   :class:`~repro.transport.transaction.TransactionExecutor` generators,
-  emergent FIFO contention. This is the exact cell the ``netstack``
-  experiment runs (minus credit gates).
+  emergent FIFO contention, each flow lowered by
+  :func:`repro.core.loadgen.lower_stream`. It is not the ``netstack``
+  cell: that one paces a single hog CCD with DRAM jitter on, where this
+  one runs an unthrottled hog on every other CCD with jitter off.
 * ``engine="sharded"`` — one :class:`~repro.sim.sharded.ShardEnvironment`
   per shard (CCDs mapped by :func:`repro.core.partition.ccd_shard_map`).
   With ``shards == 1`` the *same serial cell* runs inside the single shard
@@ -42,8 +44,8 @@ import numpy as np
 
 from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec
-from repro.core.loadgen import ClosedLoopIssuer
+from repro.core.flows import VICTIM_DEMAND_GBPS, StreamSpec
+from repro.core.loadgen import ClosedLoopIssuer, lower_stream
 from repro.core.partition import ccd_shard_map
 from repro.errors import ConfigurationError, SimulationError
 from repro.fluid.coupling import stage_channel
@@ -78,11 +80,6 @@ _CHUNK = 64
 #: Warmup fraction, mirroring ClosedLoopIssuer's default.
 _WARMUP_FRACTION = 0.1
 
-#: Demand of the paced victim stream — the same value the contention/
-#: netstack cells use (repro.experiments.contention.VICTIM_DEMAND_GBPS;
-#: not imported so repro.core stays independent of repro.experiments).
-VICTIM_DEMAND_GBPS = 24.0
-
 
 @dataclass(frozen=True)
 class ShardFlowSpec:
@@ -99,6 +96,12 @@ class ShardFlowSpec:
             raise ConfigurationError(f"flow {self.name}: no cores")
         if not self.umc_ids:
             raise ConfigurationError(f"flow {self.name}: no endpoints")
+
+    def stream(self) -> StreamSpec:
+        """This flow as a stream; its endpoints are ``umc_ids``."""
+        return StreamSpec(
+            self.name, self.op, self.core_ids, demand_gbps=self.demand_gbps
+        )
 
 
 @dataclass(frozen=True)
@@ -224,21 +227,9 @@ def _run_serial_cell(
     finished = []
     for spec in flows:
         executor = TransactionExecutor(env, flow=spec.name)
-        paths = {
-            index: resolver.dram_path(
-                core_id, spec.umc_ids[index % len(spec.umc_ids)], spec.op
-            )
-            for index, core_id in enumerate(spec.core_ids)
-        }
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            lambda worker, paths=paths: paths[worker],
-            spec.op,
-            workers=len(spec.core_ids),
-            window=window,
-            count_per_worker=transactions_per_core,
-            rate_gbps=spec.demand_gbps,
+        issuer = lower_stream(
+            env, executor, resolver, spec.stream(), spec.umc_ids,
+            window=window, count_per_worker=transactions_per_core,
         )
         issuers[spec.name] = issuer
         finished.append(issuer.start())
@@ -276,9 +267,7 @@ def _offered_loads(
     fluid_flows = []
     owners: List[str] = []
     for flow in flows:
-        spec = StreamSpec(
-            flow.name, flow.op, flow.core_ids, demand_gbps=flow.demand_gbps
-        )
+        spec = flow.stream()
         for fluid_flow in fabric.flows_for(spec, umc_ids=list(flow.umc_ids)):
             fluid_flows.append(fluid_flow)
             owners.append(flow.name)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
-from repro.core.loadgen import ClosedLoopIssuer
-from repro.core.microbench import MicroBench
+from repro.core.loadgen import lower_stream
 from repro.core.partition import contend
 from repro.experiments.fig4 import CASES, link_capacity_gbps
 from repro.fluid.solver import Policy
@@ -128,30 +128,21 @@ def token_pool_ablation(
     "queueless structure … tokens and backpressure" of §3.2 is for. Returns,
     per variant, the mean latency and the deepest I/O-die-side (GMI) backlog.
     """
-    core_ids = [c.core_id for c in platform.cores_of_ccd(0)]
-    bench = MicroBench(platform, seed=seed)
-    near = bench.fabric.default_umc_ids(
-        StreamSpec("probe", OpKind.READ, tuple(core_ids))
+    spec = StreamSpec(
+        "probe", OpKind.READ,
+        tuple(c.core_id for c in platform.cores_of_ccd(0)),
     )
+    near = FabricModel(platform).default_umc_ids(spec)
     out: Dict[str, Dict[str, float]] = {}
     for label, use_pools in (("with_tokens", True), ("without_tokens", False)):
         env = Environment()
         resolver = PathResolver(env, platform, seed=seed)
         executor = TransactionExecutor(env)
-        paths = {
-            i: resolver.dram_path(
-                core, near[i % len(near)], use_token_pools=use_pools
-            )
-            for i, core in enumerate(core_ids)
-        }
-        issuer = ClosedLoopIssuer(
-            env,
-            executor,
-            path_of_worker=lambda w: paths[w],
-            op=OpKind.READ,
-            workers=len(core_ids),
+        issuer = lower_stream(
+            env, executor, resolver, spec, near,
             window=platform.spec.bandwidth.mlp_read,
             count_per_worker=transactions_per_core,
+            use_token_pools=use_pools,
         )
         result = issuer.run()
         gmi = resolver.gmi_arbiter(0)

@@ -18,7 +18,7 @@ interaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.accel.switch import IntraHostSwitch
 from repro.analysis.report import render_table
 from repro.core.fabric import FabricModel
 from repro.core.flows import StreamSpec
-from repro.core.loadgen import ClosedLoopIssuer
+from repro.core.loadgen import lower_stream
 from repro.errors import ConfigurationError
 from repro.runner import Cell
 from repro.sim.engine import Environment
@@ -111,28 +111,18 @@ def run(
         )
         rate = plan.rate_for("background")
 
-    devices = sorted(platform.cxl_devices)
-    background_paths = {
-        i: resolver.cxl_path(
-            core_id, devices[i % len(devices)],
-            op=OpKind.NT_WRITE,
-            size_bytes=_BACKGROUND_TXN_BYTES,
-        )
-        for i, core_id in enumerate(background_cores)
-    }
     # Each worker keeps several 256 B bursts in flight; deep per-core write
     # coalescing (cf. the Figure 3e calibration) makes the hub-port queue
     # long when unthrottled.
-    background = ClosedLoopIssuer(
+    background = lower_stream(
         env,
         TransactionExecutor(env),
-        path_of_worker=lambda w: background_paths[w],
-        op=OpKind.NT_WRITE,
-        workers=len(background_cores),
+        resolver,
+        replace(background_spec, demand_gbps=rate),
+        sorted(platform.cxl_devices),
         window=max(4, platform.spec.bandwidth.cxl_wcb_write),
         # Enough transactions to outlast the job sequence.
         count_per_worker=200_000,
-        rate_gbps=rate,
         size_bytes=_BACKGROUND_TXN_BYTES,
     )
     background.start()

@@ -35,7 +35,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from repro.analysis.report import render_table
 from repro.core.fabric import FabricModel
 from repro.core.flows import Scope, StreamSpec
-from repro.core.loadgen import ClosedLoopIssuer
+from repro.core.loadgen import lower_stream
 from repro.core.microbench import MicroBench
 from repro.errors import ConfigurationError
 from repro.experiments.contention import (
@@ -69,10 +69,6 @@ __all__ = [
 
 #: Default severity sweep: healthy first, then deepening degradation.
 SEVERITIES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-#: Demand of the paced victim stream in the partitioning probe (GB/s);
-#: shared with the other contention-cell experiments.
-_VICTIM_DEMAND_GBPS = VICTIM_DEMAND_GBPS
 
 #: Snapshot time (ns) for the fluid probes: mid-derate, post-UMC-failure,
 #: outside the stall window at every severity (severity only shortens the
@@ -135,7 +131,7 @@ def run_point(
     victim, hog = contention_streams(platform)
     victim_cores = victim.core_ids
     granted = fabric.achieved_gbps([victim, hog])["victim"]
-    victim_share = granted / _VICTIM_DEMAND_GBPS
+    victim_share = granted / VICTIM_DEMAND_GBPS
 
     # DES backend: the faulted chiplet streaming through its GMI port while
     # the schedule plays out mid-run. Strict mode guards the injected run.
@@ -294,25 +290,36 @@ def _window_gbps(marks: Dict[float, int], window: Tuple[float, float]) -> float:
     return (marks[end] - marks[start]) / (end - start)
 
 
+def _worker_streams(
+    cores: Sequence[int], rate_each: float
+) -> List[StreamSpec]:
+    """The recovery cell: one paced single-core stream per victim worker.
+
+    Both backends lower this list, each worker onto its home endpoint.
+    """
+    return [
+        StreamSpec(
+            f"w{index}", OpKind.READ, (core_id,), demand_gbps=rate_each
+        )
+        for index, core_id in enumerate(cores)
+    ]
+
+
 def _fluid_worker_tput(
     platform: Platform,
     homes: Dict[int, str],
-    cores: Sequence[int],
-    rate_each: float,
+    streams: Sequence[StreamSpec],
     derates: Optional[Dict[str, float]] = None,
 ) -> float:
     """Aggregate victim throughput with each worker homed per ``homes``.
 
-    One paced single-core stream per worker, striped onto its (possibly
-    rerouted) endpoint, all solved together on the (possibly degraded)
-    fabric — the fluid counterpart of the DES recovery cell.
+    The worker streams, each on its (possibly rerouted) endpoint, all
+    solved together on the (possibly degraded) fabric — the fluid
+    counterpart of the DES recovery cell.
     """
     fabric = FabricModel(platform, derates=derates or None)
     flows = []
-    for index, core_id in enumerate(cores):
-        spec = StreamSpec(
-            f"w{index}", OpKind.READ, (core_id,), demand_gbps=rate_each
-        )
+    for index, spec in enumerate(streams):
         umc_id = int(homes[index][len("umc"):])
         flows.extend(fabric.flows_for(spec, umc_ids=[umc_id]))
     allocation = solve(flows, Policy.DEMAND_PROPORTIONAL)
@@ -333,10 +340,11 @@ def _fluid_recovery(
     schedule = recovery_schedule(seed=seed)
     config = RecoveryConfig.on()
     cores, shared, rate_each = _victim_cell(platform)
+    streams = _worker_streams(cores, rate_each)
     homes = _initial_homes(cores, shared)
     endpoints = [f"umc{u}" for u in shared]
 
-    pre = _fluid_worker_tput(platform, homes, cores, rate_each)
+    pre = _fluid_worker_tput(platform, homes, streams)
     post_derates = dict(schedule.derates_at(_REC_FLUID_POST_T_NS))
     detect = math.nan
     failovers = 0
@@ -368,9 +376,7 @@ def _fluid_recovery(
             post_derates[channel] = min(
                 post_derates.get(channel, 1.0), factor
             )
-    post = _fluid_worker_tput(
-        platform, homes, cores, rate_each, derates=post_derates
-    )
+    post = _fluid_worker_tput(platform, homes, streams, derates=post_derates)
     return RecoveryPoint(
         backend="fluid",
         recover=recover,
@@ -430,22 +436,14 @@ def _des_recovery(
 
     window = platform.spec.bandwidth.mlp_read
     finished = []
-    for index, core_id in enumerate(cores):
+    for index, spec in enumerate(_worker_streams(cores, rate_each)):
         if recover:
             gate = installation.gate(executor, "victim", worker=index)
         else:
             gate = installation.gate(executor, "victim")
-        umc_id = int(homes[index][len("umc"):])
-        path = resolver.dram_path(core_id, umc_id)
-        issuer = ClosedLoopIssuer(
-            env,
-            gate,
-            lambda worker, path=path: path,
-            OpKind.READ,
-            workers=1,
-            window=window,
-            count_per_worker=transactions_per_core,
-            rate_gbps=rate_each,
+        issuer = lower_stream(
+            env, gate, resolver, spec, [int(homes[index][len("umc"):])],
+            window=window, count_per_worker=transactions_per_core,
         )
         finished.append(issuer.start())
     # Throughput marks: bytes completed by each window boundary, whichever

@@ -13,17 +13,12 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec
+from repro.core.flows import VICTIM_DEMAND_GBPS, StreamSpec
 from repro.platform.numa import NpsMode
 from repro.platform.topology import Platform
 from repro.transport.message import OpKind
 
 __all__ = ["VICTIM_DEMAND_GBPS", "contention_streams", "shared_umc_ids"]
-
-#: Demand of the paced victim stream (GB/s). Fits comfortably on a healthy
-#: GMI port (share 1.0 when uncontended) but exceeds what a squeezed or
-#: derated path delivers, so the share responds smoothly to pressure.
-VICTIM_DEMAND_GBPS = 24.0
 
 
 def contention_streams(

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.report import render_table
 from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
-from repro.core.loadgen import ClosedLoopIssuer
+from repro.core.loadgen import ClosedLoopIssuer, lower_stream
 from repro.errors import ConfigurationError
 from repro.experiments.contention import (
     VICTIM_DEMAND_GBPS,
@@ -148,21 +148,9 @@ def _run_des(
     for spec in (victim, hog):
         executor = TransactionExecutor(env, flow=spec.name)
         gate = installation.gate(executor, spec.name)
-        # Stripe the stream's workers over the shared endpoints, exactly
-        # like the BIOS interleave the fluid flows model.
-        paths = {
-            index: resolver.dram_path(core_id, shared[index % len(shared)])
-            for index, core_id in enumerate(spec.core_ids)
-        }
-        issuer = ClosedLoopIssuer(
-            env,
-            gate,
-            lambda worker, paths=paths: paths[worker],
-            spec.op,
-            workers=len(spec.core_ids),
-            window=window,
-            count_per_worker=transactions_per_core,
-            rate_gbps=spec.demand_gbps,
+        issuer = lower_stream(
+            env, gate, resolver, spec, shared,
+            window=window, count_per_worker=transactions_per_core,
         )
         issuers[spec.name] = issuer
         finished.append(issuer.start())

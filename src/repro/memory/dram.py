@@ -89,29 +89,3 @@ class DramTimingModel:
         elif draw < self.refresh_prob + self.bank_conflict_prob:
             extra += rng.uniform(self.bank_conflict_min_ns, self.bank_conflict_max_ns)
         return extra
-
-    def sample_batch_ns(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Vectorized :meth:`sample_extra_ns` for ``count`` accesses."""
-        draws = rng.random(count)
-        extras = np.zeros(count)
-        refresh_mask = draws < self.refresh_prob
-        conflict_mask = (~refresh_mask) & (
-            draws < self.refresh_prob + self.bank_conflict_prob
-        )
-        extras[refresh_mask] = rng.uniform(
-            self.refresh_min_ns, self.refresh_max_ns, refresh_mask.sum()
-        )
-        extras[conflict_mask] = rng.uniform(
-            self.bank_conflict_min_ns, self.bank_conflict_max_ns, conflict_mask.sum()
-        )
-        return extras
-
-    @property
-    def mean_extra_ns(self) -> float:
-        """Expected additive stall per access (analytic)."""
-        refresh_mean = (self.refresh_min_ns + self.refresh_max_ns) / 2.0
-        conflict_mean = (self.bank_conflict_min_ns + self.bank_conflict_max_ns) / 2.0
-        return (
-            self.refresh_prob * refresh_mean
-            + self.bank_conflict_prob * conflict_mean
-        )

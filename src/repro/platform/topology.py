@@ -624,18 +624,6 @@ class Platform:
             + float(self.spec.latency.xgmi_ns or 0.0)
         )
 
-    def remote_dram_latency_at(self, ccd_id: int, position: Position) -> float:
-        """Remote-socket latency to the nearest UMC of a position class."""
-        candidates = self.umcs_at(ccd_id, position)
-        if not candidates:
-            raise TopologyError(
-                f"no UMC at position {position.value} relative to ccd{ccd_id}"
-            )
-        return min(
-            self.remote_dram_latency_ns(ccd_id, umc.umc_id)
-            for umc in candidates
-        )
-
     def _hub_offset(self, ccd_id: int) -> Tuple[int, int]:
         ccd = self.ccds[ccd_id]
         hub = self.io_hubs[0]

@@ -288,38 +288,6 @@ class PathResolver:
             self._pcie_arbiters[dev_id] = LinkArbiter(self.env, spec)
         return self._pcie_arbiters[dev_id]
 
-    def mmio_read_path(
-        self,
-        core_id: int,
-        dev_id: int = 0,
-        size_bytes: int = CACHELINE,
-        use_token_pools: bool = True,
-    ) -> CompiledPath:
-        """Compile a non-posted MMIO read to a PCIe endpoint."""
-        key = ("mmio", core_id, dev_id, size_bytes, use_token_pools)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        core = self.platform.core(core_id)
-        unloaded = self.platform.mmio_read_latency_ns(core.ccd_id, dev_id)
-        dev = self.platform.pcie_devices[dev_id]
-        stages = [
-            QueuedStage(f"if/ccd{core.ccd_id}", self.if_arbiter(core.ccd_id)),
-            QueuedStage("noc", self.noc_arbiter()),
-            QueuedStage(f"hubport/ccd{core.ccd_id}", self.hub_arbiter(core.ccd_id)),
-            QueuedStage(f"plink/rc{dev.rc_id}", self.plink_arbiter(dev.rc_id)),
-            QueuedStage(f"pciedev{dev_id}", self.pcie_arbiter(dev_id)),
-        ]
-        tokens: List[TokenPool] = []
-        if use_token_pools:
-            tokens.append(self.ccx_pool(core.ccx_id))
-        path = self._finalize(
-            f"core{core_id}->mmio{dev_id}", unloaded, stages, tokens,
-            OpKind.READ, size_bytes,
-        )
-        self._path_cache[key] = path
-        return path
-
     def doorbell_path(
         self,
         core_id: int,

@@ -1,10 +1,9 @@
-"""Units and conversion helpers used throughout the library.
+"""Units and size constants used throughout the library.
 
 Conventions
 -----------
 * **Time** is measured in nanoseconds (``float``). One simulated second is
-  ``1e9`` ns. Helpers :func:`us`, :func:`ms`, and :func:`seconds` convert the
-  more readable units into nanoseconds.
+  ``1e9`` ns.
 * **Bandwidth** is measured in GB/s (decimal gigabytes, as in the paper's
   tables). A convenient identity falls out of these choices::
 
@@ -32,46 +31,3 @@ GIB = 1024 * MIB
 #: Decimal gigabyte, used for bandwidth figures (GB/s) as in the paper.
 GB = 10**9
 
-
-def us(value: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return value * 1e3
-
-
-def ms(value: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return value * 1e6
-
-
-def seconds(value: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return value * 1e9
-
-
-def to_seconds(nanoseconds: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return nanoseconds * 1e-9
-
-
-def gbps_to_bytes_per_ns(gbps: float) -> float:
-    """Convert GB/s to bytes/ns (numerically the identity; kept for clarity)."""
-    return gbps
-
-
-def bytes_per_ns_to_gbps(rate: float) -> float:
-    """Convert bytes/ns to GB/s (numerically the identity; kept for clarity)."""
-    return rate
-
-
-def service_time_ns(size_bytes: float, gbps: float) -> float:
-    """Time to serialize ``size_bytes`` over a link running at ``gbps`` GB/s."""
-    if gbps <= 0:
-        raise ValueError(f"bandwidth must be positive, got {gbps}")
-    return size_bytes / gbps
-
-
-def achieved_gbps(total_bytes: float, elapsed_ns: float) -> float:
-    """Average bandwidth in GB/s for ``total_bytes`` moved in ``elapsed_ns``."""
-    if elapsed_ns <= 0:
-        raise ValueError(f"elapsed time must be positive, got {elapsed_ns}")
-    return total_bytes / elapsed_ns

@@ -182,16 +182,6 @@ class TestIntraHostSwitch:
         with pytest.raises(ConfigurationError):
             plan.rate_for("ghost")
 
-    def test_observed_matrix(self, p9634):
-        switch = IntraHostSwitch(FabricModel(p9634))
-        cores = tuple(c.core_id for c in p9634.cores_of_ccd(2))
-        switch.register_background(
-            StreamSpec("bg", OpKind.READ, cores, target="cxl")
-        )
-        matrix = switch.observed_matrix({"bg": 12.0})
-        assert matrix.rate("ccd2", "cxl") == pytest.approx(12.0)
-        assert matrix.total_gbps() == pytest.approx(12.0)
-
 
 class TestDispatchExperiment:
     def test_manager_protects_signal_plane(self, p9634):

@@ -197,7 +197,7 @@ class TestChaos:
         from repro.core.fabric import FabricModel
         from repro.core.flows import Scope, StreamSpec
         from repro.core.microbench import MicroBench
-        from repro.experiments.chaos import _VICTIM_DEMAND_GBPS
+        from repro.core.flows import VICTIM_DEMAND_GBPS
         from repro.platform.presets import epyc_7302
         from repro.transport.message import OpKind
 
@@ -215,7 +215,7 @@ class TestChaos:
         victim_cores = tuple(c.core_id for c in platform.cores_of_ccd(0))
         victim = StreamSpec(
             "victim", OpKind.READ, victim_cores,
-            demand_gbps=_VICTIM_DEMAND_GBPS,
+            demand_gbps=VICTIM_DEMAND_GBPS,
         )
         hog_cores = tuple(c.core_id for c in platform.cores_of_ccd(1))
         hog = StreamSpec("hog", OpKind.READ, hog_cores)
@@ -227,7 +227,7 @@ class TestChaos:
             "0.00",
             f"{fabric.achieved_gbps([scan])['scan']:.1f}",
             fabric.binding_channel([scan]) or "-",
-            f"{fabric.achieved_gbps([victim, hog])['victim'] / _VICTIM_DEMAND_GBPS:.3f}",
+            f"{fabric.achieved_gbps([victim, hog])['victim'] / VICTIM_DEMAND_GBPS:.3f}",
             f"{result.stats.mean:.1f}",
             f"{result.stats.p999:.1f}",
         ]

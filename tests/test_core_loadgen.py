@@ -18,19 +18,15 @@ from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 
 
-def build_issuer(platform, **kwargs):
+def build_issuer(platform, workers=1, **kwargs):
     env = Environment()
     resolver = PathResolver(env, platform, with_dram_jitter=False)
     executor = TransactionExecutor(env)
     near = platform.umcs_at(0, Position.NEAR)[0].umc_id
     path = resolver.dram_path(0, near)
-    defaults = dict(
-        op=OpKind.READ, workers=1, window=4, count_per_worker=100,
-    )
+    defaults = dict(op=OpKind.READ, window=4, count_per_worker=100)
     defaults.update(kwargs)
-    return ClosedLoopIssuer(
-        env, executor, path_of_worker=lambda __: path, **defaults
-    )
+    return ClosedLoopIssuer(env, executor, (path,) * workers, **defaults)
 
 
 class TestValidation:

@@ -78,8 +78,8 @@ class TestConservation:
         from repro.core.loadgen import ClosedLoopIssuer
 
         issuer = ClosedLoopIssuer(
-            env, executor, path_of_worker=lambda __: path,
-            op=OpKind.READ, workers=2, window=4, count_per_worker=50,
+            env, executor, (path, path),
+            op=OpKind.READ, window=4, count_per_worker=50,
         )
         issuer.run()
         return executor

@@ -59,22 +59,11 @@ class TestSampling:
         refreshes = samples[samples >= model.refresh_min_ns]
         assert 0 < len(refreshes) / len(samples) < 0.01
 
-    def test_batch_matches_distribution(self, model):
-        rng = make_rng(4)
-        batch = model.sample_batch_ns(rng, 50000)
-        assert batch.shape == (50000,)
-        assert batch.min() >= 0.0
-        refresh_rate = (batch >= model.refresh_min_ns).mean()
-        assert refresh_rate == pytest.approx(model.refresh_prob, rel=0.4)
-
-    def test_mean_extra_analytic(self, model):
-        rng = make_rng(5)
-        batch = model.sample_batch_ns(rng, 200000)
-        assert batch.mean() == pytest.approx(model.mean_extra_ns, rel=0.15)
-
     def test_mean_extra_is_small(self, model):
         # The jitter must not perturb Table 2's mean latencies.
-        assert model.mean_extra_ns < 2.0
+        rng = make_rng(5)
+        samples = [model.sample_extra_ns(rng) for __ in range(20000)]
+        assert np.mean(samples) < 2.0
 
 
 class TestCalibration:

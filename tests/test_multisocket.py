@@ -12,6 +12,14 @@ from repro.transport.message import OpKind
 from repro.units import MIB
 
 
+def _nearest_umc(platform):
+    """CCD 0's nearest UMC."""
+    return min(
+        (umc.umc_id for umc in platform.umcs_at(0, Position.NEAR)),
+        key=lambda umc_id: platform.dram_latency_ns(0, umc_id),
+    )
+
+
 class TestPlatformRemote:
     def test_7302_has_remote_socket(self, p7302):
         assert p7302.has_remote_socket
@@ -22,15 +30,15 @@ class TestPlatformRemote:
             p9634.remote_dram_latency_ns(0, 0)
 
     def test_remote_latency_adds_xgmi(self, p7302):
-        local = p7302.dram_latency_at(0, Position.NEAR)
-        remote = p7302.remote_dram_latency_at(0, Position.NEAR)
+        umc_id = _nearest_umc(p7302)
+        local = p7302.dram_latency_ns(0, umc_id)
+        remote = p7302.remote_dram_latency_ns(0, umc_id)
         assert remote == pytest.approx(local + 105.0)
 
     def test_remote_near_is_229ns(self, p7302):
         # The textbook 2S Rome remote-NUMA figure.
-        assert p7302.remote_dram_latency_at(0, Position.NEAR) == pytest.approx(
-            229.0, abs=1.0
-        )
+        remote = p7302.remote_dram_latency_ns(0, _nearest_umc(p7302))
+        assert remote == pytest.approx(229.0, abs=1.0)
 
     def test_xgmi_link_registered(self, p7302, p9634):
         assert p7302.link("xgmi").read_gbps == pytest.approx(70.0)
@@ -38,7 +46,7 @@ class TestPlatformRemote:
             p9634.link("xgmi")
 
     def test_remote_slower_than_any_local_position(self, p7302):
-        remote_near = p7302.remote_dram_latency_at(0, Position.NEAR)
+        remote_near = p7302.remote_dram_latency_ns(0, _nearest_umc(p7302))
         worst_local = max(
             p7302.dram_latency_at(0, pos) for pos in Position
         )

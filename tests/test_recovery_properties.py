@@ -99,9 +99,8 @@ def test_credits_conserved_and_no_txn_dropped(platform, schedule, seed):
         issuer = ClosedLoopIssuer(
             env,
             gate,
-            lambda worker, path=path: path,
+            (path,),
             OpKind.READ,
-            workers=1,
             window=8,
             count_per_worker=count_per_worker,
             rate_gbps=6.0,

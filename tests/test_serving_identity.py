@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.stats import LatencyStats, _percentiles_of_sorted
 from repro.apps import ArrivalSpec, HybridKvServer, KvWorkload, TenantSpec
-from repro.apps.kvstore import ServiceReport
+from repro.apps.kvstore import ServiceReport, near_umcs
 from repro.apps.kvserve import TenantReport
 from repro.core.loadgen import (
     diurnal_arrivals,
@@ -250,7 +250,7 @@ def _reference_serve_tenants(
         background_utilizations(
             self.fabric,
             specs,
-            umc_ids=self._near_umcs(tenants[0].server_ccd),
+            umc_ids=near_umcs(self.platform, tenants[0].server_ccd),
         )
         if specs
         else {}

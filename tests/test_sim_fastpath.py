@@ -226,8 +226,7 @@ def run_cell(cell: CellSpec, strict: bool):
             gate = installation.gate(executor, f"i{index}")
         worker_base += len(spec.cores)
         issuer = ClosedLoopIssuer(
-            env, gate, lambda worker, row=row: row[worker], spec.op,
-            workers=len(spec.cores), window=spec.window,
+            env, gate, row, spec.op, window=spec.window,
             count_per_worker=spec.count, rate_gbps=spec.rate_gbps,
         )
         executors.append(executor)
@@ -555,8 +554,8 @@ class TestRuleEdges:
                 "p", 0.0, [QueuedStage("link", link)], [], 10.0
             )
             issuer = ClosedLoopIssuer(
-                env, TransactionExecutor(env), lambda worker: path,
-                OpKind.READ, workers=1, window=1, count_per_worker=2,
+                env, TransactionExecutor(env), (path,),
+                OpKind.READ, window=1, count_per_worker=2,
                 warmup_fraction=0.0,
             )
             done = issuer.start()

@@ -269,7 +269,7 @@ Pick = Callable[[Sequence], object]
 class IssuerSpec:
     """One issuer: ``lanes`` closed loops of ``count`` transactions each."""
 
-    kind: str  # dram | cxl | dma | mmio
+    kind: str  # dram | cxl | dma
     core: int
     target: int
     op: OpKind
@@ -300,7 +300,7 @@ def build_cell(pick: Pick) -> CellSpec:
     platform = _PLATFORMS[name]
     # Cores of the first two CCDs: issuers share IF/GMI ports and the NoC.
     cores = [c for c in sorted(platform.cores) if platform.core(c).ccd_id < 2]
-    kinds = ["dram", "dma", "mmio"] + (["cxl"] if platform.cxl_devices else [])
+    kinds = ["dram", "dma"] + (["cxl"] if platform.cxl_devices else [])
     pools = tuple(pick([1, 2, 4]) for __ in range(pick(range(3))))
     issuers = []
     for __ in range(pick(range(1, 5))):
@@ -308,9 +308,8 @@ def build_cell(pick: Pick) -> CellSpec:
         issuers.append(IssuerSpec(
             kind=kind,
             core=pick(cores),
-            target=pick([0, 1]) if kind != "mmio" else 0,
-            op=pick([OpKind.READ, OpKind.NT_WRITE]) if kind != "mmio"
-            else OpKind.READ,
+            target=pick([0, 1]),
+            op=pick([OpKind.READ, OpKind.NT_WRITE]),
             size=pick(range(8, 4097)),
             lanes=pick(range(1, 4)),
             count=pick(range(1, 7)),
@@ -345,13 +344,7 @@ def _compile(resolver, spec: IssuerSpec):
             spec.core, spec.target, op=spec.op, size_bytes=spec.size,
             use_token_pools=False,
         )
-    if spec.kind == "dma":
-        return resolver.dma_path(
-            0, spec.target, op=spec.op, size_bytes=spec.size
-        )
-    return resolver.mmio_read_path(
-        spec.core, size_bytes=spec.size, use_token_pools=False
-    )
+    return resolver.dma_path(0, spec.target, op=spec.op, size_bytes=spec.size)
 
 
 def _channel(stage, is_write: bool) -> str:
@@ -475,7 +468,7 @@ class TestFlatLoopMatchesNestedChain:
             cell = build_cell(rng.choice)
             kinds.update(spec.kind for spec in cell.issuers)
             check_cell(cell)
-        assert kinds == {"dram", "cxl", "dma", "mmio"}
+        assert kinds == {"dram", "cxl", "dma"}
 
     def test_devices_own_their_framing_and_jitter(self, p9634):
         env = Environment()

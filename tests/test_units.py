@@ -1,7 +1,5 @@
 """Tests for repro.units."""
 
-import pytest
-
 from repro import units
 
 
@@ -21,47 +19,3 @@ class TestConstants:
     def test_decimal_gb(self):
         assert units.GB == 10 ** 9
 
-
-class TestTimeConversions:
-    def test_us(self):
-        assert units.us(1.5) == 1500.0
-
-    def test_ms(self):
-        assert units.ms(2.0) == 2_000_000.0
-
-    def test_seconds(self):
-        assert units.seconds(1.0) == 1e9
-
-    def test_to_seconds_roundtrip(self):
-        assert units.to_seconds(units.seconds(3.25)) == pytest.approx(3.25)
-
-
-class TestBandwidth:
-    def test_gbps_is_bytes_per_ns(self):
-        # 1 GB/s == 1 byte/ns by the library's unit convention.
-        assert units.gbps_to_bytes_per_ns(25.0) == 25.0
-        assert units.bytes_per_ns_to_gbps(25.0) == 25.0
-
-    def test_service_time_cacheline(self):
-        # 64 B at 32 GB/s takes 2 ns.
-        assert units.service_time_ns(64, 32.0) == pytest.approx(2.0)
-
-    def test_service_time_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.service_time_ns(64, 0.0)
-
-    def test_service_time_rejects_negative_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.service_time_ns(64, -1.0)
-
-    def test_achieved_gbps(self):
-        # 6400 bytes over 100 ns = 64 GB/s.
-        assert units.achieved_gbps(6400, 100.0) == pytest.approx(64.0)
-
-    def test_achieved_gbps_rejects_zero_elapsed(self):
-        with pytest.raises(ValueError):
-            units.achieved_gbps(100, 0.0)
-
-    def test_service_and_achieved_are_inverse(self):
-        elapsed = units.service_time_ns(4096, 21.1)
-        assert units.achieved_gbps(4096, elapsed) == pytest.approx(21.1)
