@@ -102,9 +102,11 @@ explore-smoke:
 	@echo "explore-smoke: OK"
 
 # Which src functions nothing but the tests enters: runs the CLI golden
-# argv, every example and script, each e2e workload (--quick) and
-# `repro all --quality full` under a call profiler in every process, then
-# lists the unentered functions with line counts and marks those only
-# tests name. Takes minutes, so it is not part of `verify`.
+# argv, every example and script, each e2e workload (--quick),
+# `repro all --quality full` and the submit/serve/jobs/cache/--csv/--out
+# doors under a call profiler in every process, then lists the unentered
+# functions with line counts and marks those only tests name (or that
+# scripts/reach_keep.txt keeps). Takes minutes, so it is not part of
+# `verify`.
 reach:
 	timeout 1800 env PYTHONPATH=src $(PYTHON) scripts/reach.py

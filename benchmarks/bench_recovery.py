@@ -3,13 +3,15 @@
 The contract of ``repro.net.recovery`` is that a disabled configuration
 is free: ``install(..., RecoveryConfig.off())`` *is* the plain stack
 install, so a recovery-disabled run must pay nothing beyond one branch.
-This bench times the DES recovery cell (the netstack-style credit-gated
-victim under a permanent link failure) through the recovery install with
-the disabled config, against a hand-built twin of the same simulation
-installed through ``repro.net.inject`` directly — and gates the overhead
-at < 5 % (with a small absolute jitter floor, like ``check_bench.py``).
-A second bench keeps a hang-catching ceiling on the recovery-enabled
-cell.
+This bench times the artifact's own DES recovery cell (the netstack-style
+credit-gated victim under a permanent link failure,
+``chaos.run_recovery_point(..., "des", False)``) through the recovery
+install with the disabled config, against the same cell with that
+install swapped for ``repro.net.inject``'s — and gates the overhead at
+< 5 % (with a small absolute jitter floor, like ``check_bench.py``). The
+two arms are timed alternately, so neither pays for running first in a
+colder process. A second bench keeps a hang-catching ceiling on the
+recovery-enabled cell.
 
 Run with::
 
@@ -17,16 +19,10 @@ Run with::
 """
 
 import time
+from unittest import mock
 
-from repro.core.loadgen import ClosedLoopIssuer
 from repro.experiments import chaos
-from repro.faults.inject import install as install_faults
 from repro.net.inject import install as install_plain
-from repro.net.stack import NetStackConfig
-from repro.sim.engine import Environment
-from repro.transport.message import OpKind
-from repro.transport.path import PathResolver
-from repro.transport.transaction import TransactionExecutor
 
 #: Generous hang-catching ceiling (seconds) on the recovery-on cell.
 RECOVERY_CEILING_S = 30.0
@@ -45,40 +41,21 @@ def _disabled_cell(p7302):
     )
 
 
-def _plain_twin(platform):
-    """The recovery-off DES cell, installed through ``repro.net.inject``.
+def _plain_install(resolver, config, recovery, flows=(), endpoints=(),
+                   seed=0):
+    """``repro.net.recovery.install``'s call, answered by the plain stack
+    install: what the cell cost before the recovery layer existed."""
+    assert not recovery.enabled
+    return install_plain(resolver, config, flows=flows, endpoints=endpoints)
 
-    Mirrors ``chaos._des_recovery(recover=False)`` line for line except
-    for the install entry point — what the simulation cost before the
-    recovery layer existed.
-    """
-    schedule = chaos.recovery_schedule(seed=0)
-    cores, shared, rate_each = chaos._victim_cell(platform)
-    homes = chaos._initial_homes(cores, shared)
-    endpoints = [f"umc{u}" for u in shared]
-    env = Environment()
-    resolver = PathResolver(env, platform, seed=0)
-    install_faults(resolver, schedule)
-    installation = install_plain(
-        resolver, NetStackConfig.with_credits(),
-        flows=["victim"], endpoints=endpoints,
-    )
-    executor = TransactionExecutor(env, flow="victim")
-    window = platform.spec.bandwidth.mlp_read
-    finished = []
-    for index, core_id in enumerate(cores):
-        gate = installation.gate(executor, "victim")
-        umc_id = int(homes[index][len("umc"):])
-        path = resolver.dram_path(core_id, umc_id)
-        issuer = ClosedLoopIssuer(
-            env, gate, (path,), OpKind.READ,
-            window=window, count_per_worker=_TRANSACTIONS,
-            rate_gbps=rate_each,
-        )
-        finished.append(issuer.start())
-    env.run(env.all_of(finished))
-    env.run()
-    installation.assert_credits_home()
+
+def _plain_twin(platform):
+    """The recovery-off DES cell, installed through ``repro.net.inject``."""
+    with mock.patch.object(
+        chaos, "install_recovery", side_effect=_plain_install
+    ) as install:
+        _disabled_cell(platform)
+    install.assert_called_once()
 
 
 def _timed(fn, *args):
@@ -90,13 +67,14 @@ def _timed(fn, *args):
 def bench_recovery_disabled_overhead(benchmark, p7302, record_timing):
     """Recovery-disabled DES cell vs the same cell on the plain stack."""
     point = benchmark.pedantic(
-        _disabled_cell, args=(p7302,), rounds=3, iterations=1,
+        _disabled_cell, args=(p7302,), rounds=1, iterations=1,
     )
-    if benchmark.stats is not None:
-        disabled = benchmark.stats.stats.min
-    else:  # --benchmark-disable smoke pass: time it directly
-        disabled = min(_timed(_disabled_cell, p7302) for __ in range(3))
-    baseline = min(_timed(_plain_twin, p7302) for __ in range(3))
+    timings = [
+        (_timed(_disabled_cell, p7302), _timed(_plain_twin, p7302))
+        for __ in range(3)
+    ]
+    disabled = min(pair[0] for pair in timings)
+    baseline = min(pair[1] for pair in timings)
     overhead = disabled - baseline
     record_timing(
         "bench_recovery_disabled_overhead",

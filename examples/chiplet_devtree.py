@@ -9,7 +9,10 @@ proposes for ``/proc/chiplet-net``.
 Run:  python examples/chiplet_devtree.py
 """
 
+from dataclasses import replace
+
 from repro import OpKind, StreamSpec, epyc_9634
+from repro.core.fabric import FabricModel
 from repro.core.loadgen import lower_stream
 from repro.platform.numa import Position
 from repro.sim.engine import Environment
@@ -38,14 +41,17 @@ def main() -> None:
         tuple(core.core_id for core in platform.cores_of_ccd(ccd_id))
         for ccd_id in (0, 1)
     )
+    reads = StreamSpec("reads", OpKind.READ, ccd0, endpoints=tuple(near))
+    writes = StreamSpec("writes", OpKind.NT_WRITE, ccd1, target="cxl")
+    # An empty endpoint set is the default interleave (every CXL device).
+    writes = replace(
+        writes, endpoints=FabricModel(platform).endpoints_of(writes)
+    )
     readers = lower_stream(
-        env, executor, resolver, StreamSpec("reads", OpKind.READ, ccd0),
-        near, window=8, count_per_worker=300,
+        env, executor, resolver, reads, window=8, count_per_worker=300,
     )
     writers = lower_stream(
-        env, executor, resolver,
-        StreamSpec("writes", OpKind.NT_WRITE, ccd1, target="cxl"),
-        sorted(platform.cxl_devices), window=8, count_per_worker=300,
+        env, executor, resolver, writes, window=8, count_per_worker=300,
     )
     env.run(env.all_of([readers.start(), writers.start()]))
 

@@ -13,7 +13,17 @@ Entry points:
   (``tests/test_cli_goldens.py::CASES``), in one process;
 * ``examples/*.py`` and ``scripts/*.py`` (this script excepted);
 * each e2e workload with ``--quick``;
-* ``repro all --quality full --no-cache --jobs 1``.
+* ``repro all --quality full --no-cache --jobs 1``;
+* the CLI doors those skip, on a scratch cache and socket: ``repro
+  submit <kind> --local``; a ``repro serve`` daemon taking ``repro
+  submit`` (a trace cell included), ``repro jobs`` and one cancel through
+  ``ServiceClient.cancel``; ``repro fig3 --csv DIR``; ``repro trace ...
+  --out FILE``; ``repro cache stats`` and ``repro cache clear``.
+
+Functions kept on purpose are listed in ``scripts/reach_keep.txt``, one
+``<file under src>::<qualified name>`` and a one-line reason per line.
+The report marks an unentered one ``kept`` instead of ``tests-only``, and
+names any entry that matches no src function.
 
 The profiler is a generated ``sitecustomize`` module put first on
 ``PYTHONPATH``. It calls ``sys.setprofile`` and ``threading.setprofile``
@@ -47,6 +57,7 @@ from typing import Dict, List, NamedTuple, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+KEEP_LIST = Path(__file__).resolve().parent / "reach_keep.txt"
 
 #: Where names count as uses that keep a function (tests do not).
 USE_DIRS = ("src", "benchmarks", "examples", "scripts")
@@ -83,6 +94,65 @@ _open()
 os.register_at_fork(after_in_child=_open)
 sys.setprofile(_profile)
 threading.setprofile(_profile)
+"""
+
+
+#: One ``repro serve`` session: submits through the daemon (one of them a
+#: trace cell, so the server writes its artifact), the job listing, and a
+#: cancel sent as soon as a fig3 job is accepted; then a shutdown.
+_SERVICE = """\
+import os
+import subprocess
+import sys
+import time
+
+from repro.service import ServiceClient, server_available
+from repro.service.protocol import RemoteError
+
+work = {work!r}
+sock = os.path.join(work, "svc.sock")
+
+
+def repro(*argv):
+    subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--socket", sock],
+        check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+server = subprocess.Popen([
+    sys.executable, "-m", "repro", "serve", "--socket", sock, "--jobs", "1",
+    "--artifacts-dir", os.path.join(work, "artifacts"),
+])
+deadline = time.monotonic() + 30.0
+while not server_available(sock):
+    assert server.poll() is None and time.monotonic() < deadline
+    time.sleep(0.05)
+try:
+    repro("submit", "table3")
+    repro("submit", "trace", "--cell", "netstack", "--samples", "10",
+          "--platform", "7302")
+    repro("jobs")
+
+    def cancel(frame):
+        if frame.get("event") == "accepted":
+            with ServiceClient(sock) as other:
+                other.cancel(frame["job"])
+
+    with ServiceClient(sock) as client:
+        try:
+            client.submit(
+                {{"kind": "fig3", "params": {{"transactions_per_core": 200}}}},
+                on_event=cancel,
+            )
+        except RemoteError:
+            pass  # the job finished before the cancel reached it
+        client.shutdown()
+except BaseException:
+    server.terminate()
+    raise
+finally:
+    assert server.wait(timeout=60) == 0
 """
 
 
@@ -172,7 +242,9 @@ def run_entry_points(out: Path, work: Path) -> bool:
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(hook), str(SRC)])
+    env["REPRO_CACHE_DIR"] = str(work / "cache")
     python = sys.executable
+    repro = [python, "-m", "repro"]
     goldens = (
         "import sys; sys.path.insert(0, {root!r})\n"
         "from repro.cli import main\n"
@@ -192,6 +264,24 @@ def run_entry_points(out: Path, work: Path) -> bool:
     for path in sorted((ROOT / "scripts").glob("*.py")):
         if path.resolve() != Path(__file__).resolve():
             runs.append((f"scripts/{path.name}", [python, str(path)]))
+    runs += [
+        ("repro submit --local", repro + [
+            "submit", "table1", "--local", "--no-cache",
+        ]),
+        ("repro serve session", [
+            python, "-c", _SERVICE.format(work=str(work)),
+        ]),
+        ("repro fig3 --csv", repro + [
+            "fig3", "--platform", "7302", "--transactions", "60",
+            "--csv", str(work / "csv"), "--no-cache",
+        ]),
+        ("repro trace --out", repro + [
+            "trace", "table2", "--samples", "10",
+            "--out", str(work / "trace.json"),
+        ]),
+        ("repro cache stats", repro + ["cache", "stats"]),
+        ("repro cache clear", repro + ["cache", "clear"]),
+    ]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for workload in spec["workloads"]:
         runs.append((f"e2e {workload['name']} --quick", [
@@ -211,31 +301,57 @@ def entered(out: Path) -> Set[Tuple[str, int]]:
     return seen
 
 
+def keep_list() -> Dict[str, str]:
+    """``{"<file under src>::<qualified name>": reason}`` of kept functions."""
+    kept: Dict[str, str] = {}
+    for line in KEEP_LIST.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, reason = line.split(None, 1)
+            kept[key] = reason
+    return kept
+
+
+def _key(f: Function) -> str:
+    return f"{f.path.relative_to(SRC).as_posix()}::{f.qualname}"
+
+
 def report(functions: List[Function], seen: Set[Tuple[str, int]]) -> str:
     """A count line, then the unentered functions grouped by file."""
     uses: Counter = Counter()
     for directory in USE_DIRS:
         uses.update(name_uses(ROOT / directory))
     tested = name_uses(ROOT / "tests")
+    kept = keep_list()
     unentered = [
         f for f in functions
         if (os.path.realpath(f.path), f.first) not in seen
     ]
     rows = []
     only_tests = []
+    kept_unentered = []
     for f in unentered:
         name = f.qualname.rsplit(".", 1)[-1]
         mark = ""
-        if not name.startswith("__") and not uses[name] and tested[name]:
+        if _key(f) in kept:
+            mark = "kept"
+            kept_unentered.append(f)
+        elif not name.startswith("__") and not uses[name] and tested[name]:
             mark = "tests-only"
             only_tests.append(f)
         rows.append((f, mark))
     lines = [
         f"{len(functions)} src functions; {len(unentered)} unentered "
         f"({sum(f.lines for f in unentered):,} lines); "
-        f"{len(only_tests)} of them tests-only "
+        f"{len(kept_unentered)} of them kept "
+        f"({sum(f.lines for f in kept_unentered):,} lines); "
+        f"{len(only_tests)} tests-only "
         f"({sum(f.lines for f in only_tests):,} lines)",
     ]
+    stale = sorted(set(kept) - {_key(f) for f in functions})
+    if stale:
+        lines.append("keep-list entries naming no src function: "
+                     + ", ".join(stale))
     current = None
     for f, mark in rows:
         if f.path != current:

@@ -226,12 +226,6 @@ class LatencyStats:
             std=float(np.sqrt(sumsq / count)),
         )
 
-    def mean_confidence_ns(self, z: float = 1.96) -> float:
-        """Half-width of the normal-approximation CI on the mean."""
-        if self.count < 2:
-            return float("inf")
-        return z * self.std / (self.count ** 0.5)
-
     def __str__(self) -> str:
         return (
             f"n={self.count} mean={self.mean:.1f}ns p50={self.p50:.1f}ns "

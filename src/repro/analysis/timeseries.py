@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,13 +30,6 @@ class TimeSeries:
             raise MeasurementError("times must be strictly increasing")
         object.__setattr__(self, "times_s", times)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "TimeSeries":
-        if not pairs:
-            raise MeasurementError("empty time series")
-        times, values = zip(*pairs)
-        return cls(np.asarray(times, float), np.asarray(values, float))
 
     def mean_between(self, t0: float, t1: float) -> float:
         """Mean value over the half-open window ``[t0, t1)``."""

@@ -16,8 +16,9 @@ from :mod:`repro.core.loadgen`:
   *exactly*; per-core asymmetry keeps each chain exact but fixes the
   request→worker binding, which the conformance tolerance covers.
 * Background/bulk traffic is not event-simulated at all: the fluid
-  solver allocates it (:func:`repro.fluid.coupling.background_utilizations`,
-  fault/QoS derates included) and each queued stage's service is
+  solver allocates the same background stream the DES lowers
+  (:meth:`repro.core.fabric.FabricModel.utilizations`, fault/QoS derates
+  included) and each queued stage's service is
   inflated by the residual-capacity factor
   (:func:`repro.fluid.coupling.effective_service_ns`).
 * Arrivals are open-loop Poisson / bursty on-off / diurnal-trace
@@ -46,14 +47,13 @@ from repro.apps.kvstore import (
     worker_paths,
 )
 from repro.core.fabric import FabricModel
-from repro.core.flows import StreamSpec
 from repro.core.loadgen import (
     diurnal_arrivals,
     onoff_arrivals,
     poisson_arrivals,
 )
 from repro.errors import ConfigurationError, MeasurementError
-from repro.fluid.coupling import background_utilizations, effective_service_ns
+from repro.fluid.coupling import effective_service_ns
 from repro.platform.topology import Platform
 from repro.sim.batch import open_loop_departures
 from repro.sim.engine import Environment
@@ -175,16 +175,6 @@ class HybridKvServer:
         lat = self.platform.spec.latency
         return lat.io_hub_ns + lat.root_complex_ns + lat.p_link_ns
 
-    def background_specs(
-        self,
-        background_cores: Optional[Sequence[int]],
-        background_rate_gbps: Optional[float],
-    ) -> List[StreamSpec]:
-        """The fluid view of the DES colocated background issuer."""
-        if not background_cores:
-            return []
-        return [background_stream(background_cores, background_rate_gbps)]
-
     def service_times_ns(
         self,
         workload: KvWorkload,
@@ -264,16 +254,12 @@ class HybridKvServer:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names in {names}")
-        specs = self.background_specs(background_cores, background_rate_gbps)
-        utilizations = (
-            background_utilizations(
-                self.fabric,
-                specs,
-                umc_ids=near_umcs(self.platform, tenants[0].server_ccd),
-            )
-            if specs
-            else {}
-        )
+        utilizations: Dict[str, float] = {}
+        if background_cores:
+            near = near_umcs(self.platform, tenants[0].server_ccd)
+            utilizations = self.fabric.utilizations([background_stream(
+                background_cores, background_rate_gbps, near
+            )])
         split = SplitRng(self.seed)
         reports: List[TenantReport] = []
         sorted_parts: List[np.ndarray] = []

@@ -134,11 +134,13 @@ def worker_paths(
 
 
 def background_stream(
-    cores: Sequence[int], rate_gbps: Optional[float]
+    cores: Sequence[int], rate_gbps: Optional[float], near: Sequence[int]
 ) -> StreamSpec:
-    """The colocated background: DRAM reads, unthrottled at ``None``."""
+    """The colocated background: DRAM reads from the server's ``near``
+    UMCs, unthrottled at ``None``."""
     return StreamSpec(
-        "kv-background", OpKind.READ, tuple(cores), demand_gbps=rate_gbps
+        "kv-background", OpKind.READ, tuple(cores), demand_gbps=rate_gbps,
+        endpoints=tuple(near),
     )
 
 
@@ -191,8 +193,9 @@ class KvServerModel:
         if background_cores:
             background = lower_stream(
                 env, TransactionExecutor(env), resolver,
-                background_stream(background_cores, background_rate_gbps),
-                near,
+                background_stream(
+                    background_cores, background_rate_gbps, near
+                ),
                 window=self.platform.spec.bandwidth.mlp_read,
                 count_per_worker=1_000_000,
             )

@@ -253,41 +253,41 @@ class FabricModel:
         ]
         return sorted(same_side) or sorted(self.platform.umcs)
 
-    def default_umc_ids(self, spec: StreamSpec) -> List[int]:
-        """DRAM interleave set: local (NPS4-style) for a single-chiplet
-        stream, all channels (NPS1) once the stream spans chiplets."""
+    def endpoints_of(self, spec: StreamSpec) -> Tuple[int, ...]:
+        """The endpoints a stream targets, for every engine.
+
+        ``spec.endpoints`` when the stream names them. Otherwise the
+        default interleave: local (NPS4-style) UMCs for a DRAM stream on
+        one chiplet, every UMC (NPS1) once it spans chiplets, and every
+        CXL device for a CXL stream.
+        """
+        if spec.endpoints:
+            return spec.endpoints
+        if spec.target == "cxl":
+            return tuple(sorted(self.platform.cxl_devices))
         from repro.platform.numa import NpsMode
 
         ccd_ids = {self.platform.core(c).ccd_id for c in spec.core_ids}
         if len(ccd_ids) > 1:
-            return sorted(self.platform.umcs)
-        return self.umc_ids_for_nps(next(iter(ccd_ids)), NpsMode.NPS4)
+            return tuple(sorted(self.platform.umcs))
+        return tuple(self.umc_ids_for_nps(next(iter(ccd_ids)), NpsMode.NPS4))
 
-    def flows_for(
-        self,
-        spec: StreamSpec,
-        umc_ids: Optional[Sequence[int]] = None,
-        dev_ids: Optional[Sequence[int]] = None,
-    ) -> List[FluidFlow]:
-        """Compile a stream into one fluid flow per participating CCX."""
+    def flows_for(self, spec: StreamSpec) -> List[FluidFlow]:
+        """Compile a stream into one fluid flow per participating CCX,
+        each split evenly over :meth:`endpoints_of` the stream."""
         direction = self._direction(spec.op)
         by_ccx: Dict[int, List[int]] = {}
         for core_id in spec.core_ids:
             core = self.platform.core(core_id)
             by_ccx.setdefault(core.ccx_id, []).append(core_id)
 
-        if spec.target == "dram":
-            targets = list(umc_ids) if umc_ids else self.default_umc_ids(spec)
-            if not targets:
-                raise ConfigurationError(f"stream {spec.name}: no target UMCs")
-        else:
-            targets = (
-                list(dev_ids) if dev_ids else sorted(self.platform.cxl_devices)
+        targets = self.endpoints_of(spec)
+        if not targets and spec.target == "dram":
+            raise ConfigurationError(f"stream {spec.name}: no target UMCs")
+        if not targets:
+            raise TopologyError(
+                f"{self.platform.name} has no CXL devices for {spec.name}"
             )
-            if not targets:
-                raise TopologyError(
-                    f"{self.platform.name} has no CXL devices for {spec.name}"
-                )
 
         flows: List[FluidFlow] = []
         total_cores = len(spec.core_ids)
@@ -394,14 +394,12 @@ class FabricModel:
         self,
         specs: Sequence[StreamSpec],
         policy: Policy = Policy.DEMAND_PROPORTIONAL,
-        umc_ids: Optional[Sequence[int]] = None,
-        dev_ids: Optional[Sequence[int]] = None,
     ) -> Dict[str, float]:
         """Solve all streams together; returns {stream name: achieved GB/s}."""
         flows: List[FluidFlow] = []
         owners: List[Tuple[str, str]] = []
         for spec in specs:
-            for flow in self.flows_for(spec, umc_ids=umc_ids, dev_ids=dev_ids):
+            for flow in self.flows_for(spec):
                 flows.append(flow)
                 owners.append((flow.name, spec.name))
         allocation = solve(flows, policy)
@@ -414,8 +412,6 @@ class FabricModel:
         self,
         specs: Sequence[StreamSpec],
         policy: Policy = Policy.DEMAND_PROPORTIONAL,
-        umc_ids: Optional[Sequence[int]] = None,
-        dev_ids: Optional[Sequence[int]] = None,
     ) -> Dict[str, float]:
         """Per-channel utilization (0..1) under the solved allocation.
 
@@ -425,9 +421,7 @@ class FabricModel:
         """
         flows: List[FluidFlow] = []
         for spec in specs:
-            flows.extend(
-                self.flows_for(spec, umc_ids=umc_ids, dev_ids=dev_ids)
-            )
+            flows.extend(self.flows_for(spec))
         allocation = solve(flows, policy)
         loads: Dict[str, float] = {}
         for flow in flows:

@@ -53,6 +53,11 @@ class StreamSpec:
 
     ``demand_gbps=None`` means "as fast as the cores can issue" (the paper's
     maximum-rate streams); a number models NOP-padded rate control.
+    ``endpoints`` names the memory endpoints the stream targets: UMC ids
+    for a DRAM stream, CXL device ids for a CXL one. Empty means the
+    default interleave, which :meth:`FabricModel.endpoints_of
+    <repro.core.fabric.FabricModel.endpoints_of>` resolves for every
+    engine.
     """
 
     name: str
@@ -63,6 +68,7 @@ class StreamSpec:
     pattern: Pattern = Pattern.SEQUENTIAL
     #: True targets DRAM homed on the *other* socket (2-socket boxes only).
     remote: bool = False
+    endpoints: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.core_ids:

@@ -321,7 +321,6 @@ def lower_stream(
     executor: TransactionExecutor,
     resolver: PathResolver,
     spec: StreamSpec,
-    endpoints: Sequence[int],
     window: int,
     count_per_worker: int,
     size_bytes: int = CACHELINE,
@@ -330,8 +329,11 @@ def lower_stream(
     """Lower one stream to an unstarted DES issuer, one worker per core.
 
     ``executor`` may be a gate that wraps one. Worker ``i`` runs on
-    ``spec.core_ids[i]`` and targets ``endpoints[i % len(endpoints)]``: UMC
-    ids for a DRAM stream, CXL device ids for a CXL one. Its path carries
+    ``spec.core_ids[i]`` and targets ``endpoints[i % len(endpoints)]``,
+    where ``endpoints`` is ``spec.endpoints``: UMC ids for a DRAM stream,
+    CXL device ids for a CXL one. A stream on the default interleave must
+    resolve it first (:meth:`FabricModel.endpoints_of
+    <repro.core.fabric.FabricModel.endpoints_of>`). Its path carries
     ``spec.op``, ``spec.remote``, ``size_bytes`` and ``use_token_pools``;
     the group is paced at ``spec.demand_gbps`` (None: unpaced).
 
@@ -342,6 +344,7 @@ def lower_stream(
     9634 cell they differ: the DES puts the 7-core victim, and the hog,
     3/2/2 on ``umc0/4/8``; the fluid model gives each UMC a third.
     """
+    endpoints = spec.endpoints
     if not endpoints:
         raise ConfigurationError(f"stream {spec.name}: no endpoints")
     paths = []

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,10 +114,11 @@ class MicroBench:
         else:
             raise ConfigurationError(f"unknown target {target!r}")
         spec = StreamSpec(
-            flow, OpKind.READ, (core_id,), target=target, remote=remote_socket
+            flow, OpKind.READ, (core_id,), target=target,
+            remote=remote_socket, endpoints=(endpoint,),
         )
         issuer = lower_stream(
-            env, executor, resolver, spec, [endpoint],
+            env, executor, resolver, spec,
             window=1,                  # pointer chasing: one dependent load
             count_per_worker=iterations,
         )
@@ -143,7 +145,8 @@ class MicroBench:
             StreamSpec.cores_for_scope(self.platform, scope),
         )
         issuer = lower_stream(
-            env, executor, resolver, spec, self.fabric.default_umc_ids(spec),
+            env, executor, resolver,
+            replace(spec, endpoints=self.fabric.endpoints_of(spec)),
             window=self.platform.spec.bandwidth.mlp_read,
             count_per_worker=transactions_per_core,
         )
@@ -186,15 +189,15 @@ class MicroBench:
         stream in its chiplet's quadrant.
         """
         cores = StreamSpec.cores_for_scope(self.platform, scope)
-        spec = StreamSpec(
-            f"{scope.value}-{op.value}", op, cores, target=target,
-            pattern=pattern, remote=remote_socket,
-        )
         if nps is not None and target == "dram":
             ccd_id = self.platform.core(cores[0]).ccd_id
             umc_ids = self.fabric.umc_ids_for_nps(ccd_id, nps)
-        achieved = self.fabric.achieved_gbps([spec], umc_ids=umc_ids)
-        return achieved[spec.name]
+        spec = StreamSpec(
+            f"{scope.value}-{op.value}", op, cores, target=target,
+            pattern=pattern, remote=remote_socket,
+            endpoints=tuple(umc_ids or ()) if target == "dram" else (),
+        )
+        return self.fabric.achieved_gbps([spec])[spec.name]
 
     # -------------------------------------------------- loaded latency (Fig 3)
 
@@ -240,13 +243,11 @@ class MicroBench:
         spec = StreamSpec(
             "load", op, tuple(core_ids), target=target,
             demand_gbps=offered_gbps, pattern=pattern,
+            endpoints=tuple(umc_ids or ()) if target == "dram" else (),
         )
-        if target == "cxl":
-            endpoints = sorted(self.platform.cxl_devices)
-        else:
-            endpoints = list(umc_ids or self.fabric.default_umc_ids(spec))
         issuer = lower_stream(
-            env, executor, resolver, spec, endpoints,
+            env, executor, resolver,
+            replace(spec, endpoints=self.fabric.endpoints_of(spec)),
             window=window_per_core, count_per_worker=transactions_per_core,
         )
         if fault_schedule is not None:

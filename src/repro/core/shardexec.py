@@ -100,7 +100,8 @@ class ShardFlowSpec:
     def stream(self) -> StreamSpec:
         """This flow as a stream; its endpoints are ``umc_ids``."""
         return StreamSpec(
-            self.name, self.op, self.core_ids, demand_gbps=self.demand_gbps
+            self.name, self.op, self.core_ids, demand_gbps=self.demand_gbps,
+            endpoints=self.umc_ids,
         )
 
 
@@ -228,7 +229,7 @@ def _run_serial_cell(
     for spec in flows:
         executor = TransactionExecutor(env, flow=spec.name)
         issuer = lower_stream(
-            env, executor, resolver, spec.stream(), spec.umc_ids,
+            env, executor, resolver, spec.stream(),
             window=window, count_per_worker=transactions_per_core,
         )
         issuers[spec.name] = issuer
@@ -267,8 +268,7 @@ def _offered_loads(
     fluid_flows = []
     owners: List[str] = []
     for flow in flows:
-        spec = flow.stream()
-        for fluid_flow in fabric.flows_for(spec, umc_ids=list(flow.umc_ids)):
+        for fluid_flow in fabric.flows_for(flow.stream()):
             fluid_flows.append(fluid_flow)
             owners.append(flow.name)
     loads: Dict[str, Dict[str, float]] = {}

@@ -7,6 +7,7 @@ distinguish configuration problems from runtime simulation problems.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 
@@ -88,3 +89,12 @@ class CellExecutionError(ChipletError):
         self.cause = cause
         if cause is not None:
             self.__cause__ = cause
+
+    def __reduce__(self):
+        # Pickle rebuilds an exception from ``args`` alone; the context
+        # is keyword-only, so it rides in the constructor call.
+        rebuild = partial(
+            type(self), cell_index=self.cell_index, attempts=self.attempts,
+            cause=self.cause,
+        )
+        return rebuild, self.args

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from repro.core.fabric import FabricModel
@@ -132,14 +132,14 @@ def token_pool_ablation(
         "probe", OpKind.READ,
         tuple(c.core_id for c in platform.cores_of_ccd(0)),
     )
-    near = FabricModel(platform).default_umc_ids(spec)
+    spec = replace(spec, endpoints=FabricModel(platform).endpoints_of(spec))
     out: Dict[str, Dict[str, float]] = {}
     for label, use_pools in (("with_tokens", True), ("without_tokens", False)):
         env = Environment()
         resolver = PathResolver(env, platform, seed=seed)
         executor = TransactionExecutor(env)
         issuer = lower_stream(
-            env, executor, resolver, spec, near,
+            env, executor, resolver, spec,
             window=platform.spec.bandwidth.mlp_read,
             count_per_worker=transactions_per_core,
             use_token_pools=use_pools,

@@ -94,13 +94,17 @@ def run(
     background_cores = [
         core.core_id for core in platform.cores_of_ccd(0)[1:]
     ]
+    fabric = FabricModel(platform)
     background_spec = StreamSpec(
         "background", OpKind.NT_WRITE, tuple(background_cores), target="cxl"
+    )
+    background_spec = replace(
+        background_spec, endpoints=fabric.endpoints_of(background_spec)
     )
 
     rate: Optional[float] = None
     if managed:
-        switch = IntraHostSwitch(FabricModel(platform))
+        switch = IntraHostSwitch(fabric)
         switch.register_background(background_spec)
         # Reserve half the hub port's host→device direction for doorbells
         # and future data-plane growth.
@@ -119,7 +123,6 @@ def run(
         TransactionExecutor(env),
         resolver,
         replace(background_spec, demand_gbps=rate),
-        sorted(platform.cxl_devices),
         window=max(4, platform.spec.bandwidth.cxl_wcb_write),
         # Enough transactions to outlast the job sequence.
         count_per_worker=200_000,
@@ -128,16 +131,10 @@ def run(
     background.start()
 
     job = AcceleratorJob(job_bytes_in, job_bytes_out, host_core=host_core)
-
-    def sequence():
-        for __ in range(jobs):
-            yield env.process(simulator.dispatch(job))
-
-    env.run(env.process(sequence()))
     return DispatchReport(
         mode="managed" if managed else "unmanaged",
         platform=platform.name,
-        traces=list(simulator.traces),
+        traces=simulator.run_jobs([job] * jobs),
         background_rate_gbps=rate,
     )
 

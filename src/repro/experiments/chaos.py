@@ -10,8 +10,10 @@ indicator per idiosyncrasy:
   on the worst-case degraded fabric (fluid backend), plus which domain
   binds it;
 * **sender-driven partitioning** — the fraction of its demand a paced
-  victim on the faulted chiplet still receives against an unthrottled hog
-  elsewhere (fluid backend);
+  victim on the faulted chiplet still receives beside an unthrottled hog
+  on the next chiplet (fluid backend). Each stream keeps its chiplet's
+  default NPS4 endpoints and those sets are disjoint, so the hog does not
+  move this share: only the faults do;
 * **extended paths / inconsistent BDPs** — average and P999 loaded latency
   of a chiplet streaming through its faulted GMI port while the schedule
   plays out mid-run (DES backend with interposed fault processes, strict
@@ -29,7 +31,7 @@ recovery), so one pathological severity cannot take down the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
@@ -267,12 +269,10 @@ def recovery_schedule(seed: int = 0) -> FaultSchedule:
     )
 
 
-def _victim_cell(platform: Platform) -> Tuple[List[int], List[int], float]:
-    """(victim core ids, NPS4 endpoint ids, per-worker paced rate)."""
+def _victim_cell(platform: Platform) -> StreamSpec:
+    """The recovery cell's victim, on its chiplet's NPS4 endpoints."""
     victim, __ = contention_streams(platform)
-    cores = list(victim.core_ids)
-    shared = sorted(shared_umc_ids(platform))
-    return cores, shared, VICTIM_DEMAND_GBPS / len(cores)
+    return replace(victim, endpoints=tuple(sorted(shared_umc_ids(platform))))
 
 
 def _sample_at(
@@ -290,48 +290,36 @@ def _window_gbps(marks: Dict[float, int], window: Tuple[float, float]) -> float:
     return (marks[end] - marks[start]) / (end - start)
 
 
-def _worker_streams(
-    cores: Sequence[int], rate_each: float
-) -> List[StreamSpec]:
-    """The recovery cell: one paced single-core stream per victim worker.
-
-    Both backends lower this list, each worker onto its home endpoint.
+def _worker_streams(victim: StreamSpec) -> List[StreamSpec]:
+    """The recovery cell: one paced single-core stream per victim worker,
+    worker ``i`` homed on the victim's endpoint ``i`` (in turn,
+    netstack-style). Both backends lower this list.
     """
+    rate_each = victim.demand_gbps / len(victim.core_ids)
     return [
         StreamSpec(
-            f"w{index}", OpKind.READ, (core_id,), demand_gbps=rate_each
+            f"w{index}", OpKind.READ, (core_id,), demand_gbps=rate_each,
+            endpoints=(victim.endpoints[index % len(victim.endpoints)],),
         )
-        for index, core_id in enumerate(cores)
+        for index, core_id in enumerate(victim.core_ids)
     ]
 
 
 def _fluid_worker_tput(
     platform: Platform,
-    homes: Dict[int, str],
     streams: Sequence[StreamSpec],
     derates: Optional[Dict[str, float]] = None,
 ) -> float:
-    """Aggregate victim throughput with each worker homed per ``homes``.
-
-    The worker streams, each on its (possibly rerouted) endpoint, all
-    solved together on the (possibly degraded) fabric — the fluid
-    counterpart of the DES recovery cell.
+    """Aggregate victim throughput of the worker streams, each on its
+    (possibly rerouted) home, all solved together on the (possibly
+    degraded) fabric — the fluid counterpart of the DES recovery cell.
     """
     fabric = FabricModel(platform, derates=derates or None)
     flows = []
-    for index, spec in enumerate(streams):
-        umc_id = int(homes[index][len("umc"):])
-        flows.extend(fabric.flows_for(spec, umc_ids=[umc_id]))
+    for spec in streams:
+        flows.extend(fabric.flows_for(spec))
     allocation = solve(flows, Policy.DEMAND_PROPORTIONAL)
     return sum(allocation.values())
-
-
-def _initial_homes(cores: Sequence[int], shared: Sequence[int]) -> Dict[int, str]:
-    """Stripe the workers over the NPS4 endpoint set, netstack-style."""
-    return {
-        index: f"umc{shared[index % len(shared)]}"
-        for index in range(len(cores))
-    }
 
 
 def _fluid_recovery(
@@ -339,12 +327,11 @@ def _fluid_recovery(
 ) -> RecoveryPoint:
     schedule = recovery_schedule(seed=seed)
     config = RecoveryConfig.on()
-    cores, shared, rate_each = _victim_cell(platform)
-    streams = _worker_streams(cores, rate_each)
-    homes = _initial_homes(cores, shared)
-    endpoints = [f"umc{u}" for u in shared]
+    victim = _victim_cell(platform)
+    streams = _worker_streams(victim)
+    endpoints = [f"umc{u}" for u in victim.endpoints]
 
-    pre = _fluid_worker_tput(platform, homes, streams)
+    pre = _fluid_worker_tput(platform, streams)
     post_derates = dict(schedule.derates_at(_REC_FLUID_POST_T_NS))
     detect = math.nan
     failovers = 0
@@ -357,18 +344,19 @@ def _fluid_recovery(
         if detect is None:
             detect = math.nan
         router = FailoverRouter(platform, monitor)
-        for index in range(len(cores)):
+        for index, spec in enumerate(streams):
             for umc_id in sorted(platform.umcs):
                 router.register(
                     index, f"umc{umc_id}",
-                    primary=(f"umc{umc_id}" == homes[index]),
-                    slice_gbps=rate_each,
+                    primary=(umc_id == spec.endpoints[0]),
+                    slice_gbps=spec.demand_gbps,
                 )
-        for index in sorted(homes):
-            if monitor.is_dead(homes[index]):
+        for index, spec in enumerate(streams):
+            if monitor.is_dead(f"umc{spec.endpoints[0]}"):
                 rerouted = router.reroute(index)
                 if rerouted is not None:
-                    homes[index] = rerouted[0]
+                    umc_id = int(rerouted[0][len("umc"):])
+                    streams[index] = replace(spec, endpoints=(umc_id,))
                     failovers += 1
         # Health-aware capacity masking: the dead link keeps only its
         # residue in the post-failure solve.
@@ -376,7 +364,7 @@ def _fluid_recovery(
             post_derates[channel] = min(
                 post_derates.get(channel, 1.0), factor
             )
-    post = _fluid_worker_tput(platform, homes, streams, derates=post_derates)
+    post = _fluid_worker_tput(platform, streams, derates=post_derates)
     return RecoveryPoint(
         backend="fluid",
         recover=recover,
@@ -397,9 +385,9 @@ def _des_recovery(
     transactions_per_core: int,
 ) -> RecoveryPoint:
     schedule = recovery_schedule(seed=seed)
-    cores, shared, rate_each = _victim_cell(platform)
-    homes = _initial_homes(cores, shared)
-    endpoints = [f"umc{u}" for u in shared]
+    victim = _victim_cell(platform)
+    streams = _worker_streams(victim)
+    endpoints = [f"umc{u}" for u in victim.endpoints]
 
     env = Environment()
     resolver = PathResolver(env, platform, seed=seed)
@@ -413,36 +401,35 @@ def _des_recovery(
     executor = TransactionExecutor(env, flow="victim")
     if recover:
         homed_gbps: Dict[str, float] = {}
-        for index, core_id in enumerate(cores):
+        for index, spec in enumerate(streams):
+            home = f"umc{spec.endpoints[0]}"
             for umc_id in sorted(platform.umcs):
                 endpoint = f"umc{umc_id}"
                 installation.router.register(
                     index, endpoint,
-                    path=resolver.dram_path(core_id, umc_id),
-                    primary=(endpoint == homes[index]),
-                    slice_gbps=rate_each,
+                    path=resolver.dram_path(spec.core_ids[0], umc_id),
+                    primary=(endpoint == home),
+                    slice_gbps=spec.demand_gbps,
                 )
-            homed_gbps[homes[index]] = (
-                homed_gbps.get(homes[index], 0.0) + rate_each
-            )
+            homed_gbps[home] = homed_gbps.get(home, 0.0) + spec.demand_gbps
         for endpoint in endpoints:
             umc_id = int(endpoint[len("umc"):])
             installation.watch(
                 endpoint,
                 homed_gbps.get(endpoint, 0.0),
-                probe_path=resolver.dram_path(cores[0], umc_id),
+                probe_path=resolver.dram_path(victim.core_ids[0], umc_id),
             )
         installation.start()
 
     window = platform.spec.bandwidth.mlp_read
     finished = []
-    for index, spec in enumerate(_worker_streams(cores, rate_each)):
+    for index, spec in enumerate(streams):
         if recover:
             gate = installation.gate(executor, "victim", worker=index)
         else:
             gate = installation.gate(executor, "victim")
         issuer = lower_stream(
-            env, gate, resolver, spec, [int(homes[index][len("umc"):])],
+            env, gate, resolver, spec,
             window=window, count_per_worker=transactions_per_core,
         )
         finished.append(issuer.start())

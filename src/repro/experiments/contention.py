@@ -1,11 +1,15 @@
 """Shared construction of the Figure 4–6 style contention cell.
 
-Several experiments probe sender-driven bandwidth partitioning with the
-same two-stream setup — a rate-controlled *victim* on chiplet 0 against a
-*hog* on chiplet 1 (``chaos`` measures how the victim's share degrades
-with fabric faults; ``netstack`` measures how the networking stack
-restores it). This module is the single source of that construction so
-the probes stay comparable cell-for-cell.
+Several experiments probe sender-driven bandwidth partitioning starting
+from the same two streams — a rate-controlled *victim* on chiplet 0
+against a *hog* on chiplet 1 — and reshape them per probe. ``chaos``
+solves the pair as built, each stream on its own chiplet's default
+endpoints (disjoint NPS4 sets, so the hog never meets the victim there);
+``netstack`` and ``explore`` shrink the victim to one CCX, pace the hog,
+and put both on the victim's NPS4 set (:func:`shared_umc_ids`); the
+chaos recovery cell stripes the victim's workers over that set, with no
+hog. The probes share this construction, not their cells: their numbers
+are not comparable cell-for-cell.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ def contention_streams(
 def shared_umc_ids(platform: Platform, ccd_id: int = 0) -> List[int]:
     """The victim chiplet's NPS4 interleave set.
 
-    Forcing both streams onto this set puts them in front of the *same*
-    memory endpoints — the endpoint contention the Figure 4–6 cells need.
-    (The chiplets' default NPS4 domains are disjoint, which would let the
-    streams pass each other untouched.)
+    Putting both streams' ``endpoints`` on this set puts them in front of
+    the *same* memory endpoints — the endpoint contention the Figure 4–6
+    cells need. (The chiplets' default NPS4 domains are disjoint, which
+    would let the streams pass each other untouched.)
     """
     return FabricModel(platform).umc_ids_for_nps(ccd_id, NpsMode.NPS4)

@@ -33,7 +33,7 @@ and ``--jobs`` fan-out stays byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
@@ -88,10 +88,8 @@ class ExplorePoint:
     score: float
 
 
-def _workload_streams(
-    platform: Platform, workload: str
-) -> Tuple[List[StreamSpec], List[int]]:
-    """The workload's streams plus the UMC interleave set they target."""
+def _workload_streams(platform: Platform, workload: str) -> List[StreamSpec]:
+    """The workload's streams, each on the UMC interleave set it targets."""
     if workload == "contention":
         victim_cores = tuple(
             core.core_id for core in platform.cores_of_ccx(0)
@@ -101,37 +99,38 @@ def _workload_streams(
             victim_cores=victim_cores,
             hog_demand_gbps=_HOG_DEMAND_GBPS,
         )
-        return [victim, hog], shared_umc_ids(platform)
+        shared = tuple(shared_umc_ids(platform))
+        return [
+            replace(victim, endpoints=shared), replace(hog, endpoints=shared)
+        ]
     if workload == "uniform":
         # Every chiplet offers its full GMI rate, interleaved over all
         # memory channels (NPS1) — the all-to-all background the bisection
         # metric is about.
         rate = platform.spec.bandwidth.gmi_read_gbps
-        streams = [
+        return [
             StreamSpec(
                 f"ccd{ccd_id}",
                 OpKind.READ,
                 tuple(core.core_id for core in platform.cores_of_ccd(ccd_id)),
                 demand_gbps=rate,
+                endpoints=tuple(sorted(platform.umcs)),
             )
             for ccd_id in sorted(platform.ccds)
         ]
-        return streams, sorted(platform.umcs)
     raise ConfigurationError(
         f"unknown workload {workload!r} (choose from {', '.join(WORKLOADS)})"
     )
 
 
 def _bisection_utilization(
-    fabric: FabricModel,
-    specs: Sequence[StreamSpec],
-    umc_ids: Sequence[int],
+    fabric: FabricModel, specs: Sequence[StreamSpec]
 ) -> float:
     """Mean read-direction utilization of the mesh links crossing x=W/2."""
     routing = fabric.routing
     assert routing is not None
     mid = routing.grid.width / 2.0
-    utilizations = fabric.utilizations(specs, umc_ids=umc_ids)
+    utilizations = fabric.utilizations(specs)
     cut = [
         value
         for name, value in sorted(utilizations.items())
@@ -153,7 +152,6 @@ def _des_metrics(
     gen: TopologyGen,
     policy: RoutingPolicy,
     specs: Sequence[StreamSpec],
-    umc_ids: Sequence[int],
     platform: Platform,
     seed: int,
     packets_per_sender: int,
@@ -161,7 +159,7 @@ def _des_metrics(
     """(victim share, p99 ns) from open-loop paced DES packet injection.
 
     One sender per stream, placed at the stream's chiplet mesh stop,
-    striping packets over the interleave set's stops. Injection is
+    striping packets over its endpoints' stops. Injection is
     open-loop (each packet is its own process released at its due time),
     so congested paths grow queues and stretch the sender's makespan —
     achieved throughput and tail latency emerge rather than being assumed.
@@ -199,7 +197,7 @@ def _des_metrics(
         starts[spec.name] = offset
         finished[spec.name] = []
         for i in range(packets_per_sender):
-            dst_umc = umc_ids[(index + i) % len(umc_ids)]
+            dst_umc = spec.endpoints[(index + i) % len(spec.endpoints)]
             dst = routing.umc_coords3[dst_umc % len(routing.umc_coords3)]
             due = offset + i * interval
             if src == dst:
@@ -254,17 +252,17 @@ def run_point(
     policy = RoutingPolicy(routing)
     platform = gen.platform()
     fabric = FabricModel(platform, routing=gen.noc_routing(policy))
-    specs, umc_ids = _workload_streams(platform, workload)
-    achieved = fabric.achieved_gbps(specs, umc_ids=umc_ids)
+    specs = _workload_streams(platform, workload)
+    achieved = fabric.achieved_gbps(specs)
     rates = [achieved[spec.name] for spec in specs]
     jain = jain_index(rates)
     if workload == "contention":
         victim_share = achieved["victim"] / VICTIM_DEMAND_GBPS
     else:
         victim_share = math.nan
-    bisection = _bisection_utilization(fabric, specs, umc_ids)
+    bisection = _bisection_utilization(fabric, specs)
     des_victim_share, p99_ns = _des_metrics(
-        gen, policy, specs, umc_ids, platform, seed, packets_per_sender
+        gen, policy, specs, platform, seed, packets_per_sender
     )
     share_term = 1.0 if math.isnan(victim_share) else victim_share
     p99_us = max(p99_ns / 1000.0, 1e-9)

@@ -26,12 +26,13 @@ output byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.analysis.stats import jain_index
 from repro.core.fabric import FabricModel
+from repro.core.flows import StreamSpec
 from repro.core.loadgen import ClosedLoopIssuer, lower_stream
 from repro.errors import ConfigurationError
 from repro.experiments.contention import (
@@ -95,23 +96,25 @@ def config_for(arm: str) -> NetStackConfig:
     )
 
 
-def _cell_streams(platform: Platform):
-    """The small-victim / aggressive-hog variant of the contention cell."""
+def _cell_streams(platform: Platform) -> Tuple[StreamSpec, StreamSpec]:
+    """The small-victim / aggressive-hog variant of the contention cell,
+    both streams on the victim chiplet's NPS4 UMCs."""
     victim_cores = tuple(
         core.core_id for core in platform.cores_of_ccx(0)
     )
-    return contention_streams(
+    victim, hog = contention_streams(
         platform,
         victim_cores=victim_cores,
         hog_demand_gbps=_HOG_DEMAND_GBPS,
     )
+    shared = tuple(shared_umc_ids(platform))
+    return replace(victim, endpoints=shared), replace(hog, endpoints=shared)
 
 
 def _run_fluid(platform: Platform, config: NetStackConfig) -> NetPoint:
     fabric = FabricModel(platform)
     victim, hog = _cell_streams(platform)
-    shared = shared_umc_ids(platform)
-    grants = fluid_allocation(fabric, [victim, hog], config, umc_ids=shared)
+    grants = fluid_allocation(fabric, [victim, hog], config)
     return NetPoint(
         arm=config.label,
         backend="fluid",
@@ -132,7 +135,6 @@ def _run_des(
     tracer=None,
 ) -> NetPoint:
     victim, hog = _cell_streams(platform)
-    shared = shared_umc_ids(platform)
     env = Environment()
     if tracer is not None:
         tracer.attach(env)
@@ -140,7 +142,7 @@ def _run_des(
     installation = install(
         resolver, config,
         flows=[victim.name, hog.name],
-        endpoints=[f"umc{umc_id}" for umc_id in shared],
+        endpoints=[f"umc{umc_id}" for umc_id in victim.endpoints],
     )
     window = platform.spec.bandwidth.mlp_read
     issuers: Dict[str, ClosedLoopIssuer] = {}
@@ -149,7 +151,7 @@ def _run_des(
         executor = TransactionExecutor(env, flow=spec.name)
         gate = installation.gate(executor, spec.name)
         issuer = lower_stream(
-            env, gate, resolver, spec, shared,
+            env, gate, resolver, spec,
             window=window, count_per_worker=transactions_per_core,
         )
         issuers[spec.name] = issuer

@@ -3,10 +3,10 @@
 The hybrid serving engine (:mod:`repro.apps.kvserve`) times foreground
 requests with exact FIFO recurrences but cannot afford to simulate the
 bulk/background traffic those requests share the fabric with. The fluid
-solver carries the background instead: :func:`background_utilizations`
-solves the steady-state allocation of the background streams (fault/QoS
-derates included via :class:`~repro.core.fabric.FabricModel`'s
-``derates`` — the same ``capacity_factors`` plumbing the chaos tier
+solver carries the background instead:
+:meth:`~repro.core.fabric.FabricModel.utilizations` solves the
+steady-state allocation of the background streams (fault/QoS derates
+included via the fabric's ``derates`` — the same plumbing the chaos tier
 uses) and reports per-channel utilization.
 
 :func:`effective_service_ns` couples that utilization back into the
@@ -31,20 +31,16 @@ the coupling's documented calibration knob.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.fluid.solver import FluidFlow, Policy, solve
 from repro.units import CACHELINE
 
-if TYPE_CHECKING:  # circular at runtime: core.fabric imports fluid.solver
-    from repro.core.fabric import FabricModel
-    from repro.core.flows import StreamSpec
+if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.path import CompiledPath
 
 __all__ = [
     "MAX_UTILIZATION",
     "stage_channel",
-    "background_utilizations",
     "effective_service_ns",
 ]
 
@@ -80,37 +76,6 @@ def stage_channel(stage_name: str, is_write: bool = False) -> Optional[str]:
     if stage_name.startswith("plink/rc"):
         return f"plink{stage_name[len('plink/rc'):]}:{direction}"
     return None
-
-
-def background_utilizations(
-    fabric: "FabricModel",
-    specs: Sequence["StreamSpec"],
-    umc_ids: Optional[Sequence[int]] = None,
-    dev_ids: Optional[Sequence[int]] = None,
-    policy: Policy = Policy.DEMAND_PROPORTIONAL,
-) -> Dict[str, float]:
-    """Per-channel utilization (0..1) of the background streams alone.
-
-    Identical math to :meth:`FabricModel.utilizations`, but taking the
-    fabric (so the caller controls derates) and tolerating an empty
-    stream list — no background means every channel reads 0.
-    """
-    if not specs:
-        return {}
-    flows: List[FluidFlow] = []
-    for spec in specs:
-        flows.extend(fabric.flows_for(spec, umc_ids=umc_ids, dev_ids=dev_ids))
-    allocation = solve(flows, policy)
-    loads: Dict[str, float] = {}
-    for flow in flows:
-        for channel, weight in flow.path:
-            loads[channel.name] = (
-                loads.get(channel.name, 0.0) + allocation[flow.name] * weight
-            )
-    return {
-        name: min(1.0, load / fabric.channel(name).capacity_gbps)
-        for name, load in loads.items()
-    }
 
 
 def effective_service_ns(

@@ -79,10 +79,6 @@ class FlowTrace:
         """The achieved-bandwidth samples as a TimeSeries."""
         return TimeSeries(np.asarray(self.times_s), np.asarray(self.achieved_gbps))
 
-    def demand_series(self) -> TimeSeries:
-        """The offered-demand samples as a TimeSeries."""
-        return TimeSeries(np.asarray(self.times_s), np.asarray(self.demand_gbps))
-
 
 class FluidSimulator:
     """Drives scheduled flows through the allocation solver over time.

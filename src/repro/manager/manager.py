@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.analysis.stats import jain_index
@@ -89,12 +89,7 @@ class TrafficManager:
             grant = allocation.grants_gbps[name]
             demand = spec.demand_gbps
             shaped_demand = grant if demand is None else min(demand, grant)
-            shaped.append(
-                StreamSpec(
-                    spec.name, spec.op, spec.core_ids,
-                    target=spec.target, demand_gbps=shaped_demand,
-                )
-            )
+            shaped.append(replace(spec, demand_gbps=shaped_demand))
         return shaped
 
     def limiters(

@@ -130,16 +130,15 @@ class NetStackConfig:
         return class_weights(self.classes)
 
 
-def _endpoint_names(spec: StreamSpec, targets: Sequence[int]) -> List[str]:
+def _endpoint_names(fabric: FabricModel, spec: StreamSpec) -> List[str]:
     prefix = "umc" if spec.target == "dram" else "cxldev"
-    return [f"{prefix}{target}" for target in targets]
+    return [f"{prefix}{target}" for target in fabric.endpoints_of(spec)]
 
 
 def fluid_allocation(
     fabric: FabricModel,
     specs: Sequence[StreamSpec],
     config: NetStackConfig,
-    umc_ids: Optional[Sequence[int]] = None,
 ) -> Dict[str, float]:
     """Steady-state grants under the stack; {stream name: achieved GB/s}.
 
@@ -151,25 +150,15 @@ def fluid_allocation(
     receiver-driven crediting.
     """
     if not config.enabled:
-        return fabric.achieved_gbps(
-            specs, policy=Policy.DEMAND_PROPORTIONAL, umc_ids=umc_ids
-        )
+        return fabric.achieved_gbps(specs, policy=Policy.DEMAND_PROPORTIONAL)
     platform = fabric.platform
     names = [spec.name for spec in specs]
     scales = config.credit_scales()
     flows = []
     owners: List[Tuple[str, str]] = []
     for spec in specs:
-        targets = (
-            list(umc_ids) if umc_ids and spec.target == "dram"
-            else (
-                fabric.default_umc_ids(spec)
-                if spec.target == "dram"
-                else sorted(fabric.platform.cxl_devices)
-            )
-        )
         cap = 0.0
-        for endpoint in _endpoint_names(spec, targets):
+        for endpoint in _endpoint_names(fabric, spec):
             share = credit_share(
                 platform, endpoint, names, spec.name,
                 config=config.credit_config, credit_scales=scales,
@@ -178,7 +167,7 @@ def fluid_allocation(
             cap += credit_rate_gbps(
                 platform, endpoint, share, config=config.credit_config
             )
-        spec_flows = fabric.flows_for(spec, umc_ids=umc_ids)
+        spec_flows = fabric.flows_for(spec)
         demand_sum = sum(flow.demand_gbps for flow in spec_flows)
         for flow in spec_flows:
             if demand_sum > 0:

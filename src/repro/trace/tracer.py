@@ -84,14 +84,6 @@ class TraceRecording:
     dropped_open: int = 0
     meta: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def tracks(self) -> List[str]:
-        """Track labels in first-appearance (begin) order."""
-        seen: Dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span["track"], None)
-        return list(seen)
-
     def elapsed_ns(self) -> float:
         """Simulated time covered by the recording (0.0 when empty)."""
         if not self.spans:
@@ -130,12 +122,6 @@ class Tracer:
         self._env = env
         env.tracer = self
         return self
-
-    @property
-    def clock_ns(self) -> float:
-        if self._env is None:
-            raise ConfigurationError("tracer is not attached to an environment")
-        return self._env.now
 
     def begin(
         self,

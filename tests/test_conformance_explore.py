@@ -107,12 +107,10 @@ class TestIdiosyncrasyShapes:
         fabric = FabricModel(
             platform, routing=gen.noc_routing(RoutingPolicy.ADAPTIVE)
         )
-        specs, umc_ids = _workload_streams(platform, "contention")
+        specs = _workload_streams(platform, "contention")
         utils = {
             name: value
-            for name, value in fabric.utilizations(
-                specs, umc_ids=umc_ids
-            ).items()
+            for name, value in fabric.utilizations(specs).items()
             if name.startswith("mesh:") and name.endswith(":r")
         }
         assert utils, "routed fabric must expose per-mesh-link channels"

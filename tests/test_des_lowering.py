@@ -30,12 +30,12 @@ from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
 
 
-def _des_stripe(platform, spec, endpoints):
+def _des_stripe(platform, spec):
     """{ccx id: {endpoint stage: workers}} of the lowered stream."""
     env = Environment()
     issuer = lower_stream(
         env, TransactionExecutor(env), PathResolver(env, platform), spec,
-        endpoints, window=1, count_per_worker=1,
+        window=1, count_per_worker=1,
     )
     stripe = {}
     for core_id, path in zip(spec.core_ids, issuer.paths):
@@ -44,16 +44,17 @@ def _des_stripe(platform, spec, endpoints):
     return {ccx_id: dict(counts) for ccx_id, counts in stripe.items()}
 
 
-def _fluid_stripe(platform, spec, endpoints):
-    """{ccx id: {UMC: cores' worth of the CCX's flow}} of the fluid split."""
+def _fluid_stripe(platform, spec):
+    """{ccx id: {endpoint: cores' worth of the CCX's flow}} of the fluid
+    split."""
     cores = Counter(platform.core(c).ccx_id for c in spec.core_ids)
     stripe = {}
-    for flow in FabricModel(platform).flows_for(spec, umc_ids=endpoints):
+    for flow in FabricModel(platform).flows_for(spec):
         ccx_id = int(flow.name.rsplit("/ccx", 1)[1])
         stripe[ccx_id] = {
             channel.name.split(":")[0]: weight * cores[ccx_id]
             for channel, weight in flow.path
-            if channel.name.startswith("umc")
+            if channel.name.startswith(("umc", "cxldev"))
         }
     return stripe
 
@@ -66,8 +67,8 @@ class TestStripe:
                 p7302.core(c).ccx_id: {f"umc{u}": 1 for u in shared}
                 for c in spec.core_ids
             }
-            assert _des_stripe(p7302, spec, shared) == expected
-            assert _fluid_stripe(p7302, spec, shared) == {
+            assert _des_stripe(p7302, spec) == expected
+            assert _fluid_stripe(p7302, spec) == {
                 ccx_id: pytest.approx(umcs)
                 for ccx_id, umcs in expected.items()
             }
@@ -80,23 +81,104 @@ class TestStripe:
         for spec in netstack._cell_streams(p9634):
             (ccx_id,) = {p9634.core(c).ccx_id for c in spec.core_ids}
             assert len(spec.core_ids) == 7
-            assert _des_stripe(p9634, spec, shared) == {
+            assert _des_stripe(p9634, spec) == {
                 ccx_id: {"umc0": 3, "umc4": 2, "umc8": 2}
             }
-            fluid = _fluid_stripe(p9634, spec, shared)
+            fluid = _fluid_stripe(p9634, spec)
             assert fluid == {
                 ccx_id: pytest.approx({f"umc{u}": 7 / 3 for u in shared})
             }
 
     def test_cxl_streams_stripe_over_devices(self, p9634):
-        spec = StreamSpec("s", OpKind.READ, (0, 1, 2, 3, 4), target="cxl")
-        assert _des_stripe(p9634, spec, [0, 1]) == {
+        spec = StreamSpec(
+            "s", OpKind.READ, (0, 1, 2, 3, 4), target="cxl", endpoints=(0, 1)
+        )
+        assert _des_stripe(p9634, spec) == {
             0: {"cxldev0": 3, "cxldev1": 2}
         }
 
     def test_no_endpoints_rejected(self, p7302):
         with pytest.raises(ConfigurationError):
-            _des_stripe(p7302, StreamSpec("s", OpKind.READ, (0,)), [])
+            _des_stripe(p7302, StreamSpec("s", OpKind.READ, (0,)))
+
+    def test_netstack_cell_streams_name_the_shared_umcs(self, platform):
+        shared = tuple(shared_umc_ids(platform))
+        for spec in netstack._cell_streams(platform):
+            assert spec.endpoints == shared
+
+
+def _default_streams(platform):
+    """Streams with no endpoints: DRAM on one chiplet, DRAM across
+    chiplets and (where the preset has devices) CXL."""
+    ccds = sorted(platform.ccds)
+    one = tuple(c.core_id for c in platform.cores_of_ccd(ccds[0]))
+    across = one + tuple(c.core_id for c in platform.cores_of_ccd(ccds[1]))
+    streams = [
+        StreamSpec("one-chiplet", OpKind.READ, one),
+        StreamSpec("across-chiplets", OpKind.READ, across),
+    ]
+    if platform.cxl_devices:
+        streams.append(StreamSpec("cxl", OpKind.READ, one, target="cxl"))
+    return streams
+
+
+class TestDefaultEndpoints:
+    """One rule resolves a stream's default endpoints for both engines."""
+
+    @pytest.mark.parametrize("preset", ["7302", "9634"])
+    def test_des_and_fluid_cover_the_same_endpoints(
+        self, preset, p7302, p9634
+    ):
+        platform = {"7302": p7302, "9634": p9634}[preset]
+        fabric = FabricModel(platform)
+        streams = _default_streams(platform)
+        assert len(streams) == (3 if preset == "9634" else 2)
+        for spec in streams:
+            resolved = dataclasses.replace(
+                spec, endpoints=fabric.endpoints_of(spec)
+            )
+            des = set()
+            for counts in _des_stripe(platform, resolved).values():
+                des.update(counts)
+            fluid = set()
+            for split in _fluid_stripe(platform, spec).values():
+                fluid.update(split)
+            assert des == fluid, spec.name
+            prefix = "cxldev" if spec.target == "cxl" else "umc"
+            assert fluid == {f"{prefix}{e}" for e in resolved.endpoints}
+
+    def test_default_rule(self, p9634):
+        fabric = FabricModel(p9634)
+        one, across, cxl = _default_streams(p9634)
+        assert fabric.endpoints_of(one) == tuple(shared_umc_ids(p9634))
+        assert fabric.endpoints_of(across) == tuple(sorted(p9634.umcs))
+        assert fabric.endpoints_of(cxl) == tuple(sorted(p9634.cxl_devices))
+        named = dataclasses.replace(one, endpoints=(5, 1))
+        assert fabric.endpoints_of(named) == (5, 1)
+
+
+class TestRecoveryCellHomes:
+    """Each chaos recovery worker stream targets its initial home."""
+
+    @pytest.mark.parametrize("preset", ["7302", "9634"])
+    def test_worker_endpoint_is_its_home(self, preset, p7302, p9634):
+        platform = {"7302": p7302, "9634": p9634}[preset]
+        victim = chaos._victim_cell(platform)
+        assert victim.endpoints == tuple(sorted(shared_umc_ids(platform)))
+        streams = chaos._worker_streams(victim)
+        assert [s.core_ids for s in streams] == [
+            (core_id,) for core_id in victim.core_ids
+        ]
+        for index, spec in enumerate(streams):
+            home = victim.endpoints[index % len(victim.endpoints)]
+            assert spec.endpoints == (home,)
+            # DES: the worker's one path ends at its home UMC.
+            assert _des_stripe(platform, spec) == {
+                platform.core(spec.core_ids[0]).ccx_id: {f"umc{home}": 1}
+            }
+            # Fluid: the worker's flow loads only its home UMC.
+            (split,) = _fluid_stripe(platform, spec).values()
+            assert split == {f"umc{home}": pytest.approx(1.0)}
 
 
 def _digest(value):

@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy."""
 
+import pickle
+
 import pytest
 
 from repro import errors
@@ -55,3 +57,14 @@ def test_cell_execution_error_without_cause():
     exc = errors.CellExecutionError("timed out", cell_index=0, attempts=1)
     assert exc.cause is None
     assert exc.__cause__ is None
+
+
+def test_cell_execution_error_pickles_with_its_context():
+    # A cancelled cell's failure crosses the service's wire as a pickle.
+    exc = errors.CellExecutionError(
+        "cell 2 cancelled before execution", cell_index=2, attempts=1
+    )
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is errors.CellExecutionError
+    assert str(copy) == str(exc)
+    assert (copy.cell_index, copy.attempts, copy.cause) == (2, 1, None)

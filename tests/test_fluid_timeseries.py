@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.analysis.timeseries import TimeSeries
 from repro.errors import ConfigurationError
 from repro.experiments import fig5
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -117,7 +119,10 @@ class TestFluidSimulator:
 
     def test_traces_record_demand(self):
         traces = self._build().run(3.0)
-        demand = traces["paced"].demand_series()
+        paced = traces["paced"]
+        demand = TimeSeries(
+            np.asarray(paced.times_s), np.asarray(paced.demand_gbps)
+        )
         assert demand.mean_between(1.2, 1.8) == pytest.approx(6.0)
         assert demand.mean_between(0.0, 1.0) == pytest.approx(10.0)
 

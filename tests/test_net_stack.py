@@ -1,5 +1,7 @@
 """Tests for the stack switchboard and its fluid realization."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.fabric import FabricModel
@@ -59,57 +61,55 @@ class TestNetStackConfig:
 
 class TestFluidAllocation:
     def _cell(self, platform):
-        victim, hog = contention_streams(
-            platform,
-            victim_cores=tuple(
-                core.core_id for core in platform.cores_of_ccx(0)
-            ),
-            hog_demand_gbps=64.0,
-        )
-        return FabricModel(platform), [victim, hog], shared_umc_ids(platform)
+        """Both streams on the victim chiplet's shared NPS4 UMCs."""
+        shared = tuple(shared_umc_ids(platform))
+        specs = [
+            replace(spec, endpoints=shared)
+            for spec in contention_streams(
+                platform,
+                victim_cores=tuple(
+                    core.core_id for core in platform.cores_of_ccx(0)
+                ),
+                hog_demand_gbps=64.0,
+            )
+        ]
+        return FabricModel(platform), specs
 
     def test_disabled_stack_is_bit_identical_to_hardware(self, platform):
         # The acceptance property: stack off routes through the exact
         # pre-existing code path, number for number.
-        fabric, specs, shared = self._cell(platform)
-        grants = fluid_allocation(
-            fabric, specs, NetStackConfig.off(), umc_ids=shared
-        )
+        fabric, specs = self._cell(platform)
+        grants = fluid_allocation(fabric, specs, NetStackConfig.off())
         baseline = fabric.achieved_gbps(
-            specs, policy=Policy.DEMAND_PROPORTIONAL, umc_ids=shared
+            specs, policy=Policy.DEMAND_PROPORTIONAL
         )
         assert grants == baseline
 
     def test_credits_protect_the_victim(self, p7302):
-        fabric, specs, shared = self._cell(p7302)
-        off = fluid_allocation(
-            fabric, specs, NetStackConfig.off(), umc_ids=shared
-        )
-        on = fluid_allocation(
-            fabric, specs, NetStackConfig.with_credits(), umc_ids=shared
-        )
+        fabric, specs = self._cell(p7302)
+        off = fluid_allocation(fabric, specs, NetStackConfig.off())
+        on = fluid_allocation(fabric, specs, NetStackConfig.with_credits())
         assert on["victim"] > off["victim"]
         assert on["victim"] <= specs[0].demand_gbps + 1e-9
 
     def test_qos_prioritizes_latency_class(self, p7302):
-        fabric, specs, shared = self._cell(p7302)
+        fabric, specs = self._cell(p7302)
         credits = fluid_allocation(
-            fabric, specs, NetStackConfig.with_credits(), umc_ids=shared
+            fabric, specs, NetStackConfig.with_credits()
         )
         qos = fluid_allocation(
             fabric, specs,
             NetStackConfig.with_qos(
                 {"victim": QosClass.LATENCY, "hog": QosClass.BULK}
             ),
-            umc_ids=shared,
         )
         assert qos["victim"] >= credits["victim"]
         assert qos["hog"] <= credits["hog"] + 1e-9
 
     def test_no_stream_exceeds_demand(self, platform):
-        fabric, specs, shared = self._cell(platform)
+        fabric, specs = self._cell(platform)
         grants = fluid_allocation(
-            fabric, specs, NetStackConfig.with_credits(), umc_ids=shared
+            fabric, specs, NetStackConfig.with_credits()
         )
         for spec in specs:
             if spec.demand_gbps is not None:

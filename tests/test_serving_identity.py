@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis.stats import LatencyStats, _percentiles_of_sorted
 from repro.apps import ArrivalSpec, HybridKvServer, KvWorkload, TenantSpec
-from repro.apps.kvstore import ServiceReport, near_umcs
+from repro.apps.kvstore import ServiceReport, background_stream, near_umcs
 from repro.apps.kvserve import TenantReport
 from repro.core.loadgen import (
     diurnal_arrivals,
@@ -32,7 +32,6 @@ from repro.core.loadgen import (
     poisson_arrivals,
 )
 from repro.errors import ConfigurationError, MeasurementError
-from repro.fluid.coupling import background_utilizations
 from repro.sim.batch import open_loop_departures
 from repro.sim.rng import SplitRng
 
@@ -245,14 +244,12 @@ def _reference_serve_tenants(
     names = [t.name for t in tenants]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate tenant names in {names}")
-    specs = self.background_specs(background_cores, background_rate_gbps)
     utilizations = (
-        background_utilizations(
-            self.fabric,
-            specs,
-            umc_ids=near_umcs(self.platform, tenants[0].server_ccd),
-        )
-        if specs
+        self.fabric.utilizations([background_stream(
+            background_cores, background_rate_gbps,
+            near_umcs(self.platform, tenants[0].server_ccd),
+        )])
+        if background_cores
         else {}
     )
     split = SplitRng(self.seed)

@@ -257,7 +257,7 @@ class TestExporter:
         thread_names = {
             m["args"]["name"] for m in ms if m["name"] == "thread_name"
         }
-        assert thread_names == set(recording.tracks)
+        assert thread_names == {span["track"] for span in recording.spans}
         for event in xs:
             assert event["ts"] >= 0.0 and event["dur"] >= 0.0
 
