@@ -258,32 +258,38 @@ class ClosedLoopIssuer:
         (:meth:`~repro.sim.engine.Environment.fires_next`).
         """
         env = self.env
+        interval = self._interval_ns
         # Split the per-worker count over its lanes (remainder to lane 0).
         base, extra = divmod(self.count_per_worker, self.window)
         quota = base + (1 if lane < extra else 0)
+        measured_from = warmup // max(1, self.window)
         for i in range(quota):
-            if self._interval_ns is not None:
+            if interval is not None:
                 # Claim the next pacing slot for the whole issuer group.
                 # Pacing must never fall behind real time, or an idle period
                 # would be followed by an artificial burst.
-                slot = max(self._next_issue_ns, env.now)
-                self._next_issue_ns = slot + self._interval_ns
-                if slot > env.now:
-                    yield env.timeout(slot - env.now)
+                now = env._now
+                slot = self._next_issue_ns
+                if now > slot:
+                    slot = now
+                self._next_issue_ns = slot + interval
+                if slot > now:
+                    yield Timeout(env, slot - now)
             txn = Transaction(
                 self.op, self.size_bytes, src_core=worker_id, flow_id=worker_id
             )
-            if not env.fires_next():
+            # Environment.fires_next, inlined here and below.
+            if not env._sole or env._fifo:
                 yield Timeout(env, 0.0)
             yield from self.executor.execute(txn, path)
-            if not env.fires_next():
+            if not env._sole or env._fifo:
                 yield Timeout(env, 0.0)
-            if i >= warmup // max(1, self.window):
+            if i >= measured_from:
                 if self._measure_start_ns is None:
                     self._measure_start_ns = txn.issued_ns
                 self._samples.append(txn.latency_ns)
                 self._bytes_measured += txn.size_bytes
-                self._measure_end_ns = env.now
+                self._measure_end_ns = env._now
 
     def start(self):
         """Start all workers; returns the event that fires when all finish.

@@ -409,7 +409,7 @@ def _run_sharded_cell(
                 if batch_stage is None:
                     batch_stage = BatchStage(
                         stage.name,
-                        stage.directions[is_write].resource.capacity,
+                        stage.directions[is_write].capacity,
                     )
                     registry[stage.name] = batch_stage
                 service = stage.unloaded_service_ns(CACHELINE, is_write)

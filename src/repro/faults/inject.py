@@ -24,7 +24,7 @@ from typing import Generator, List, Sequence, Tuple
 from repro.errors import FaultInjectionError, SimulationError
 from repro.faults.schedule import FaultSchedule
 from repro.noc.arbiter import LinkArbiter, _DirectionServer
-from repro.sim.engine import Event, Process
+from repro.sim.engine import Event, Process, Resource
 from repro.transport.path import PathResolver
 
 __all__ = ["install", "resolve_channel"]
@@ -102,13 +102,15 @@ def _stall(
     # Claim the lanes FIFO: in-flight transfers drain first, then the stall
     # owns the direction until the window closes (measured in absolute time,
     # so a slow drain eats into the stall, not past its end).
-    grants = [server.resource.request() for __ in range(server.resource.capacity)]
+    # Resource.request, not the direction's own: the claims are not
+    # transfers, so they count in neither its transfers nor its backlog.
+    grants = [Resource.request(server) for __ in range(server.capacity)]
     for grant in grants:
         yield grant
     if end_ns > env.now:
         yield env.timeout(end_ns - env.now)
     for grant in grants:
-        server.resource.release(grant)
+        server.release(grant)
 
 
 def install(resolver: PathResolver, schedule: FaultSchedule) -> List[Process]:

@@ -102,7 +102,7 @@ def effective_service_ns(
         if u <= 0.0:
             continue
         direction = stage.directions[is_write]
-        lanes = direction.resource.capacity
+        lanes = direction.capacity
         queued = u ** lanes * u / (1.0 - u)
         total += queued * CACHELINE / direction.gbps
     return total

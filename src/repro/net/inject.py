@@ -77,7 +77,9 @@ class CreditGate:
                 flow=self.flow, size=txn.size_bytes,
             )
         for __ in range(lines):
-            yield pool.acquire()
+            grant = pool.acquire()
+            if grant.callbacks is not None:
+                yield grant
         if span is not None:
             tracer.end(span)
         try:

@@ -604,18 +604,25 @@ class RecoveryGate:
         Returns ``(credits held, timed out)``; on timeout the caller owns
         the partial holdings and must release them.
         """
-        env = self.executor.env
         if deadline_ns is None:
             for __ in range(lines):
-                yield pool.acquire()
+                grant = pool.acquire()
+                if grant.callbacks is not None:
+                    yield grant
             return lines, False
-        deadline = env.timeout(deadline_ns)
+        env = self.executor.env
+        # Armed at the first wait: no time passes before it, so it still
+        # falls deadline_ns after the attempt began, and an attempt whose
+        # credits are all free arms none.
+        deadline = None
         held = 0
         for __ in range(lines):
             grant = pool.acquire()
             if grant.triggered:
                 held += 1
                 continue
+            if deadline is None:
+                deadline = env.timeout(deadline_ns)
             yield env.any_of([grant, deadline])
             if grant.triggered:
                 held += 1

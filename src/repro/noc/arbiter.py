@@ -21,22 +21,37 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.platform.interconnect import LinkSpec
-from repro.sim.engine import Environment, Event, Resource, Timeout
+from repro.sim.engine import (
+    Environment,
+    Event,
+    Resource,
+    Timeout,
+    _ResourceRequest,
+)
 
 __all__ = ["LinkArbiter"]
 
 
-class _DirectionServer:
+class _DirectionServer(Resource):
     """One direction of a link: a FIFO serializer at a fixed byte rate.
 
-    A transfer is :meth:`request`, then, once granted, :meth:`occupy`.
+    The direction is itself the :class:`~repro.sim.engine.Resource` whose
+    ``capacity`` lanes its transfers queue for. A transfer is
+    :meth:`request`, then, once granted, :meth:`occupy`, then
+    :meth:`release` of the grant. Only :meth:`request` counts
+    ``transfers`` and the backlog: a lane claimed through the base
+    ``Resource.request`` (a fault stall's) counts as neither.
     """
 
+    __slots__ = (
+        "gbps", "frame", "jitter", "busy_ns", "bytes_served", "transfers",
+        "max_queue_len",
+    )
+
     def __init__(self, env: Environment, gbps: float, lanes: int = 1) -> None:
-        self.env = env
+        super().__init__(env, capacity=lanes)
         #: Live service rate; fault reshaping rewrites it mid-run.
         self.gbps = gbps
-        self.resource = Resource(env, capacity=lanes)
         #: Payload → wire bytes (CXL FLIT framing); None carries payload as is.
         self.frame = None
         #: ``(DramTimingModel, rng)`` drawn per transfer; None: no jitter.
@@ -52,15 +67,31 @@ class _DirectionServer:
         if self.frame is not None:
             size_bytes = self.frame(size_bytes)
         # lanes parallel sub-channels each carry gbps/lanes.
-        return size_bytes / (self.gbps / self.resource.capacity)
+        return size_bytes / (self.gbps / self.capacity)
 
-    def request(self) -> Event:
-        """Queue for a lane (release the grant to ``resource`` when done)."""
+    def request(self) -> _ResourceRequest:
+        """Queue one transfer for a lane (release the grant when done).
+
+        ``Resource.request`` with the transfer and backlog counts in the
+        same call: a free lane is granted as there, and a queued request
+        records the backlog it joins.
+        """
         self.transfers += 1
-        grant = self.resource.request()
-        backlog = self.resource.queue_length
-        if backlog > self.max_queue_len:
-            self.max_queue_len = backlog
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            env = self.env
+            if env._sole and not env._fifo:
+                return self._fired
+            grant = _ResourceRequest(self)
+            grant._value = None
+            env._sequence += env._seq_step
+            env._fifo.append(grant)
+            return grant
+        grant = _ResourceRequest(self)
+        waiting = self._waiting
+        waiting.append(grant)
+        if len(waiting) > self.max_queue_len:
+            self.max_queue_len = len(waiting)
         return grant
 
     def occupy(self, size_bytes: int) -> float:
@@ -71,7 +102,7 @@ class _DirectionServer:
         """
         if self.frame is not None:
             size_bytes = self.frame(size_bytes)
-        service = size_bytes / (self.gbps / self.resource.capacity)
+        service = size_bytes / (self.gbps / self.capacity)
         if self.jitter is not None:
             timing, rng = self.jitter
             service += timing.sample_extra_ns(rng)
@@ -86,7 +117,7 @@ class _DirectionServer:
             yield grant
             yield Timeout(self.env, self.occupy(size_bytes))
         finally:
-            self.resource.release(grant)
+            self.release(grant)
 
 
 class LinkArbiter:

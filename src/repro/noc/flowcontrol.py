@@ -36,6 +36,8 @@ class TokenPool:
         self.capacity = tokens
         self._available = tokens
         self._waiting: Deque[tuple[Event, float]] = deque()
+        #: The one already-fired grant every skipped-queue acquire returns.
+        self._fired = fired(env)
         # Statistics for the Table 2 "Max CCX/CCD Q" rows.
         self.max_wait_ns = 0.0
         self.total_wait_ns = 0.0
@@ -56,16 +58,22 @@ class TokenPool:
     def acquire(self) -> Event:
         """Claim one token; the event fires when the token is granted.
 
-        A free token whose grant would fire next comes back already fired
-        instead of queued (:meth:`~repro.sim.engine.Environment.fires_next`),
-        so only the acquiring process may wait on it, as every caller does.
+        A free token whose grant would fire next
+        (:meth:`~repro.sim.engine.Environment.fires_next`) comes back as
+        the pool's one preallocated, already-fired grant instead of a new
+        queued one. Every holder of it shares that object, so only the
+        acquiring process may use it, and only to continue: a token goes
+        home through :meth:`release`, which takes no grant. Otherwise the
+        grant is a fresh event: queued in the FIFO when a token is free,
+        else waiting for one.
         """
         env = self.env
         if self._available > 0 and not self._waiting:
             self._available -= 1
             self._record_wait(0.0)
-            if env.fires_next():
-                return fired(env)
+            if env._sole and not env._fifo:
+                # Environment.fires_next, inlined.
+                return self._fired
             # Event(env).succeed(), inlined: the grant is due now, so it
             # draws its sequence number and joins the engine's FIFO.
             event = Event(env)
@@ -97,12 +105,6 @@ class TokenPool:
         self.total_wait_ns += wait_ns
         if wait_ns > self.max_wait_ns:
             self.max_wait_ns = wait_ns
-
-    @property
-    def mean_wait_ns(self) -> float:
-        if self.acquired_count == 0:
-            return 0.0
-        return self.total_wait_ns / self.acquired_count
 
     def reset_stats(self) -> None:
         """Zero the wait-time statistics (keeps token state)."""

@@ -97,10 +97,6 @@ class MeshNetwork:
                 yield self.env.timeout(service + port.hop_ns)
         return self.env.now - start
 
-    def total_bytes_forwarded(self) -> int:
-        """Total bytes forwarded across every port."""
-        return sum(port.bytes_forwarded for port in self._ports.values())
-
 
 @dataclass
 class _AdaptivePort:
@@ -240,7 +236,3 @@ class AdaptiveMeshNetwork:
                 port.credits.release()
             here = nxt
         return self.env.now - start
-
-    def total_bytes_forwarded(self) -> int:
-        """Total bytes forwarded across every port."""
-        return sum(port.bytes_forwarded for port in self._ports.values())

@@ -62,6 +62,16 @@ drawn), which keeps their order. A multi-callback event fires with the rule
 off (its siblings must run before any continuation), and so does the event
 a ``run(until=event)`` stops at (the loop stops after it).
 
+**A fired grant costs nothing.** Each :class:`Resource` and each
+:class:`~repro.noc.flowcontrol.TokenPool` preallocates one already-fired
+grant and returns that same object for every grant that skips the queue,
+so a held grant allocates nothing; the holders share it, and ``release``
+reads only which resource it came from. The transaction executor and the
+credit gates do not yield a fired grant either: they yield a grant only
+while its ``callbacks`` is not None. Yielding a fired event resumes the
+generator at once with its value and runs nothing in between, so skipping
+the round trip is exact.
+
 **Strict is heap-only.** A strict environment (``Environment(strict=True)``)
 never applies the rule and keeps no FIFO: its stand-in pushes every
 same-instant event onto the heap as ``(now, seq, event)``, and its checked
@@ -633,7 +643,7 @@ class Resource:
     in flight receives proportionally more service.
     """
 
-    __slots__ = ("env", "capacity", "_in_use", "_waiting")
+    __slots__ = ("env", "capacity", "_in_use", "_waiting", "_fired")
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -642,6 +652,10 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: deque[_ResourceRequest] = deque()
+        #: The one already-fired grant every skipped-queue request returns.
+        self._fired = grant = _ResourceRequest(self)
+        grant.callbacks = None
+        grant._value = None
 
     @property
     def count(self) -> int:
@@ -656,25 +670,30 @@ class Resource:
     def request(self) -> _ResourceRequest:
         """Claim a slot; the returned event fires when the slot is granted.
 
-        A free slot whose grant would fire next comes back already fired
-        instead of queued (:meth:`Environment.fires_next`), so only the
-        requesting process may wait on it, as every caller does.
+        A free slot whose grant would fire next
+        (:meth:`Environment.fires_next`) comes back as the resource's one
+        preallocated, already-fired grant instead of a new queued one.
+        Every holder of it shares that object, so only the requesting
+        process may use it, and only to continue and to hand it to
+        :meth:`release`, which reads nothing but its ``resource``.
+        Otherwise the grant is a fresh event: queued in the FIFO when a
+        slot is free, else waiting for one.
         """
-        req = _ResourceRequest(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            req._value = None
             env = self.env
             if env._sole and not env._fifo:
-                # The grant would fire next: hand it over already fired
-                # (Environment.fires_next, inlined).
-                req.callbacks = None
-            else:
-                # Grant inline: what succeed() does, with the same draw.
-                env._sequence += env._seq_step
-                env._fifo.append(req)
-        else:
-            self._waiting.append(req)
+                # The grant would fire next (Environment.fires_next,
+                # inlined): hand over the fired one.
+                return self._fired
+            # Grant inline: what succeed() does, with the same draw.
+            req = _ResourceRequest(self)
+            req._value = None
+            env._sequence += env._seq_step
+            env._fifo.append(req)
+            return req
+        req = _ResourceRequest(self)
+        self._waiting.append(req)
         return req
 
     def release(self, request: _ResourceRequest) -> None:

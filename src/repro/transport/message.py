@@ -39,7 +39,7 @@ class Transaction:
     src_core: int = 0
     target: str = "dram"
     flow_id: Optional[int] = None
-    txn_id: int = field(default_factory=lambda: next(_txn_ids))
+    txn_id: int = field(default_factory=_txn_ids.__next__)
     issued_ns: Optional[float] = None
     completed_ns: Optional[float] = None
 

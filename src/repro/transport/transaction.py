@@ -25,6 +25,8 @@ class TransactionExecutor:
     stage it queues for a lane, holds it for the direction's service time
     and releases it — the events and RNG draws of
     :meth:`~repro.noc.arbiter.LinkArbiter.transfer`, in the same order.
+    A token or lane grant that comes back already fired is not yielded
+    (see the ordering contract in :mod:`repro.sim.engine`).
 
     The executor keeps byte-conservation books — ``bytes_injected``,
     ``bytes_delivered``, ``bytes_in_flight`` — cheap enough to run always.
@@ -72,7 +74,7 @@ class TransactionExecutor:
                 f"{size} at t={env.now}"
             )
         is_write = txn.op.is_write
-        txn.issued_ns = env.now
+        txn.issued_ns = env._now
         self.bytes_injected += size
         self.bytes_in_flight += size
         if tracer is not None:
@@ -86,7 +88,9 @@ class TransactionExecutor:
         for pool in path.tokens:
             if tracer is not None:
                 hop = tracer.begin(f"tokens/{pool.name}", "wait", track, parent=span)
-            yield pool.acquire()
+            grant = pool.acquire()
+            if grant.callbacks is not None:
+                yield grant
             if tracer is not None:
                 tracer.end(hop)
         try:
@@ -96,10 +100,11 @@ class TransactionExecutor:
                 direction = stage.directions[is_write]
                 grant = direction.request()
                 try:
-                    yield grant
+                    if grant.callbacks is not None:
+                        yield grant
                     yield Timeout(env, direction.occupy(size))
                 finally:
-                    direction.resource.release(grant)
+                    direction.release(grant)
                 if tracer is not None:
                     tracer.end(
                         hop, size=size, write=is_write,
@@ -113,7 +118,7 @@ class TransactionExecutor:
         finally:
             for pool in reversed(path.tokens):
                 pool.release()
-        txn.completed_ns = env.now
+        txn.completed_ns = env._now
         if tracer is not None:
             tracer.end(span)
             tracer.sample_flow(flow, size)

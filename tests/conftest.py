@@ -6,6 +6,21 @@ import pytest
 
 from repro.platform.presets import epyc_7302, epyc_9634
 
+try:
+    from hypothesis import settings
+except ImportError:  # CI jobs that run no property test do not install it
+    pass
+else:
+    # Property tests draw the same examples on every run: derandomized,
+    # with no replay of what a local example database saved. Each test
+    # keeps its own max_examples. ``--hypothesis-profile=randomized``
+    # searches afresh (CI's conformance job runs the property files so).
+    settings.register_profile("randomized", derandomize=False)
+    settings.register_profile(
+        "deterministic", derandomize=True, database=None
+    )
+    settings.load_profile("deterministic")
+
 # Tests monkeypatch experiment functions and then drive cli.main(); the
 # CLI's default-on result cache would persist those doctored values under
 # real keys. Keep the whole test process uncached unless a test opts in

@@ -5,10 +5,11 @@ import pytest
 from repro.core.fabric import FabricModel
 from repro.errors import FaultInjectionError
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, install
-from repro.faults.inject import resolve_channel
+from repro.faults.inject import _stall, resolve_channel
 from repro.faults.schedule import STALL_FACTOR
 from repro.fluid.solver import Channel, FluidFlow, Policy
 from repro.fluid.timeseries import DemandSchedule, FluidSimulator
+from repro.noc.arbiter import _DirectionServer
 from repro.sim.engine import Environment
 from repro.transport.path import PathResolver
 
@@ -265,9 +266,34 @@ class TestDesBackend:
         )
         install(resolver, schedule)
         env.run(until=150.0)
-        assert server.resource.count == server.resource.capacity
+        assert server.count == server.capacity
         env.run(until=250.0)
-        assert server.resource.count == 0
+        assert server.count == 0
+
+    def test_stall_claims_are_not_transfers(self):
+        # Both lanes of a 2-lane direction are busy when the stall starts,
+        # so its lane claims queue behind the transfers. The counters read
+        # what the two transfers alone set: the claims count in neither
+        # transfers nor the backlog.
+        env = Environment()
+        server = _DirectionServer(env, gbps=6.4, lanes=2)  # 64 B: 20 ns
+        done = []
+
+        def transfer():
+            yield from server.transfer(64)
+            done.append(env.now)
+
+        env.process(transfer())
+        env.process(transfer())
+        stall = env.process(_stall(env, server, start_ns=5.0, end_ns=50.0))
+        env.run()
+        # The transfers finish undisturbed; the stall then holds to its end.
+        assert done == [20.0, 20.0]
+        assert stall.processed and env.now == 50.0
+        assert server.transfers == 2
+        assert server.max_queue_len == 0
+        assert server.busy_ns == 40.0
+        assert server.bytes_served == 128
 
     def test_null_schedule_installs_nothing(self, p7302):
         env, resolver, __ = _gmi_read_server(p7302)

@@ -404,6 +404,45 @@ class TestRecoveryGateFailover:
         installation.assert_credits_home()
 
 
+class TestRecoveryGateDeadline:
+    def test_free_credits_arm_no_deadline(self, p7302):
+        # The credit-wait deadline is armed at the first wait: an attempt
+        # whose credits are all free leaves no timeout on the heap, and
+        # one that must wait still times out retry_timeout_ns after it
+        # began.
+        env = Environment()
+        resolver = PathResolver(env, p7302)
+        config = RecoveryConfig.on()
+        installation = install(
+            resolver,
+            NetStackConfig.with_credits(),
+            config,
+            flows=["victim"],
+            endpoints=["umc0"],
+        )
+        gate = installation.gate(
+            TransactionExecutor(env, flow="victim"), "victim", worker=0
+        )
+        pool = installation.scheduler.pool("umc0", "victim")
+        outcomes = []
+
+        def attempt(lines):
+            held = yield from gate._acquire(
+                pool, lines, config.retry_timeout_ns
+            )
+            outcomes.append((held, env.now))
+
+        env.process(attempt(pool.capacity))
+        env.run()
+        assert outcomes == [((pool.capacity, False), 0.0)]
+        # Nothing was left to fire later: no deadline moved the clock.
+        assert env.now == 0.0
+        env.process(attempt(1))
+        env.run()
+        assert outcomes[1] == ((0, True), config.retry_timeout_ns)
+        assert pool.queue_length == 0
+
+
 class TestShardedFaultGuard:
     def _schedule(self):
         return FaultSchedule(

@@ -60,7 +60,6 @@ class TestTokenPool:
         env.run()
         assert pool.max_wait_ns == pytest.approx(10.0)
         assert pool.acquired_count == 2
-        assert pool.mean_wait_ns == pytest.approx(5.0)
 
     def test_reset_stats(self):
         env = Environment()
@@ -70,10 +69,6 @@ class TestTokenPool:
         pool.reset_stats()
         assert pool.max_wait_ns == 0.0
         assert pool.acquired_count == 0
-
-    def test_mean_wait_empty(self):
-        env = Environment()
-        assert TokenPool(env, 1).mean_wait_ns == 0.0
 
     def test_in_use_accounting(self):
         env = Environment()

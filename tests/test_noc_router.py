@@ -59,7 +59,8 @@ class TestSend:
         net = MeshNetwork(env, mesh, port_gbps=100.0)
         env.run(env.process(net.send((0, 0), (2, 0), 64)))
         # Two hops, each forwards 64 bytes.
-        assert net.total_bytes_forwarded() == 128
+        forwarded = [port.bytes_forwarded for port in net._ports.values()]
+        assert sum(forwarded) == 128
 
     def test_contention_serializes_on_shared_port(self, mesh):
         env = Environment()

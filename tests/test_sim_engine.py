@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.noc.flowcontrol import TokenPool
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -626,6 +627,121 @@ class TestResource:
             env.process(worker())
         env.run()
         assert env.now == pytest.approx(10.0)
+
+
+class TestHeldGrants:
+    """A grant that would fire next is its resource's (or pool's) one
+    preallocated fired grant, and skipping its yield changes nothing (see
+    the ordering contract in ``repro.sim.engine``)."""
+
+    @staticmethod
+    def _claims(strict):
+        """Claim a slot and a token before the run, then twice inside the
+        only callback of a popped event: once with nothing else due now,
+        once with a zero timeout queued. The resource is then full."""
+        env = Environment(strict=strict)
+        res = Resource(env, capacity=3)
+        pool = TokenPool(env, 3)
+        claims = [(env.fires_next(), res.request(), pool.acquire())]
+
+        def sole(event):
+            claims.append((env.fires_next(), res.request(), pool.acquire()))
+            Timeout(env, 0.0)
+            claims.append((env.fires_next(), res.request(), pool.acquire()))
+
+        Timeout(env, 1.0).callbacks.append(sole)
+        env.run()
+        claims.append((env.fires_next(), res.request(), pool.acquire()))
+        return env, res, pool, claims
+
+    def test_the_shared_grant_exactly_when_it_fires_next(self):
+        env, res, pool, claims = self._claims(strict=False)
+        assert [fires for fires, __, __ in claims] == [
+            False, True, False, False
+        ]
+        for fires, grant, token in claims[:3]:
+            assert (grant is res._fired) == (token is pool._fired) == fires
+            assert grant.triggered and token.triggered
+            if fires:
+                assert grant.callbacks is None and token.callbacks is None
+        # The others were queued in the FIFO, which the run drained.
+        assert all(grant.processed for __, grant, __ in claims[:3])
+        # Full: a fresh grant waits for a slot (and a token).
+        __, grant, token = claims[3]
+        assert not grant.triggered and not token.triggered
+        assert list(res._waiting) == [grant] and pool.queue_length == 1
+
+    def test_strict_never_hands_out_the_shared_grant(self):
+        env, res, pool, claims = self._claims(strict=True)
+        for fires, grant, token in claims:
+            assert not fires
+            assert grant is not res._fired and token is not pool._fired
+        assert len({id(grant) for __, grant, __ in claims}) == 4
+
+    def test_releasing_the_shared_grant_frees_one_slot_per_call(self):
+        env = Environment()
+        res = Resource(env, capacity=2)
+        pool = TokenPool(env, 2)
+        grants = []
+
+        def sole(event):
+            grants.extend([res.request(), res.request()])
+            pool.acquire()
+            pool.acquire()
+
+        Timeout(env, 1.0).callbacks.append(sole)
+        env.run()
+        assert grants == [res._fired, res._fired]
+        assert (res.count, pool.in_use) == (2, 2)
+        waiter = res.request()
+        res.release(grants[0])
+        assert waiter.triggered and res.count == 2
+        res.release(grants[1])
+        res.release(waiter)
+        assert res.count == 0
+        with pytest.raises(SimulationError):
+            res.release(grants[0])
+        pool.release()
+        pool.release()
+        assert pool.in_use == 0
+
+    @staticmethod
+    def _workers(skip, strict=False):
+        """Three workers contend for one slot and one token; with ``skip``
+        they do not yield a grant that came back fired."""
+        env = Environment(strict=strict)
+        res = Resource(env, capacity=1)
+        pool = TokenPool(env, 1)
+        log = []
+        shared = [0, 0]
+
+        def wait_for(grant):
+            shared[grant.callbacks is None] += 1
+            if not skip or grant.callbacks is not None:
+                yield grant
+
+        def worker(name, delay):
+            for round_ in range(3):
+                yield Timeout(env, delay)
+                yield from wait_for(pool.acquire())
+                grant = res.request()
+                yield from wait_for(grant)
+                log.append((name, round_, env.now))
+                yield Timeout(env, 1.5)
+                res.release(grant)
+                pool.release()
+
+        for name, delay in (("a", 0.0), ("b", 1.0), ("c", 4.0)):
+            env.process(worker(name, delay))
+        env.run()
+        return log, env.now, shared
+
+    def test_skipping_a_fired_grant_changes_nothing(self):
+        log, now, shared = self._workers(skip=True)
+        assert (log, now) == self._workers(skip=False)[:2]
+        assert (log, now) == self._workers(skip=False, strict=True)[:2]
+        # Both kinds of grant occurred: some fired, some queued.
+        assert shared[True] > 0 and shared[False] > 0
 
 
 class TestStore:

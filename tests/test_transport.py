@@ -15,7 +15,7 @@ from repro.noc.arbiter import LinkArbiter
 from repro.noc.flowcontrol import TokenPool
 from repro.platform.numa import Position
 from repro.platform.presets import epyc_7302, epyc_9634
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Resource
 from repro.trace import Tracer, assert_tiles
 from repro.transport.message import OpKind, Transaction
 from repro.transport.path import PathResolver
@@ -171,12 +171,12 @@ class TestExecution:
 
 
 def _reference_direction_transfer(direction, size_bytes):
-    with direction.resource.request() as grant:
-        backlog = direction.resource.queue_length
+    with Resource.request(direction) as grant:
+        backlog = direction.queue_length
         if backlog > direction.max_queue_len:
             direction.max_queue_len = backlog
         yield grant
-        service = size_bytes / (direction.gbps / direction.resource.capacity)
+        service = size_bytes / (direction.gbps / direction.capacity)
         direction.busy_ns += service
         direction.bytes_served += size_bytes
         yield direction.env.timeout(service)
@@ -192,9 +192,9 @@ def _reference_device_access(device, size_bytes, is_write, accesses):
     if isinstance(device, CxlDeviceModel):
         size_bytes = wire_bytes(size_bytes, device.flit_bytes)
     direction = device.arbiter.write_dir if is_write else device.arbiter.read_dir
-    with direction.resource.request() as grant:
+    with Resource.request(direction) as grant:
         yield grant
-        service = size_bytes / (direction.gbps / direction.resource.capacity)
+        service = size_bytes / (direction.gbps / direction.capacity)
         if direction.jitter is not None:
             timing, rng = direction.jitter
             service += timing.sample_extra_ns(rng)
