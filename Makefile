@@ -106,7 +106,8 @@ explore-smoke:
 # `repro all --quality full` and the submit/serve/jobs/cache/--csv/--out
 # doors under a call profiler in every process, then lists the unentered
 # functions with line counts and marks those only tests name (or that
-# scripts/reach_keep.txt keeps). Takes minutes, so it is not part of
-# `verify`.
+# scripts/reach_keep.txt keeps). Fails when a function outside the
+# keep-list is unentered or a keep entry names no function. Takes
+# minutes, so it is not part of `verify` (CI's `reach` job runs it).
 reach:
 	timeout 1800 env PYTHONPATH=src $(PYTHON) scripts/reach.py

@@ -70,14 +70,16 @@ def bench_runner_cells_serial(benchmark, p7302, record_timing):
     assert best < RUNNER_CEILING_S
 
 
-def bench_runner_cells_pool(benchmark, p7302, record_timing):
+def bench_runner_cells_pool(benchmark, p7302, record_timing, monkeypatch):
     """The worker-pool (jobs=2) path, including pool spawn overhead.
 
     On a single-CPU container this is *slower* than serial — the point is
     to track the fixed fan-out cost, and to assert the pool path returns
-    the same results as the in-process path. ``pool_threshold_s=0``
-    disables the adaptive serial ramp so the pool really is measured.
+    the same results as the in-process path. Patching
+    ``POOL_THRESHOLD_S`` to 0 disables the adaptive serial ramp so the
+    pool really is measured.
     """
+    from repro import runner
     from repro.experiments import fig4, table3
     from repro.runner import Cell, run_cells
 
@@ -87,8 +89,10 @@ def bench_runner_cells_pool(benchmark, p7302, record_timing):
     ]
     serial = run_cells(cells, jobs=1)
 
+    monkeypatch.setattr(runner, "POOL_THRESHOLD_S", 0)
+
     def run():
-        return run_cells(cells, jobs=2, pool_threshold_s=0)
+        return run_cells(cells, jobs=2)
 
     pooled = benchmark.pedantic(run, rounds=1, iterations=1)
     assert (

@@ -27,12 +27,6 @@ def p9634():
     return epyc_9634()
 
 
-def emit(text: str) -> None:
-    """Print a regenerated paper artifact (visible with ``pytest -s``)."""
-    print()
-    print(text)
-
-
 def record_timing(name: str, seconds: float, **meta) -> dict:
     """Append one timing sample to the BENCH_results.json trajectory.
 

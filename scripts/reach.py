@@ -11,6 +11,8 @@ Entry points:
 
 * every ``repro`` argv of the CLI golden tier
   (``tests/test_cli_goldens.py::CASES``), in one process;
+* ``repro trace netstack`` with its default sample count and output
+  path, as docs/USAGE.md shows it;
 * ``examples/*.py`` and ``scripts/*.py`` (this script excepted);
 * each e2e workload with ``--quick``;
 * ``repro all --quality full --no-cache --jobs 1``;
@@ -21,9 +23,12 @@ Entry points:
   --out FILE``; ``repro cache stats`` and ``repro cache clear``.
 
 Functions kept on purpose are listed in ``scripts/reach_keep.txt``, one
-``<file under src>::<qualified name>`` and a one-line reason per line.
-The report marks an unentered one ``kept`` instead of ``tests-only``, and
-names any entry that matches no src function.
+``<file under src>::<qualified name>`` and a one-line reason per line; a
+kept function covers the functions nested in it. The report marks an
+unentered one ``kept`` instead of ``tests-only``, and names any entry that
+matches no src function. The script exits 1 when an entry point fails,
+when a function outside the keep-list is unentered, or when an entry
+matches no function, so a clean run is the audit passing.
 
 The profiler is a generated ``sitecustomize`` module put first on
 ``PYTHONPATH``. It calls ``sys.setprofile`` and ``threading.setprofile``
@@ -37,6 +42,9 @@ file and flushes it at once, so a worker that leaves through
 Run from the repository root; it takes a few minutes::
 
     make reach          # or: python scripts/reach.py
+
+:func:`stale_entries` and :func:`unkept_tests_only` are the half that
+needs no run; ``tests/test_reach.py`` checks them in tier-1.
 """
 
 from __future__ import annotations
@@ -193,7 +201,9 @@ def name_uses(directory: Path) -> Counter:
     """How often each identifier is used in ``directory``'s Python files.
 
     Imports and the name after ``def`` are not uses: re-exporting or
-    defining a function does not keep it alive.
+    defining a function does not keep it alive. Names inside f-string
+    fields count on every Python version (3.12 tokenizes them, 3.11 does
+    not).
     """
     uses: Counter = Counter()
     for path in sorted(directory.rglob("*.py")):
@@ -205,8 +215,24 @@ def name_uses(directory: Path) -> Counter:
                 logical = []
             elif token.type == tokenize.NAME:
                 logical.append(token)
+            elif token.type == tokenize.STRING:
+                uses.update(_fstring_names(token.string))
         _count(logical, uses)
     return uses
+
+
+def _fstring_names(literal: str) -> List[str]:
+    """The names an f-string literal's replacement fields use."""
+    prefix = literal[:literal.index(literal[-1])].lower()
+    if "f" not in prefix:
+        return []
+    names: List[str] = []
+    for node in ast.walk(ast.parse(literal, mode="eval")):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return names
 
 
 def _count(tokens: List[tokenize.TokenInfo], uses: Counter) -> None:
@@ -279,6 +305,7 @@ def run_entry_points(out: Path, work: Path) -> bool:
             "trace", "table2", "--samples", "10",
             "--out", str(work / "trace.json"),
         ]),
+        ("repro trace netstack", repro + ["trace", "netstack"]),
         ("repro cache stats", repro + ["cache", "stats"]),
         ("repro cache clear", repro + ["cache", "clear"]),
     ]
@@ -316,12 +343,61 @@ def _key(f: Function) -> str:
     return f"{f.path.relative_to(SRC).as_posix()}::{f.qualname}"
 
 
-def report(functions: List[Function], seen: Set[Tuple[str, int]]) -> str:
-    """A count line, then the unentered functions grouped by file."""
-    uses: Counter = Counter()
+def is_kept(f: Function, kept: Dict[str, str]) -> bool:
+    """Whether ``f`` or a function it is nested in is on the keep-list."""
+    path = f.path.relative_to(SRC).as_posix()
+    parts = f.qualname.split(".")
+    return any(
+        f"{path}::{'.'.join(parts[:depth])}" in kept
+        for depth in range(1, len(parts) + 1)
+    )
+
+
+class Uses(NamedTuple):
+    outside: Counter  # name uses in USE_DIRS
+    tests: Counter    # name uses in tests/
+
+
+def uses() -> Uses:
+    outside: Counter = Counter()
     for directory in USE_DIRS:
-        uses.update(name_uses(ROOT / directory))
-    tested = name_uses(ROOT / "tests")
+        outside.update(name_uses(ROOT / directory))
+    return Uses(outside, name_uses(ROOT / "tests"))
+
+
+def tests_only(f: Function, named: Uses) -> bool:
+    """No line outside ``tests/`` names ``f`` but its own ``def``."""
+    name = f.qualname.rsplit(".", 1)[-1]
+    return (
+        not name.startswith("__")
+        and not named.outside[name]
+        and bool(named.tests[name])
+    )
+
+
+def stale_entries(functions: List[Function]) -> List[str]:
+    """Keep-list entries that name no src function."""
+    return sorted(set(keep_list()) - {_key(f) for f in functions})
+
+
+def unkept_tests_only(functions: List[Function]) -> List[str]:
+    """Functions outside the keep-list that only tests name, entered or
+    not: the half of the audit that needs no run."""
+    kept = keep_list()
+    named = uses()
+    return [
+        _key(f) for f in functions
+        if not is_kept(f, kept) and tests_only(f, named)
+    ]
+
+
+def report(
+    functions: List[Function], seen: Set[Tuple[str, int]]
+) -> Tuple[str, bool]:
+    """A count line, then the unentered functions grouped by file; and
+    whether the audit is clean (every unentered function kept, no stale
+    keep entry)."""
+    named = uses()
     kept = keep_list()
     unentered = [
         f for f in functions
@@ -331,24 +407,25 @@ def report(functions: List[Function], seen: Set[Tuple[str, int]]) -> str:
     only_tests = []
     kept_unentered = []
     for f in unentered:
-        name = f.qualname.rsplit(".", 1)[-1]
         mark = ""
-        if _key(f) in kept:
+        if is_kept(f, kept):
             mark = "kept"
             kept_unentered.append(f)
-        elif not name.startswith("__") and not uses[name] and tested[name]:
+        elif tests_only(f, named):
             mark = "tests-only"
             only_tests.append(f)
         rows.append((f, mark))
+    outside = len(unentered) - len(kept_unentered)
     lines = [
         f"{len(functions)} src functions; {len(unentered)} unentered "
         f"({sum(f.lines for f in unentered):,} lines); "
         f"{len(kept_unentered)} of them kept "
         f"({sum(f.lines for f in kept_unentered):,} lines); "
         f"{len(only_tests)} tests-only "
-        f"({sum(f.lines for f in only_tests):,} lines)",
+        f"({sum(f.lines for f in only_tests):,} lines); "
+        f"{outside} outside the keep-list",
     ]
-    stale = sorted(set(kept) - {_key(f) for f in functions})
+    stale = stale_entries(functions)
     if stale:
         lines.append("keep-list entries naming no src function: "
                      + ", ".join(stale))
@@ -361,7 +438,7 @@ def report(functions: List[Function], seen: Set[Tuple[str, int]]) -> str:
             f"  {f.first:5d}  {f.qualname:<48} {f.lines:4d} lines  {mark}"
             .rstrip()
         )
-    return "\n".join(lines)
+    return "\n".join(lines), not outside and not stale
 
 
 def main() -> int:
@@ -371,11 +448,15 @@ def main() -> int:
         out.mkdir()
         work.mkdir()
         ok = run_entry_points(out, work)
-        print(report(src_functions(), entered(out)))
+        text, clean = report(src_functions(), entered(out))
+        print(text)
     if not ok:
         print("reach: some entry points failed; functions only they reach "
               "are listed as unentered", file=sys.stderr)
-    return 0 if ok else 1
+    if not clean:
+        print("reach: unentered functions outside scripts/reach_keep.txt, "
+              "or stale entries in it", file=sys.stderr)
+    return 0 if ok and clean else 1
 
 
 if __name__ == "__main__":

@@ -87,12 +87,3 @@ class JobTrace:
         return self.phases.get("input_dma", 0.0) + self.phases.get(
             "output_dma", 0.0
         )
-
-    def render(self) -> str:
-        """One-line per-phase summary of the job timings."""
-        parts = [
-            f"{phase}={self.phases[phase]:.0f}"
-            for phase in self.PHASE_ORDER
-            if phase in self.phases
-        ]
-        return f"total={self.total_ns:.0f}ns ({', '.join(parts)})"

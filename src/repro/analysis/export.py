@@ -1,8 +1,8 @@
 """CSV export of measurement artifacts.
 
-The offline environment has no plotting stack, so every experiment result
-can be exported as CSV for external tooling: time series (Figure 5 traces),
-sweep curves (Figures 3/6), and generic tables.
+The offline environment has no plotting stack, so the Figure 3 sweeps
+export as CSV for external tooling (``repro fig3 --csv DIR``), one table
+per panel and op.
 """
 
 from __future__ import annotations
@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from repro.analysis.timeseries import TimeSeries
 from repro.errors import MeasurementError
 
-__all__ = ["rows_to_csv", "timeseries_to_csv", "curves_to_csv"]
+__all__ = ["rows_to_csv"]
 
 PathLike = Union[str, Path]
 
@@ -42,54 +41,3 @@ def rows_to_csv(
             )
         writer.writerow(row)
     return _write(buffer.getvalue(), path)
-
-
-def timeseries_to_csv(
-    series: Dict[str, TimeSeries],
-    path: Optional[PathLike] = None,
-    time_header: str = "time_s",
-) -> str:
-    """Serialize aligned time series (e.g. the two Figure 5 flows).
-
-    All series must share the same time base.
-    """
-    if not series:
-        raise MeasurementError("no series to export")
-    names = sorted(series)
-    base = series[names[0]].times_s
-    for name in names[1:]:
-        other = series[name].times_s
-        if len(other) != len(base) or any(
-            abs(a - b) > 1e-12 for a, b in zip(base, other)
-        ):
-            raise MeasurementError(
-                f"series {name!r} has a different time base"
-            )
-    rows = [
-        [f"{t:.6f}"] + [f"{series[name].values[i]:.6f}" for name in names]
-        for i, t in enumerate(base)
-    ]
-    return rows_to_csv([time_header] + names, rows, path)
-
-
-def curves_to_csv(
-    x_header: str,
-    x_values: Sequence[float],
-    curves: Dict[str, Sequence[float]],
-    path: Optional[PathLike] = None,
-) -> str:
-    """Serialize one or more y-series against a shared x axis."""
-    if not curves:
-        raise MeasurementError("no curves to export")
-    names = sorted(curves)
-    for name in names:
-        if len(curves[name]) != len(x_values):
-            raise MeasurementError(
-                f"curve {name!r} has {len(curves[name])} points for "
-                f"{len(x_values)} x values"
-            )
-    rows = [
-        [f"{x:.6f}"] + [f"{curves[name][i]:.6f}" for name in names]
-        for i, x in enumerate(x_values)
-    ]
-    return rows_to_csv([x_header] + names, rows, path)

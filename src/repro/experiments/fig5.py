@@ -203,16 +203,3 @@ def render(results) -> str:
         rows,
         title="Figure 5: bandwidth harvesting under fluctuating demands",
     )
-
-
-def export_csv(result: Fig5Result, path) -> str:
-    """Write both flows' achieved-bandwidth timelines to one CSV."""
-    from repro.analysis.export import timeseries_to_csv
-
-    return timeseries_to_csv(
-        {
-            name: trace.achieved_series()
-            for name, trace in result.traces.items()
-        },
-        path,
-    )

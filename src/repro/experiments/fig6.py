@@ -244,27 +244,3 @@ def render(result: Fig6Result) -> str:
         headers, rows,
         title=f"Figure 6: read/write interference on {result.platform}",
     )
-
-
-def export_csv(result: Fig6Result, out_dir) -> list:
-    """Write one CSV per (scenario, X, Y) interference curve."""
-    from pathlib import Path
-
-    from repro.analysis.export import curves_to_csv
-
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for curve in result.curves:
-        path = directory / (
-            f"fig6_{curve.scenario}_{curve.x_op.value}_vs_"
-            f"{curve.y_op.value}.csv"
-        )
-        curves_to_csv(
-            "y_offered_gbps",
-            list(curve.y_offered),
-            {"x_achieved_gbps": list(curve.x_achieved)},
-            path,
-        )
-        written.append(str(path))
-    return written

@@ -61,10 +61,6 @@ class KvPointOutcome:
     max_ns: float
     achieved_qps: float
 
-    def meets_slo(self, p99_us: float) -> bool:
-        """Whether the point's p99 clears a microsecond-scale SLO."""
-        return self.p99_ns <= p99_us * 1e3
-
 
 def default_workers(platform: Platform, server_ccd: int = 0) -> int:
     """Worker-pool size leaving same-CCD cores free for the hog arms."""

@@ -43,10 +43,6 @@ class PatternMatrix:
     platform: str
     cells: Dict[Tuple[str, str], float]
 
-    def gbps(self, combo: str, scope: Scope) -> float:
-        """One cell of the matrix."""
-        return self.cells[(combo, scope.value)]
-
 
 def run(platform: Platform, seed: int = 0) -> PatternMatrix:
     """Measure the full pattern × scope bandwidth matrix."""

@@ -61,7 +61,7 @@ def reproduce_all(quality: str = "quick", seed: int = 0, jobs=None) -> str:
         return (
             "Ablation highlights: the max-min traffic manager lifts case-4 "
             f"Jain fairness from {fair_before:.3f} to {fair_after:.3f}; see "
-            "benchmarks/ for the full ablation set."
+            "EXPERIMENTS.md, Ablations, for the full ablation set."
         )
 
     # (cells, rendering of their values), in report order.

@@ -42,10 +42,6 @@ PAPER_TABLE1 = {
 class Table1Result:
     rows: Dict[str, Dict[str, object]]
 
-    def row(self, platform_name: str) -> Dict[str, object]:
-        """The described spec fields for one platform."""
-        return self.rows[platform_name]
-
 
 def _describe(platform: Platform) -> Dict[str, object]:
     spec = platform.spec

@@ -371,9 +371,3 @@ class FaultSchedule:
             else:
                 events.append(event)
         return FaultSchedule(events, seed=self.seed, severity=severity)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FaultSchedule({len(self.events)} events, seed={self.seed}, "
-            f"severity={self.severity}, channels={self.channels})"
-        )

@@ -5,7 +5,7 @@ in a global software-based traffic manager".
 :class:`~repro.manager.manager.TrafficManager` registers flows, computes
 max-min fair allocations over the platform's bandwidth domains, and emits
 per-flow rate limits — replacing the hardware's sender-driven aggressive
-partitioning with policy. The ablation benchmark
-(`benchmarks/bench_ablation_manager.py`) contrasts the two on Figure 4's
-cases.
+partitioning with policy.
+:func:`repro.experiments.ablations.manager_vs_sender_driven` contrasts the
+two on Figure 4's cases (``repro all`` prints its headline).
 """

@@ -49,21 +49,11 @@ class TrafficManager:
         self.policy = policy
         self._streams: Dict[str, StreamSpec] = {}
 
-    @property
-    def streams(self) -> List[StreamSpec]:
-        return list(self._streams.values())
-
     def register(self, spec: StreamSpec) -> None:
         """Register a stream for allocation."""
         if spec.name in self._streams:
             raise ConfigurationError(f"stream {spec.name!r} already registered")
         self._streams[spec.name] = spec
-
-    def deregister(self, name: str) -> None:
-        """Remove a registered stream by name."""
-        if name not in self._streams:
-            raise ConfigurationError(f"stream {name!r} is not registered")
-        del self._streams[name]
 
     def allocate(self) -> ManagedAllocation:
         """Compute grants for all registered streams under the fair policy."""

@@ -96,10 +96,6 @@ class NetInstallation:
 
     scheduler: Optional[CreditScheduler]
 
-    @property
-    def active(self) -> bool:
-        return self.scheduler is not None
-
     def gate(self, executor: TransactionExecutor, flow: str):
         """Wrap an issuer's executor for one flow (identity when inactive)."""
         if self.scheduler is None:

@@ -21,7 +21,6 @@ __all__ = [
     "QosClass",
     "ClassSpec",
     "CLASS_SPECS",
-    "class_weights",
     "class_credit_scales",
 ]
 
@@ -51,15 +50,6 @@ CLASS_SPECS: Dict[QosClass, ClassSpec] = {
 }
 
 
-def class_weights(
-    classes: Dict[str, QosClass],
-    specs: Optional[Dict[QosClass, ClassSpec]] = None,
-) -> Dict[str, float]:
-    """Fluid WEIGHTED-policy share weights for a flow→class mapping."""
-    table = specs or CLASS_SPECS
-    return {name: table[cls].weight for name, cls in classes.items()}
-
-
 def class_credit_scales(
     classes: Dict[str, QosClass],
     specs: Optional[Dict[QosClass, ClassSpec]] = None,
@@ -67,4 +57,3 @@ def class_credit_scales(
     """Receiver credit-share scales for a flow→class mapping."""
     table = specs or CLASS_SPECS
     return {name: table[cls].credit_scale for name, cls in classes.items()}
-

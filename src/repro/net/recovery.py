@@ -47,7 +47,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.credits import CreditScheduler, endpoint_rate_gbps
-from repro.net.inject import NetInstallation, install as install_stack
+from repro.net.inject import install as install_stack
 from repro.net.stack import NetStackConfig
 from repro.noc.flowcontrol import TokenPool
 from repro.sim.engine import Event
@@ -195,10 +195,6 @@ class RecoveryConfig:
     def on(cls, **overrides) -> "RecoveryConfig":
         """The calibrated recovery defaults (override any field)."""
         return cls(enabled=True, **overrides)
-
-    @property
-    def label(self) -> str:
-        return "on" if self.enabled else "off"
 
 
 @dataclass
@@ -814,10 +810,6 @@ class RecoveryInstallation:
     _probe_paths: Dict[str, CompiledPath] = field(default_factory=dict)
     _stopped: bool = False
     _reclaimed_deaths: set = field(default_factory=set)
-
-    @property
-    def active(self) -> bool:
-        return True
 
     def gate(
         self,

@@ -30,7 +30,6 @@ from repro.net.qos import (
     CLASS_SPECS,
     QosClass,
     class_credit_scales,
-    class_weights,
 )
 
 __all__ = ["NetStackConfig", "fluid_allocation"]
@@ -122,12 +121,6 @@ class NetStackConfig:
         if not self.qos:
             return {}
         return class_credit_scales(self.classes)
-
-    def class_weights(self) -> Dict[str, float]:
-        """WEIGHTED-policy weights per flow (empty without QoS)."""
-        if not self.qos:
-            return {}
-        return class_weights(self.classes)
 
 
 def _endpoint_names(fabric: FabricModel, spec: StreamSpec) -> List[str]:

@@ -55,10 +55,6 @@ class CCX:
     def name(self) -> str:
         return f"ccx{self.ccx_id}"
 
-    @property
-    def core_count(self) -> int:
-        return len(self.core_ids)
-
 
 @dataclass(frozen=True)
 class CCD:

@@ -503,10 +503,6 @@ class Platform:
         except KeyError:
             raise TopologyError(f"unknown link {name!r}") from None
 
-    def links_of_kind(self, kind: LinkKind) -> List[LinkSpec]:
-        """All links of one LinkKind."""
-        return [link for link in self._links.values() if link.kind is kind]
-
     def graph(self) -> nx.Graph:
         """Component connectivity graph (copy; safe to annotate).
 
@@ -566,14 +562,6 @@ class Platform:
         return (dst[0] - src[0], dst[1] - src[1])
 
     # --------------------------------------------------------------- latencies
-
-    def cache_latency_ns(self, level: int) -> float:
-        """Unloaded load-to-use latency of cache level 1/2/3."""
-        lat = self.spec.latency
-        try:
-            return {1: lat.l1_ns, 2: lat.l2_ns, 3: lat.l3_ns}[level]
-        except KeyError:
-            raise ConfigurationError(f"no cache level {level}") from None
 
     def dram_latency_ns(self, ccd_id: int, umc_id: int) -> float:
         """Unloaded core→DIMM pointer-chase latency (Table 2 bottom rows)."""

@@ -34,9 +34,9 @@ count and duration) instead of raising mid-flight, and layers on
   arrive in time is recorded as a timeout failure instead of hanging the
   whole sweep, and the worker still running it is killed when the batch
   ends (pool mode only: in-process execution cannot be preempted);
-* **bounded retry with backoff** (``retries``, ``backoff_s``) — failed
-  cells are re-submitted to a fresh pool, with exponentially growing
-  sleeps between attempts;
+* **bounded retry with backoff** (``retries``; :data:`BACKOFF_S`) —
+  failed cells are re-submitted to a fresh pool, with exponentially
+  growing sleeps between attempts;
 * **crash recovery** — a worker death (``BrokenProcessPool``) poisons every
   uncollected future, so the still-unresolved cells are re-run *in-process*,
   exactly as ``jobs=1`` would have run them;
@@ -95,9 +95,14 @@ JobsSpec = Union[int, str, None]
 USE_DEFAULT_CACHE = object()
 
 #: Spinning up a process pool costs tens of milliseconds (fork + import +
-#: pickling); sweeps cheaper than this run serially instead (see
-#: ``pool_threshold_s``).
+#: pickling): cells run in-process until their accumulated measured
+#: runtime crosses this many seconds, and only the rest go to a pool (see
+#: :func:`run_cells_detailed`). 0 pools unconditionally.
 POOL_THRESHOLD_S = 0.05
+
+#: Seconds slept before the first retry of a failed cell; each further
+#: retry doubles it.
+BACKOFF_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -367,20 +372,17 @@ def run_cells_detailed(
     jobs: JobsSpec = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
-    backoff_s: float = 0.25,
     fail_fast: bool = False,
     cache: Any = USE_DEFAULT_CACHE,
-    pool_threshold_s: float = POOL_THRESHOLD_S,
     on_result: Optional[Callable[[CellResult], None]] = None,
     cancel: Optional[threading.Event] = None,
-    dedup: bool = True,
 ) -> List[CellResult]:
     """Run every cell; one :class:`CellResult` per cell, submission order.
 
     ``timeout_s`` bounds the wait for each cell's result (pool mode only;
     the worker of a cell still running at the end of the batch is killed);
     ``retries`` re-runs failed cells up to that many extra attempts, sleeping
-    ``backoff_s * 2**(attempt-1)`` seconds before each retry; ``fail_fast``
+    ``BACKOFF_S * 2**(attempt-1)`` seconds before each retry; ``fail_fast``
     raises :class:`~repro.errors.CellExecutionError` for the first cell whose
     attempts are exhausted instead of collecting the failure.
 
@@ -392,9 +394,9 @@ def run_cells_detailed(
     arguments, hits are values a clean run would have computed — cached,
     uncached, and any ``--jobs`` runs stay bit-identical.
 
-    ``dedup`` (default on) collapses content-identical cells *within* the
-    batch to a single execution: duplicates receive a fan-out copy of the
-    primary's outcome (``deduped=True``, 0 attempts). Identity is the same
+    Content-identical cells *within* the batch collapse to a single
+    execution: duplicates receive a fan-out copy of the primary's outcome
+    (``deduped=True``, 0 attempts). Identity is the same
     content address the cache uses, so it holds with caching off and for
     duplicates submitted before the first one lands; cells are pure, so
     values are unchanged — only the redundant work disappears.
@@ -411,25 +413,18 @@ def run_cells_detailed(
     normally, and nothing is retried after cancellation). Every cell still
     gets exactly one result — cancellation reports, it never drops.
 
-    ``pool_threshold_s`` guards against pool spin-up dwarfing the work
+    :data:`POOL_THRESHOLD_S` guards against pool spin-up dwarfing the work
     (tens of ms of fork + import for a sweep of sub-millisecond cells):
     cells run in-process until their *accumulated measured* runtime crosses
     the threshold, and only the remainder is fanned out to a pool. Tiny
     sweeps therefore never pay for a pool; the worst case versus eager
-    pooling is bounded by the threshold plus one cell. Set it to 0 to pool
-    unconditionally; per-cell timeouts (which need a pool to preempt) also
-    disable the ramp.
+    pooling is bounded by the threshold plus one cell. Per-cell timeouts
+    (which need a pool to preempt) disable the ramp.
     """
     if timeout_s is not None and timeout_s <= 0:
         raise ConfigurationError(f"timeout_s must be positive, got {timeout_s}")
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if backoff_s < 0:
-        raise ConfigurationError(f"backoff_s must be >= 0, got {backoff_s}")
-    if pool_threshold_s < 0:
-        raise ConfigurationError(
-            f"pool_threshold_s must be >= 0, got {pool_threshold_s}"
-        )
     cells = list(cells)
     if not cells:
         return []
@@ -460,7 +455,7 @@ def run_cells_detailed(
     pending = [index for index in range(len(cells)) if index not in results]
     # In-batch dedup: identical pending cells collapse to one execution.
     duplicates: Dict[int, List[int]] = {}
-    if dedup and len(pending) > 1:
+    if len(pending) > 1:
         primary_by_key: Dict[str, int] = {}
         unique: List[int] = []
         for index in pending:
@@ -489,8 +484,8 @@ def run_cells_detailed(
                 emit(index)
             pending = []
             break
-        if attempt > 1 and backoff_s > 0:
-            time.sleep(backoff_s * 2 ** (attempt - 2))
+        if attempt > 1 and BACKOFF_S > 0:
+            time.sleep(BACKOFF_S * 2 ** (attempt - 2))
 
         def settle(index: int, result: CellResult) -> None:
             # Record one attempt's outcome and stream it if it is final:
@@ -507,13 +502,13 @@ def run_cells_detailed(
             pooled
             and attempt == 1
             and timeout_s is None
-            and pool_threshold_s > 0
+            and POOL_THRESHOLD_S > 0
         ):
             # Serial ramp: see the docstring. Measured, not guessed — the
             # first cells' actual cost decides whether a pool is worth it.
             ramp_started = time.perf_counter()
             while remaining and (
-                time.perf_counter() - ramp_started < pool_threshold_s
+                time.perf_counter() - ramp_started < POOL_THRESHOLD_S
             ):
                 if cancel is not None and cancel.is_set():
                     break
@@ -576,9 +571,7 @@ def run_cells(
     jobs: JobsSpec = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
-    backoff_s: float = 0.25,
     cache: Any = USE_DEFAULT_CACHE,
-    pool_threshold_s: float = POOL_THRESHOLD_S,
 ) -> List[Any]:
     """Run every cell; results come back in submission order.
 
@@ -591,8 +584,7 @@ def run_cells(
     """
     return values_of(run_cells_detailed(
         cells, jobs=jobs, timeout_s=timeout_s, retries=retries,
-        backoff_s=backoff_s, fail_fast=False, cache=cache,
-        pool_threshold_s=pool_threshold_s,
+        fail_fast=False, cache=cache,
     ))
 
 

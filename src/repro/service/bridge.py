@@ -45,8 +45,9 @@ async def run_cells_streamed(
 
     ``runner_kwargs`` pass straight to
     :func:`repro.runner.run_cells_detailed` (``jobs``, ``cache``,
-    ``cancel``, ...), so tests can force pooling (``pool_threshold_s=0``),
-    inject crash cells, or set ``cancel`` and observe exactly what the
+    ``cancel``, ...), so tests can force a pool (``jobs=2`` with
+    :data:`repro.runner.POOL_THRESHOLD_S` patched to 0), inject crash
+    cells, or set ``cancel`` and observe exactly what the
     service's executor sees. ``executor`` defaults to the loop's default
     thread pool; the server passes a single-thread executor, so its jobs
     run one at a time.

@@ -61,13 +61,6 @@ class SubmitOutcome:
     def failures(self) -> int:
         return sum(1 for result in self.results if not result.ok)
 
-    @property
-    def executed(self) -> int:
-        return sum(
-            1 for result in self.results
-            if result.ok and not result.cached and not result.deduped
-        )
-
     def render(self) -> str:
         """The human-readable artifact (byte-identical served or local)."""
         from repro.service.registry import render_results
@@ -92,7 +85,7 @@ class ServiceClient:
         self._reader = None
         #: Frames read while waiting for a specific reply (e.g. a job's
         #: streamed events arriving around a cancel ack) — consumed first
-        #: by the next :meth:`_next_frame` so nothing is dropped.
+        #: by the next read of a job's stream so nothing is dropped.
         self._pending: List[Dict[str, Any]] = []
         self.server_info: Dict[str, Any] = {}
 
@@ -158,12 +151,6 @@ class ServiceClient:
                 "server closed the connection", code="disconnected"
             )
         return loads_line(line)
-
-    def _next_frame(self) -> Dict[str, Any]:
-        """The next frame, draining the pending buffer first."""
-        if self._pending:
-            return self._pending.pop(0)
-        return self._recv()
 
     def _await_event(self, *events: str) -> Dict[str, Any]:
         """Read until a frame of one of ``events`` (or an error) arrives.

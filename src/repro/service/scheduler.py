@@ -104,9 +104,6 @@ class JobScheduler:
 
     # ---------------------------------------------------------- admission
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
     @property
     def depth(self) -> int:
         """Number of queued (not yet dispatched) jobs."""

@@ -70,10 +70,3 @@ class CounterRegistry:
     def snapshot(self) -> Dict[str, LinkCounters]:
         """A shallow copy of all counters by link name."""
         return dict(self._counters)
-
-    def total_bytes(self) -> int:
-        """Total bytes recorded across every link."""
-        return sum(
-            counter.read_bytes + counter.write_bytes
-            for counter in self._counters.values()
-        )

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from repro.platform.topology import Platform
 from repro.telemetry.counters import CounterRegistry
 
-__all__ = ["build_devtree", "render_dts", "proc_chiplet_net", "to_json"]
+__all__ = ["build_devtree", "render_dts", "proc_chiplet_net"]
 
 
 def build_devtree(platform: Platform) -> Dict:
@@ -151,10 +151,3 @@ def proc_chiplet_net(
             f"{min(1.0, read_util):>9.1%}{min(1.0, write_util):>9.1%}"
         )
     return "\n".join(lines)
-
-
-def to_json(tree: Dict, indent: int = 2) -> str:
-    """Serialize the device tree as JSON (for machine consumption)."""
-    import json
-
-    return json.dumps(tree, indent=indent, sort_keys=True)

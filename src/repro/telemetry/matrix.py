@@ -10,7 +10,7 @@ tomography lineage the paper cites).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -64,17 +64,6 @@ class TrafficMatrix:
         """Sum of every matrix cell."""
         return float(self._rates.sum())
 
-    def hottest(self, k: int = 3) -> List[Tuple[str, str, float]]:
-        """The ``k`` largest entries as (source, destination, GB/s)."""
-        flat = self._rates.flatten()
-        order = np.argsort(flat)[::-1][:k]
-        n_dst = len(self.destinations)
-        return [
-            (self.sources[i // n_dst], self.destinations[i % n_dst], float(flat[i]))
-            for i in order
-            if flat[i] > 0
-        ]
-
     @classmethod
     def gravity_estimate(
         cls,
@@ -103,9 +92,3 @@ class TrafficMatrix:
             for dst in destinations:
                 matrix.record(src, dst, row_sums[src] * col_sums[dst] / total)
         return matrix
-
-    def max_abs_error(self, other: "TrafficMatrix") -> float:
-        """Largest entry-wise difference against another matrix."""
-        if self.sources != other.sources or self.destinations != other.destinations:
-            raise MeasurementError("matrices have different endpoint sets")
-        return float(np.abs(self._rates - other._rates).max())

@@ -42,15 +42,6 @@ class FlowProfiler:
         self.first_ns: float | None = None
         self.last_ns = 0.0
 
-    @classmethod
-    def from_error_bounds(
-        cls, epsilon: float, delta: float, top_k: int = 8
-    ) -> "FlowProfiler":
-        """A profiler whose sketch honours ``ε``/``δ`` overestimate bounds."""
-        profiler = cls(top_k=top_k, sketch_width=1, sketch_depth=1)
-        profiler.sketch = CountMinSketch.from_error_bounds(epsilon, delta)
-        return profiler
-
     def record(self, sample: FlowSample) -> None:
         """Account one flow event in the sketch and top-k set."""
         self.sketch.add(sample.flow, sample.size_bytes)
@@ -85,12 +76,6 @@ class FlowProfiler:
             key=lambda item: (-item[1], item[0]),
         )
         return ranked[: self.top_k]
-
-    def flow_gbps(self, flow: str) -> float:
-        """Average rate of one flow over the observed window."""
-        if self.first_ns is None or self.last_ns <= self.first_ns:
-            return 0.0
-        return self.sketch.estimate(flow) / (self.last_ns - self.first_ns)
 
     def report(self) -> str:
         """Multi-line text summary of the heaviest flows."""

@@ -47,7 +47,6 @@ class TestJobTrace:
         assert trace.signal_ns == pytest.approx(500.0)
         assert trace.data_ns == pytest.approx(8000.0)
         assert trace.total_ns == pytest.approx(10500.0)
-        assert "doorbell=80" in trace.render()
 
 
 class TestBulkTransfer:
@@ -196,11 +195,18 @@ class TestDispatchExperiment:
         }
         unmanaged = reports["unmanaged"]
         managed = reports["managed"]
-        # The switch restores signal latency to near-unloaded.
+        # The switch restores signal latency to near-unloaded (≈506 ns);
+        # unmanaged, it queues behind the background writes at the hub port.
         assert managed.mean_signal_ns < 0.6 * unmanaged.mean_signal_ns
+        assert unmanaged.mean_signal_ns > 900.0
+        assert managed.mean_signal_ns == pytest.approx(510.0, rel=0.1)
         # Work conservation: the data plane is not hurt by management.
         assert managed.mean_data_us == pytest.approx(
             unmanaged.mean_data_us, rel=0.1
+        )
+        # The background keeps its max-min grant, not zero.
+        assert managed.background_rate_gbps > 0.3 * (
+            p9634.spec.bandwidth.hub_port_write_gbps
         )
 
     def test_requires_cxl_platform(self, p7302):

@@ -1,10 +1,8 @@
 """Tests for CSV export."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.export import curves_to_csv, rows_to_csv, timeseries_to_csv
-from repro.analysis.timeseries import TimeSeries
+from repro.analysis.export import rows_to_csv
 from repro.errors import MeasurementError
 
 
@@ -24,59 +22,3 @@ class TestRows:
     def test_no_path_returns_text_only(self):
         text = rows_to_csv(["x"], [[5]])
         assert "x" in text
-
-
-class TestTimeSeries:
-    def _series(self, scale=1.0):
-        times = np.linspace(0, 1, 5)
-        return TimeSeries(times, times * scale)
-
-    def test_aligned_export(self, tmp_path):
-        text = timeseries_to_csv(
-            {"flow0": self._series(1.0), "flow1": self._series(2.0)},
-        )
-        lines = text.strip().splitlines()
-        assert lines[0] == "time_s,flow0,flow1"
-        assert len(lines) == 6
-
-    def test_misaligned_rejected(self):
-        other = TimeSeries(np.linspace(0, 2, 5), np.zeros(5))
-        with pytest.raises(MeasurementError):
-            timeseries_to_csv({"a": self._series(), "b": other})
-
-    def test_empty_rejected(self):
-        with pytest.raises(MeasurementError):
-            timeseries_to_csv({})
-
-    def test_fig5_trace_export(self, p9634, tmp_path):
-        from repro.experiments import fig5
-
-        result = fig5.run(p9634, "if", duration_s=1.0, dt_s=0.05)
-        path = tmp_path / "fig5.csv"
-        timeseries_to_csv(
-            {
-                name: trace.achieved_series()
-                for name, trace in result.traces.items()
-            },
-            path,
-        )
-        assert path.exists()
-        header = path.read_text().splitlines()[0]
-        assert header == "time_s,flow0,flow1"
-
-
-class TestCurves:
-    def test_export(self):
-        text = curves_to_csv(
-            "offered", [1.0, 2.0], {"avg": [10.0, 20.0], "p999": [30.0, 40.0]}
-        )
-        lines = text.strip().splitlines()
-        assert lines[0] == "offered,avg,p999"
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(MeasurementError):
-            curves_to_csv("x", [1.0], {"y": [1.0, 2.0]})
-
-    def test_empty_rejected(self):
-        with pytest.raises(MeasurementError):
-            curves_to_csv("x", [1.0], {})

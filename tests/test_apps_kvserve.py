@@ -115,11 +115,6 @@ class TestHybridPhysics:
         assert paced.latency.p99 < noisy.latency.p99
         assert paced.latency.p99 <= quiet.latency.p99 * 1.25
 
-    def test_slo_predicate(self, p9634):
-        point = kvserve.run_point(p9634, "dram", "off", requests=2000)
-        assert point.meets_slo(p99_us=2.0)
-        assert not point.meets_slo(p99_us=0.1)
-
     def test_achieved_qps_tracks_offered(self, server):
         report = server.serve(_workload(requests=20_000))
         assert report.achieved_qps == pytest.approx(2_000_000.0, rel=0.05)

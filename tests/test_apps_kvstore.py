@@ -88,12 +88,14 @@ class TestColocation:
     def test_pacing_the_background_restores_latency(self, p9634):
         server = KvServerModel(p9634, workers=3)
         background = [c.core_id for c in p9634.cores_of_ccd(0)[3:]]
+        quiet = server.serve(_workload())
         noisy = server.serve(_workload(), background_cores=background)
         paced = server.serve(
             _workload(), background_cores=background,
             background_rate_gbps=8.0,
         )
         assert paced.latency.mean < noisy.latency.mean
+        assert paced.latency.mean == pytest.approx(quiet.latency.mean, rel=0.05)
 
 
 class TestAchievedQps:

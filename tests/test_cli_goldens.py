@@ -33,6 +33,7 @@ CASES = [
     ("fig6-all", ["fig6", "--platform", "all"]),
     ("fig6-7302", ["fig6", "--platform", "7302"]),
     ("suite", ["suite"]),
+    ("suite-synthetic", ["suite", "--platform", "synthetic"]),
     ("os-scaling", ["os-scaling"]),
     ("accel", ["accel", "--dispatch-jobs", "2"]),
     ("accel-all", ["accel", "--platform", "all", "--dispatch-jobs", "2"]),

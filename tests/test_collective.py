@@ -89,6 +89,22 @@ class TestCrossover:
         assert below >= below_tree
         assert above < above_tree
 
+    def test_twelve_chiplet_preset_crosses_later(self, p7302, p9634):
+        assert crossover_bytes(p9634) > crossover_bytes(p7302)
+
+    def test_regimes_at_the_sweep_ends(self, platform):
+        # 16 MiB is bandwidth-bound: ring < tree < flat. 256 B is
+        # latency-bound: flat or tree beats ring.
+        big = [
+            allreduce_time_ns(platform, 16 << 20, a)
+            for a in (Algorithm.RING, Algorithm.TREE, Algorithm.FLAT)
+        ]
+        assert big == sorted(big) and len(set(big)) == 3
+        assert allreduce_time_ns(platform, 256, Algorithm.RING) > min(
+            allreduce_time_ns(platform, 256, Algorithm.FLAT),
+            allreduce_time_ns(platform, 256, Algorithm.TREE),
+        )
+
     def test_more_chiplets_push_crossover_later(self, p9634):
         # Ring pays 2(k−1) alphas: at 12 chiplets it needs a bigger payload
         # to win than at 4 — §4 #6's "multi-tier communication hierarchy"

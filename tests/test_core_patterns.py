@@ -109,3 +109,36 @@ class TestTemporalWrites:
         # Temporal writes land between NT writes and reads on the 7302
         # (the CCX write pool binds both write flavours).
         assert nt <= temporal < read
+
+
+class TestPatternMatrix:
+    """The ``repro patterns`` matrix: §3.1's access-pattern axes."""
+
+    @pytest.mark.parametrize("preset", ["7302", "9634"])
+    def test_shape(self, preset, p7302, p9634):
+        from repro.experiments import patterns
+        from repro.platform.numa import Position
+
+        platform = {"7302": p7302, "9634": p9634}[preset]
+        matrix = patterns.run(platform)
+
+        def gbps(combo, scope):
+            return matrix.cells[(combo, scope.value)]
+
+        for scope in (Scope.CORE, Scope.CCX, Scope.CPU):
+            assert (
+                gbps("sequential-read", scope)
+                >= gbps("random-read", scope)
+                >= gbps("pointer-chase", scope)
+            )
+        # One line per round trip for a single chasing core.
+        near = platform.dram_latency_at(0, Position.NEAR)
+        assert gbps("pointer-chase", Scope.CORE) == pytest.approx(
+            64.0 / near, rel=0.02
+        )
+        # RFO stores between NT streams and reads at chiplet scope.
+        assert (
+            gbps("nt-write", Scope.CCX)
+            <= gbps("temporal-write", Scope.CCX)
+            < gbps("sequential-read", Scope.CCX)
+        )

@@ -65,3 +65,27 @@ class TestSuite:
         cases = synthetic_report.partitioning.outcomes["gmi"]
         outcome = cases["case4-unequal-demands"]
         assert outcome.achieved["flow1"] > outcome.equal_share()
+
+    @pytest.mark.parametrize("preset", ["7302", "9634", "synthetic"])
+    def test_idiosyncrasies_hold_on_every_preset(
+        self, suite, synthetic_report, preset, p7302, p9634
+    ):
+        # The paper's idiosyncrasies are structural, not one machine's.
+        platform = {
+            "7302": p7302, "9634": p9634, "synthetic": synthetic_ucie(),
+        }[preset]
+        report = (
+            synthetic_report if preset == "synthetic" else suite.run(platform)
+        )
+        # #1 extended data paths: positional NUMA spread.
+        assert report.latency.near < report.latency.horizontal
+        # #2 heterogeneous bandwidth domains: the whole CPU reads less
+        # than its cores would alone.
+        assert report.bandwidth.read_gbps("cpu") < (
+            report.bandwidth.read_gbps("core") * len(platform.cores)
+        )
+        # #4 sender-driven partitioning on every link.
+        for cases in report.partitioning.outcomes.values():
+            outcome = cases["case4-unequal-demands"]
+            assert outcome.achieved["flow1"] > outcome.equal_share()
+        assert len(report.guidelines) >= 5

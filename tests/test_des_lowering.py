@@ -22,12 +22,13 @@ from repro.core.loadgen import lower_stream
 from repro.core.microbench import MicroBench
 from repro.errors import ConfigurationError
 from repro.experiments import chaos, netstack
-from repro.experiments.ablations import token_pool_ablation
 from repro.experiments.contention import shared_umc_ids
 from repro.sim.engine import Environment
 from repro.transport.message import OpKind
 from repro.transport.path import PathResolver
 from repro.transport.transaction import TransactionExecutor
+
+from tests.test_experiments_figs import token_pool_ablation
 
 
 def _des_stripe(platform, spec):

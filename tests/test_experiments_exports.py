@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import fig3, fig5, fig6, summary
+from repro.experiments import fig3, summary
 from repro.transport.message import OpKind
 
 
@@ -21,29 +21,6 @@ class TestFig3Export:
         assert len(lines) == 3  # header + one paced point + saturation
         # The unthrottled saturation point has an empty offered column.
         assert lines[-1].startswith(",")
-
-
-class TestFig5Export:
-    def test_render_and_csv(self, p9634, tmp_path):
-        result = fig5.run(p9634, "if", duration_s=2.5, dt_s=0.05)
-        text = fig5.render([result])
-        assert "harvest (paper)" in text
-        path = tmp_path / "fig5.csv"
-        fig5.export_csv(result, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "time_s,flow0,flow1"
-
-
-class TestFig6Export:
-    def test_one_csv_per_curve(self, p9634, tmp_path):
-        result = fig6.run(p9634, points=6)
-        written = fig6.export_csv(result, tmp_path)
-        assert len(written) == 16
-        sample = tmp_path / "fig6_gmi_read_vs_read.csv"
-        assert sample.exists()
-        lines = sample.read_text().splitlines()
-        assert lines[0] == "y_offered_gbps,x_achieved_gbps"
-        assert len(lines) == 7
 
 
 class TestSummary:

@@ -1,9 +1,28 @@
-"""Tests for the Figure 3/4/5/6 experiment harnesses (shape criteria)."""
+"""Tests for the Figure 3/4/5/6 experiment harnesses (shape criteria).
+
+Also the ablations: the traffic manager against sender-driven
+partitioning (``repro all`` prints its headline), and two model checks
+that only these tests run, the token pools and the collapsed NoC path
+model (:func:`token_pool_ablation`, :func:`detailed_vs_collapsed_noc`).
+"""
+
+from dataclasses import replace
+from typing import Dict
 
 import pytest
 
+from repro.core.fabric import FabricModel
+from repro.core.flows import StreamSpec
+from repro.core.loadgen import lower_stream
 from repro.experiments import ablations, fig3, fig4, fig5, fig6
+from repro.noc.mesh import Mesh
+from repro.noc.router import MeshNetwork
+from repro.platform.numa import Position
+from repro.sim.engine import Environment
 from repro.transport.message import OpKind
+from repro.transport.path import PathResolver
+from repro.transport.transaction import TransactionExecutor
+from repro.units import CACHELINE
 
 
 # ------------------------------------------------------------------ Figure 3
@@ -63,6 +82,69 @@ class TestFig3:
         text = fig3.render(list(fig3_gmi_9634.values()))
         assert "GMI (9634)" in text
         assert "avg ns" in text
+
+
+@pytest.fixture(scope="module")
+def fig3_panels(p7302, p9634):
+    """Every panel, both ops, at 1,200 transactions per core."""
+    return {
+        config.panel: {
+            op: fig3.run_panel(
+                platform, config, op,
+                transactions_per_core=1200, fractions=(0.2, 0.5, 0.8),
+            )
+            for op in (OpKind.READ, OpKind.NT_WRITE)
+        }
+        for platform in (p7302, p9634)
+        for config in fig3.panel_configs(platform)
+    }
+
+
+def _read_write(sweeps):
+    return sweeps[OpKind.READ], sweeps[OpKind.NT_WRITE]
+
+
+@pytest.mark.conformance
+class TestFig3Calibration:
+    """Each panel's endpoints against the paper's Figure 3 (§3.4)."""
+
+    def test_a_if_intra_cc_7302_is_flat(self, fig3_panels):
+        read, write = _read_write(fig3_panels["a"])
+        assert write.mean_rise() < 1.05      # flat "regardless of load"
+        assert read.base.stats.p999 == pytest.approx(490, rel=0.15)
+
+    def test_b_if_intra_cc_9634_doubles(self, fig3_panels):
+        # "a 2× latency increase when approaching the max bandwidth".
+        for sweep in fig3_panels["b"].values():
+            assert sweep.mean_rise() == pytest.approx(2.0, abs=0.35)
+
+    def test_c_if_inter_cc_7302_is_flat(self, fig3_panels):
+        for sweep in fig3_panels["c"].values():
+            assert sweep.mean_rise() < 1.05
+
+    def test_d_gmi_7302(self, fig3_panels):
+        read, write = _read_write(fig3_panels["d"])
+        assert read.base.stats.mean == pytest.approx(123.7, rel=0.03)
+        assert read.peak.stats.mean == pytest.approx(172.5, rel=0.05)
+        assert write.peak.stats.mean == pytest.approx(153.5, rel=0.08)
+        assert read.peak.stats.p999 > read.base.stats.p999
+
+    def test_e_gmi_9634_write_blowup(self, fig3_panels):
+        read, write = _read_write(fig3_panels["e"])
+        assert read.base.stats.mean == pytest.approx(143.7, rel=0.03)
+        assert read.peak.stats.mean == pytest.approx(249.5, rel=0.06)
+        # The paper's headline write blowup: 144.1 → 695.8 ns average.
+        assert write.peak.stats.mean == pytest.approx(695.8, rel=0.06)
+        assert write.peak.stats.p999 > 1.2 * write.peak.stats.mean
+
+    def test_f_plink_cxl_9634_rises(self, fig3_panels):
+        # "1.7/1.4× and 2.1/1.6× average/tail read and write latency
+        # increases".
+        read, write = _read_write(fig3_panels["f"])
+        assert read.mean_rise() == pytest.approx(1.7, abs=0.15)
+        assert read.tail_rise() == pytest.approx(1.4, abs=0.15)
+        assert write.mean_rise() == pytest.approx(2.1, abs=0.2)
+        assert write.tail_rise() == pytest.approx(1.6, abs=0.2)
 
 
 # ------------------------------------------------------------------ Figure 4
@@ -239,6 +321,26 @@ class TestFig6:
         assert all(x == pytest.approx(curve.baseline) for x in flat)
         assert curve.x_achieved[-1] < curve.baseline
 
+    def test_every_knee_is_flat_before_and_declines_after(self, p9634):
+        # X holds its solo bandwidth before the knee and declines after,
+        # on every curve that has a knee, at a fine sweep.
+        for curve in fig6.run(p9634, points=80).curves:
+            if curve.knee_gbps is None:
+                continue
+            before = [
+                x for y, x in zip(curve.y_offered, curve.x_achieved)
+                if y < curve.knee_gbps - 1.0
+            ]
+            after = [
+                x for y, x in zip(curve.y_offered, curve.x_achieved)
+                if y > curve.knee_gbps + 2.0
+            ]
+            assert all(
+                x == pytest.approx(curve.baseline, rel=0.03) for x in before
+            ), curve
+            if after:
+                assert min(after) < curve.baseline
+
     def test_requires_cxl_platform(self, p7302):
         from repro.errors import ConfigurationError
 
@@ -252,6 +354,81 @@ class TestFig6:
 
 
 # ------------------------------------------------------------------ Ablations
+
+def detailed_vs_collapsed_noc(platform, size_bytes: int = CACHELINE) -> Dict[str, float]:
+    """Unloaded mesh traversal: hop-by-hop DES minus the analytic collapse.
+
+    The detailed network adds per-hop serialization (bytes/port-rate) that
+    the analytic model folds into the path's fixed service deduction, so
+    the comparison subtracts it explicitly.
+    """
+    lat = platform.spec.latency
+    mesh = Mesh(
+        width=platform.spec.mesh_grid[0],
+        height=platform.spec.mesh_grid[1],
+        x_hop_ns=lat.x_hop_ns,
+        y_hop_ns=lat.y_hop_ns,
+        turn_ns=lat.turn_ns,
+    )
+    env = Environment()
+    port_gbps = platform.spec.bandwidth.noc_read_gbps / platform.spec.ccd_count
+    network = MeshNetwork(env, mesh, port_gbps=port_gbps)
+    src = platform.ccds[0].coord
+    results: Dict[str, float] = {}
+    for position in Position:
+        umcs = platform.umcs_at(0, position)
+        if not umcs:
+            continue
+        dst = umcs[0].coord
+        done = env.process(network.send(src, dst, size_bytes))
+        measured = env.run(done)
+        hops = mesh.hop_count(src, dst)
+        serialization = hops * size_bytes / port_gbps
+        analytic = mesh.cost_ns(src, dst)
+        detailed = measured - serialization
+        # Express-channel (negative turn) credit is analytic-only.
+        if mesh.turn_ns < 0 and mesh.turns(src, dst):
+            detailed += mesh.turn_ns
+        results[position.value] = detailed - analytic
+    return results
+
+
+def token_pool_ablation(
+    platform, transactions_per_core: int = 400, seed: int = 0
+) -> Dict[str, Dict[str, float]]:
+    """GMI saturation with and without the traffic-control modules.
+
+    End-to-end latency is conserved (Little's law: the in-flight requests
+    wait *somewhere*), but the token pools move the backlog from the I/O
+    die's buffers to the chiplet edge: what the Phantom-Queue-like
+    "queueless structure … tokens and backpressure" of §3.2 is for.
+    Returns, per variant, the mean latency and the deepest I/O-die-side
+    (GMI) backlog.
+    """
+    spec = StreamSpec(
+        "probe", OpKind.READ,
+        tuple(c.core_id for c in platform.cores_of_ccd(0)),
+    )
+    spec = replace(spec, endpoints=FabricModel(platform).endpoints_of(spec))
+    out: Dict[str, Dict[str, float]] = {}
+    for label, use_pools in (("with_tokens", True), ("without_tokens", False)):
+        env = Environment()
+        resolver = PathResolver(env, platform, seed=seed)
+        executor = TransactionExecutor(env)
+        issuer = lower_stream(
+            env, executor, resolver, spec,
+            window=platform.spec.bandwidth.mlp_read,
+            count_per_worker=transactions_per_core,
+            use_token_pools=use_pools,
+        )
+        result = issuer.run()
+        gmi = resolver.gmi_arbiter(0)
+        out[label] = {
+            "mean_latency_ns": result.stats.mean,
+            "gmi_max_backlog": float(gmi.read_dir.max_queue_len),
+        }
+    return out
+
 
 class TestAblations:
     def test_manager_restores_fairness_case4(self, p9634):
@@ -270,12 +447,12 @@ class TestAblations:
         assert ablation.sender_driven["flow0"] < ablation.requested["flow0"]
 
     def test_detailed_noc_matches_collapsed_model(self, platform):
-        deltas = ablations.detailed_vs_collapsed_noc(platform)
+        deltas = detailed_vs_collapsed_noc(platform)
         for position, delta in deltas.items():
             assert abs(delta) < 1e-9, position
 
     def test_token_pools_move_backlog_off_the_io_die(self, p7302):
-        out = ablations.token_pool_ablation(p7302, transactions_per_core=200)
+        out = token_pool_ablation(p7302, transactions_per_core=200)
         assert (
             out["with_tokens"]["gmi_max_backlog"]
             < out["without_tokens"]["gmi_max_backlog"]

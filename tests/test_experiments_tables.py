@@ -9,7 +9,7 @@ class TestTable1:
     def test_matches_paper_exactly(self):
         result = table1.run()
         for name, expected in table1.PAPER_TABLE1.items():
-            measured = result.row(name)
+            measured = result.rows[name]
             for key, value in expected.items():
                 assert measured[key] == value, (name, key)
 
@@ -44,6 +44,15 @@ class TestTable2:
                     name, key,
                 )
 
+    def test_queueing_bounds_within_twelve_percent(self, table2_rows):
+        for name, row in table2_rows.items():
+            paper = table2.PAPER_TABLE2[name]
+            assert row.max_ccx_q == pytest.approx(paper["max_ccx_q"], rel=0.12)
+            if paper["max_ccd_q"] is not None:
+                assert row.max_ccd_q == pytest.approx(
+                    paper["max_ccd_q"], rel=0.12
+                )
+
     def test_queueing_bounds(self, table2_rows):
         row7 = table2_rows["EPYC 7302"]
         assert row7.max_ccx_q == pytest.approx(30.0, abs=3.0)
@@ -65,6 +74,15 @@ class TestTable2:
     def test_9634_diagonal_beats_horizontal(self, table2_rows):
         row = table2_rows["EPYC 9634"]
         assert row.diagonal < row.horizontal
+
+    def test_7302_diagonal_is_farthest(self, table2_rows):
+        row = table2_rows["EPYC 7302"]
+        assert row.diagonal > row.vertical
+
+    def test_cxl_costs_its_premium_over_near_dram(self, table2_rows):
+        # CXL ≈ 1.7× local DRAM on the 9634.
+        row = table2_rows["EPYC 9634"]
+        assert row.cxl / row.near == pytest.approx(243 / 141, rel=0.05)
 
     def test_render(self, table2_rows):
         text = table2.render(table2_rows)
@@ -92,6 +110,14 @@ class TestTable3:
             assert measured_read == pytest.approx(read, rel=0.10), (scope, "r")
             assert measured_write == pytest.approx(write, rel=0.10), (scope, "w")
 
+    def test_7302_ccd_cells_within_ten_percent(self, table3_results):
+        # Only the 9634's CCD row is paper noise (its CCX row exceeds it).
+        result = table3_results["EPYC 7302"]
+        read, write = table3.PAPER_TABLE3["EPYC 7302"][("ccd", "dram")]
+        measured_read, measured_write = result.cells[("ccd", "dram")]
+        assert measured_read == pytest.approx(read, rel=0.10)
+        assert measured_write == pytest.approx(write, rel=0.10)
+
     def test_cxl_cells_within_ten_percent(self, table3_results):
         result = table3_results["EPYC 9634"]
         paper = table3.PAPER_TABLE3["EPYC 9634"]
@@ -107,6 +133,7 @@ class TestTable3:
                 result.read_gbps(scope) for scope in ("core", "ccx", "cpu")
             ]
             assert reads == sorted(reads)
+            assert len(set(reads)) == len(reads)    # strictly
 
     def test_write_below_read_everywhere(self, table3_results):
         for result in table3_results.values():
@@ -126,7 +153,7 @@ class TestTable3:
     def test_single_umc_ceiling(self, p7302):
         read, write = table3.umc_channel_bandwidth(p7302)
         assert read == pytest.approx(21.1, rel=0.05)
-        assert write == pytest.approx(19.0, rel=0.10)
+        assert write == pytest.approx(19.0, rel=0.05)
 
     def test_render(self, table3_results):
         text = table3.render(table3_results)

@@ -78,8 +78,6 @@ class TestTelemetryPipeline:
         matrix.record("ccd0", "dram", achieved["dram-stream"])
         matrix.record("ccd1", "cxl", achieved["cxl-stream"])
         assert matrix.total_gbps() == pytest.approx(sum(achieved.values()))
-        hottest = matrix.hottest(1)[0]
-        assert hottest[0] == "ccd0"  # DRAM stream is the bigger one
 
     def test_profiler_orders_streams(self, p9634):
         fabric = FabricModel(p9634)

@@ -66,6 +66,12 @@ class TestRelay:
         # even naive single-domain DMA is device-bound on the 9634.
         result = results_9634[RelayDesign.SINGLE_DOMAIN_DMA]
         assert result.external_bound
+        assert results_9634[RelayDesign.CHANNEL_AWARE].external_bound
+
+    def test_9634_cpu_copy_binds_on_the_chiplet(self, results_9634):
+        result = results_9634[RelayDesign.CPU_COPY]
+        assert result.bottleneck == "compute-chiplet"
+        assert result.throughput_gbps == pytest.approx(23.8, rel=0.05)
 
     def test_ssd_array_can_bind_instead(self, p7302):
         small_array = SsdArraySpec(count=3, write_gbps_each=7.0)  # 21 GB/s

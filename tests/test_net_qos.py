@@ -4,7 +4,6 @@ from repro.net.qos import (
     CLASS_SPECS,
     QosClass,
     class_credit_scales,
-    class_weights,
 )
 
 
@@ -23,12 +22,7 @@ class TestClassSpecs:
 
     def test_mappings(self):
         classes = {"v": QosClass.LATENCY, "h": QosClass.BULK}
-        weights = class_weights(classes)
         scales = class_credit_scales(classes)
-        assert weights == {
-            "v": CLASS_SPECS[QosClass.LATENCY].weight,
-            "h": CLASS_SPECS[QosClass.BULK].weight,
-        }
         assert scales == {
             "v": CLASS_SPECS[QosClass.LATENCY].credit_scale,
             "h": CLASS_SPECS[QosClass.BULK].credit_scale,

@@ -35,13 +35,11 @@ class TestRecoveryConfig:
     def test_off_is_disabled_default(self):
         config = RecoveryConfig.off()
         assert not config.enabled
-        assert config.label == "off"
 
     def test_on_enables_with_overrides(self):
         config = RecoveryConfig.on(dead_after=5)
         assert config.enabled
         assert config.dead_after == 5
-        assert config.label == "on"
 
     @pytest.mark.parametrize(
         "overrides",

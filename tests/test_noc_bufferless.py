@@ -106,6 +106,18 @@ class TestExperiment:
         assert heavy.bufferless_mean_ns > heavy.buffered_mean_ns
         assert heavy.deflection_rate > light.deflection_rate
 
+    def test_heavy_load_pays_in_deflections(self, p7302):
+        from repro.experiments import noc_routing
+
+        light = noc_routing.run(p7302, lanes_per_sender=1)
+        heavy = noc_routing.run(p7302, lanes_per_sender=8)
+        assert light.bufferless_mean_ns < 1.3 * light.buffered_mean_ns
+        # Bufferless pays for contention in deflected hops: a higher mean,
+        # a much higher tail, more than one deflection per packet.
+        assert heavy.bufferless_mean_ns > 1.2 * heavy.buffered_mean_ns
+        assert heavy.bufferless_p99_ns > 2.0 * heavy.buffered_p99_ns
+        assert heavy.deflection_rate > 1.0
+
     def test_render(self, p7302):
         from repro.experiments import noc_routing
 

@@ -91,3 +91,50 @@ class TestSend:
         env.process(sender((0, 1), (1, 1)))
         env.run()
         assert latencies[0] == pytest.approx(latencies[1])
+
+
+def _mean_traversal_ns(platform, pattern: str, packets_per_sender: int = 200,
+                       lanes_per_sender: int = 4) -> float:
+    """Mean in-mesh latency with every CCD port sending 64 B packets.
+
+    ``"hotspot"`` sends every packet to one UMC stop (the head-of-line
+    blocking §2.3's buffered routers suffer); ``"spread"`` round-robins
+    over all UMC stops.
+    """
+    lat = platform.spec.latency
+    mesh = Mesh(
+        platform.spec.mesh_grid[0], platform.spec.mesh_grid[1],
+        lat.x_hop_ns, lat.y_hop_ns, max(0.0, lat.turn_ns),
+    )
+    umc_coords = sorted({umc.coord for umc in platform.umcs.values()})
+    ccd_coords = sorted({ccd.coord for ccd in platform.ccds.values()})
+    env = Environment()
+    network = MeshNetwork(
+        env, mesh,
+        port_gbps=platform.spec.bandwidth.noc_read_gbps / (2.0 * len(ccd_coords)),
+    )
+    latencies = []
+
+    def lane(src, index):
+        for i in range(packets_per_sender // lanes_per_sender):
+            if pattern == "hotspot":
+                dst = umc_coords[0]
+            else:
+                dst = umc_coords[(index + i) % len(umc_coords)]
+            if dst == src:
+                dst = umc_coords[(index + i + 1) % len(umc_coords)]
+            latencies.append((yield env.process(network.send(src, dst, 64))))
+
+    for index, src in enumerate(ccd_coords):
+        for lane_id in range(lanes_per_sender):
+            env.process(lane(src, index + lane_id))
+    env.run()
+    return sum(latencies) / len(latencies)
+
+
+def test_hotspot_blocks_where_the_collapsed_model_cannot(p7302):
+    # All-to-one traffic queues inside the hop-by-hop mesh; the collapsed
+    # path model has no in-mesh queues to show it.
+    hotspot = _mean_traversal_ns(p7302, "hotspot")
+    spread = _mean_traversal_ns(p7302, "spread")
+    assert hotspot > 1.2 * spread

@@ -97,6 +97,18 @@ class TestOsScalingExperiment:
         for result in results.values():
             assert result.crossover_mops < result.shared_max_mops
 
+    def test_multikernel_peak_several_times_shared(self, results):
+        for result in results.values():
+            assert result.multikernel_max_mops > 3 * result.shared_max_mops
+
+    def test_more_replicas_lower_the_multikernel_peak(self, results):
+        # More chiplets, more broadcast-apply tax: the 12-replica 9634
+        # peaks lower than the 4-replica 7302 despite newer silicon.
+        assert (
+            results["EPYC 9634"].multikernel_max_mops
+            < results["EPYC 7302"].multikernel_max_mops
+        )
+
     def test_shared_memory_wins_at_low_rates(self, results):
         # Below the crossover, the single shared line is cheaper than a
         # broadcast — the regime where the multikernel structure does NOT

@@ -23,7 +23,6 @@ class TestComponentNames:
     def test_ccx(self):
         ccx = CCX(2, 1, (4, 5), 16 * 2**20)
         assert ccx.name == "ccx2"
-        assert ccx.core_count == 2
 
     def test_ccd(self):
         assert CCD(1, (2, 3), (0, 1)).name == "ccd1"

@@ -113,10 +113,6 @@ class TestLinks:
         with pytest.raises(TopologyError):
             platform.link("no-such-link")
 
-    def test_links_of_kind(self, p9634):
-        cxl_links = p9634.links_of_kind(LinkKind.CXL)
-        assert len(cxl_links) == 4
-
     def test_links_returns_copy(self, platform):
         links = platform.links
         links.clear()
@@ -300,15 +296,6 @@ class TestImportCost:
 
 
 class TestLatencies:
-    def test_cache_latencies(self, p7302):
-        assert p7302.cache_latency_ns(1) == pytest.approx(1.24)
-        assert p7302.cache_latency_ns(2) == pytest.approx(5.66)
-        assert p7302.cache_latency_ns(3) == pytest.approx(34.3)
-
-    def test_unknown_cache_level(self, platform):
-        with pytest.raises(ConfigurationError):
-            platform.cache_latency_ns(4)
-
     def test_dram_position_ordering(self, platform):
         near = platform.dram_latency_at(0, Position.NEAR)
         vertical = platform.dram_latency_at(0, Position.VERTICAL)

@@ -180,41 +180,49 @@ def _fail_until_marker(x, marker=None):
     return x
 
 
-def test_oserror_inside_cell_propagates():
+@pytest.fixture
+def no_ramp(monkeypatch):
+    """Pool unconditionally: no serial ramp before the workers start."""
+    import repro.runner as runner_module
+
+    monkeypatch.setattr(runner_module, "POOL_THRESHOLD_S", 0)
+
+
+def test_oserror_inside_cell_propagates(no_ramp):
     # Regression: an OSError raised *inside* a cell used to be mistaken for
     # a sandboxed pool and silently re-ran every cell in-process. It must
     # surface like any other cell error.
     cells = [Cell(_square, (2,)), Cell(_raise_oserror, (1,))]
     with pytest.raises(OSError, match="dead file"):
-        run_cells(cells, jobs=2, pool_threshold_s=0)
+        run_cells(cells, jobs=2)
     with pytest.raises(OSError, match="dead file"):
         run_cells(cells, jobs=1)
 
 
-def test_worker_crash_recovers_all_cells():
+def test_worker_crash_recovers_all_cells(no_ramp):
     # A worker dying mid-batch (BrokenProcessPool) must not lose anything:
     # affected cells re-run in-process and the results match a clean
     # jobs=1 run bit-for-bit.
-    # pool_threshold_s=0 forces pooling — these cells are far too cheap for
-    # the adaptive serial ramp to ever hand them to workers otherwise.
+    # no_ramp forces pooling — these cells are far too cheap for the
+    # adaptive serial ramp to ever hand them to workers otherwise.
     cells = [Cell(_crash_worker_if_odd, (x,)) for x in range(6)]
-    pooled = run_cells(cells, jobs=3, pool_threshold_s=0)
+    pooled = run_cells(cells, jobs=3)
     serial = run_cells(cells, jobs=1)
     assert pooled == serial == [x * x for x in range(6)]
 
 
-def test_worker_crash_with_failing_rerun_reports_crash():
+def test_worker_crash_with_failing_rerun_reports_crash(no_ramp):
     # When the in-process re-run after a worker death fails too, the
     # failure carries the crash context.
     cells = [Cell(_crash_worker_raise_main, (0,)), Cell(_square, (3,))]
-    detailed = run_cells_detailed(cells, jobs=2, pool_threshold_s=0)
+    detailed = run_cells_detailed(cells, jobs=2)
     assert detailed[1].ok and detailed[1].value == 9
     assert not detailed[0].ok
     assert detailed[0].failure.kind == "crash"
     assert isinstance(detailed[0].failure.error, RuntimeError)
 
 
-def test_pool_broken_during_submission_loses_nothing(monkeypatch):
+def test_pool_broken_during_submission_loses_nothing(monkeypatch, no_ramp):
     # A worker can die before the batch is fully submitted, and the next
     # submit then raises BrokenProcessPool itself: the cells not yet
     # submitted run in-process like the rest of a broken batch.
@@ -233,7 +241,7 @@ def test_pool_broken_during_submission_loses_nothing(monkeypatch):
         runner_module.ProcessPoolExecutor, "submit", submit_then_break
     )
     cells = [Cell(_square, (x,)) for x in range(4)]
-    detailed = run_cells_detailed(cells, jobs=2, pool_threshold_s=0, cache=None)
+    detailed = run_cells_detailed(cells, jobs=2, cache=None)
     assert [result.value for result in detailed] == [0, 1, 4, 9]
     assert len(submitted) == 2
 
@@ -254,11 +262,11 @@ class TestSerialRamp:
         cells = [Cell(_square, (x,)) for x in range(8)]
         assert run_cells(cells, jobs=4) == [x * x for x in range(8)]
 
-    def test_threshold_zero_forces_pool(self, monkeypatch):
+    def test_threshold_zero_forces_pool(self, monkeypatch, no_ramp):
         self._forbid_pool(monkeypatch)
         cells = [Cell(_square, (x,)) for x in range(2)]
         with pytest.raises(AssertionError, match="process pool constructed"):
-            run_cells(cells, jobs=2, pool_threshold_s=0)
+            run_cells(cells, jobs=2)
 
     def test_timeout_disables_the_ramp(self, monkeypatch):
         # Per-cell timeouts need worker preemption, so the pool is
@@ -272,12 +280,8 @@ class TestSerialRamp:
         # Once the measured serial time crosses the threshold, the
         # remaining cells go to workers — results still in order.
         cells = [Cell(_sleep_then_return, (x,), dict(duration_s=0.03)) for x in range(6)]
-        out = run_cells(cells, jobs=3, pool_threshold_s=0.05)
+        out = run_cells(cells, jobs=3)
         assert out == list(range(6))
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_cells([Cell(_square, (1,))], pool_threshold_s=-0.1)
 
 
 def test_per_cell_timeout_isolates_slow_cell(tmp_path):
@@ -302,10 +306,13 @@ def test_per_cell_timeout_isolates_slow_cell(tmp_path):
         os.kill(int(record), 0)
 
 
-def test_retry_recovers_transient_failure(tmp_path):
+def test_retry_recovers_transient_failure(tmp_path, monkeypatch):
+    import repro.runner as runner_module
+
+    monkeypatch.setattr(runner_module, "BACKOFF_S", 0.01)
     marker = str(tmp_path / "flaked")
     cells = [Cell(_fail_until_marker, (7,), dict(marker=marker))]
-    detailed = run_cells_detailed(cells, jobs=1, retries=1, backoff_s=0.01)
+    detailed = run_cells_detailed(cells, jobs=1, retries=1)
     assert detailed[0].ok and detailed[0].value == 7
     assert detailed[0].attempts == 2
 
@@ -349,8 +356,6 @@ def test_run_cells_validates_parameters():
         run_cells_detailed(cells, timeout_s=0.0)
     with pytest.raises(ConfigurationError):
         run_cells_detailed(cells, retries=-1)
-    with pytest.raises(ConfigurationError):
-        run_cells_detailed(cells, backoff_s=-1.0)
 
 
 def test_cell_failure_kinds_are_closed_set():
@@ -398,13 +403,6 @@ class TestInBatchDedup:
         ]
         # Fan-out copies report zero attempts: they never executed.
         assert all(result.attempts == 0 for result in detailed if result.deduped)
-
-    def test_dedup_disabled_runs_every_cell(self, tmp_path):
-        marker = str(tmp_path / "calls")
-        cells = [Cell(_record_call, (marker, 4)) for _ in range(3)]
-        detailed = run_cells_detailed(cells, jobs=1, cache=None, dedup=False)
-        assert _call_count(marker) == 3
-        assert not any(result.deduped for result in detailed)
 
     def test_failed_primary_fans_out_failure_per_index(self, tmp_path):
         # A duplicate of a failed cell reports the same failure at its own

@@ -16,6 +16,9 @@ import asyncio
 import os
 import threading
 
+import pytest
+
+from repro import runner
 from repro.runner import Cell
 from repro.service.bridge import run_cells_streamed
 
@@ -80,15 +83,21 @@ def _streamed(cells, **runner_kwargs):
     return arrived, returned, loop_thread[0]
 
 
+@pytest.fixture
+def no_ramp(monkeypatch):
+    """Pool unconditionally: no serial ramp before the workers start."""
+    monkeypatch.setattr(runner, "POOL_THRESHOLD_S", 0)
+
+
 class TestCrashRecovery:
-    def test_pool_killed_mid_batch_loses_nothing(self):
+    def test_pool_killed_mid_batch_loses_nothing(self, no_ramp):
         # Workers die on every odd cell (BrokenProcessPool); the runner
         # re-runs the damage in-process. Through the bridge the service
         # must still see one final result per cell — all successful here,
         # because the re-run succeeds outside a worker.
         cells = [Cell(_crash_worker_if_odd, (x,)) for x in range(6)]
         arrived, returned, _ = _streamed(
-            cells, jobs=2, pool_threshold_s=0, cache=None
+            cells, jobs=2, cache=None
         )
         assert [result.value for result in returned] == [
             x * x for x in range(6)
@@ -96,13 +105,13 @@ class TestCrashRecovery:
         assert sorted(result.index for result in arrived) == list(range(6))
         assert len(arrived) == 6        # exactly once per cell
 
-    def test_unrecoverable_crash_surfaces_failure_not_loss(self):
+    def test_unrecoverable_crash_surfaces_failure_not_loss(self, no_ramp):
         # When the in-process re-run after a worker death fails too, the
         # in-flight cell surfaces as a ``crash`` CellFailure — and the
         # other cell in the batch is still delivered, not lost.
         cells = [Cell(_crash_everywhere, (0,)), Cell(_square, (3,))]
         arrived, returned, _ = _streamed(
-            cells, jobs=2, pool_threshold_s=0, cache=None
+            cells, jobs=2, cache=None
         )
         assert len(returned) == 2 and len(arrived) == 2
         assert not returned[0].ok
@@ -150,10 +159,11 @@ class TestCancellation:
         )
         assert sorted(result.index for result in arrived) == [0, 1, 2, 3]
 
-    def test_cancellation_suppresses_retries(self, tmp_path):
+    def test_cancellation_suppresses_retries(self, tmp_path, monkeypatch):
         # A failing cell normally gets ``retries`` extra attempts; once
         # the batch is cancelled it must not be re-run — it resolves as
         # cancelled after exactly its one pre-cancel execution.
+        monkeypatch.setattr(runner, "BACKOFF_S", 0.0)
         marker = str(tmp_path / "calls")
         cancel = threading.Event()
         cells = [
@@ -161,7 +171,7 @@ class TestCancellation:
             Cell(_trip_then_return, (cancel, 1)),
         ]
         arrived, returned, _ = _streamed(
-            cells, jobs=1, cache=None, retries=3, backoff_s=0.0, cancel=cancel
+            cells, jobs=1, cache=None, retries=3, cancel=cancel
         )
         assert _calls(marker) == ["0"]      # one attempt, zero retries
         assert returned[0].failure is not None

@@ -51,7 +51,6 @@ class TestCounters:
         registry.record(link, 64, False)
         registry.record(link, 64, True)
         assert registry.get("l0").read_bytes == 64
-        assert registry.total_bytes() == 128
         assert registry.get("missing") is None
         assert "l0" in registry.snapshot()
 
@@ -134,13 +133,6 @@ class TestTrafficMatrix:
         with pytest.raises(ConfigurationError):
             TrafficMatrix(["a", "a"], ["b"])
 
-    def test_hottest(self):
-        matrix = TrafficMatrix(["s0", "s1"], ["d0", "d1"])
-        matrix.record("s0", "d1", 9.0)
-        matrix.record("s1", "d0", 3.0)
-        hottest = matrix.hottest(1)
-        assert hottest == [("s0", "d1", 9.0)]
-
     def test_gravity_exact_for_product_form(self):
         # NPS1 interleave spreads every source proportionally: the gravity
         # estimate is then exact.
@@ -151,17 +143,16 @@ class TestTrafficMatrix:
         estimate = TrafficMatrix.gravity_estimate(
             truth.row_sums(), truth.col_sums()
         )
-        assert truth.max_abs_error(estimate) == pytest.approx(0.0, abs=1e-9)
+        for src in ("s0", "s1"):
+            for dst in ("d0", "d1"):
+                assert estimate.rate(src, dst) == pytest.approx(
+                    truth.rate(src, dst), abs=1e-9
+                )
 
     def test_gravity_mismatched_totals_rejected(self):
         with pytest.raises(MeasurementError):
             TrafficMatrix.gravity_estimate({"s": 10.0}, {"d": 20.0})
 
-    def test_max_abs_error_requires_same_shape(self):
-        a = TrafficMatrix(["s"], ["d"])
-        b = TrafficMatrix(["x"], ["d"])
-        with pytest.raises(MeasurementError):
-            a.max_abs_error(b)
 
 
 class TestDevtree:
@@ -191,6 +182,9 @@ class TestDevtree:
         assert 'microarchitecture = "Zen 2";' in text
         assert text.count("{") == text.count("}")
 
+    def test_render_dts_lists_cxl_devices(self, p9634):
+        assert "cxl0" in render_dts(build_devtree(p9634))
+
     def test_proc_report(self, p7302):
         registry = CounterRegistry()
         registry.record(p7302.link("gmi/ccd0"), 6400, False)
@@ -212,17 +206,6 @@ class TestProfiler:
         assert top[0][0] == "big"
         assert top[1][0] == "mid"
 
-    def test_flow_rate(self):
-        profiler = FlowProfiler()
-        profiler.record(FlowSample("f", 64, 0.0))
-        profiler.record(FlowSample("f", 64, 64.0))
-        # 128 bytes over 64 ns = 2 GB/s.
-        assert profiler.flow_gbps("f") == pytest.approx(2.0)
-
-    def test_rate_without_window(self):
-        profiler = FlowProfiler()
-        assert profiler.flow_gbps("f") == 0.0
-
     def test_report_lists_flows(self):
         profiler = FlowProfiler(top_k=3)
         for t in range(5):
@@ -242,24 +225,3 @@ class TestProfiler:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FlowProfiler(top_k=0)
-
-
-class TestDevtreeJson:
-    def test_json_round_trips(self, p9634):
-        import json
-
-        from repro.telemetry.devtree import to_json
-
-        tree = build_devtree(p9634)
-        parsed = json.loads(to_json(tree))
-        assert parsed["compatible"] == tree["compatible"]
-        assert len(parsed["compute-chiplets"]) == 12
-
-    def test_json_is_sorted_and_indented(self, p7302):
-        from repro.telemetry.devtree import to_json
-
-        text = to_json(build_devtree(p7302))
-        assert text.startswith("{\n")
-        # Top-level keys come out sorted.
-        assert text.index('"compatible"') < text.index('"compute-chiplets"')
-        assert text.index('"compute-chiplets"') < text.index('"io-chiplet"')
