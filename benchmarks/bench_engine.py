@@ -30,6 +30,22 @@ def bench_des_timeout_throughput(benchmark):
     assert benchmark(run) == 2000.0
 
 
+def bench_des_sleep_throughput(benchmark):
+    """Schedule-and-fire rate of sleeps: the same ticker yielding its delay."""
+
+    def run():
+        env = Environment()
+
+        def ticker():
+            for __ in range(2000):
+                yield 1.0
+
+        env.run(env.process(ticker()))
+        return env.now
+
+    assert benchmark(run) == 2000.0
+
+
 def bench_des_resource_contention(benchmark):
     """FIFO arbitration with heavy queueing."""
 

@@ -25,10 +25,12 @@ SERIAL_CEILING_S = 60.0
 SHARDED_CEILING_S = 10.0
 
 #: The design floor is >=10x; assert a lower bar so scheduler jitter on a
-#: loaded runner cannot flake the gate (measured 10.8-12.8x on a 2-core VM
-#: with Python 3.11, the serial cell taking 0.46-0.49 s on the engine that
-#: keeps its current instant in a FIFO; the recorded metadata keeps the
-#: true multiple visible).
+#: loaded runner rarely flakes the gate. Measured on a 2-core VM with
+#: Python 3.11, once processes sleep by yielding their delay: 10.3-14.2x in
+#: seven of eight runs (serial cell 0.24-0.35 s, sharded 22.5-29.6 ms);
+#: the eighth read 7.4x, its three sharded rounds all caught in a slow
+#: spell of the host (36.3 ms). The recorded metadata keeps the true
+#: multiple visible.
 MIN_SPEEDUP = 8.0
 
 _TRANSACTIONS = 150

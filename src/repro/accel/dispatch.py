@@ -145,7 +145,7 @@ class DispatchSimulator:
 
         # 4. Compute.
         mark = env.now
-        yield env.timeout(self.accelerator.kernel_time_ns(job.bytes_in))
+        yield self.accelerator.kernel_time_ns(job.bytes_in)
         trace.phases["compute"] = env.now - mark
 
         # 5. Output DMA.
@@ -170,9 +170,7 @@ class DispatchSimulator:
             )
         )
         host_ccd = self.platform.core(job.host_core).ccd_id
-        yield env.timeout(
-            self.platform.dram_latency_at(host_ccd, Position.NEAR)
-        )
+        yield self.platform.dram_latency_at(host_ccd, Position.NEAR)
         trace.phases["completion"] = env.now - mark
 
         trace.end_ns = env.now

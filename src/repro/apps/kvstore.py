@@ -213,13 +213,13 @@ class KvServerModel:
             with pool.request() as grant:
                 yield grant
                 index_path, value_path = paths[arrival_index % len(paths)]
-                yield env.timeout(self._nic_oneway_ns())       # ingress
+                yield self._nic_oneway_ns()                     # ingress
                 for __ in range(workload.index_depth):          # index walk
                     txn = Transaction(OpKind.READ, CACHELINE)
                     yield env.process(executor.execute(txn, index_path))
                 txn = Transaction(OpKind.READ, workload.value_bytes)
                 yield env.process(executor.execute(txn, value_path))
-                yield env.timeout(self._nic_oneway_ns())       # egress
+                yield self._nic_oneway_ns()                     # egress
             latencies.append(env.now - start)
             done_at[0] = max(done_at[0], env.now)
             if len(latencies) == workload.requests:
@@ -228,7 +228,7 @@ class KvServerModel:
         def arrivals() -> Generator[Event, None, None]:
             interval = 1e9 / workload.qps
             for index in range(workload.requests):
-                yield env.timeout(float(rng.exponential(interval)))
+                yield float(rng.exponential(interval))
                 env.process(handle(index))
 
         env.process(arrivals())

@@ -33,7 +33,7 @@ import numpy as np
 from repro.analysis.stats import LatencyStats
 from repro.core.flows import StreamSpec
 from repro.errors import ConfigurationError
-from repro.sim.engine import Environment, Event, Timeout
+from repro.sim.engine import Environment, Event
 from repro.transport.message import OpKind, Transaction
 from repro.transport.path import CompiledPath, PathResolver
 from repro.transport.transaction import TransactionExecutor
@@ -251,10 +251,9 @@ class ClosedLoopIssuer:
     ) -> Generator[Event, None, None]:
         """One outstanding slot: run its quota of transactions back to back.
 
-        Each transaction runs inline, in the lane's own process. Where a
-        process per transaction would queue its bootstrap and then its
-        completion, the lane yields a zero timeout (drawing the same
-        sequence number), unless that event would fire next anyway
+        Each runs inline, in the lane's own process: a zero sleep stands in
+        for a per-transaction process's bootstrap and its completion (the
+        same draws), unless that event would fire next anyway
         (:meth:`~repro.sim.engine.Environment.fires_next`).
         """
         env = self.env
@@ -274,16 +273,16 @@ class ClosedLoopIssuer:
                     slot = now
                 self._next_issue_ns = slot + interval
                 if slot > now:
-                    yield Timeout(env, slot - now)
+                    yield slot - now
             txn = Transaction(
                 self.op, self.size_bytes, src_core=worker_id, flow_id=worker_id
             )
             # Environment.fires_next, inlined here and below.
             if not env._sole or env._fifo:
-                yield Timeout(env, 0.0)
+                yield 0.0
             yield from self.executor.execute(txn, path)
             if not env._sole or env._fifo:
-                yield Timeout(env, 0.0)
+                yield 0.0
             if i >= measured_from:
                 if self._measure_start_ns is None:
                     self._measure_start_ns = txn.issued_ns
@@ -330,7 +329,6 @@ def lower_stream(
     window: int,
     count_per_worker: int,
     size_bytes: int = CACHELINE,
-    use_token_pools: bool = True,
 ) -> ClosedLoopIssuer:
     """Lower one stream to an unstarted DES issuer, one worker per core.
 
@@ -340,8 +338,8 @@ def lower_stream(
     CXL device ids for a CXL one. A stream on the default interleave must
     resolve it first (:meth:`FabricModel.endpoints_of
     <repro.core.fabric.FabricModel.endpoints_of>`). Its path carries
-    ``spec.op``, ``spec.remote``, ``size_bytes`` and ``use_token_pools``;
-    the group is paced at ``spec.demand_gbps`` (None: unpaced).
+    ``spec.op``, ``spec.remote`` and ``size_bytes``; the group is paced
+    at ``spec.demand_gbps`` (None: unpaced).
 
     This stripe is the DES's own. ``FabricModel.flows_for`` makes one
     fluid flow per CCX and splits it evenly over the endpoints. The two
@@ -358,13 +356,12 @@ def lower_stream(
         endpoint = endpoints[i % len(endpoints)]
         if spec.target == "cxl":
             path = resolver.cxl_path(
-                core_id, endpoint, op=spec.op, size_bytes=size_bytes,
-                use_token_pools=use_token_pools,
+                core_id, endpoint, op=spec.op, size_bytes=size_bytes
             )
         else:
             path = resolver.dram_path(
                 core_id, endpoint, op=spec.op, size_bytes=size_bytes,
-                use_token_pools=use_token_pools, remote=spec.remote,
+                remote=spec.remote,
             )
         paths.append(path)
     return ClosedLoopIssuer(

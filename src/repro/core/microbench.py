@@ -158,7 +158,7 @@ class MicroBench:
         def _reset_after_warmup():
             # The very first burst waits a full round trip for the first
             # token to recycle; steady-state queueing starts after that.
-            yield env.timeout(5.0 * path_latency)
+            yield 5.0 * path_latency
             for pool in pools:
                 pool.reset_stats()
 

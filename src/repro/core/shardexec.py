@@ -38,6 +38,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -351,6 +352,7 @@ def _run_sharded_cell(
             return pressures[flow.name] / len(flow.umc_ids)
         return pressures[flow.name]
 
+    @cache
     def shard_fraction(channel: Optional[str], shard_id: int) -> float:
         """Capacity fraction a shard's replica of ``channel`` receives.
 
@@ -425,15 +427,12 @@ def _run_sharded_cell(
                     batch_pool = BatchPool(pool.name, pool.capacity)
                     registry[pool.name] = batch_pool
                 pool_plan.append(batch_pool)
-            for lane in range(window):
-                lanes.append(
-                    BatchLane(
-                        stages=tuple(stage_plan),
-                        pools=tuple(pool_plan),
-                        fixed_ns=path.fixed_ns,
-                        quota=base + (1 if lane < extra else 0),
-                    )
-                )
+            # The window's lanes share two frozen lanes: quota base + 1, base.
+            full, short = (
+                BatchLane(tuple(stage_plan), tuple(pool_plan), path.fixed_ns, quota)
+                for quota in (base + 1, base)
+            )
+            lanes += [full] * extra + [short] * (window - extra)
         interval = (
             CACHELINE / flow.demand_gbps
             if flow.demand_gbps is not None

@@ -281,7 +281,7 @@ def _sample_at(
     """Record ``read()`` at each simulated time in ``times`` (sorted)."""
     for t in sorted(times):
         if t > env.now:
-            yield env.timeout(t - env.now)
+            yield t - env.now
         out[t] = read()
 
 

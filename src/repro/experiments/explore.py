@@ -182,7 +182,7 @@ def _des_metrics(
 
     def packet(src, dst, due, stream_name):
         if env.now < due:
-            yield env.timeout(due - env.now)
+            yield due - env.now
         latency = yield from net.send(src, dst, _PACKET_BYTES)
         latencies.append(latency)
         finished[stream_name].append(env.now)

@@ -89,7 +89,7 @@ def _reshape(
     base_gbps = server.gbps
     for t_ns, factor in points:
         if t_ns > env.now:
-            yield env.timeout(t_ns - env.now)
+            yield t_ns - env.now
         server.gbps = base_gbps * factor
 
 
@@ -98,7 +98,7 @@ def _stall(
 ) -> Generator[Event, None, None]:
     """Hold every service lane of one direction during [start, end)."""
     if start_ns > env.now:
-        yield env.timeout(start_ns - env.now)
+        yield start_ns - env.now
     # Claim the lanes FIFO: in-flight transfers drain first, then the stall
     # owns the direction until the window closes (measured in absolute time,
     # so a slow drain eats into the stall, not past its end).
@@ -108,7 +108,7 @@ def _stall(
     for grant in grants:
         yield grant
     if end_ns > env.now:
-        yield env.timeout(end_ns - env.now)
+        yield end_ns - env.now
     for grant in grants:
         server.release(grant)
 

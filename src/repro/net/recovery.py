@@ -772,7 +772,7 @@ class RecoveryGate:
                 f"{self.flow}/c{txn.src_core}",
                 flow=self.flow, attempt=attempt,
             )
-        yield env.timeout(self._backoff_ns(attempt - 1))
+        yield self._backoff_ns(attempt - 1)
         if span is not None:
             tracer.end(span)
 
@@ -871,7 +871,7 @@ class RecoveryInstallation:
         config = self.config
         last = {endpoint: 0 for endpoint in self._endpoints}
         while not self._stopped:
-            yield env.timeout(config.probe_interval_ns)
+            yield config.probe_interval_ns
             if self._stopped:
                 return
             now = env.now
@@ -906,7 +906,7 @@ class RecoveryInstallation:
         prober = TransactionExecutor(env, flow="recovery-probe")
         self._probe_executor = prober
         while not self._stopped:
-            yield env.timeout(config.probe_interval_ns)
+            yield config.probe_interval_ns
             if self._stopped:
                 return
             for endpoint in list(self._endpoints):

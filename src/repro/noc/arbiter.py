@@ -25,7 +25,6 @@ from repro.sim.engine import (
     Environment,
     Event,
     Resource,
-    Timeout,
     _ResourceRequest,
 )
 
@@ -115,7 +114,7 @@ class _DirectionServer(Resource):
         grant = self.request()
         try:
             yield grant
-            yield Timeout(self.env, self.occupy(size_bytes))
+            yield self.occupy(size_bytes)
         finally:
             self.release(grant)
 

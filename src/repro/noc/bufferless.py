@@ -116,13 +116,13 @@ class BufferlessMeshNetwork:
                 # Every output busy: the packet circulates on the router's
                 # internal crossbar for one hop time (BLESS's re-injection
                 # stall), then tries again.
-                yield self.env.timeout(self._hop_ns(here, productive))
+                yield self._hop_ns(here, productive)
                 continue
             port = self._ports[(here, nxt)]
             with port.request() as grant:
                 yield grant
                 service = size_bytes / self.port_gbps
-                yield self.env.timeout(service + self._hop_ns(here, nxt))
+                yield service + self._hop_ns(here, nxt)
             here = nxt
             hops += 1
         self.delivered += 1

@@ -87,14 +87,14 @@ class MeshNetwork:
                 # XY routing turns at most once (x-moves precede y-moves).
                 # Express channels (negative turn_ns) cannot make the DES go
                 # backwards; they are handled analytically in Mesh.cost_ns.
-                yield self.env.timeout(max(0.0, self.mesh.turn_ns))
+                yield max(0.0, self.mesh.turn_ns)
             previous_axis = axis
             port = self.port(here, nxt)
             with port.resource.request() as grant:
                 yield grant
                 service = size_bytes / port.gbps
                 port.bytes_forwarded += size_bytes
-                yield self.env.timeout(service + port.hop_ns)
+                yield service + port.hop_ns
         return self.env.now - start
 
 
@@ -230,7 +230,7 @@ class AdaptiveMeshNetwork:
                 yield grant
                 service = size_bytes / port.gbps
                 port.bytes_forwarded += size_bytes
-                yield self.env.timeout(service + port.hop_ns)
+                yield service + port.hop_ns
             if adaptive:
                 # The credit returns once the flit has cleared the wire.
                 port.credits.release()

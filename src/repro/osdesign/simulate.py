@@ -82,14 +82,14 @@ def simulate_multikernel(
         # Serialize the 64 B message on the sender's IF, cross the mesh,
         # then queue for the receiving kernel's apply loop.
         yield from resolver.if_arbiter(src).transfer(CACHELINE, is_write=True)
-        yield env.timeout(pair_path_ns(src, dst))
+        yield pair_path_ns(src, dst)
         with apply_servers[dst].request() as grant:
             yield grant
-            yield env.timeout(per_message_cpu_ns)
+            yield per_message_cpu_ns
 
     def update(src: int) -> Generator[Event, None, None]:
         start = env.now
-        yield env.timeout(lat.l3_ns)  # local apply
+        yield lat.l3_ns  # local apply
         deliveries = [
             env.process(deliver(src, dst))
             for dst in range(replicas)
@@ -103,7 +103,7 @@ def simulate_multikernel(
         per_replica_rate = offered_mops / replicas / 1e3  # updates per ns
         count = updates // replicas
         for __ in range(count):
-            yield env.timeout(float(rng.exponential(1.0 / per_replica_rate)))
+            yield float(rng.exponential(1.0 / per_replica_rate))
             if not first_issue:
                 first_issue.append(env.now)
             env.process(update(replica))

@@ -1,7 +1,7 @@
 """A compact discrete-event simulation engine.
 
-The engine follows the simpy programming model: simulation logic is written as
-generator functions that ``yield`` events. The three building blocks are
+The engine follows the simpy programming model: simulation logic is generator
+functions that ``yield`` events, or a delay to sleep. The three building blocks are
 
 * :class:`Environment` — the event loop and simulated clock (nanoseconds),
 * :class:`Event` and its subclasses (:class:`Timeout`, :class:`Process`,
@@ -53,8 +53,8 @@ event is yielded at once: :meth:`Resource.request` returns a free slot, and
 already-fired event (as :meth:`Store.put` always does); a :class:`Process`
 that finishes with one waiter calls it in place; and a
 :class:`~repro.core.loadgen.ClosedLoopIssuer` lane runs each transaction
-inline, queueing a zero :class:`Timeout` only where the bootstrap or
-completion of a per-transaction process would not have fired next. This is
+inline, yielding a zero delay only where the bootstrap or completion of
+a per-transaction process would not have fired next. This is
 exact by construction: the skipped event is the one the loop would pop
 next, so every callback runs in the same order, at the same ``now``, with
 the same RNG draws. Only later sequence numbers shift (one fewer is
@@ -72,21 +72,26 @@ while its ``callbacks`` is not None. Yielding a fired event resumes the
 generator at once with its value and runs nothing in between, so skipping
 the round trip is exact.
 
+**A process sleeps by yielding its delay.** ``yield d`` (an ``int`` or
+``float`` >= 0) re-queues the process's own *wake* event (also its
+bootstrap) with the one sequence number, and on the route (the FIFO if
+``now + d == now``, else the heap), that ``yield Timeout(env, d)`` takes.
+Only the process waits on its wake, queued at most once at a time, so
+every order and draw is the timeout's, and a sleep allocates only its heap
+entry. A deadline raced in :meth:`Environment.any_of` still needs a Timeout.
+
 **Strict is heap-only.** A strict environment (``Environment(strict=True)``)
 never applies the rule and keeps no FIFO: its stand-in pushes every
 same-instant event onto the heap as ``(now, seq, event)``, and its checked
 loop pops the heap alone. That run is the independent reference the fast
 one must reproduce.
 
-Every class on the hot path declares ``__slots__`` — a simulation allocates
-millions of short-lived events, and slotted instances are both smaller and
-faster to initialize than ``__dict__``-backed ones. The :meth:`Environment.run`
-loops additionally inline :meth:`Environment.step`'s pop-and-fire body, and
-timeouts, processes and resource grants (here and in
-:class:`~repro.noc.flowcontrol.TokenPool`) are built in place and queued
-directly, each drawing the one sequence number ``_schedule`` would have
-drawn at that point (so no subclass may override ``_schedule``); the
-scheduling order (and therefore every simulation result) is unchanged.
+Every class on the hot path declares ``__slots__`` (smaller and faster to
+initialize). The :meth:`Environment.run` loops inline
+:meth:`Environment.step`'s pop-and-fire body, and sleeps, processes and
+resource grants (here and in :class:`~repro.noc.flowcontrol.TokenPool`)
+are queued in place, each drawing the one sequence number ``_schedule``
+would have drawn there (so no subclass may override ``_schedule``).
 """
 
 from __future__ import annotations
@@ -192,51 +197,46 @@ def fired(env: "Environment", value: Any = None) -> Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event firing after a fixed simulated delay, for where the delay is
+    a value (a deadline raced in ``any_of``); a sleep yields the delay."""
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Fast path: timeouts dominate event traffic, so initialize and
-        # schedule inline rather than via Event.__init__/_schedule.
-        self.env = env
-        self.callbacks = []
+        Event.__init__(self, env)
         self._value = value
-        self._ok = True
-        env._sequence = sequence = env._sequence + env._seq_step
-        now = env._now
-        when = now + delay
-        if when == now:
-            env._fifo.append(self)
-        else:
-            _heappush(env._queue, (when, sequence, self))
+        env._schedule(self, delay)
 
 
 class Process(Event):
     """Wraps a generator; completes (as an event) when the generator returns.
 
-    Yield values must be :class:`Event` instances. The value of a yielded
-    event is sent back into the generator; failed events raise inside it.
+    It yields an :class:`Event` to wait for it (its value is sent back; a
+    failed one raises inside), or an ``int`` or ``float`` (not a ``bool``)
+    to sleep that many ns on its wake (see the module ordering contract);
+    a negative delay raises :class:`SimulationError` there, as in Timeout.
     """
 
-    __slots__ = ("_generator", "_resumer")
+    __slots__ = ("_generator", "_resumer", "_wake", "_wakers")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
-        # Fast path (as in Timeout): initialize inline; the bootstrap, a zero
-        # Timeout, resumes the generator at the current time.
+        # Fast path: initialize inline, not via Event.__init__.
         self.env = env
         self.callbacks = []
         self._value = _PENDING
         self._ok = True
         self._generator = generator
-        # One bound method serves every yield. It refers back to the
-        # process, so _resume drops it when the generator ends.
+        # One bound method serves every yield, one wake every sleep (queued
+        # first as the bootstrap); _resume drops the method at the end.
         self._resumer = resumer = self._resume
-        Timeout(env, 0.0).callbacks.append(resumer)
+        self._wake = wake = fired(env)
+        wake.callbacks = self._wakers = [resumer]
+        env._sequence += env._seq_step
+        env._fifo.append(wake)
 
     def _resume(self, event: Event) -> None:
         generator = self._generator
@@ -247,7 +247,7 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
-                self._resumer = None
+                self._resumer = self._wakers = None
                 callbacks = self.callbacks
                 env = self.env
                 if (
@@ -265,19 +265,35 @@ class Process(Event):
                     self.succeed(stop.value)
                 return
             except BaseException:
-                self._resumer = None
+                self._resumer = self._wakers = None
                 raise
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"process yielded a non-event: {target!r} "
-                    "(yield Timeout/Process/Resource requests instead)"
-                )
-            callbacks = target.callbacks
-            if callbacks is None:
-                # Already fired: loop around immediately with its value.
-                event = target
+            kind = type(target)
+            if kind is not float and kind is not int:
+                if isinstance(target, Event):
+                    callbacks = target.callbacks
+                    if callbacks is None:
+                        # Already fired: loop around immediately with its value.
+                        event = target
+                        continue
+                    callbacks.append(self._resumer)
+                    return
+                if kind is bool or not isinstance(target, (int, float)):
+                    raise SimulationError(f"process yielded a non-event: {target!r}")
+            # A sleep: queue the wake where Timeout(env, target) would go.
+            env = self.env
+            if target < 0:
+                event = fired(env, SimulationError(f"negative timeout delay: {target}"))
+                event._ok = False
                 continue
-            callbacks.append(self._resumer)
+            wake = self._wake
+            wake.callbacks = self._wakers
+            env._sequence = sequence = env._sequence + env._seq_step
+            now = env._now
+            when = now + target
+            if when == now:
+                env._fifo.append(wake)
+            else:
+                _heappush(env._queue, (when, sequence, wake))
             return
 
 
@@ -441,7 +457,8 @@ class Environment:
         return self._sole and not self._fifo
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` ns from now."""
+        """Create an event firing ``delay`` ns from now (a process that
+        only sleeps yields ``delay`` instead; see :class:`Timeout`)."""
         return Timeout(self, delay, value)
 
     def event(self) -> Event:
@@ -621,7 +638,7 @@ class _ResourceRequest(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        # Fast path (as in Timeout): initialize inline, not via Event.__init__.
+        # Fast path: initialize inline, not via Event.__init__.
         self.env = resource.env
         self.callbacks = []
         self._value = _PENDING

@@ -242,7 +242,6 @@ class PathResolver:
         umc_id: int,
         op: OpKind = OpKind.READ,
         size_bytes: int = CACHELINE,
-        use_token_pools: bool = True,
         remote: bool = False,
     ) -> CompiledPath:
         """Compile the core→DIMM path through IF, the mesh, and the UMC.
@@ -250,7 +249,7 @@ class PathResolver:
         ``remote=True`` targets the other socket's memory: the request
         additionally crosses the xGMI link (2-socket platforms only).
         """
-        key = ("dram", core_id, umc_id, op, size_bytes, use_token_pools, remote)
+        key = ("dram", core_id, umc_id, op, size_bytes, remote)
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
@@ -269,12 +268,8 @@ class PathResolver:
         ]
         if remote:
             stages.insert(2, QueuedStage("xgmi", self.xgmi_arbiter()))
-        tokens: List[TokenPool] = []
-        if use_token_pools:
-            tokens.append(self.ccx_pool(core.ccx_id))
-            ccd = self.ccd_pool(core.ccd_id)
-            if ccd is not None:
-                tokens.append(ccd)
+        pools = (self.ccx_pool(core.ccx_id), self.ccd_pool(core.ccd_id))
+        tokens = [pool for pool in pools if pool is not None]
         path = self._finalize(
             f"core{core_id}->dimm{umc_id}", unloaded, stages, tokens, op, size_bytes
         )
@@ -348,10 +343,9 @@ class PathResolver:
         dev_id: int = 0,
         op: OpKind = OpKind.READ,
         size_bytes: int = CACHELINE,
-        use_token_pools: bool = True,
     ) -> CompiledPath:
         """Compile the core→CXL path through IF, mesh, hub, P Link, device."""
-        key = ("cxl", core_id, dev_id, op, size_bytes, use_token_pools)
+        key = ("cxl", core_id, dev_id, op, size_bytes)
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
@@ -365,12 +359,8 @@ class PathResolver:
             QueuedStage(f"plink/rc{dev.rc_id}", self.plink_arbiter(dev.rc_id)),
             QueuedStage(f"cxldev{dev_id}", self.cxl_device(dev_id)),
         ]
-        tokens: List[TokenPool] = []
-        if use_token_pools:
-            tokens.append(self.ccx_pool(core.ccx_id))
-            ccd = self.ccd_pool(core.ccd_id)
-            if ccd is not None:
-                tokens.append(ccd)
+        pools = (self.ccx_pool(core.ccx_id), self.ccd_pool(core.ccd_id))
+        tokens = [pool for pool in pools if pool is not None]
         path = self._finalize(
             f"core{core_id}->cxl{dev_id}", unloaded, stages, tokens, op, size_bytes
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment, Event, Timeout
+from repro.sim.engine import Environment, Event
 from repro.transport.message import Transaction
 from repro.transport.path import CompiledPath
 
@@ -102,7 +102,7 @@ class TransactionExecutor:
                 try:
                     if grant.callbacks is not None:
                         yield grant
-                    yield Timeout(env, direction.occupy(size))
+                    yield direction.occupy(size)
                 finally:
                     direction.release(grant)
                 if tracer is not None:
@@ -112,7 +112,7 @@ class TransactionExecutor:
                     )
             if tracer is not None:
                 hop = tracer.begin("fixed", "hop", track, parent=span)
-            yield Timeout(env, path.fixed_ns)
+            yield path.fixed_ns
             if tracer is not None:
                 tracer.end(hop, service_ns=path.fixed_ns)
         finally:

@@ -419,8 +419,12 @@ def token_pool_ablation(
             env, executor, resolver, spec,
             window=platform.spec.bandwidth.mlp_read,
             count_per_worker=transactions_per_core,
-            use_token_pools=use_pools,
         )
+        if not use_pools:
+            # Unstarted: the workers read their paths when the run starts.
+            issuer.paths = tuple(
+                replace(path, tokens=[]) for path in issuer.paths
+            )
         result = issuer.run()
         gmi = resolver.gmi_arbiter(0)
         out[label] = {

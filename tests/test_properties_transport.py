@@ -1,5 +1,7 @@
 """Property-based tests on path compilation and execution invariants."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,7 +60,7 @@ class TestPathProperties:
         env = Environment()
         resolver = PathResolver(env, _P7302, with_dram_jitter=False)
         executor = TransactionExecutor(env)
-        path = resolver.dram_path(0, 0, use_token_pools=False)
+        path = replace(resolver.dram_path(0, 0), tokens=[])
         issued = []
         for __ in range(count):
             txn = Transaction(OpKind.READ)

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation engine."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,7 +135,7 @@ class TestProcess:
         env = Environment()
 
         def proc():
-            yield 42
+            yield "42"
 
         with pytest.raises(SimulationError):
             env.run(env.process(proc()))
@@ -361,7 +362,7 @@ class TestInlineScheduling:
             assert env._sequence == 4
             res.request()  # queued: draws nothing until granted
             assert env._sequence == 4
-            env.process(proc())
+            process = env.process(proc())
             assert env._sequence == 7
             # Both are due now: the strict heap holds them at (now, seq);
             # the default FIFO holds them in the same order.
@@ -372,7 +373,8 @@ class TestInlineScheduling:
                 assert env._queue == []
                 pending = list(env._fifo)
             assert pending[0] is granted
-            assert isinstance(pending[1], Timeout) and len(pending) == 2
+            # The bootstrap is the process's wake, not a new Timeout.
+            assert pending[1] is process._wake and len(pending) == 2
 
 
 def _both_loops(scenario):
@@ -549,6 +551,140 @@ class TestCurrentInstantOrder:
             return log, env.now
 
         _both_loops(scenario)
+
+
+class TestSleep:
+    """A process sleeps by yielding its delay: ``yield d`` queues the
+    process's wake where ``yield env.timeout(d)`` would queue a new event
+    (see the ordering contract in ``repro.sim.engine``)."""
+
+    @staticmethod
+    def _run(strict, start, programs, as_event):
+        """One process per delay list, each beside a bare timeout due with
+        its first sleep; logs every resume with the clock and the
+        sequence counter."""
+        env = Environment(initial_time=start, strict=strict)
+        log = []
+
+        def note(name):
+            log.append((name, env.now, env._sequence))
+
+        def sleeper(name, delays):
+            for delay in delays:
+                yield env.timeout(delay) if as_event else delay
+                note(name)
+
+        for name, delays in enumerate(programs):
+            env.process(sleeper(name, delays))
+            env.timeout(delays[0]).callbacks.append(
+                lambda event, name=name: note(f"bare{name}")
+            )
+        env.run()
+        return log, env.now, env._sequence
+
+    def _check(self, start, programs):
+        def scenario(strict):
+            sleeps = self._run(strict, start, programs, as_event=False)
+            assert sleeps == self._run(strict, start, programs, as_event=True)
+            return [(name, now) for name, now, __ in sleeps[0]], sleeps[1]
+
+        return _both_loops(scenario)
+
+    def test_zero_and_positive_delays(self):
+        log, now = self._check(
+            0.0, [[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 3.5], [2, 0]]
+        )
+        assert now == 3.5
+        # The zero sleeps queue behind the bootstraps and bare timeouts
+        # already due at 0.
+        assert log[:4] == [
+            ("bare0", 0.0), ("bare2", 0.0), (0, 0.0), (2, 0.0),
+        ]
+
+    def test_a_delay_that_rounds_to_now(self):
+        start = 2.0**53
+        assert start + 0.5 == start
+        log, now = self._check(
+            start, [[0.5, 0.0, 2.0], [0.0, 0.5, 0.5], [2.0, 0.5]]
+        )
+        assert now == start + 2.0
+        # The half-nanosecond sleeps are due now, in scheduling order.
+        assert log[:7] == [
+            ("bare0", start), ("bare1", start), (0, start), (1, start),
+            (0, start), (1, start), (1, start),
+        ]
+
+    @given(
+        start=st.sampled_from([0.0, 2.0**53]),
+        programs=st.lists(
+            st.lists(
+                st.sampled_from([0, 0.0, 0.5, 1.0, 2, 3.5]),
+                min_size=1, max_size=6,
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_programs(self, start, programs):
+        self._check(start, programs)
+
+    @pytest.mark.parametrize(
+        "delay", [3, np.float64(2.5)], ids=["int", "numpy.float64"]
+    )
+    def test_int_and_numpy_delays(self, delay):
+        for strict in (False, True):
+            env = Environment(strict=strict)
+
+            def proc():
+                yield delay
+                yield delay
+                return env.now
+
+            assert env.run(env.process(proc())) == 2 * delay
+
+    def test_negative_delay_raises_inside_the_process(self):
+        for strict in (False, True):
+            env = Environment(strict=strict)
+            cleaned = []
+
+            def proc():
+                try:
+                    yield -1.0
+                finally:
+                    cleaned.append(env.now)
+
+            with pytest.raises(
+                SimulationError, match="negative timeout delay: -1.0"
+            ):
+                env.run(env.process(proc()))
+            assert cleaned == [0.0]
+
+    def test_negative_delay_carries_the_timeout_message(self):
+        env = Environment()
+
+        def proc():
+            try:
+                yield -2
+            except SimulationError as exc:
+                caught = str(exc)
+            yield 1.0
+            return caught, env.now
+
+        with pytest.raises(SimulationError) as built:
+            Timeout(env, -2)
+        assert env.run(env.process(proc())) == (str(built.value), 1.0)
+
+    @pytest.mark.parametrize(
+        "target", [True, False, "1.0", None, 1j, [1.0]], ids=repr
+    )
+    def test_bool_and_other_non_events_raise(self, target):
+        env = Environment()
+
+        def proc():
+            yield target
+
+        with pytest.raises(SimulationError, match="non-event"):
+            env.run(env.process(proc()))
 
 
 class TestResource:

@@ -14,7 +14,7 @@ clock. Only the number of sequence numbers drawn may differ.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.loadgen import ClosedLoopIssuer
+from repro.core.microbench import MicroBench
 from repro.experiments import chaos, fig3, netstack
 from repro.faults.inject import install as install_faults
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -34,7 +35,7 @@ from repro.noc.arbiter import LinkArbiter
 from repro.noc.flowcontrol import TokenPool
 from repro.platform.interconnect import LinkKind, LinkSpec
 from repro.platform.presets import epyc_7302, epyc_9634, synthetic_ucie
-from repro.sim.engine import Environment, Event, Resource
+from repro.sim.engine import Environment, Event, Resource, Timeout
 from repro.transport.message import OpKind
 from repro.transport.path import CompiledPath, PathResolver, QueuedStage
 from repro.transport.transaction import TransactionExecutor
@@ -126,9 +127,8 @@ def build_cell(pick: Pick) -> CellSpec:
 
 def _compile(resolver, spec: IssuerSpec, core: int):
     compile_path = resolver.dram_path if spec.kind == "dram" else resolver.cxl_path
-    return compile_path(
-        core, spec.target, op=spec.op, use_token_pools=spec.token_pools
-    )
+    path = compile_path(core, spec.target, op=spec.op)
+    return path if spec.token_pools else replace(path, tokens=[])
 
 
 def _channel(stage, is_write: bool) -> str:
@@ -386,6 +386,34 @@ class TestExperimentCellsMatchStrict:
         made = _strict_in(monkeypatch, microbench)
         assert run() == fast
         assert made
+
+
+class TestSleepsBuildNoTimeout:
+    """Processes sleep by yielding their delay (see the ordering contract
+    in ``repro.sim.engine``), so a plain closed-loop cell builds no
+    :class:`Timeout`, however many transactions it runs."""
+
+    def test_a_plain_closed_loop_cell(self, monkeypatch):
+        built = []
+        init = Timeout.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Timeout, "__init__", counted)
+        platform = _PLATFORMS["7302"]
+        cores = tuple(core.core_id for core in platform.cores_of_ccd(0))
+        counts = []
+        for per_core in (20, 80):
+            built.clear()
+            # Paced: the lanes also sleep between pacing slots.
+            result = MicroBench(platform).loaded_latency(
+                cores, OpKind.READ, 20.0, transactions_per_core=per_core,
+            )
+            assert result.achieved_gbps > 0
+            counts.append(len(built))
+        assert counts == [0, 0]
 
 
 class TestRuleEdges:

@@ -96,7 +96,7 @@ class TestPathCompilation:
         env = Environment()
         resolver = PathResolver(env, platform)
         near = platform.umcs_at(0, Position.NEAR)[0].umc_id
-        path = resolver.dram_path(0, near, use_token_pools=False)
+        path = replace(resolver.dram_path(0, near), tokens=[])
         assert path.tokens == []
 
     def test_ccd_pool_presence_matches_platform(self, p7302, p9634):
@@ -334,16 +334,14 @@ def build_cell(pick: Pick) -> CellSpec:
 
 
 def _compile(resolver, spec: IssuerSpec):
-    if spec.kind == "dram":
-        return resolver.dram_path(
-            spec.core, spec.target, op=spec.op, size_bytes=spec.size,
-            use_token_pools=False,
+    if spec.kind in ("dram", "cxl"):
+        compile_path = (
+            resolver.dram_path if spec.kind == "dram" else resolver.cxl_path
         )
-    if spec.kind == "cxl":
-        return resolver.cxl_path(
-            spec.core, spec.target, op=spec.op, size_bytes=spec.size,
-            use_token_pools=False,
+        path = compile_path(
+            spec.core, spec.target, op=spec.op, size_bytes=spec.size
         )
+        return replace(path, tokens=[])
     return resolver.dma_path(0, spec.target, op=spec.op, size_bytes=spec.size)
 
 
